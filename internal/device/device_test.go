@@ -546,3 +546,85 @@ func TestSelfMeasureCostsEnergy(t *testing.T) {
 		t.Fatal("self-measurement must perturb the energy state (§4.1)")
 	}
 }
+
+// Version moves on debugger-wire edges and at reset, and nowhere else.
+func TestGPIOVersionTracksDebugWires(t *testing.T) {
+	d := constDevice(18, units.MilliAmps(5))
+	powerOn(d)
+	env := &Env{D: d}
+	for _, line := range []string{LineAppPin, LineLED, "aux"} {
+		v := d.GPIO.Version()
+		env.TogglePin(line)
+		env.TogglePin(line)
+		if d.GPIO.Version() != v {
+			t.Fatalf("%s edges moved the version", line)
+		}
+	}
+	for _, line := range []string{LineCodeMarker0, LineCodeMarker1, LineDebugSignal, LineInterrupt} {
+		v := d.GPIO.Version()
+		env.SetPin(line, true)
+		if d.GPIO.Version() == v {
+			t.Fatalf("%s edge left the version at %d", line, v)
+		}
+	}
+	v := d.GPIO.Version()
+	d.Reboot()
+	if d.GPIO.Version() == v {
+		t.Fatal("reset left the version unchanged")
+	}
+}
+
+// adderMonitor registers a second monitor from inside its first sample.
+type adderMonitor struct {
+	d     *Device
+	added *countingMonitor
+}
+
+func (m *adderMonitor) Period() sim.Cycles { return 1 << 20 }
+func (m *adderMonitor) Sample(sim.Cycles) {
+	if m.added == nil {
+		m.added = &countingMonitor{period: 400}
+		m.d.AddMonitor(m.added)
+	}
+}
+
+// A monitor registered while the monitors run is sampled at the next step,
+// even though no earlier monitor is due then.
+func TestMonitorAddedDuringSampleRunsNextStep(t *testing.T) {
+	d := constDevice(19, units.MilliAmps(5))
+	powerOn(d)
+	m := &adderMonitor{d: d}
+	d.AddMonitor(m)
+	env := &Env{D: d}
+	env.Compute(1)
+	if m.added == nil {
+		t.Fatal("first monitor never sampled")
+	}
+	env.Compute(1)
+	if m.added.calls != 1 || m.added.last != 1 {
+		t.Fatalf("added monitor: %d samples, last at %d; want 1 at cycle 1", m.added.calls, m.added.last)
+	}
+}
+
+// Restoring a snapshot taken before a sample re-arms the monitor scan.
+func TestMonitorsResampleAfterRestore(t *testing.T) {
+	d := constDevice(20, units.MilliAmps(5))
+	powerOn(d)
+	m := &countingMonitor{period: 400}
+	d.AddMonitor(m)
+	env := &Env{D: d}
+	env.Compute(10)
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Compute(1000)
+	n := m.calls
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	env.Compute(1000)
+	if got := m.calls - n; got != n-1 {
+		t.Fatalf("after restore %d samples in the same window, want %d", got, n-1)
+	}
+}

@@ -101,7 +101,7 @@ func (e *Env) SetPin(line string, level bool) {
 // TogglePin inverts a GPIO line.
 func (e *Env) TogglePin(line string) {
 	e.tick(1)
-	e.D.GPIO.set(line, !e.D.GPIO.Level(line))
+	e.D.GPIO.toggle(line)
 }
 
 // PulsePin raises then lowers a line — the "toggle an LED / GPIO at a point

@@ -129,6 +129,7 @@ type EDB struct {
 	watchHits    []WatchpointHit
 	watchEnabled map[int]bool
 	rfDecoder    func([]byte) string
+	gpioKinds    map[string]string // line name → "gpio:<line>" event kind
 	consoleSink  func(string)
 	printfBuf    strings.Builder
 
@@ -212,6 +213,7 @@ func New(cfg Config) *EDB {
 		rng:          rng,
 		events:       events,
 		watchEnabled: make(map[int]bool),
+		gpioKinds:    make(map[string]string),
 		breaks:       make(map[int]*Breakpoint),
 	}
 	for _, c := range circuit.EDBConnections() {
@@ -357,8 +359,9 @@ func (e *EDB) LeakageCurrent() units.Amps {
 	}
 	// This runs every energy quantum. The per-connection leakage is linear
 	// in the target voltage (circuit.Instance.TypicalCoeffs), and the line
-	// states only change on GPIO edges — so fold the whole Table-2 chain
-	// walk into two coefficients keyed on the GPIO version counter.
+	// states lineState reads only change on debugger-wire edges — so fold
+	// the whole Table-2 chain walk into two coefficients keyed on the GPIO
+	// version counter, which moves exactly on those edges.
 	if v := e.target.GPIO.Version(); !e.leakValid || v != e.leakVersion {
 		e.leakBase, e.leakSlope = 0, 0
 		for _, inst := range e.conn {
@@ -528,7 +531,12 @@ func (e *EDB) onGPIO(edge device.GPIOEdge) {
 	if edge.Level {
 		arg = 1
 	}
-	e.events.Add(trace.Event{At: edge.At, Kind: "gpio:" + edge.Line, Arg: arg})
+	kind, ok := e.gpioKinds[edge.Line]
+	if !ok {
+		kind = "gpio:" + edge.Line
+		e.gpioKinds[edge.Line] = kind
+	}
+	e.events.Add(trace.Event{At: edge.At, Kind: kind, Arg: arg})
 }
 
 // MarkerEdge implements device.Debugger: decode a watchpoint id from the

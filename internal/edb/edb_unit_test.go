@@ -338,3 +338,25 @@ func TestOnChipVariantTradeoff(t *testing.T) {
 		t.Fatalf("on-chip draw = %v J/s exceeds 1%% of the active budget", onChip)
 	}
 }
+
+// The leakage cache, keyed on the debugger-wire version, must always equal
+// a fresh walk of the Table-2 chain: application-pin edges no longer
+// invalidate it, so they must not be able to change it either.
+func TestLeakageCacheMatchesFreshModel(t *testing.T) {
+	d, e := poweredRig(t, 31)
+	env := &device.Env{D: d}
+	lines := []string{device.LineAppPin, device.LineCodeMarker0, device.LineAppPin,
+		device.LineDebugSignal, device.LineLED, device.LineCodeMarker1, device.LineInterrupt, device.LineAppPin}
+	for i := 0; i < 64; i++ {
+		env.TogglePin(lines[i%len(lines)])
+		cached := e.LeakageCurrent()
+		fresh := edb.New(edb.DefaultConfig())
+		fresh.Attach(d)
+		want := fresh.LeakageCurrent()
+		fresh.Detach()
+		d.AttachDebugger(e)
+		if math.Float64bits(float64(cached)) != math.Float64bits(float64(want)) {
+			t.Fatalf("toggle %d (%s): cached leakage %v, fresh %v", i, lines[i%len(lines)], cached, want)
+		}
+	}
+}

@@ -277,3 +277,60 @@ func TestEnergyConservation(t *testing.T) {
 			balance, change, diff)
 	}
 }
+
+// The Friis memo must see every field ReceivedPower reads, whenever it
+// changes: the result always equals a fresh harvester's.
+func TestReceivedPowerMemoTracksFields(t *testing.T) {
+	h := NewRFHarvester()
+	check := func(step string) {
+		t.Helper()
+		fresh := *h
+		fresh.prValid = false
+		if got, want := h.ReceivedPower(), fresh.ReceivedPower(); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("%s: memoized %v, fresh %v", step, got, want)
+		}
+	}
+	check("initial")
+	h.TxPower = 27
+	check("TxPower")
+	h.Distance = 2.5
+	check("Distance")
+	h.FreqMHz = 868
+	check("FreqMHz")
+	h.AntennaGainDBi = 6
+	check("AntennaGainDBi")
+	h.PowerScale = 0.25
+	check("PowerScale")
+	h.PowerScale = -1 // unset again: scale 1
+	check("PowerScale unset")
+	h.CarrierOn = false
+	check("carrier off")
+	h.CarrierOn = true
+	check("carrier on")
+	h.Distance = units.Meters(math.NaN())
+	check("NaN distance")
+}
+
+// rfWrapper hides the concrete *RFHarvester type from Supply.Step, which
+// then takes the interface path.
+type rfWrapper struct{ *RFHarvester }
+
+// Supply.Step's direct call into *RFHarvester must integrate exactly as the
+// interface call does.
+func TestSupplyStepRFFastPathMatchesInterface(t *testing.T) {
+	fast := WISP5Supply(NewRFHarvester())
+	slow := WISP5Supply(rfWrapper{NewRFHarvester()})
+	fast.Cap.SetVoltage(2.4)
+	slow.Cap.SetVoltage(2.4)
+	dt := units.Seconds(64.0 / 4e6)
+	for i := 0; i < 20000; i++ {
+		load := units.MilliAmps(1.2)
+		if i%7 == 0 {
+			load = 0
+		}
+		a, b := fast.Step(load, dt), slow.Step(load, dt)
+		if a != b || fast.SnapshotState() != slow.SnapshotState() {
+			t.Fatalf("step %d: fast %v %+v, interface %v %+v", i, a, fast.SnapshotState(), b, slow.SnapshotState())
+		}
+	}
+}

@@ -299,8 +299,17 @@ func (g *RNG) RestoreState(st RNGState) {
 	}
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform value in [0, 1). It is rand.Rand.Float64 —
+// the same conversion and the same resample of a draw that rounds up to 1 —
+// on the counted source directly, skipping rand.Rand's interface dispatch:
+// every energy quantum of a noisy harvester draws one.
+func (g *RNG) Float64() float64 {
+	for {
+		if f := float64(g.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // NormFloat64 returns a standard-normal value.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
@@ -313,7 +322,7 @@ func (g *RNG) Uint16() uint16 { return uint16(g.r.Uint32()) }
 
 // Jitter returns base scaled by a uniform factor in [1-frac, 1+frac].
 func (g *RNG) Jitter(base, frac float64) float64 {
-	return base * (1 + frac*(2*g.r.Float64()-1))
+	return base * (1 + frac*(2*g.Float64()-1))
 }
 
 // Gaussian returns a normal value with the given mean and standard deviation.
@@ -322,7 +331,7 @@ func (g *RNG) Gaussian(mean, sd float64) float64 {
 }
 
 // Bernoulli returns true with probability p.
-func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
+func (g *RNG) Bernoulli(p float64) bool { return g.Float64() < p }
 
 // Split derives a child RNG whose stream is independent of, but
 // deterministically derived from, this one. Use it to give each subsystem

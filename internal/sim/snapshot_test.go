@@ -11,8 +11,8 @@ import (
 func TestCountingSourcePreservesStreams(t *testing.T) {
 	g := NewRNG(42)
 	ref := rand.New(rand.NewSource(42))
-	for i := 0; i < 1000; i++ {
-		switch i % 5 {
+	for i := 0; i < 1200; i++ {
+		switch i % 6 {
 		case 0:
 			if a, b := g.Float64(), ref.Float64(); a != b {
 				t.Fatalf("Float64 diverged at draw %d: %v != %v", i, a, b)
@@ -32,6 +32,10 @@ func TestCountingSourcePreservesStreams(t *testing.T) {
 		case 4:
 			if a, b := g.Bernoulli(0.3), ref.Float64() < 0.3; a != b {
 				t.Fatalf("Bernoulli diverged at draw %d", i)
+			}
+		case 5:
+			if a, b := g.Jitter(1.5e-3, 0.25), 1.5e-3*(1+0.25*(2*ref.Float64()-1)); a != b {
+				t.Fatalf("Jitter diverged at draw %d: %v != %v", i, a, b)
 			}
 		}
 	}

@@ -125,7 +125,26 @@ func (l *Log) Add(e Event) {
 		l.Dropped += uint64(drop)
 		l.Events = append(l.Events[:0], l.Events[drop:]...)
 	}
+	if len(l.Events) == cap(l.Events) {
+		l.grow()
+	}
 	l.Events = append(l.Events, e)
+}
+
+// grow doubles the log's capacity, capped at Limit. Past a few hundred
+// elements append grows a slice only about 1.25x at a time, so a long
+// passive session would re-copy its whole event history many times over.
+func (l *Log) grow() {
+	n := max(2*cap(l.Events), 64)
+	if l.Limit > 0 {
+		n = min(n, l.Limit)
+	}
+	if n <= len(l.Events) {
+		return // Limit was lowered below the length: leave it to append
+	}
+	events := make([]Event, len(l.Events), n)
+	copy(events, l.Events)
+	l.Events = events
 }
 
 // Count returns the number of events of the given kind ("" counts all).

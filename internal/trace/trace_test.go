@@ -198,3 +198,39 @@ func TestLogLimitRing(t *testing.T) {
 		}
 	}
 }
+
+// The log grows geometrically but never past Limit, and keeps exactly the
+// events a plain append-and-discard ring would.
+func TestLogGrowthBoundedByLimit(t *testing.T) {
+	l := NewLog("t")
+	l.Limit = 1000
+	var ref []Event
+	var dropped uint64
+	for i := 0; i < 5000; i++ {
+		e := Event{At: sim.Cycles(i), Kind: "k", Arg: i}
+		l.Add(e)
+		if len(ref) >= 1000 {
+			ref = ref[250:]
+			dropped += 250
+		}
+		ref = append(ref, e)
+		if cap(l.Events) > l.Limit {
+			t.Fatalf("after %d adds cap %d exceeds limit %d", i+1, cap(l.Events), l.Limit)
+		}
+	}
+	if l.Dropped != dropped || len(l.Events) != len(ref) {
+		t.Fatalf("dropped %d len %d, want %d and %d", l.Dropped, len(l.Events), dropped, len(ref))
+	}
+	for i := range ref {
+		if l.Events[i] != ref[i] {
+			t.Fatalf("event %d = %v, want %v", i, l.Events[i], ref[i])
+		}
+	}
+
+	// Lowering Limit below the length must not break Add.
+	l.Limit = 10
+	l.Add(Event{Kind: "late"})
+	if got := l.Events[len(l.Events)-1].Kind; got != "late" {
+		t.Fatalf("last event %q", got)
+	}
+}
