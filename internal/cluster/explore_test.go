@@ -73,10 +73,10 @@ func TestGatewayExploreMatrixMatchesLocal(t *testing.T) {
 
 // TestGatewayExploreBackendLossMidRun kills one of two executors partway
 // through the search — the limitProxy slams the backend→gateway stream
-// after a fixed byte budget, mid-frame — and the merged report must still be
-// reflect.DeepEqual-identical to a single-process run: the survivor re-runs
-// the dead executor's batches and its dedup partition is re-seeded from the
-// coordinator's journal.
+// halfway through the executor's first shard reply — and the merged report
+// must still be reflect.DeepEqual-identical to a single-process run: the
+// survivor re-runs the dead executor's batches and its dedup partition is
+// re-seeded from the coordinator's journal.
 func TestGatewayExploreBackendLossMidRun(t *testing.T) {
 	_, addrA := startBackend(t, server.Config{})
 	_, addrB := startBackend(t, server.Config{})
@@ -99,10 +99,11 @@ func TestGatewayExploreBackendLossMidRun(t *testing.T) {
 		t.Fatalf("single-process run: %v", err)
 	}
 
-	// Cut the proxied executor after 6k result bytes: past its hello, well
-	// before the search ends.
-	const cut = 6000
-	proxy.armLimit(cut)
+	// Cut the proxied executor halfway through frame 2, its first expand or
+	// dedup reply after the Welcome (0) and the executor hello (1). It owns
+	// dedup partition 1, which every run queries, so that frame exists
+	// however the expand batches happen to be scheduled.
+	proxy.armFrameCut(2)
 
 	rep, stats, err := gw.RunExplore(spec, es)
 	if err != nil {
@@ -112,8 +113,8 @@ func TestGatewayExploreBackendLossMidRun(t *testing.T) {
 		t.Fatalf("report after mid-run backend loss differs from single-process run:\n--- single ---\n%s\n--- distributed ---\n%s",
 			golden.Format(), rep.Format())
 	}
-	if got := proxy.total(0); got != cut {
-		t.Fatalf("proxied executor was not cut mid-run: relayed %d bytes, budget %d", got, cut)
+	if !proxy.cutFired(0) {
+		t.Fatalf("proxied executor was not cut mid-run: relayed %d bytes uncut", proxy.total(0))
 	}
 	if stats.Waves == 0 || stats.ShardBatches == 0 {
 		t.Fatalf("missing distribution stats: %+v", stats)

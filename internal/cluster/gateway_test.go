@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -376,15 +377,18 @@ func collectSession(t *testing.T, conn net.Conn) (output []byte, traceFrames [][
 }
 
 // limitProxy is a byte-level TCP proxy that can cut the backend→client
-// direction of the *next* accepted connection after a fixed byte budget —
-// a deterministic mid-frame backend loss.
+// direction of the *next* accepted connection mid-frame — after a fixed
+// byte budget, or halfway through its n-th wire frame — a deterministic
+// backend loss.
 type limitProxy struct {
 	lis     net.Listener
 	backend string
 
 	mu        sync.Mutex
 	nextLimit int64
+	nextFrame int // frame to cut inside on the next connection; -1 for none
 	totals    []int64
+	cuts      []bool
 }
 
 func newLimitProxy(t *testing.T, backend string) *limitProxy {
@@ -393,7 +397,7 @@ func newLimitProxy(t *testing.T, backend string) *limitProxy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &limitProxy{lis: lis, backend: backend}
+	p := &limitProxy{lis: lis, backend: backend, nextFrame: -1}
 	t.Cleanup(func() { lis.Close() })
 	go p.serve()
 	return p
@@ -409,11 +413,36 @@ func (p *limitProxy) armLimit(n int64) {
 	p.mu.Unlock()
 }
 
+// armFrameCut cuts the next accepted connection's backend→client stream
+// halfway through its frame number n, counting the handshake reply as
+// frame 0: a cut tied to a protocol event rather than to a byte count.
+func (p *limitProxy) armFrameCut(n int) {
+	p.mu.Lock()
+	p.nextFrame = n
+	p.mu.Unlock()
+}
+
 // total returns the backend→client byte count of accepted connection i.
 func (p *limitProxy) total(i int) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.totals[i]
+}
+
+// cutFired reports whether an armed cut severed accepted connection i.
+func (p *limitProxy) cutFired(i int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cuts[i]
+}
+
+// relayed records progress on connection i: n bytes so far, and whether
+// the armed cut has just fired.
+func (p *limitProxy) relayed(i int, n int64, cut bool) {
+	p.mu.Lock()
+	p.totals[i] = n
+	p.cuts[i] = p.cuts[i] || cut
+	p.mu.Unlock()
 }
 
 func (p *limitProxy) serve() {
@@ -428,15 +457,20 @@ func (p *limitProxy) serve() {
 			continue
 		}
 		p.mu.Lock()
-		limit := p.nextLimit
-		p.nextLimit = 0
+		limit, frame := p.nextLimit, p.nextFrame
+		p.nextLimit, p.nextFrame = 0, -1
 		idx := len(p.totals)
 		p.totals = append(p.totals, 0)
+		p.cuts = append(p.cuts, false)
 		p.mu.Unlock()
 		go func() { io.Copy(b, c); b.Close() }()
 		go func() {
 			defer c.Close()
 			defer b.Close()
+			if frame >= 0 {
+				p.relayFrames(idx, b, c, frame)
+				return
+			}
 			var n int64
 			buf := make([]byte, 4096)
 			for {
@@ -445,14 +479,13 @@ func (p *limitProxy) serve() {
 					max = limit - n
 				}
 				if max <= 0 {
+					p.relayed(idx, n, true)
 					return // budget exhausted: slam the connection
 				}
 				k, err := b.Read(buf[:max])
 				if k > 0 {
 					n += int64(k)
-					p.mu.Lock()
-					p.totals[idx] = n
-					p.mu.Unlock()
+					p.relayed(idx, n, false)
 					if _, werr := c.Write(buf[:k]); werr != nil {
 						return
 					}
@@ -462,6 +495,35 @@ func (p *limitProxy) serve() {
 				}
 			}
 		}()
+	}
+}
+
+// relayFrames forwards whole wire frames from b to c until frame number
+// cut, of which it forwards only the first half before returning (the
+// caller then closes both ends).
+func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
+	var n int64
+	for i := 0; ; i++ {
+		var hdr [6]byte // type, flags, big-endian payload length
+		if _, err := io.ReadFull(b, hdr[:]); err != nil {
+			return
+		}
+		f := make([]byte, len(hdr)+int(binary.BigEndian.Uint32(hdr[2:])))
+		copy(f, hdr[:])
+		if _, err := io.ReadFull(b, f[len(hdr):]); err != nil {
+			return
+		}
+		if i == cut {
+			f = f[:len(f)/2]
+		}
+		if _, err := c.Write(f); err != nil {
+			return
+		}
+		n += int64(len(f))
+		p.relayed(idx, n, i == cut)
+		if i == cut {
+			return
+		}
 	}
 }
 
