@@ -15,11 +15,12 @@ import (
 )
 
 // testProgram builds tag i's firmware: a mix of burst-atomic Go apps and
-// sliceable ISA programs, including one that halts (Completed) and one that
-// spins forever (DeadlineHit), so every phase of the state machine is
+// sliceable ISA programs, including one that halts (Completed), one that
+// spins forever (DeadlineHit) and one that faults on every boot (the
+// wedged-MCU burn until brown-out), so every phase of the runner is
 // exercised.
 func testProgram(i int) device.Program {
-	switch i % 3 {
+	switch i % 4 {
 	case 0:
 		return &apps.Activity{Print: apps.NoPrint}
 	case 1:
@@ -29,7 +30,7 @@ main:	inc r5
 	add r5, r7
 	jmp main
 `)
-	default:
+	case 2:
 		return isa.NewProgram("counts-then-halts", `
 	.equ HALT, 0x012C
 main:	mov #0, r5
@@ -37,6 +38,15 @@ loop:	add #1, r5
 	cmp #5000, r5
 	jne loop
 	mov #1, &HALT
+`)
+	default:
+		return isa.NewProgram("counts-then-faults", `
+main:	mov #0, r5
+loop:	add #1, r5
+	cmp #200, r5
+	jne loop
+	mov &0x0002, r6
+	jmp main
 `)
 	}
 }
