@@ -518,7 +518,7 @@ func (d *Device) flushSupply() {
 // until either the supply turns on or maxTime elapses. It returns true if
 // the device powered on.
 func (d *Device) IdleCharge(maxTime units.Seconds) bool {
-	powered, _ := d.IdleChargeUntil(d.Clock.Now()+d.Clock.ToCycles(maxTime), sim.Cycles(^uint64(0)))
+	powered, _ := d.IdleChargeUntil(d.Clock.Now()+d.Clock.ToCycles(maxTime), Never)
 	return powered
 }
 

@@ -115,15 +115,9 @@ func TestPowerFailureUnwindsBeforeStore(t *testing.T) {
 		t.Fatal("never charged")
 	}
 	env := &Env{D: d}
-	func() {
-		defer func() {
-			p := recover()
-			if _, ok := p.(*PowerFailure); !ok {
-				t.Fatalf("want PowerFailure, got %v", p)
-			}
-		}()
-		prog.main(env)
-	}()
+	if o, _ := Catch(func() Outcome { prog.main(env); return OutReturned }); o != OutPowerFailure {
+		t.Fatalf("want OutPowerFailure, got %v", o)
+	}
 	// The counter is consistent: whatever value is stored was stored
 	// completely (16-bit writes are atomic on FRAM).
 	v, err := d.Mem.ReadWord(addr)
@@ -218,14 +212,14 @@ func TestSleepReducesDrain(t *testing.T) {
 		d := NewWISP5(energy.NullHarvester{}, 7)
 		powerOn(d)
 		env := &Env{D: d}
-		func() {
-			defer func() { recover() }()
+		Catch(func() Outcome {
 			if sleep {
 				env.Sleep(40000)
 			} else {
 				env.Compute(40000)
 			}
-		}()
+			return OutReturned
+		})
 		return d.Supply.Voltage()
 	}
 	vSleep := run(true)
@@ -431,10 +425,7 @@ func TestMonitorsRunWhileOnAndOff(t *testing.T) {
 	}
 	// While executing:
 	env := &Env{D: d}
-	func() {
-		defer func() { recover() }()
-		env.Compute(40000)
-	}()
+	Catch(func() Outcome { env.Compute(40000); return OutReturned })
 	if m.calls <= offCalls {
 		t.Fatal("monitors must sample while the target runs")
 	}

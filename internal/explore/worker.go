@@ -10,10 +10,19 @@ import (
 	"repro/internal/sim"
 )
 
-// segCap is the sentinel panicked when a probe run has collected
+// capHalt is the sentinel panicked when a probe run has collected
 // MaxCandidates failure candidates: the segment's fork fan-out is known, so
 // running further would only burn simulated cycles.
-type segCap struct{}
+var capHalt = &device.Halted{Reason: "explore: candidate cap"}
+
+// segOutcome names how a segment ended, in reports and on the wire.
+var segOutcome = [...]string{
+	device.OutReturned:     "returned",
+	device.OutPowerFailure: "injected",
+	device.OutMemoryFault:  "fault",
+	device.OutHalted:       "halted",
+	device.OutDeadline:     "deadline",
+}
 
 // CommitSignaler is implemented by firmware whose runtime exposes its
 // atomic commit machinery (checkpoint.Mementos/Tasks CommitHook): the
@@ -230,7 +239,7 @@ func (w *worker) candidate() {
 		panic(&device.PowerFailure{At: w.d.Clock.Now(), V: w.d.Supply.Voltage()})
 	}
 	if w.probing && w.candCount >= w.cfg.MaxCandidates {
-		panic(segCap{})
+		panic(capHalt)
 	}
 }
 
@@ -311,7 +320,7 @@ func (w *worker) load(st ShardState) error {
 // runSegment executes one segment of Main on the given state. injectAt == 0
 // is a probe run (collect candidates, hazards, asserts); injectAt == k
 // replays the segment and injects a power failure at candidate k.
-func (w *worker) runSegment(st ShardState, injectAt int) (outcome string, err error) {
+func (w *worker) runSegment(st ShardState, injectAt int) (string, error) {
 	if err := w.load(st); err != nil {
 		return "", err
 	}
@@ -331,31 +340,14 @@ func (w *worker) runSegment(st ShardState, injectAt int) (outcome string, err er
 		w.d.ClearDeadline()
 	}()
 
-	outcome = "returned"
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			switch r.(type) {
-			case *device.PowerFailure:
-				outcome = "injected"
-			case *device.MemoryFault:
-				outcome = "fault"
-			case *device.DeadlineReached:
-				outcome = "deadline"
-			case segCap:
-				outcome = "capped"
-			case *device.Halted:
-				outcome = "halted"
-			default:
-				panic(r)
-			}
-		}()
+	o, h := device.Catch(func() device.Outcome {
 		w.prog.Main(&device.Env{D: w.d})
-	}()
-	return outcome, nil
+		return device.OutReturned
+	})
+	if h == capHalt {
+		return "capped", nil
+	}
+	return segOutcome[o], nil
 }
 
 // expand runs a state's probe segment and, if wanted, one injected segment

@@ -3,28 +3,23 @@
 // one event loop per rig, which is what makes Table-4-style studies at
 // 10k–100k devices practical in a single process.
 //
-// Equivalence by construction. Each tag owns the same Device, Supply, and
-// interpreter objects a sequential core.Rig run would use, and the fleet's
-// per-tag state machine is a resumable transliteration of
-// device.Runner.RunUntil: the charge phase runs through
-// Device.IdleChargeUntil with the charge deadline computed once at phase
-// entry, the execute phase drives isa programs through Program.StepUntil
-// (Go-burst programs run whole bursts, which a power failure bounds), and
-// the wedged-MCU burn loop ticks the same 1024-cycle chunks. Because slice
-// boundaries only ever pause a tag between the exact same env calls a
-// sequential run performs, a batched run of N tags produces byte-identical
-// per-tag outcomes to N sequential Rig runs — the golden property
-// fleet_test.go enforces under -race at multiple worker counts.
+// Equivalence by construction. Each tag is a device.Runner on the same
+// Device, Supply and program objects a sequential core.Rig run would use.
+// The fleet only decides when each runner steps: Runner.Step pauses a run
+// between the exact env calls a sequential run performs, so a batched run
+// of N tags produces byte-identical per-tag outcomes to N sequential Rig
+// runs — the property fleet_test.go checks under -race at multiple worker
+// counts.
 //
-// Layout. The scheduler's hot state is struct-of-arrays: phase, local
-// clock, charge deadline, capacitor voltage, and outcome tallies live in
-// parallel slices indexed by tag. The slice loop scans those arrays —
-// skipping tags that already sit at or beyond the boundary without touching
-// their device objects — and only enters a tag's Device/CPU working set
-// when the tag actually has cycles to run. Cross-device effects (reader
-// contention) are computed sequentially from the arrays at each slice
-// barrier, in tag-index order, so they are deterministic at any worker
-// count.
+// Layout. Beside the runners, the scheduler keeps struct-of-arrays
+// mirrors of what the slice loop and the contention barrier read: each
+// tag's clock at its last pause, whether its run has ended and whether it
+// is charging. The slice loop scans those arrays — skipping tags that
+// already sit at or beyond the boundary without touching their device
+// objects — and only enters a tag's Device/CPU working set when the tag
+// actually has cycles to run. Cross-device effects (reader contention) are
+// computed sequentially from the arrays at each slice barrier, in
+// tag-index order, so they are deterministic at any worker count.
 //
 // Sharding. Per-slice work fans out over internal/parallel with one item
 // per tag; each tag's randomness derives from parallel.ShardSeed(seed, i),
@@ -34,6 +29,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -41,19 +37,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// Sliceable is implemented by programs whose execution can pause at a cycle
-// limit and resume later with an identical env-call sequence (isa.Program).
-// Programs without it run in whole bursts: Main executes until it returns
-// or a terminal panic (power failure, fault, deadline) unwinds it — the
-// intermittent execution model makes those bursts naturally short.
-type Sliceable interface {
-	// ResetCPU performs the power-on reset Main would start with.
-	ResetCPU()
-	// StepUntil advances until the program halts (true) or simulated time
-	// reaches limit (false, resumable).
-	StepUntil(env *device.Env, limit sim.Cycles) bool
-}
 
 // ContentionConfig models an RFID reader time-sharing its carrier: with
 // more than Slots tags simultaneously charging, each receives
@@ -82,8 +65,6 @@ type Config struct {
 	Slice units.Seconds
 	// Seed is the base seed; tag i derives parallel.ShardSeed(Seed, i).
 	Seed int64
-	// MaxChargeTime bounds one charging phase (Runner's default: 10 s).
-	MaxChargeTime units.Seconds
 	// Quantum, when non-zero, overrides each device's active integration
 	// quantum (device.DefaultConfig's 64 cycles). Larger quanta trade
 	// supply-integration resolution for speed; at 47 µF even 512 cycles
@@ -144,43 +125,19 @@ type Result struct {
 	BytesPerTag float64
 }
 
-// tag phases of the resumable Runner state machine.
-const (
-	phaseChargeEnter = iota // evaluate powered-already, stamp charge deadline
-	phaseCharging           // inside IdleChargeUntil
-	phaseRunEnter           // power-on reset pending
-	phaseRunning            // executing (mid-StepUntil for sliceable programs)
-	phaseBurning            // wedged MCU burning until brown-out
-	phaseDone
-)
-
-// sliceYield is the non-terminal outcome of an execution slice: the tag
-// reached the slice boundary mid-run.
-type sliceYield struct{}
-
-// fleetState is the batched kernel: per-tag devices plus the
-// struct-of-arrays scheduling state the slice loop scans.
+// fleetState is the batched kernel: one runner per tag plus the
+// struct-of-arrays mirrors the slice loop scans.
 type fleetState struct {
 	cfg      Config
 	deadline sim.Cycles
 
-	devs  []*device.Device
-	progs []device.Program
-	envs  []*device.Env
-	slics []Sliceable          // nil for burst-only programs
+	runs  []*device.Runner
 	harvs []*energy.RFHarvester // nil unless contention applies
 
-	// Hot per-tag state, struct-of-arrays (indexed by tag).
-	phase       []uint8
-	now         []sim.Cycles // mirror of the tag's clock at last pause
-	chargeLimit []sim.Cycles // absolute charge-phase deadline
-	voltage     []float32    // capacitor voltage at last barrier
-	completed   []bool
-	deadlineHit []bool
-	reboots     []int32
-	faults      []int32
-	halted      []string
-	errs        []error
+	// Mirrors of each runner after its last Step, indexed by tag.
+	now      []sim.Cycles
+	done     []bool
+	charging []bool
 }
 
 // Run executes the fleet and returns per-tag outcomes.
@@ -196,9 +153,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Slice <= 0 {
 		cfg.Slice = units.MilliSeconds(50)
-	}
-	if cfg.MaxChargeTime <= 0 {
-		cfg.MaxChargeTime = units.Seconds(10)
 	}
 	if cfg.NewHarvester == nil {
 		cfg.NewHarvester = DefaultHarvester
@@ -222,22 +176,12 @@ func build(cfg Config) (*fleetState, float64, error) {
 
 	n := cfg.Tags
 	s := &fleetState{
-		cfg:         cfg,
-		devs:        make([]*device.Device, n),
-		progs:       make([]device.Program, n),
-		envs:        make([]*device.Env, n),
-		slics:       make([]Sliceable, n),
-		harvs:       make([]*energy.RFHarvester, n),
-		phase:       make([]uint8, n),
-		now:         make([]sim.Cycles, n),
-		chargeLimit: make([]sim.Cycles, n),
-		voltage:     make([]float32, n),
-		completed:   make([]bool, n),
-		deadlineHit: make([]bool, n),
-		reboots:     make([]int32, n),
-		faults:      make([]int32, n),
-		halted:      make([]string, n),
-		errs:        make([]error, n),
+		cfg:      cfg,
+		runs:     make([]*device.Runner, n),
+		harvs:    make([]*energy.RFHarvester, n),
+		now:      make([]sim.Cycles, n),
+		done:     make([]bool, n),
+		charging: make([]bool, n),
 	}
 
 	// Construction is parallel too: each tag's assembly (device, flash,
@@ -257,33 +201,25 @@ func build(cfg Config) (*fleetState, float64, error) {
 		if r, ok := h.(energy.Reseeder); ok {
 			r.Reseed(seed)
 		}
-		d := device.New(dcfg, energy.WISP5Supply(h))
-
-		p := cfg.NewProgram(i)
-		if err := p.Flash(d); err != nil {
+		r := device.NewRunner(device.New(dcfg, energy.WISP5Supply(h)), cfg.NewProgram(i))
+		if err := r.Flash(); err != nil {
 			return fmt.Errorf("fleet: flashing tag %d: %w", i, err)
 		}
-
-		s.devs[i] = d
-		s.progs[i] = p
-		s.envs[i] = &device.Env{D: d}
-		if sl, ok := p.(Sliceable); ok {
-			s.slics[i] = sl
-		}
+		s.runs[i] = r
 		if rf, ok := h.(*energy.RFHarvester); ok {
 			s.harvs[i] = rf
 		}
-		s.phase[i] = phaseChargeEnter
-		s.voltage[i] = float32(d.Supply.Voltage())
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 
-	s.deadline = s.devs[0].Clock.ToCycles(cfg.Duration)
-	for _, d := range s.devs {
-		d.SetDeadline(s.deadline)
+	s.deadline = s.runs[0].D.Clock.ToCycles(cfg.Duration)
+	for i, r := range s.runs {
+		r.D.SetDeadline(s.deadline)
+		r.Start()
+		s.charging[i] = r.Charging()
 	}
 
 	runtime.GC()
@@ -299,205 +235,47 @@ func build(cfg Config) (*fleetState, float64, error) {
 // shared boundary, then apply cross-device effects, until all tags reach a
 // terminal state.
 func (s *fleetState) run() {
-	n := s.cfg.Tags
-	slice := s.devs[0].Clock.ToCycles(s.cfg.Slice)
+	slice := s.runs[0].D.Clock.ToCycles(s.cfg.Slice)
 	if slice == 0 {
 		slice = 1
 	}
 	s.applyContention()
 
-	const never = sim.Cycles(^uint64(0))
-	for sliceEnd := slice; ; sliceEnd += slice {
+	for sliceEnd := slice; slices.Contains(s.done, false); sliceEnd += slice {
 		stopAt := sliceEnd
 		if sliceEnd >= s.deadline {
 			// Final pass: the shared deadline now bounds every tag, so
 			// run each to its terminal outcome exactly as an unsliced
 			// Runner would.
-			stopAt = never
+			stopAt = device.Never
 		}
-		live := 0
-		for i := 0; i < n; i++ {
-			if s.phase[i] != phaseDone {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		_ = parallel.ForEach(n, func(i int) error {
-			if s.phase[i] != phaseDone && s.now[i] < stopAt {
-				s.stepTag(i, stopAt)
+		_ = parallel.ForEach(s.cfg.Tags, func(i int) error {
+			if !s.done[i] && s.now[i] < stopAt {
+				r := s.runs[i]
+				s.done[i] = r.Step(stopAt)
+				s.now[i] = r.D.Clock.Now()
+				s.charging[i] = r.Charging()
 			}
 			return nil
 		})
 		s.applyContention()
-		if stopAt == never {
-			break
-		}
 	}
-	for _, d := range s.devs {
-		d.ClearDeadline()
+	for _, r := range s.runs {
+		r.D.ClearDeadline()
 	}
-}
-
-// stepTag advances tag i until it reaches the slice boundary or a terminal
-// state. The body is Runner.RunUntil unrolled into a resumable machine;
-// every transition matches the sequential control flow exactly.
-func (s *fleetState) stepTag(i int, stopAt sim.Cycles) {
-	d := s.devs[i]
-	for s.phase[i] != phaseDone && d.Clock.Now() < stopAt {
-		switch s.phase[i] {
-		case phaseChargeEnter:
-			// Runner.charge: already powered and above brown-out → run.
-			if d.Supply.State() == energy.PowerOn && d.Supply.Voltage() >= d.Supply.VBrownOut {
-				s.phase[i] = phaseRunEnter
-				continue
-			}
-			// The charge deadline is stamped ONCE at phase entry (the
-			// IdleCharge call in Runner computes it on entry); resuming
-			// across slices must keep the original limit.
-			s.chargeLimit[i] = d.Clock.Now() + d.Clock.ToCycles(s.cfg.MaxChargeTime)
-			s.phase[i] = phaseCharging
-
-		case phaseCharging:
-			powered, exhausted, deadlineHit := s.chargeSlice(i, stopAt)
-			switch {
-			case deadlineHit:
-				s.deadlineHit[i] = true
-				s.phase[i] = phaseDone
-			case powered:
-				s.phase[i] = phaseRunEnter
-			case exhausted:
-				s.errs[i] = device.ErrNeverPowered
-				s.phase[i] = phaseDone
-			default:
-				return // paused at the slice boundary
-			}
-
-		case phaseRunEnter:
-			if sl := s.slics[i]; sl != nil {
-				sl.ResetCPU()
-			}
-			s.phase[i] = phaseRunning
-
-		case phaseRunning:
-			outcome := s.execSlice(i, stopAt)
-			switch o := outcome.(type) {
-			case sliceYield:
-				return
-			case nil:
-				s.completed[i] = true
-				s.phase[i] = phaseDone
-			case *device.PowerFailure:
-				s.reboots[i]++
-				d.Reboot()
-				s.phase[i] = phaseChargeEnter
-			case *device.MemoryFault:
-				s.faults[i]++
-				s.phase[i] = phaseBurning
-			case *device.Halted:
-				s.halted[i] = o.Reason
-				s.phase[i] = phaseDone
-			case *device.DeadlineReached:
-				s.deadlineHit[i] = true
-				s.phase[i] = phaseDone
-			default:
-				panic(outcome)
-			}
-
-		case phaseBurning:
-			outcome := s.burnSlice(i, stopAt)
-			switch outcome.(type) {
-			case sliceYield:
-				return
-			case *device.PowerFailure:
-				s.reboots[i]++
-				d.Reboot()
-				s.phase[i] = phaseChargeEnter
-			case *device.DeadlineReached:
-				s.deadlineHit[i] = true
-				s.phase[i] = phaseDone
-			default:
-				panic(outcome)
-			}
-		}
-	}
-	s.now[i] = d.Clock.Now()
-	s.voltage[i] = float32(d.Supply.Voltage())
-}
-
-// chargeSlice resumes tag i's charging phase, bounded by the slice.
-func (s *fleetState) chargeSlice(i int, stopAt sim.Cycles) (powered, exhausted, deadlineHit bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(*device.DeadlineReached); ok {
-				deadlineHit = true
-				return
-			}
-			panic(p)
-		}
-	}()
-	powered, exhausted = s.devs[i].IdleChargeUntil(s.chargeLimit[i], stopAt)
-	return
-}
-
-// execSlice runs tag i's program for one slice, converting terminal panics
-// into outcome values (Runner.executeOnce, plus the resumable yield).
-func (s *fleetState) execSlice(i int, stopAt sim.Cycles) (outcome any) {
-	defer func() {
-		if p := recover(); p != nil {
-			switch p.(type) {
-			case *device.PowerFailure, *device.MemoryFault, *device.Halted, *device.DeadlineReached:
-				outcome = p
-			default:
-				panic(p)
-			}
-		}
-	}()
-	if sl := s.slics[i]; sl != nil {
-		if sl.StepUntil(s.envs[i], stopAt) {
-			return nil // program halted: Main would have returned
-		}
-		return sliceYield{}
-	}
-	// Burst program: one whole Main invocation. Power failure, fault, or
-	// the deadline bounds it; it may overshoot the slice, which the
-	// sequential reference would do identically.
-	s.progs[i].Main(s.envs[i])
-	return nil
-}
-
-// burnSlice models the wedged MCU burning energy until brown-out
-// (Runner.burnUntilBrownout), sliced into the same 1024-cycle chunks.
-func (s *fleetState) burnSlice(i int, stopAt sim.Cycles) (outcome any) {
-	defer func() {
-		if p := recover(); p != nil {
-			switch p.(type) {
-			case *device.PowerFailure, *device.DeadlineReached:
-				outcome = p
-			default:
-				panic(p)
-			}
-		}
-	}()
-	env := s.envs[i]
-	for s.devs[i].Clock.Now() < stopAt {
-		env.Compute(1024)
-	}
-	return sliceYield{}
 }
 
 // applyContention recomputes each tag's share of the reader's carrier from
-// the barrier-consistent voltage/phase arrays: deterministic, sequential,
-// in tag-index order.
+// the barrier-consistent charging flags: deterministic, sequential, in
+// tag-index order.
 func (s *fleetState) applyContention() {
 	slots := s.cfg.Contention.Slots
 	if slots <= 0 {
 		return
 	}
 	charging := 0
-	for i := range s.phase {
-		if s.phase[i] == phaseCharging || s.phase[i] == phaseChargeEnter {
+	for _, c := range s.charging {
+		if c {
 			charging++
 		}
 	}
@@ -512,27 +290,20 @@ func (s *fleetState) applyContention() {
 	}
 }
 
-// collect assembles per-tag RunResults exactly as Runner.RunUntil reports
-// them (origin 0: fresh devices).
+// collect assembles each runner's result (origin 0: fresh devices).
 func (s *fleetState) collect() *Result {
-	res := &Result{Tags: make([]TagResult, s.cfg.Tags), Devices: s.devs}
-	for i, d := range s.devs {
-		r := device.RunResult{
-			Completed:   s.completed[i],
-			Reboots:     int(s.reboots[i]),
-			Faults:      int(s.faults[i]),
-			Halted:      s.halted[i],
-			DeadlineHit: s.deadlineHit[i],
-			SimTime:     d.Clock.Time(),
-			Stats:       d.Stats(),
-		}
-		res.Tags[i] = TagResult{Result: r, Err: s.errs[i]}
-		res.AggregateSimSeconds += float64(r.SimTime)
-		if r.Completed {
+	n := s.cfg.Tags
+	res := &Result{Tags: make([]TagResult, n), Devices: make([]*device.Device, n)}
+	for i, r := range s.runs {
+		rr, err := r.Result(0)
+		res.Tags[i] = TagResult{Result: rr, Err: err}
+		res.Devices[i] = r.D
+		res.AggregateSimSeconds += float64(rr.SimTime)
+		if rr.Completed {
 			res.Completed++
 		}
-		res.Reboots += r.Reboots
-		res.Faults += r.Faults
+		res.Reboots += rr.Reboots
+		res.Faults += rr.Faults
 	}
 	return res
 }

@@ -187,40 +187,34 @@ func (p *Program) mapPorts(d *device.Device) {
 	}})
 }
 
-// Main implements device.Program.
+// Main implements device.Program: power-on reset, then run until the
+// image halts.
 func (p *Program) Main(env *device.Env) {
-	// Power-on reset: fresh register file, PC at the entry vector. The
-	// volatile stack in SRAM was cleared by the reboot.
 	p.ResetCPU()
-	for !p.cpu.halted {
-		if err := p.cpu.RunChain(env); err != nil {
-			// Executing garbage (corrupted code or wild PC): the MCU
-			// wedges like any other fault.
-			panic(&device.MemoryFault{At: env.Now(), Fault: &memsim.Fault{Addr: memsim.Addr(p.cpu.R[PC])}})
-		}
-	}
+	p.StepUntil(env, device.Never)
 }
 
 // ResetCPU performs the power-on reset Main starts with: fresh register
-// file, PC at the entry vector, stack at the top of SRAM. Time-sliced
-// executors (internal/fleet) call it once per reboot and then drive the CPU
-// through StepUntil instead of a single Main call.
+// file, PC at the entry vector, stack at the top of SRAM (the reboot
+// cleared the volatile stack). device.Runner calls it at each power-on
+// and then drives the CPU through StepUntil instead of a single Main call.
 func (p *Program) ResetCPU() {
 	p.cpu.Reset(p.img.Entry, p.stackTop)
 }
 
 // StepUntil advances the program until it halts (returns true) or simulated
 // time reaches limit (returns false, with the program ready to continue from
-// the same state in a later slice). The env call sequence is identical to
-// Main's — the limit is only checked between instruction chains, never
-// mid-instruction, so a run split across any slice boundaries matches an
-// unsliced run cycle for cycle.
+// the same state in a later slice). The limit is only checked between
+// instruction chains, never mid-instruction, so a run split across any
+// slice boundaries matches an unsliced run cycle for cycle.
 func (p *Program) StepUntil(env *device.Env, limit sim.Cycles) bool {
 	for !p.cpu.halted {
 		if env.Now() >= limit {
 			return false
 		}
 		if err := p.cpu.RunChain(env); err != nil {
+			// Executing garbage (corrupted code or wild PC): the MCU
+			// wedges like any other fault.
 			panic(&device.MemoryFault{At: env.Now(), Fault: &memsim.Fault{Addr: memsim.Addr(p.cpu.R[PC])}})
 		}
 	}
