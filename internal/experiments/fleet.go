@@ -27,14 +27,11 @@ type FleetTable4Config struct {
 	// = 128 µs; the single-tag rig default is 64). SleepQuantum coarsens
 	// integration during the app's 6 ms inter-sample waits (default
 	// 16384 cycles ≈ 4 ms). Both move the 47 µF store only a few mV per
-	// step; they are the fleet's speed/resolution knobs.
+	// step; they are the fleet's speed/resolution knobs, alongside
+	// deferred supply integration (device.Config.DeferSupply), which every
+	// fleet-scale run uses.
 	Quantum      sim.Cycles
 	SleepQuantum sim.Cycles
-	// NoDeferSupply disables batched sub-quantum supply integration
-	// (device.Config.DeferSupply), which the fleet enables by default.
-	NoDeferSupply bool
-	// Slice is the fleet batching granularity (default: fleet's 50 ms).
-	Slice units.Seconds
 }
 
 // DefaultFleetTable4Config returns the 10k-tag configuration.
@@ -127,11 +124,10 @@ func runFleetMode(cfg FleetTable4Config, mode apps.PrintMode) (FleetModeResult, 
 	res, err := fleet.Run(fleet.Config{
 		Tags:         cfg.Tags,
 		Duration:     cfg.Duration,
-		Slice:        cfg.Slice,
 		Seed:         cfg.Seed,
 		Quantum:      cfg.Quantum,
 		SleepQuantum: cfg.SleepQuantum,
-		DeferSupply:  !cfg.NoDeferSupply,
+		DeferSupply:  true,
 		NewProgram: func(i int) device.Program {
 			app := &apps.Activity{Print: mode}
 			tags[i] = app

@@ -14,13 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/units"
 )
-
-// templateWarmup bounds the template's charging phase. It matches the
-// runner's default MaxChargeTime so the warm-up trajectory is the one a
-// cold run would take.
-const templateWarmup = units.Seconds(10)
 
 // Template is a pre-warmed rig image for one spec family: everything that
 // shapes the simulation (app, seed, distance, tracing, …) is fixed;
@@ -49,7 +43,9 @@ func NewTemplate(spec Spec) (*Template, error) {
 		// must too, so the snapshot carries the charge-phase samples.
 		rig.EDB.TraceVcap()
 	}
-	if !rig.Device.IdleCharge(templateWarmup) {
+	// Charge within the runner's bound, so the warm-up trajectory is the
+	// one a cold run would take.
+	if !rig.Device.IdleCharge(device.DefaultMaxChargeTime) {
 		return nil, fmt.Errorf("scenario: template rig never reached turn-on")
 	}
 	snap, err := rig.Snapshot()
@@ -123,8 +119,8 @@ func templateKey(s Spec) string {
 
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
-	WarmForks      uint64 // sessions served from a template fork
-	SparePops      uint64 // …of which came from a pre-forked spare
+	WarmForks          uint64 // sessions served from a template fork
+	SparePops          uint64 // …of which came from a pre-forked spare
 	ColdBoots          uint64 // sessions simulated from cycle 0
 	TemplatesBuilt     uint64
 	TemplatesInstalled uint64 // externally built templates adopted via Install
