@@ -13,3 +13,13 @@ func BenchmarkRNGJitter(b *testing.B) {
 		benchSink += g.Jitter(1, 0.25)
 	}
 }
+
+// BenchmarkNewRNG is what every stream a device, harvester or peripheral
+// opens costs up to its first draw: construction, the register and its
+// seeding.
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink += NewRNG(int64(i)).Float64()
+	}
+}

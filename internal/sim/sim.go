@@ -239,29 +239,46 @@ func (h *eventHeap) Pop() any {
 // jitter, component variation, sensor noise, RF corruption) draw from an RNG
 // seeded per experiment, so results are reproducible.
 type RNG struct {
-	r    *rand.Rand
-	src  *countingSource
-	seed int64
+	r   *rand.Rand
+	src countingSource
 }
 
-// countingSource wraps the stdlib source and counts Int63 draws, so a
-// stream position can be captured (State) and replayed (RestoreState). It
-// deliberately does NOT implement rand.Source64: rand.Rand then derives
-// Uint64 from two Int63 draws with exactly the bit layout the underlying
-// source's own Uint64 uses, so hiding Source64 changes no stream while
-// funneling every consumption through the counted Int63.
+// countingSource feeds rand.Rand from an lfSource and counts Int63 draws,
+// so a stream position can be captured (State) and replayed
+// (RestoreState). It deliberately does NOT implement rand.Source64:
+// rand.Rand then derives Uint64 from two Int63 draws with exactly the bit
+// layout the underlying source's own Uint64 uses, so hiding Source64
+// changes no stream while funneling every consumption through the counted
+// Int63.
+//
+// The register is seeded at the first draw after a (re)seed, which is
+// exactly when draws is 0, and allocated at the first draw ever: many RNGs
+// are built and never drawn (a harvester whose noise is switched off, a
+// device whose stream only seeds a Split), and those cost no register.
 type countingSource struct {
-	src   rand.Source
+	g     *lfSource // nil until the first draw
+	seed  int64
 	draws uint64
 }
 
 func (s *countingSource) Int63() int64 {
+	if s.draws == 0 {
+		s.reseed()
+	}
 	s.draws++
-	return s.src.Int63()
+	return int64(s.g.Uint64() & rngMask)
+}
+
+// reseed brings the register to the start of the current seed's stream.
+func (s *countingSource) reseed() {
+	if s.g == nil {
+		s.g = new(lfSource)
+	}
+	s.g.seed(s.seed)
 }
 
 func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
+	s.seed = seed
 	s.draws = 0
 }
 
@@ -275,22 +292,22 @@ type RNGState struct {
 
 // NewRNG returns a deterministic RNG with the given seed.
 func NewRNG(seed int64) *RNG {
-	src := &countingSource{src: rand.NewSource(seed)}
-	return &RNG{r: rand.New(src), src: src, seed: seed}
+	g := &RNG{src: countingSource{seed: seed}}
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // State captures the RNG's stream position for a machine snapshot.
-func (g *RNG) State() RNGState { return RNGState{Seed: g.seed, Draws: g.src.draws} }
+func (g *RNG) State() RNGState { return RNGState{Seed: g.src.seed, Draws: g.src.draws} }
 
 // RestoreState repositions the RNG to a captured stream position. When the
 // target is ahead of the current position on the same seed (the warm-fork
 // case: a freshly built rig fast-forwarding to a snapshot) the source is
-// advanced in place; otherwise the stream is rebuilt from the seed.
+// advanced in place; otherwise the register is reseeded in place and
+// advanced from the start of the target seed's stream.
 func (g *RNG) RestoreState(st RNGState) {
-	if st.Seed != g.seed || st.Draws < g.src.draws {
-		g.seed = st.Seed
-		g.src = &countingSource{src: rand.NewSource(st.Seed)}
-		g.r = rand.New(g.src)
+	if st.Seed != g.src.seed || st.Draws < g.src.draws {
+		g.src.Seed(st.Seed)
 	}
 	// Discard at the source level: rand.Rand buffers nothing outside Read
 	// (unused here), so source position fully determines the stream.
