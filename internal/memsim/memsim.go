@@ -65,12 +65,21 @@ func (f *Fault) Error() string {
 }
 
 // Region is a contiguous mapped range of memory.
+//
+// Only the written prefix is held in memory: data covers the region from
+// its start up to the page-rounded end of the highest byte ever stored,
+// and every byte past it reads as zero. Most targets touch the first page
+// or two of each region, so a fleet of tags carries a few hundred bytes of
+// target memory each instead of 50 KB. Snapshot, SnapshotInto, Restore,
+// ApplyDelta and EnableDirtyTracking materialise the whole region first,
+// so the snapshot and dirty-page code only ever sees full-length data.
 type Region struct {
 	Name     string
 	Base     Addr
 	Volatile bool
 
-	data []byte
+	data []byte // the written prefix; len(data) == size once materialised
+	size int
 	brk  int // bump-allocator high-water mark
 
 	// Access counters, useful for tests and for energy models that charge
@@ -99,14 +108,28 @@ type Region struct {
 
 // NewRegion returns a zeroed region of the given size.
 func NewRegion(name string, base Addr, size int, volatile bool) *Region {
-	return &Region{Name: name, Base: base, Volatile: volatile, data: make([]byte, size)}
+	return &Region{Name: name, Base: base, Volatile: volatile, size: size}
 }
 
 // Size returns the region's length in bytes.
-func (r *Region) Size() int { return len(r.data) }
+func (r *Region) Size() int { return r.size }
 
 // End returns one past the last mapped address.
-func (r *Region) End() Addr { return r.Base + Addr(len(r.data)) }
+func (r *Region) End() Addr { return r.Base + Addr(r.size) }
+
+// grow extends the written prefix, zero-filled, to cover the first n bytes
+// of the region, rounded up to a whole page.
+func (r *Region) grow(n int) {
+	n = min((n+PageSize-1)&^(PageSize-1), r.size)
+	r.data = append(r.data, make([]byte, n-len(r.data))...)
+}
+
+// materialize extends the written prefix to the whole region.
+func (r *Region) materialize() {
+	if len(r.data) < r.size {
+		r.grow(r.size)
+	}
+}
 
 // Contains reports whether a falls inside the region.
 func (r *Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
@@ -119,9 +142,9 @@ func (r *Region) Alloc(n int) (Addr, error) {
 		return Null, fmt.Errorf("memsim: negative allocation %d in %s", n, r.Name)
 	}
 	n = (n + 1) &^ 1 // word alignment
-	if r.brk+n > len(r.data) {
+	if r.brk+n > r.size {
 		return Null, fmt.Errorf("memsim: %s exhausted (%d bytes in use, %d requested, %d total)",
-			r.Name, r.brk, n, len(r.data))
+			r.Name, r.brk, n, r.size)
 	}
 	a := r.Base + Addr(r.brk)
 	r.brk += n
@@ -137,12 +160,10 @@ func (r *Region) InUse() int { return r.brk }
 // Clear zeroes the region's contents (but not its allocation map — the
 // layout is part of the flashed program image). Used on SRAM at reboot.
 func (r *Region) Clear() {
-	for i := range r.data {
-		r.data[i] = 0
-	}
+	clear(r.data)
 	r.markAll()
 	if r.WriteHook != nil {
-		r.WriteHook(r.Base, len(r.data))
+		r.WriteHook(r.Base, r.size)
 	}
 }
 
@@ -157,6 +178,7 @@ func (r *Region) Reset() {
 // Snapshot returns a copy of the region's contents. Checkpointing runtimes
 // use it to capture volatile state.
 func (r *Region) Snapshot() []byte {
+	r.materialize()
 	cp := make([]byte, len(r.data))
 	copy(cp, r.data)
 	return cp
@@ -167,6 +189,7 @@ func (r *Region) Snapshot() []byte {
 // hot-loop consumers like the explorer's hash cross-check avoid a full
 // image allocation per capture.
 func (r *Region) SnapshotInto(buf []byte) []byte {
+	r.materialize()
 	if cap(buf) < len(r.data) {
 		buf = make([]byte, len(r.data))
 	}
@@ -176,12 +199,13 @@ func (r *Region) SnapshotInto(buf []byte) []byte {
 }
 
 // pageCount returns the number of PageSize-byte pages covering the region.
-func (r *Region) pageCount() int { return (len(r.data) + PageSize - 1) / PageSize }
+func (r *Region) pageCount() int { return (r.size + PageSize - 1) / PageSize }
 
 // EnableDirtyTracking allocates the page-dirty bitmap (all clean) and turns
 // the write barrier on. Idempotent; existing dirty bits are preserved.
 func (r *Region) EnableDirtyTracking() {
 	if r.dirty == nil {
+		r.materialize()
 		r.dirty = make([]uint64, (r.pageCount()+63)/64)
 	}
 }
@@ -345,6 +369,7 @@ func (r *Region) ApplyDelta(d *Delta) error {
 	if d == nil {
 		return nil
 	}
+	r.materialize()
 	for _, p := range d.Pages {
 		if p.Off < 0 || p.Off+len(p.Data) > len(r.data) {
 			return fmt.Errorf("memsim: delta page [%d,%d) outside %s (%d bytes)",
@@ -401,14 +426,15 @@ func (r *Region) forEachDirty(fn func(page int)) {
 
 // Restore overwrites the region's contents from a snapshot.
 func (r *Region) Restore(snap []byte) error {
-	if len(snap) != len(r.data) {
+	if len(snap) != r.size {
 		return fmt.Errorf("memsim: snapshot size %d does not match %s size %d",
-			len(snap), r.Name, len(r.data))
+			len(snap), r.Name, r.size)
 	}
+	r.materialize()
 	copy(r.data, snap)
 	r.markAll()
 	if r.WriteHook != nil {
-		r.WriteHook(r.Base, len(r.data))
+		r.WriteHook(r.Base, r.size)
 	}
 	return nil
 }
@@ -475,7 +501,10 @@ func (m *Memory) ReadByteAt(a Addr) (byte, error) {
 	if r.ReadHook != nil {
 		r.ReadHook(a, 1)
 	}
-	return r.data[a-r.Base], nil
+	if off := int(a - r.Base); off < len(r.data) {
+		return r.data[off], nil
+	}
+	return 0, nil
 }
 
 // WriteByte writes one byte, faulting on unmapped addresses.
@@ -485,7 +514,10 @@ func (m *Memory) WriteByteAt(a Addr, b byte) error {
 		return &Fault{Addr: a, Write: true}
 	}
 	r.Writes++
-	off := a - r.Base
+	off := int(a - r.Base)
+	if off >= len(r.data) {
+		r.grow(off + 1)
+	}
 	r.data[off] = b
 	if r.dirty != nil {
 		p := uint(off) >> pageShift
@@ -508,8 +540,12 @@ func (m *Memory) ReadWord(a Addr) (uint16, error) {
 	if r.ReadHook != nil {
 		r.ReadHook(a, 2)
 	}
-	off := a - r.Base
-	return binary.LittleEndian.Uint16(r.data[off : off+2]), nil
+	if off := int(a - r.Base); off+2 <= len(r.data) {
+		return binary.LittleEndian.Uint16(r.data[off:]), nil
+	} else if off < len(r.data) {
+		return uint16(r.data[off]), nil // the high byte lies past the written prefix
+	}
+	return 0, nil
 }
 
 // WriteWord writes a little-endian 16-bit word.
@@ -519,8 +555,11 @@ func (m *Memory) WriteWord(a Addr, v uint16) error {
 		return &Fault{Addr: a, Write: true}
 	}
 	r.Writes++
-	off := a - r.Base
-	binary.LittleEndian.PutUint16(r.data[off:off+2], v)
+	off := int(a - r.Base)
+	if off+2 > len(r.data) {
+		r.grow(off + 2)
+	}
+	binary.LittleEndian.PutUint16(r.data[off:], v)
 	if r.dirty != nil {
 		p := uint(off) >> pageShift
 		r.dirty[p>>6] |= 1 << (p & 63)
