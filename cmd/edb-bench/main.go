@@ -19,8 +19,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -38,44 +41,51 @@ import (
 	"repro/internal/wire"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (table2|table3|table4|fig2|fig7|fig9|fig11|fig12|sweep|sec531|sec532|baselines|ablations|explore|fleet|all)")
-	out := flag.String("out", "results", "output directory for result files ('' to skip writing)")
-	quick := flag.Bool("quick", false, "shorter runs (coarser statistics)")
-	csv := flag.Bool("csv", false, "also write figure data as CSV files")
-	jsonOut := flag.Bool("json", false, "print headline metrics as a single JSON object (text results still go to -out)")
-	par := flag.Int("par", 0, "worker count for the parallel runner (0 = GOMAXPROCS, 1 = sequential)")
-	traceBench := flag.Bool("trace", false, "benchmark the trace-stream codec on a Figure-7-style RF harvest trace (writes BENCH_trace.json)")
-	snapBench := flag.Bool("snapshot", false, "benchmark warm-start session forking and delta snapshots (writes BENCH_snapshot.json)")
-	fleetBench := flag.Bool("fleet", false, "benchmark the batched fleet-simulation kernel against the sequential rig (writes BENCH_fleet.json)")
-	fleetTags := flag.Int("fleet-tags", 0, "fleet size for -fleet and the fleet experiment (0 = defaults: 10000)")
-	kernelBench := flag.Bool("kernel", false, "record the sequential simulator kernel baseline as a 'kernel' suite in BENCH.json")
-	clusterBench := flag.Bool("cluster", false, "benchmark the edbd gateway tier: sessions/sec at 1/2/4 backends plus drain-migration latency (writes BENCH_cluster.json)")
-	failoverBench := flag.Bool("gateway-failover", false, "benchmark replicated-gateway hand-off: kill the serving gateway under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
-	exploreBench := flag.Bool("explore", false, "benchmark the exhaustive power-failure explorer: states/sec, dedup hit rate, 1/2/4-worker scaling (writes BENCH_explore.json)")
-	exploreClusterBench := flag.Bool("explore-cluster", false, "benchmark distributed exploration through the gateway: states/sec at 1/2/4 backends vs single-process (writes BENCH_explore_cluster.json)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command on the given arguments; it returns the exit
+// code.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	flags := flag.NewFlagSet("edb-bench", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	exp := flags.String("exp", "all", "experiment id (table2|table3|table4|fig2|fig7|fig9|fig11|fig12|sweep|sec531|sec532|baselines|ablations|explore|fleet|all)")
+	out := flags.String("out", "results", "output directory for result files ('' to skip writing)")
+	quick := flags.Bool("quick", false, "shorter runs (coarser statistics)")
+	csv := flags.Bool("csv", false, "also write figure data as CSV files")
+	jsonOut := flags.Bool("json", false, "print headline metrics as a single JSON object (text results still go to -out)")
+	par := flags.Int("par", 0, "worker count for the parallel runner (0 = GOMAXPROCS, 1 = sequential)")
+	traceBench := flags.Bool("trace", false, "benchmark the trace-stream codec on a Figure-7-style RF harvest trace (writes BENCH_trace.json)")
+	snapBench := flags.Bool("snapshot", false, "benchmark warm-start session forking and delta snapshots (writes BENCH_snapshot.json)")
+	fleetBench := flags.Bool("fleet", false, "benchmark the batched fleet-simulation kernel against the sequential rig (writes BENCH_fleet.json)")
+	fleetTags := flags.Int("fleet-tags", 0, "fleet size for -fleet and the fleet experiment (0 = defaults: 10000)")
+	kernelBench := flags.Bool("kernel", false, "record the sequential simulator kernel baseline as a 'kernel' suite in BENCH.json")
+	clusterBench := flags.Bool("cluster", false, "benchmark the edbd gateway tier: sessions/sec at 1/2/4 backends plus drain-migration latency (writes BENCH_cluster.json)")
+	failoverBench := flags.Bool("gateway-failover", false, "benchmark replicated-gateway hand-off: kill the serving gateway under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
+	exploreBench := flags.Bool("explore", false, "benchmark the exhaustive power-failure explorer: states/sec, dedup hit rate, 1/2/4-worker scaling (writes BENCH_explore.json)")
+	exploreClusterBench := flags.Bool("explore-cluster", false, "benchmark distributed exploration through the gateway: states/sec at 1/2/4 backends vs single-process (writes BENCH_explore_cluster.json)")
+	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 2
 		}
+		defer pprof.StopCPUProfile()
 	}
-	// exit flushes profiles before terminating: os.Exit skips defers, so
-	// every termination path below goes through here.
-	exit := func(code int) {
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memprofile != "" {
+	if *memprofile != "" {
+		defer func() {
 			f, err := os.Create(*memprofile)
 			if err == nil {
 				runtime.GC()
@@ -83,13 +93,12 @@ func main() {
 				f.Close()
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				if code == 0 {
 					code = 2
 				}
 			}
-		}
-		os.Exit(code)
+		}()
 	}
 
 	if *par > 0 {
@@ -103,7 +112,7 @@ func main() {
 	// to that selection.
 	if *traceBench || *snapBench || *fleetBench || *kernelBench || *clusterBench || *failoverBench || *exploreBench || *exploreClusterBench {
 		expSet := false
-		flag.Visit(func(f *flag.Flag) {
+		flags.Visit(func(f *flag.Flag) {
 			if f.Name == "exp" {
 				expSet = true
 			}
@@ -155,8 +164,8 @@ func main() {
 	}
 
 	if len(jobs) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments match -exp %q\n", *exp)
-		exit(2)
+		fmt.Fprintf(stderr, "no experiments match -exp %q\n", *exp)
+		return 2
 	}
 
 	// Run every selected experiment through the pool. Each job buffers its
@@ -172,19 +181,21 @@ func main() {
 
 	// Metrics aggregate as suite → metric → value; json.MarshalIndent
 	// sorts map keys at both levels, so BENCH.json is byte-stable across
-	// runs and diffable by scripts/benchcmp.sh.
+	// runs and diffable by scripts/benchcmp.sh. The file is a merge: the
+	// suites this run produced replace their own entries and the rest of
+	// the record stays.
 	failures := 0
 	metrics := map[string]map[string]float64{}
 	for i, o := range results {
 		id := jobs[i].id
 		if o.err != nil {
-			fmt.Fprintf(os.Stderr, "%s: error: %v\n", id, o.err)
+			fmt.Fprintf(stderr, "%s: error: %v\n", id, o.err)
 			failures++
 			continue
 		}
 		if !*jsonOut {
-			fmt.Printf("==== %s ====\n", id)
-			fmt.Println(o.text)
+			fmt.Fprintf(stdout, "==== %s ====\n", id)
+			fmt.Fprintln(stdout, o.text)
 		}
 		if len(o.metrics) > 0 {
 			metrics[id] = o.metrics
@@ -192,7 +203,7 @@ func main() {
 		if *out != "" {
 			for _, f := range o.resultFiles(id) {
 				if err := writeResult(*out, f.name, f.content); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+					fmt.Fprintf(stderr, "%s: %v\n", id, err)
 					failures++
 				}
 			}
@@ -205,29 +216,52 @@ func main() {
 		"experiments":  float64(len(jobs)),
 		"failures":     float64(failures),
 	}
-	blob, err := json.MarshalIndent(metrics, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "json: %v\n", err)
-		failures++
-	} else {
-		if *jsonOut {
-			fmt.Println(string(blob))
+	if *jsonOut {
+		if blob, err := json.MarshalIndent(metrics, "", "  "); err != nil {
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			failures++
+		} else {
+			fmt.Fprintln(stdout, string(blob))
 		}
-		if *out != "" {
-			if err := writeResult(*out, "BENCH.json", string(blob)+"\n"); err != nil {
-				fmt.Fprintf(os.Stderr, "BENCH.json: %v\n", err)
-				failures++
-			}
+	}
+	if *out != "" {
+		if err := mergeBench(*out, metrics); err != nil {
+			fmt.Fprintf(stderr, "BENCH.json: %v\n", err)
+			failures++
 		}
 	}
 	if !*jsonOut {
-		fmt.Printf("suite: %d experiments in %.2fs on %d workers\n", len(jobs), wall, parallel.Workers())
+		fmt.Fprintf(stdout, "suite: %d experiments in %.2fs on %d workers\n", len(jobs), wall, parallel.Workers())
 	}
 
 	if failures > 0 {
-		exit(1)
+		return 1
 	}
-	exit(0)
+	return 0
+}
+
+// mergeBench lays a run's suites over dir/BENCH.json: each suite in run
+// replaces its entry, and every other suite already recorded stays. An
+// existing file that does not parse is left alone and reported.
+func mergeBench(dir string, run map[string]map[string]float64) error {
+	record := map[string]map[string]float64{}
+	old, err := os.ReadFile(filepath.Join(dir, "BENCH.json"))
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(old, &record); err != nil {
+			return fmt.Errorf("existing record not overwritten: %w", err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	for suite, m := range run {
+		record[suite] = m
+	}
+	blob, err := json.MarshalIndent(record, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeResult(dir, "BENCH.json", string(blob)+"\n")
 }
 
 // runTraceBench records a Figure-7-style RF harvest trace (linked-list app
