@@ -1006,9 +1006,21 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 			g.logf("session %s: dispatch failed (attempt %d): %v", clientConn.RemoteAddr(), attempt+1, err)
 			continue
 		}
-		done, err := g.pump(clientConn, bconn, b, sess)
+		// pump frees the leg's slot on b before it relays the backend's
+		// Done or Error: the backend has freed its own by then, and a
+		// client may start its next session the moment it reads that
+		// frame, so placement must already see b free. Every other way
+		// out frees it here, once the leg is closed.
+		freed := false
+		free := func() {
+			if !freed {
+				freed = true
+				b.inflight.Add(-1)
+			}
+		}
+		done, err := g.pump(clientConn, bconn, b, sess, free)
 		bconn.Close()
-		b.inflight.Add(-1)
+		free()
 		if done {
 			return err
 		}
@@ -1025,8 +1037,10 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 // pump relays frames for one backend leg of a session. It returns
 // done=true when the session is over (cleanly, or because the *client*
 // side failed — err non-nil then), and done=false when the session should
-// be re-dispatched to another backend (hand-off or backend failure).
-func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessState) (done bool, err error) {
+// be re-dispatched to another backend (hand-off or backend failure). free
+// gives back the leg's slot on b; pump calls it before relaying a frame
+// with which the backend ended the session.
+func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessState, free func()) (done bool, err error) {
 	for {
 		m, rerr := g.recvBackend(bconn, g.cfg.BackendReadTimeout)
 		if rerr != nil {
@@ -1117,6 +1131,7 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 			return false, nil
 		case *wire.Done:
 			g.c.framesRelayed.Add(1)
+			free()
 			if err := g.send(clientConn, t); err != nil {
 				return true, err
 			}
@@ -1129,6 +1144,7 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 				g.noteLeave(sess, b, true, "backend busy")
 				return false, t
 			}
+			free()
 			g.send(clientConn, t)
 			return true, t
 		default:

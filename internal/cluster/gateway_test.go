@@ -678,3 +678,41 @@ func TestGatewayTwoTierAuth(t *testing.T) {
 		t.Fatalf("AuthFailures = %d, want 1", gw.Metrics().AuthFailures)
 	}
 }
+
+// TestGatewayFollowUpSessionStaysHome: a client that starts its next
+// session the moment it reads Done must find its home backend free, at the
+// gateway as well as at the backend. With one session per backend, a slot
+// still counted after Done was relayed overflows the follow-up down-ring
+// (or gets it refused as busy), which shows as a placement miss.
+func TestGatewayFollowUpSessionStaysHome(t *testing.T) {
+	_, addrA := startBackend(t, server.Config{MaxSessions: 1})
+	_, addrB := startBackend(t, server.Config{MaxSessions: 1})
+	gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addrA, addrB}, DefaultBackendSessions: 1})
+	var cls [2]*client.Client
+	for i := range cls {
+		cl, err := client.Dial(gwAddr, client.Options{})
+		if err != nil {
+			t.Fatalf("dial gateway: %v", err)
+		}
+		defer cl.Close()
+		cls[i] = cl
+	}
+	const rounds = 20
+	spec := scriptedSpec()
+	for i := 0; i < rounds; i++ {
+		for _, cl := range cls {
+			if _, err := cl.Run(spec, io.Discard, nil); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+	}
+	m := gw.Metrics()
+	if m.PlacementMisses != 0 {
+		t.Fatalf("%d of %d back-to-back sessions left their home backend", m.PlacementMisses, 2*rounds)
+	}
+	for _, b := range m.Backends {
+		if b.Total != 0 && b.Total != 2*rounds {
+			t.Fatalf("backend %s served %d of %d sessions", b.Addr, b.Total, 2*rounds)
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // ShardState is one frontier state shipped to an Executor for expansion:
 // the O(dirty-page) FRAM delta against the shared post-flash baseline plus
-// the incremental state hash the executor cross-checks it against.
+// its state hash.
 type ShardState struct {
 	ID    int
 	Depth int
@@ -22,7 +22,7 @@ type ShardState struct {
 
 // Child is a freshly captured successor state before dedup assigns it an id.
 type Child struct {
-	K     int // candidate index injected in the parent's segment (1-based)
+	K     int // failure candidate in the parent's segment (1-based)
 	Hash  uint64
 	Delta *memsim.Delta
 }
@@ -34,7 +34,9 @@ type Hazard struct {
 	Cycle sim.Cycles // segment-relative cycle of the write
 }
 
-// Expansion is everything one state's probe + injected runs produced.
+// Expansion is everything one state's segment produced: its probe
+// results and, below the depth bound, one child per failure candidate.
+// Children with equal hashes may share one Delta.
 type Expansion struct {
 	Outcome    string // probe outcome: capped, deadline, fault, returned, halted
 	Cands      int

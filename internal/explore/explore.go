@@ -2,21 +2,23 @@
 // instead of sampling power-failure points from the harvester RNG the way a
 // normal simulated run does, it forks the rig at every failure candidate —
 // each unguarded FRAM write (or, in page mode, the first write per clean
-// page) plus every energy-guard and checkpoint-commit exit — and
-// systematically injects a power failure at each one, exhaustively within
-// the configured horizon.
+// page) plus every energy-guard and checkpoint-commit exit — and explores
+// the state a power failure at each one leaves, exhaustively within the
+// configured horizon. One run of a state's segment yields all of its
+// children: each is captured at its candidate as the segment passes it.
 //
 // Throughput comes from the PR 4 snapshot substrate: non-volatile state is
 // the only state a power failure preserves, so a search state is exactly a
 // FRAM image, encoded as the O(dirty pages) delta against the post-flash
-// baseline (memsim.DiffDirty). The frontier is deduplicated by a 64-bit
-// state hash computed incrementally over the delta's pages only, with an
-// optional full-image recompute as a debug cross-check. Exploration is a
-// breadth-first search whose waves fan out over Executors — in-process rig
-// pools (LocalExecutor) or edbd backends over the wire — with results
-// merged in canonical branch order, so the report — including every
-// WAR-violation branch trace — is bit-for-bit identical at any worker
-// count, executor count, and dedup partition count.
+// baseline (memsim.Region.ForEachDiff). The frontier is deduplicated by a
+// 64-bit state hash computed at each capture over the delta's pages only,
+// before they are copied, with an optional full-image recompute as a debug
+// cross-check. Exploration is a breadth-first search whose waves fan out
+// over Executors — in-process rig pools (LocalExecutor) or edbd backends
+// over the wire — with results merged in canonical branch order, so the
+// report — including every WAR-violation branch trace — is bit-for-bit
+// identical at any worker count, executor count, and dedup partition
+// count.
 //
 // The detector half flags non-idempotent re-execution the way Surbatovich
 // et al.'s formal foundation defines it: a WAR violation is a non-volatile
@@ -58,7 +60,7 @@ type Config struct {
 
 	// Mode is ModeWrite (default) or ModePage.
 	Mode string
-	// MaxDepth bounds the number of injected failures along any branch
+	// MaxDepth bounds the number of power failures along any branch
 	// (root = depth 0). Default 3.
 	MaxDepth int
 	// MaxCandidates caps the failure candidates considered per segment, so

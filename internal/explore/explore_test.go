@@ -130,6 +130,112 @@ func TestPageModeCoarserButSound(t *testing.T) {
 	}
 }
 
+// replay reaches child k the slow way, as an oracle for the single pass: a
+// segment capped at k stops at the very call where a power failure at
+// candidate k would unwind, so DiffDirty after the unwind reads the FRAM
+// that failure leaves. It returns child k, hashed from the full image, and
+// that image. w must own its Config, because the cap is lowered for the
+// run.
+func replay(t *testing.T, w *worker, st ShardState, k int) (Child, []byte) {
+	t.Helper()
+	limit := w.cfg.MaxCandidates
+	w.cfg.MaxCandidates = k
+	e, err := w.expand(st, false)
+	w.cfg.MaxCandidates = limit
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Outcome != "capped" || e.Cands != k {
+		t.Fatalf("state %d: candidate %d not reached (outcome %s after %d candidates)",
+			st.ID, k, e.Outcome, e.Cands)
+	}
+	delta, err := w.fram.DiffDirty(w.baseFRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := w.fram.Snapshot()
+	return Child{K: k, Hash: imageHash(pageHashes(img)), Delta: delta}, img
+}
+
+// TestSinglePassMatchesReplay: the single pass captures each child inside
+// the segment, at its candidate, and shares the delta of a parent or
+// earlier sibling with the same hash; the replay oracle re-runs the
+// segment up to the candidate and diffs after the unwind. For every state
+// of a breadth-first walk, each child must equal the oracle's, and
+// capturing must not change what the segment reports.
+func TestSinglePassMatchesReplay(t *testing.T) {
+	progs := []struct {
+		name string
+		prog func() device.Program
+	}{
+		{"unguarded", func() device.Program { return &apps.LinkedList{} }},
+		{"guarded", func() device.Program { return &apps.LinkedList{GuardIterations: true} }},
+		{"safelist", func() device.Program { return &apps.SafeLinkedList{} }},
+	}
+	const maxStates = 150
+	for _, p := range progs {
+		for _, mode := range []string{ModeWrite, ModePage} {
+			t.Run(p.name+"/"+mode, func(t *testing.T) {
+				cfg := smallConfig(false)
+				cfg.Mode = mode
+				cfg.NewRig = func() (*device.Device, device.Program, error) {
+					return core.ExploreTarget(p.prog(), 42)
+				}
+				if err := cfg.applyDefaults(); err != nil {
+					t.Fatal(err)
+				}
+				oracleCfg := cfg
+				w, err := newWorker(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, err := newWorker(&oracleCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[uint64]bool{w.baseHash: true}
+				queue := []ShardState{{Delta: &memsim.Delta{Region: "FRAM"}, Hash: w.baseHash}}
+				branches := 0
+				for n := 0; n < len(queue) && n < maxStates; n++ {
+					st := queue[n]
+					e, err := w.expand(st, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plain, err := o.expand(st, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e.Outcome != plain.Outcome || e.Cands != plain.Cands ||
+						e.Asserts != plain.Asserts || !reflect.DeepEqual(e.Hazard, plain.Hazard) {
+						t.Fatalf("state %d: capturing changed the segment: %+v, without capture %+v", st.ID, e, plain)
+					}
+					if len(e.Children) != e.Cands || e.HashChecks != e.Cands {
+						t.Fatalf("state %d: %d children and %d hash checks for %d candidates",
+							st.ID, len(e.Children), e.HashChecks, e.Cands)
+					}
+					for i, got := range e.Children {
+						want, _ := replay(t, o, st, i+1)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("state %d child %d: single pass K=%d hash %016x %+v, replay K=%d hash %016x %+v",
+								st.ID, i+1, got.K, got.Hash, *got.Delta, want.K, want.Hash, *want.Delta)
+						}
+						branches++
+						if !seen[got.Hash] {
+							seen[got.Hash] = true
+							queue = append(queue, ShardState{ID: len(queue), Depth: st.Depth + 1, Hash: got.Hash, Delta: got.Delta})
+						}
+					}
+				}
+				if branches == 0 || len(queue) < 2 {
+					t.Fatalf("walk made no progress: %d branches, %d states", branches, len(queue))
+				}
+				t.Logf("%d states expanded, %d branches checked", min(len(queue), maxStates), branches)
+			})
+		}
+	}
+}
+
 // TestColdBootReplayByteIdentity is the fork-tree determinism stress test:
 // a worker that has run arbitrary other segments (deep revert chains, event
 // queue churn, RNG perturbation) must reproduce a branch byte-for-byte
@@ -140,11 +246,12 @@ func TestColdBootReplayByteIdentity(t *testing.T) {
 	if err := cfg.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}
+	coldCfg := cfg
 	dirtyW, err := newWorker(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldW, err := newWorker(&cfg)
+	coldW, err := newWorker(&coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,76 +261,52 @@ func TestColdBootReplayByteIdentity(t *testing.T) {
 
 	root := ShardState{ID: 0, Delta: &memsim.Delta{Region: "FRAM"}, Hash: dirtyW.baseHash}
 
-	// Walk three injections deep on the dirty worker, polluting it with
+	// Walk three failures deep on the dirty worker, polluting it with
 	// unrelated segments between every step.
 	pollute := func(w *worker, st ShardState) {
 		for k := 2; k <= 3; k++ {
-			if _, err := w.runSegment(st, k); err != nil {
-				t.Fatal(err)
-			}
+			replay(t, w, st, k)
 		}
-		if _, err := w.runSegment(st, 0); err != nil { // full probe run
+		if _, err := w.expand(st, true); err != nil { // full single pass
 			t.Fatal(err)
 		}
 	}
 	path := []int{1, 2, 1}
 	cur := root
-	var wantHashes []uint64
-	var wantDeltas []*memsim.Delta
+	var want []Child
 	var wantImages [][]byte
 	for _, k := range path {
 		pollute(dirtyW, cur)
-		o, err := dirtyW.runSegment(cur, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o != "injected" {
-			t.Fatalf("candidate %d not reached: outcome %s", k, o)
-		}
-		hash, delta, err := dirtyW.capture()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHashes = append(wantHashes, hash)
-		wantDeltas = append(wantDeltas, delta)
-		wantImages = append(wantImages, dirtyW.fram.Snapshot())
-		cur = ShardState{ID: cur.ID + 1, Depth: cur.Depth + 1, Delta: delta, Hash: hash}
+		child, img := replay(t, dirtyW, cur, k)
+		want = append(want, child)
+		wantImages = append(wantImages, img)
+		cur = ShardState{ID: cur.ID + 1, Depth: cur.Depth + 1, Delta: child.Delta, Hash: child.Hash}
 	}
 
 	// Cold replay of the same path on the fresh worker.
 	cur = root
 	for i, k := range path {
-		o, err := coldW.runSegment(cur, k)
-		if err != nil {
-			t.Fatal(err)
+		child, img := replay(t, coldW, cur, k)
+		if child.Hash != want[i].Hash {
+			t.Fatalf("step %d: cold hash %016x != dirty hash %016x", i, child.Hash, want[i].Hash)
 		}
-		if o != "injected" {
-			t.Fatalf("cold replay: candidate %d not reached: outcome %s", k, o)
-		}
-		hash, delta, err := coldW.capture()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hash != wantHashes[i] {
-			t.Fatalf("step %d: cold hash %016x != dirty hash %016x", i, hash, wantHashes[i])
-		}
-		if !reflect.DeepEqual(delta, wantDeltas[i]) {
+		if !reflect.DeepEqual(child.Delta, want[i].Delta) {
 			t.Fatalf("step %d: delta encodings differ", i)
 		}
-		if img := coldW.fram.Snapshot(); !bytes.Equal(img, wantImages[i]) {
+		if !bytes.Equal(img, wantImages[i]) {
 			t.Fatalf("step %d: FRAM images differ", i)
 		}
 		// The image must equal baseline+delta exactly: the delta derives
 		// from the dirty bitmap, so a write the bitmap missed shows up as
 		// a reconstruction mismatch here.
 		recon := append([]byte(nil), coldW.baseFRAM...)
-		for _, pg := range delta.Pages {
+		for _, pg := range child.Delta.Pages {
 			copy(recon[pg.Off:pg.Off+len(pg.Data)], pg.Data)
 		}
 		if !bytes.Equal(recon, wantImages[i]) {
 			t.Fatalf("step %d: baseline+delta reconstruction differs from the live image", i)
 		}
-		cur = ShardState{ID: cur.ID + 1, Depth: cur.Depth + 1, Delta: delta, Hash: hash}
+		cur = ShardState{ID: cur.ID + 1, Depth: cur.Depth + 1, Delta: child.Delta, Hash: child.Hash}
 	}
 }
 

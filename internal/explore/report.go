@@ -36,9 +36,13 @@ type Violation struct {
 type Report struct {
 	Mode string
 
-	States    int // distinct non-volatile states (nodes of the fork tree)
-	Branches  int // injected-failure edges explored (including dedup hits)
-	Segments  int // firmware segments executed (probes + injections)
+	States   int // distinct non-volatile states (nodes of the fork tree)
+	Branches int // failure edges explored (including dedup hits)
+	// Segments is probes plus branches: what the engine ran when it
+	// replayed each state's segment once per candidate. It now runs one
+	// segment per state and captures every child in it, but keeps the
+	// count so reports and their goldens stay comparable.
+	Segments  int
 	DedupHits int // branches whose successor state was already known
 	Capped    int // distinct states dropped by the MaxStates budget
 	Truncated bool

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -10,18 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
-// capHalt is the sentinel panicked when a probe run has collected
+// capHalt is the sentinel panicked when a segment has collected
 // MaxCandidates failure candidates: the segment's fork fan-out is known, so
 // running further would only burn simulated cycles.
 var capHalt = &device.Halted{Reason: "explore: candidate cap"}
 
-// segOutcome names how a segment ended, in reports and on the wire.
+// segOutcome names how a segment ended, in reports and on the wire. A
+// segment runs on tethered supply, so it never ends in a power failure.
 var segOutcome = [...]string{
-	device.OutReturned:     "returned",
-	device.OutPowerFailure: "injected",
-	device.OutMemoryFault:  "fault",
-	device.OutHalted:       "halted",
-	device.OutDeadline:     "deadline",
+	device.OutReturned:    "returned",
+	device.OutMemoryFault: "fault",
+	device.OutHalted:      "halted",
+	device.OutDeadline:    "deadline",
 }
 
 // CommitSignaler is implemented by firmware whose runtime exposes its
@@ -36,16 +37,16 @@ type CommitSignaler interface {
 // of non-volatile ranges with rollback-on-recovery semantics (checkpoint.
 // Tasks.RegisterVar): a write inside the versioned set between boundaries
 // is undone by the next boot's Recover, so re-execution never observes it
-// and the write is not a WAR hazard. Injection candidates are unaffected —
+// and the write is not a WAR hazard. Failure candidates are unaffected —
 // power can still fail at such writes; only the hazard rule is narrowed.
 type VersionSignaler interface {
 	VersionedRanges() [][2]memsim.Addr
 }
 
-// worker owns one rig and replays segments on it. A segment is one
+// worker owns one rig and runs segments on it. A segment is one
 // continuous powered run of Main from a reboot on a given non-volatile
-// state, on tethered supply (the explorer injects failures; the supply
-// never browns out on its own), bounded by the candidate cap and the cycle
+// state, on tethered supply (the explorer forks failures; the supply never
+// browns out on its own), bounded by the candidate cap and the cycle
 // horizon.
 type worker struct {
 	cfg  *Config
@@ -62,17 +63,25 @@ type worker struct {
 	baseSupply   energy.SupplyState
 	baseCycles   sim.Cycles
 
-	// Per-segment mode and counters. armed gates every hook so the
-	// explorer's own state surgery (RevertDirty/ApplyDelta fire the write
-	// hooks too) is invisible to the detector.
+	// Per-segment counters. armed gates every hook so the explorer's own
+	// state surgery (RevertDirty/ApplyDelta fire the write hooks too) is
+	// invisible to the detector.
 	armed       bool
-	probing     bool
-	injectAt    int
 	candCount   int
 	guardDepth  int
 	commitDepth int
 	asserts     int
 	hazard      *Hazard
+
+	// Per-segment capture: the state being expanded, whether its children
+	// are wanted, the children captured so far and the first capture
+	// error (which ends the segment). diff holds the live pages of the
+	// child being captured between hashing and copying.
+	parent     ShardState
+	capturing  bool
+	kids       []Child
+	captureErr error
+	diff       []memsim.DeltaPage
 
 	// WAR window: epoch-stamped first-access state per FRAM byte. Bumping
 	// the epoch resets the window in O(1). protected marks bytes the
@@ -230,15 +239,19 @@ func newWorker(cfg *Config) (*worker, error) {
 // starts are the points a failure cannot straddle).
 func (w *worker) resetWindow() { w.epoch++ }
 
-// candidate registers the next failure candidate: on an injected run, the
-// target index panics a power failure exactly as a brown-out would; on a
-// probe run, reaching the cap ends the segment early.
+// candidate registers the next failure candidate. A power failure here
+// would unwind from this very call, and no firmware defer writes FRAM on
+// the way out, so FRAM already holds the child that failure leaves: it is
+// captured in place, before reaching the cap ends the segment.
 func (w *worker) candidate() {
 	w.candCount++
-	if !w.probing && w.candCount == w.injectAt {
-		panic(&device.PowerFailure{At: w.d.Clock.Now(), V: w.d.Supply.Voltage()})
+	if w.capturing {
+		if err := w.capture(); err != nil {
+			w.captureErr = err
+			panic(capHalt)
+		}
 	}
-	if w.probing && w.candCount >= w.cfg.MaxCandidates {
+	if w.candCount >= w.cfg.MaxCandidates {
 		panic(capHalt)
 	}
 }
@@ -264,7 +277,7 @@ func (w *worker) noteWrite(a memsim.Addr, n int) {
 			continue
 		}
 		if w.readEp[o] == w.epoch && w.writeEp[o] != w.epoch &&
-			!w.protected[o] && w.probing && w.hazard == nil {
+			!w.protected[o] && w.hazard == nil {
 			// Read-before-write with no commit in between: any failure at
 			// or after this write (the next candidate index) re-executes
 			// the read against the written value — non-idempotent.
@@ -317,21 +330,20 @@ func (w *worker) load(st ShardState) error {
 	return nil
 }
 
-// runSegment executes one segment of Main on the given state. injectAt == 0
-// is a probe run (collect candidates, hazards, asserts); injectAt == k
-// replays the segment and injects a power failure at candidate k.
-func (w *worker) runSegment(st ShardState, injectAt int) (string, error) {
+// expand runs one segment of Main on a state: a powered run from a reboot
+// that counts the failure candidates and records the first WAR hazard and
+// the failed asserts, until the candidate cap or the firmware stops it. If
+// children are wanted, each candidate captures its child in place as the
+// segment passes it (see candidate), so the one run yields every branch.
+func (w *worker) expand(st ShardState, wantChildren bool) (Expansion, error) {
 	if err := w.load(st); err != nil {
-		return "", err
+		return Expansion{}, err
 	}
-	w.probing = injectAt == 0
-	w.injectAt = injectAt
-	w.candCount = 0
+	w.candCount, w.asserts = 0, 0
 	w.guardDepth, w.commitDepth = 0, 0
-	if w.probing {
-		w.asserts = 0
-		w.hazard = nil
-	}
+	w.hazard = nil
+	w.parent, w.capturing = st, wantChildren
+	w.kids, w.captureErr = w.kids[:0], nil
 	w.resetWindow()
 	w.segEpoch++
 	w.armed = true
@@ -340,82 +352,90 @@ func (w *worker) runSegment(st ShardState, injectAt int) (string, error) {
 		w.d.ClearDeadline()
 	}()
 
-	o, h := device.Catch(func() device.Outcome {
+	o, halt := device.Catch(func() device.Outcome {
 		w.prog.Main(&device.Env{D: w.d})
 		return device.OutReturned
 	})
-	if h == capHalt {
-		return "capped", nil
+	if w.captureErr != nil {
+		return Expansion{}, w.captureErr
 	}
-	return segOutcome[o], nil
-}
-
-// expand runs a state's probe segment and, if wanted, one injected segment
-// per discovered candidate, capturing each successor as an O(dirty) delta
-// plus an incrementally maintained state hash.
-func (w *worker) expand(st ShardState, wantChildren bool) (Expansion, error) {
-	out, err := w.runSegment(st, 0)
-	if err != nil {
-		return Expansion{}, err
+	if o == device.OutPowerFailure {
+		return Expansion{}, fmt.Errorf("explore: unexpected brown-out in the segment of state %d", st.ID)
 	}
-	if out == "injected" {
-		return Expansion{}, fmt.Errorf("explore: unexpected brown-out during probe of state %d", st.ID)
+	e := Expansion{Outcome: segOutcome[o], Cands: w.candCount, Asserts: w.asserts}
+	if halt == capHalt {
+		e.Outcome = "capped"
 	}
-	e := Expansion{Outcome: out, Cands: w.candCount, Asserts: w.asserts}
 	if w.hazard != nil {
 		h := *w.hazard
 		e.Hazard = &h
 	}
-	if !wantChildren {
-		return e, nil
-	}
-	e.Children = make([]Child, 0, e.Cands)
-	for k := 1; k <= e.Cands; k++ {
-		o, err := w.runSegment(st, k)
-		if err != nil {
-			return Expansion{}, err
-		}
-		if o != "injected" || w.candCount != k {
-			return Expansion{}, fmt.Errorf("explore: replay diverged at state %d candidate %d (outcome %s after %d candidates) — firmware is not segment-deterministic",
-				st.ID, k, o, w.candCount)
-		}
-		hash, delta, err := w.capture()
-		if err != nil {
-			return Expansion{}, err
-		}
-		e.Children = append(e.Children, Child{K: k, Hash: hash, Delta: delta})
+	if len(w.kids) > 0 {
+		e.Children = slices.Clone(w.kids)
 		if w.cfg.CheckHashes {
-			e.HashChecks++
+			e.HashChecks = len(e.Children)
 		}
 	}
 	return e, nil
 }
 
-// capture encodes the rig's current FRAM as a canonical delta against the
-// post-flash baseline and folds the delta's pages into the incremental
-// state hash. Because DiffDirty excludes written-then-reverted pages, two
-// equal images always hash (and encode) identically regardless of the
-// branch that reached them.
-func (w *worker) capture() (uint64, *memsim.Delta, error) {
-	delta, err := w.fram.DiffDirty(w.baseFRAM)
-	if err != nil {
-		return 0, nil, err
-	}
+// capture records the child a power failure at the current candidate
+// leaves: the rig's FRAM as a canonical delta against the post-flash
+// baseline, and a state hash folded from that delta's pages. Because
+// ForEachDiff skips written-then-reverted pages, two equal images always
+// hash and encode identically whatever branch reached them.
+//
+// The hash comes first, from the live pages, and decides whether the
+// pages are copied at all: see deltaOf.
+func (w *worker) capture() error {
 	h := w.baseHash
-	for _, pg := range delta.Pages {
-		p := pg.Off / memsim.PageSize
-		h ^= mixPage(p, w.basePageHash[p]) ^ mixPage(p, fnv64(pg.Data))
+	w.diff = w.diff[:0]
+	if err := w.fram.ForEachDiff(w.baseFRAM, func(off int, page []byte) {
+		p := off / memsim.PageSize
+		h ^= mixPage(p, w.basePageHash[p]) ^ mixPage(p, fnv64(page))
+		w.diff = append(w.diff, memsim.DeltaPage{Off: off, Data: page})
+	}); err != nil {
+		return err
 	}
 	if w.cfg.CheckHashes {
 		w.snapScratch = w.fram.SnapshotInto(w.snapScratch)
 		w.pageScratch = pageHashesInto(w.pageScratch, w.snapScratch)
-		full := imageHash(w.pageScratch)
-		if full != h {
-			return 0, nil, fmt.Errorf("explore: incremental hash %016x != full-image hash %016x (%d delta pages)",
-				h, full, len(delta.Pages))
+		if full := imageHash(w.pageScratch); full != h {
+			return fmt.Errorf("explore: incremental hash %016x != full-image hash %016x (%d delta pages)",
+				h, full, len(w.diff))
 		}
 	}
-	return h, delta, nil
+	w.kids = append(w.kids, Child{K: w.candCount, Hash: h, Delta: w.deltaOf(h)})
+	return nil
+}
+
+// deltaOf returns the delta of the child just hashed to h, whose divergent
+// pages w.diff holds. A child equal to its parent or to an earlier sibling
+// is a dedup hit whatever else the coordinator has seen (the parent's hash
+// is already in its seen set, and the sibling's is queried first), so its
+// delta is never read and it shares theirs. Any other child copies its
+// pages into one buffer of its own.
+func (w *worker) deltaOf(h uint64) *memsim.Delta {
+	if h == w.parent.Hash {
+		return w.parent.Delta
+	}
+	for _, c := range w.kids {
+		if c.Hash == h {
+			return c.Delta
+		}
+	}
+	d := &memsim.Delta{Region: w.fram.Name}
+	if len(w.diff) == 0 {
+		return d
+	}
+	buf := make([]byte, 0, len(w.diff)*memsim.PageSize) // no page is longer
+	d.Pages = make([]memsim.DeltaPage, len(w.diff))
+	for i, pg := range w.diff {
+		lo := len(buf)
+		buf = append(buf, pg.Data...)
+		d.Pages[i] = memsim.DeltaPage{Off: pg.Off, Data: buf[lo:len(buf):len(buf)]}
+	}
+	return d
 }
 
 // fnv64 is FNV-1a over one page's contents.

@@ -267,28 +267,37 @@ func (r *Region) DirtyPages() []int {
 // write path that reached them (written-then-reverted pages are excluded).
 // The exhaustive intermittence checker uses this as its state encoding.
 func (r *Region) DiffDirty(baseline []byte) (*Delta, error) {
+	d := &Delta{Region: r.Name}
+	if err := r.ForEachDiff(baseline, func(off int, page []byte) {
+		d.Pages = append(d.Pages, DeltaPage{Off: off, Data: bytes.Clone(page)})
+	}); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ForEachDiff calls fn, in ascending page order, with the byte offset and
+// live contents of each dirty page that differs from a full baseline
+// snapshot: the pages DiffDirty would copy, visited without copying them.
+// page aliases the region and stays valid only until the region is next
+// written, so a caller can hash every page first and copy only the
+// divergences it decides to keep.
+func (r *Region) ForEachDiff(baseline []byte, fn func(off int, page []byte)) error {
 	if r.dirty == nil {
-		return nil, fmt.Errorf("memsim: dirty tracking disabled on %s", r.Name)
+		return fmt.Errorf("memsim: dirty tracking disabled on %s", r.Name)
 	}
 	if len(baseline) != len(r.data) {
-		return nil, fmt.Errorf("memsim: baseline size %d does not match %s size %d",
+		return fmt.Errorf("memsim: baseline size %d does not match %s size %d",
 			len(baseline), r.Name, len(r.data))
 	}
-	d := &Delta{Region: r.Name}
 	r.forEachDirty(func(p int) {
 		lo := p << pageShift
-		hi := lo + PageSize
-		if hi > len(r.data) {
-			hi = len(r.data)
+		hi := min(lo+PageSize, len(r.data))
+		if !bytes.Equal(r.data[lo:hi], baseline[lo:hi]) {
+			fn(lo, r.data[lo:hi:hi])
 		}
-		if bytes.Equal(r.data[lo:hi], baseline[lo:hi]) {
-			return
-		}
-		cp := make([]byte, hi-lo)
-		copy(cp, r.data[lo:hi])
-		d.Pages = append(d.Pages, DeltaPage{Off: lo, Data: cp})
 	})
-	return d, nil
+	return nil
 }
 
 // markAll sets every page dirty (bulk mutations: Clear, Restore).

@@ -624,16 +624,31 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 		s.c.sessionsRejected.Add(1)
 		return s.send(conn, &wire.Error{Code: wire.CodeBusy, Text: "session limit reached"})
 	}
-	defer s.c.sessionsOpen.Add(-1)
+	// The slot is freed before the frame that ends the session, not after
+	// it: a client may start its next session the moment it reads Done or
+	// an Error, and must then find the slot free. end frees it and sends
+	// that frame; the deferred free covers the paths that send none.
+	held := true
+	free := func() {
+		if held {
+			held = false
+			s.c.sessionsOpen.Add(-1)
+		}
+	}
+	defer free()
+	end := func(m wire.Msg) error {
+		free()
+		return s.send(conn, m)
+	}
 	s.c.sessionsTotal.Add(1)
 
 	if req.spec.Seconds > s.cfg.MaxSimSeconds {
-		return s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+		return end(&wire.Error{Code: wire.CodeBadRequest,
 			Text: fmt.Sprintf("simulated duration %.1fs exceeds server limit %.1fs",
 				req.spec.Seconds, s.cfg.MaxSimSeconds)})
 	}
 	if err := scenario.Validate(req.spec); err != nil {
-		return s.send(conn, &wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
+		return end(&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
 	}
 
 	if req.resumed {
@@ -748,14 +763,14 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 		return ferr
 	}
 	if err != nil {
-		return s.send(conn, &wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
+		return end(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 	}
 	if req.streamTrace && res.Vcap != nil {
 		if err := s.streamTrace(conn, res.Vcap, traceZ, req.skipTraceSamples); err != nil {
 			return err
 		}
 	}
-	return s.send(conn, &wire.Done{
+	return end(&wire.Done{
 		Exit:         int32(res.ExitCode),
 		Halted:       res.Run.Halted,
 		SimCycles:    res.SimCycles,
