@@ -234,3 +234,25 @@ func TestFleetContentionDeterministic(t *testing.T) {
 		t.Errorf("aggregate sim time changed: %v vs %v", a.AggregateSimSeconds, c.AggregateSimSeconds)
 	}
 }
+
+// TestFleetBytesPerTag guards what one process can hold: the heap a tag of
+// the benchmark's room takes once built (activity tags at 0.6–2.0 m,
+// 2048/24576-cycle quanta, deferred supply). Most of it is the
+// accelerometer stream's RNG register; the device stream, drawn only to
+// split that one off, holds none.
+func TestFleetBytesPerTag(t *testing.T) {
+	res, err := fleet.Run(fleet.Config{
+		Tags: 500, Duration: units.MilliSeconds(50), Seed: 1,
+		Quantum: 2048, SleepQuantum: 24576, DeferSupply: true,
+		NewProgram: func(int) device.Program {
+			return &apps.Activity{Print: apps.NoPrint, SleepBetween: units.MilliSeconds(40)}
+		},
+		NewHarvester: roomHarvester,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BytesPerTag > 8000 {
+		t.Fatalf("a room tag takes %.0f B of heap, want at most 8000", res.BytesPerTag)
+	}
+}

@@ -78,38 +78,55 @@ func MapN[T any](n, w int, fn func(i int) (T, error)) ([]T, error) {
 		return out, nil
 	}
 
-	errs := make([]error, n)
-	panics := make([]any, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
+	// Only the lowest-indexed failure is ever reported, so that is all the
+	// workers keep: the parallel path allocates nothing per item. One
+	// struct holds the shared state, so it escapes as one allocation.
+	var st struct {
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first int // lowest failing index so far; n if none
+		err   error
+		pval  any // the panic value of item first, if it panicked
+	}
+	st.first = n
+	fail := func(i int, err error, pval any) {
+		st.mu.Lock()
+		if i < st.first {
+			st.first, st.err, st.pval = i, err, pval
+		}
+		st.mu.Unlock()
+	}
+	st.wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
-			defer wg.Done()
+			defer st.wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(st.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							panics[i] = r
+							fail(i, nil, r)
 						}
 					}()
-					out[i], errs[i] = fn(i)
+					v, err := fn(i)
+					out[i] = v
+					if err != nil {
+						fail(i, err, nil)
+					}
 				}()
 			}
 		}()
 	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	st.wg.Wait()
+	if st.pval != nil {
+		panic(st.pval)
+	}
+	if st.err != nil {
+		return nil, st.err
 	}
 	return out, nil
 }

@@ -3,6 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -132,6 +134,33 @@ func TestMapPanicPropagates(t *testing.T) {
 	})
 }
 
+// Errors and panics rank together: the lowest-indexed failure decides
+// whether Map returns an error or re-raises a panic, as in a sequential
+// loop.
+func TestMapLowestFailureWins(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	run := func(errAt, panicAt int) (err error, pval any) {
+		defer func() { pval = recover() }()
+		_, err = Map(20, func(i int) (int, error) {
+			switch i {
+			case errAt:
+				return 0, fmt.Errorf("item %d failed", i)
+			case panicAt:
+				panic(fmt.Sprintf("item %d panicked", i))
+			}
+			return i, nil
+		})
+		return err, nil
+	}
+	if err, pval := run(5, 9); pval != nil || err == nil || err.Error() != "item 5 failed" {
+		t.Fatalf("error at 5, panic at 9: got error %v, panic %v", err, pval)
+	}
+	if err, pval := run(7, 3); pval != "item 3 panicked" {
+		t.Fatalf("panic at 3, error at 7: got error %v, panic %v", err, pval)
+	}
+}
+
 func TestForEach(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -144,6 +173,33 @@ func TestForEach(t *testing.T) {
 	}
 	if sum.Load() != 49*50/2 {
 		t.Fatalf("sum = %d", sum.Load())
+	}
+}
+
+// The parallel path keeps only the lowest-indexed failure, so neither the
+// number of allocations nor their bytes grow with the number of items: the
+// fleet fans out over every tag once per time slice. Each size keeps its
+// least over a few calls, so a stray runtime allocation cannot fail it.
+func TestMapNAllocationDoesNotGrowWithItems(t *testing.T) {
+	measure := func(n int) (allocs, bytes uint64) {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for r := 0; r < 5; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := MapN(n, 2, func(int) (struct{}, error) { return struct{}{}, nil }); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return allocs, bytes
+	}
+	smallAllocs, smallBytes := measure(100)
+	largeAllocs, largeBytes := measure(100_000)
+	if largeAllocs > smallAllocs || largeBytes > smallBytes+512 {
+		t.Fatalf("100 items: %d allocations, %d B; 100,000 items: %d allocations, %d B",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
 	}
 }
 

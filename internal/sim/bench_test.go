@@ -14,12 +14,25 @@ func BenchmarkRNGJitter(b *testing.B) {
 	}
 }
 
-// BenchmarkNewRNG is what every stream a device, harvester or peripheral
-// opens costs up to its first draw: construction, the register and its
-// seeding.
+// BenchmarkNewRNG is what a short stream costs, such as a device stream
+// that only seeds a Split: construction and one draw served from the seed
+// words, with no register.
 func BenchmarkNewRNG(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink += NewRNG(int64(i)).Float64()
+	}
+}
+
+// BenchmarkRNGPastPrefix is what a long stream pays up to a few draws past
+// the prefix: construction, the prefix draws, the register, its seeding
+// and its fast-forward.
+func BenchmarkRNGPastPrefix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewRNG(int64(i))
+		for k := 0; k < rngPrefix+4; k++ {
+			benchSink += g.Float64()
+		}
 	}
 }

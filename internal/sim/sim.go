@@ -251,30 +251,50 @@ type RNG struct {
 // changes no stream while funneling every consumption through the counted
 // Int63.
 //
-// The register is seeded at the first draw after a (re)seed, which is
-// exactly when draws is 0, and allocated at the first draw ever: many RNGs
-// are built and never drawn (a harvester whose noise is switched off, a
-// device whose stream only seeds a Split), and those cost no register.
+// The first rngPrefix draws after a (re)seed come straight from the seed
+// words (seedOutput), so they need no register. Draw rngPrefix seeds the
+// register, allocating it at the first such draw ever, and fast-forwards
+// it past the prefix; every later draw reads the register. Many RNGs are
+// drawn a few times or not at all (a harvester whose noise is switched
+// off, a device stream that only seeds Splits, the part variation of an
+// EDB connection), and those cost no register.
 type countingSource struct {
-	g     *lfSource // nil until the first draw
+	g     lfSource // g.vec is nil until draw rngPrefix
 	seed  int64
 	draws uint64
 }
 
+// rngPrefix is the number of draws a stream serves without a register. A
+// prefix draw computes two seed words, so a stream that outgrows the
+// prefix pays 2·rngPrefix seed words on top of the register's 607, 5%
+// more. Sixteen covers the short streams in use with room to spare: a
+// device stream that only seeds Splits takes one draw, and the part
+// variation of an EDB connection takes 2 to 12. It must stay below
+// rngTap, where seedOutput stops holding.
+const rngPrefix = 16
+
 func (s *countingSource) Int63() int64 {
-	if s.draws == 0 {
-		s.reseed()
+	if s.draws <= rngPrefix {
+		return s.prefixDraw()
 	}
 	s.draws++
 	return int64(s.g.Uint64() & rngMask)
 }
 
-// reseed brings the register to the start of the current seed's stream.
-func (s *countingSource) reseed() {
-	if s.g == nil {
-		s.g = new(lfSource)
+// prefixDraw serves draws 0 through rngPrefix: from the seed words before
+// rngPrefix, and at rngPrefix by building the register in the state the
+// prefix left it in.
+func (s *countingSource) prefixDraw() int64 {
+	k := s.draws
+	s.draws++
+	if k < rngPrefix {
+		return int64(seedOutput(s.seed, int(k)) & rngMask)
 	}
 	s.g.seed(s.seed)
+	for i := 0; i < rngPrefix; i++ {
+		s.g.Uint64()
+	}
+	return int64(s.g.Uint64() & rngMask)
 }
 
 func (s *countingSource) Seed(seed int64) {
@@ -303,11 +323,16 @@ func (g *RNG) State() RNGState { return RNGState{Seed: g.src.seed, Draws: g.src.
 // RestoreState repositions the RNG to a captured stream position. When the
 // target is ahead of the current position on the same seed (the warm-fork
 // case: a freshly built rig fast-forwarding to a snapshot) the source is
-// advanced in place; otherwise the register is reseeded in place and
-// advanced from the start of the target seed's stream.
+// advanced in place; otherwise it restarts the target seed's stream. A
+// target inside the prefix needs no register work at all, and one past it
+// reseeds the register in place and advances it.
 func (g *RNG) RestoreState(st RNGState) {
 	if st.Seed != g.src.seed || st.Draws < g.src.draws {
 		g.src.Seed(st.Seed)
+	}
+	// A prefix draw leaves nothing behind but the count, so skip them.
+	if g.src.draws < rngPrefix {
+		g.src.draws = min(st.Draws, rngPrefix)
 	}
 	// Discard at the source level: rand.Rand buffers nothing outside Read
 	// (unused here), so source position fully determines the stream.

@@ -9,10 +9,14 @@ import "math/rand"
 // Lehmer steps, x ← 48271·x mod (2³¹−1); here each of the 1821 values the
 // register keeps is x₀·48271ᵏ mod (2³¹−1), read from a power table, so the
 // products are independent and a seed costs about a quarter as much.
+//
+// The register is a bare array allocated at the first seed: at 4,856 B it
+// fits the allocator's 4,864 B size class, where a struct holding it beside
+// tap and feed would spill into the next one.
 type lfSource struct {
 	tap  int
 	feed int
-	vec  [rngLen]int64
+	vec  *[rngLen]int64 // nil until the first seed
 }
 
 const (
@@ -53,8 +57,7 @@ func init() {
 	// What is left is seed 1's starting register; XOR-ing out seed 1's
 	// Lehmer words leaves the mask.
 	ref := rand.NewSource(1).(rand.Source64)
-	var g lfSource
-	g.tap, g.feed = 0, rngLen-rngTap
+	g := lfSource{feed: rngLen - rngTap, vec: new([rngLen]int64)}
 	var feeds, taps [rngLen]int
 	for k := range feeds {
 		g.step()
@@ -64,18 +67,15 @@ func init() {
 	for k := rngLen - 1; k >= 0; k-- {
 		g.vec[feeds[k]] -= g.vec[taps[k]]
 	}
-	var one lfSource
-	one.seed(1) // rngCooked is still zero, so this is seed 1's Lehmer words
 	for i := range rngCooked {
-		rngCooked[i] = g.vec[i] ^ one.vec[i]
+		// rngCooked[i] is still zero, so seedWord gives the Lehmer word.
+		rngCooked[i] = g.vec[i] ^ seedWord(1, i)
 	}
 }
 
-// seed resets the register to the stdlib's starting state for seed.
-func (g *lfSource) seed(seed int64) {
-	g.tap = 0
-	g.feed = rngLen - rngTap
-
+// lehmerSeed maps a seed to the Lehmer value the stdlib's seeding starts
+// from, in [1, 2³¹−1).
+func lehmerSeed(seed int64) uint64 {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -83,14 +83,50 @@ func (g *lfSource) seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
-	for i := range g.vec {
-		p := &lehmerPow[i]
+	return uint64(seed)
+}
+
+// seedWords sets w to the words lo, lo+1, … of the starting register for
+// Lehmer value x. Both tables are sliced to len(w) so the loop carries no
+// bounds checks: a whole register seeds as fast as a loop over the array.
+func seedWords(w []int64, x uint64, lo int) {
+	pow, cooked := lehmerPow[lo:][:len(w)], rngCooked[lo:][:len(w)]
+	for k := range w {
+		p := &pow[k]
 		u := mulmod(x, p[0]) << 40
 		u ^= mulmod(x, p[1]) << 20
 		u ^= mulmod(x, p[2])
-		g.vec[i] = u ^ rngCooked[i]
+		w[k] = u ^ cooked[k]
 	}
+}
+
+// seedWord returns word i of the starting register for Lehmer value x.
+func seedWord(x uint64, i int) int64 {
+	var w [1]int64
+	seedWords(w[:], x, i)
+	return w[0]
+}
+
+// seed resets the register to the stdlib's starting state for seed,
+// allocating it on first use.
+func (g *lfSource) seed(seed int64) {
+	if g.vec == nil {
+		g.vec = new([rngLen]int64)
+	}
+	g.tap = 0
+	g.feed = rngLen - rngTap
+	seedWords(g.vec[:], lehmerSeed(seed), 0)
+}
+
+// seedOutput returns output k of seed's stream without a register, for
+// k < rngTap. Output k adds the tap word 606−k to the feed word 333−k and
+// overwrites the feed word. The feed starts at word 333 and walks down, so
+// until k reaches rngTap the tap reads only words above it, and both words
+// are still as seeded.
+func seedOutput(seed int64, k int) uint64 {
+	x := lehmerSeed(seed)
+	feed := rngLen - rngTap - 1 - k
+	return uint64(seedWord(x, feed) + seedWord(x, feed+rngTap))
 }
 
 // mulmod returns x·p mod (2³¹−1) for x, p in [1, 2³¹−1): the product
