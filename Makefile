@@ -32,7 +32,7 @@ benchcmp:
 # exhaustive-exploration benchmarks (single-process and distributed), into
 # BENCH.json.
 results:
-	$(GO) run ./cmd/edb-bench -exp all -trace -snapshot -fleet -kernel -cluster -gateway-failover -explore -explore-cluster -csv -out results
+	$(GO) run ./cmd/edb-bench -exp all -trace -snapshot -fleet -kernel -cluster -gateway-failover -explore -csv -out results
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	clusterBench := flags.Bool("cluster", false, "benchmark the edbd gateway tier: sessions/sec at 1/2/4 backends plus drain-migration latency (writes BENCH_cluster.json)")
 	failoverBench := flags.Bool("gateway-failover", false, "benchmark replicated-gateway hand-off: kill the serving gateway under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
 	exploreBench := flags.Bool("explore", false, "benchmark the exhaustive power-failure explorer: states/sec, dedup hit rate, 1/2/4-worker scaling (writes BENCH_explore.json)")
-	exploreClusterBench := flags.Bool("explore-cluster", false, "benchmark distributed exploration through the gateway: states/sec at 1/2/4 backends vs single-process (writes BENCH_explore_cluster.json)")
 	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := flags.Parse(args); err != nil {
@@ -110,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// A benchmark flag (-trace, -snapshot, -fleet, -kernel, -explore) alone
 	// runs just that benchmark; combining one with an explicit -exp adds it
 	// to that selection.
-	if *traceBench || *snapBench || *fleetBench || *kernelBench || *clusterBench || *failoverBench || *exploreBench || *exploreClusterBench {
+	if *traceBench || *snapBench || *fleetBench || *kernelBench || *clusterBench || *failoverBench || *exploreBench {
 		expSet := false
 		flags.Visit(func(f *flag.Flag) {
 			if f.Name == "exp" {
@@ -158,9 +157,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *exploreBench {
 		add("explore-bench", func(o *jobOut) error { return runExploreBench(o, *quick) })
-	}
-	if *exploreClusterBench {
-		add("explore-cluster-bench", func(o *jobOut) error { return runExploreClusterBench(o, *quick) })
 	}
 
 	if len(jobs) == 0 {

@@ -100,7 +100,6 @@ func main() {
 		noTraceZ    = flag.Bool("no-tracez", false, "refuse the compressed-trace capability; always stream raw Trace chunks")
 		noSnap      = flag.Bool("no-snap", false, "refuse the snapshot (remote time-travel) capability")
 		noCluster   = flag.Bool("no-cluster", false, "refuse the cluster capability; no migration, no Stat probes")
-		noExplore   = flag.Bool("no-explore", false, "refuse the distributed-exploration capability; explore runs stay single-process")
 		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots")
 		poolSpares  = flag.Int("pool-spares", 2, "pre-forked rigs kept ready per firmware template")
 		pprofAddr   = flag.String("pprof", "", "optional listen address for the net/http/pprof profiling endpoint")
@@ -157,7 +156,6 @@ func main() {
 		DisableTraceZ:  *noTraceZ,
 		DisableSnap:    *noSnap,
 		DisableCluster: *noCluster,
-		DisableExplore: *noExplore,
 		DisablePool:    *noPool,
 		PoolSpares:     *poolSpares,
 		TLS:            listenTLS,

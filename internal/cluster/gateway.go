@@ -91,14 +91,6 @@ type Config struct {
 	// BackendToken, when non-empty, authenticates the gateway to its
 	// backends via FlagAuth.
 	BackendToken string
-	// ExploreShardStates overrides the frontier states per expand batch on
-	// distributed explore runs (0 = the engine default). Smaller batches
-	// pipeline waves across more backends at the cost of more round-trips.
-	ExploreShardStates int
-	// ExploreNetDelay injects a synthetic pause before every explore
-	// executor round-trip — a benchmarking knob that models backend-link
-	// latency on loopback fleets. Zero (the default) injects nothing.
-	ExploreNetDelay time.Duration
 	// Peer, when set, names the replica gateway this gateway streams its
 	// fleet state to: backend join/leave, the template-image cache, and
 	// per-session journals ride a FlagGossip connection so the peer can
@@ -577,15 +569,14 @@ func (g *Gateway) dialRaw(addr string) (net.Conn, error) {
 // dialBackend opens an authenticated cluster connection to a backend,
 // negotiating FlagCluster plus exactly the capabilities in caps
 // (FlagTraceZ/FlagSnap for proxied sessions, whose byte stream is relayed
-// verbatim and must match what the client negotiated with the gateway;
-// FlagExplore for executor sessions). A backend that refuses any required
-// bit is an error, not a downgrade.
+// verbatim and must match what the client negotiated with the gateway).
+// A backend that refuses any required bit is an error, not a downgrade.
 func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
 	conn, err := g.dialRaw(addr)
 	if err != nil {
 		return nil, err
 	}
-	want := (caps & (wire.FlagTraceZ | wire.FlagSnap | wire.FlagExplore)) | wire.FlagCluster
+	want := (caps & (wire.FlagTraceZ | wire.FlagSnap)) | wire.FlagCluster
 	hello := &wire.Hello{Version: wire.Version, Client: g.cfg.Name}
 	offer := want
 	if g.cfg.BackendToken != "" {
@@ -660,11 +651,6 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 	caps := helloFlags & wire.KnownCaps
-	// The gateway serves no raw Explore frames on the client tier — the
-	// console's `explore backends=N` rides the prompt relay instead — so the
-	// capability is never granted to clients (and thus never demanded from
-	// session backends on dispatch).
-	caps &^= wire.FlagExplore
 	offeredAuth := caps&wire.FlagAuth != 0
 	caps &^= wire.FlagAuth
 	switch {
@@ -1072,53 +1058,40 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 			if err := g.send(clientConn, t); err != nil {
 				return true, err
 			}
-			// The backend's prompt may be answered by several client commands
-			// when the gateway intercepts distributed-exploration lines: each
-			// intercepted line is served by the gateway (which re-prompts),
-			// and only the first non-intercepted answer reaches the backend.
-			for {
-				am, aerr := g.recv(clientConn, g.cfg.IdleTimeout)
-				if aerr != nil {
-					if isTimeout(aerr) {
-						g.send(clientConn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
-					}
-					return true, aerr
+			am, aerr := g.recv(clientConn, g.cfg.IdleTimeout)
+			if aerr != nil {
+				if isTimeout(aerr) {
+					g.send(clientConn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
 				}
-				var entry wire.JournalEntry
-				switch a := am.(type) {
-				case *wire.Command:
-					if a.EOF {
-						entry = wire.JournalEntry{Kind: wire.JournalEOF}
-					} else {
-						if handled, herr := g.interceptExplore(clientConn, sess, a.Line); handled {
-							if herr != nil {
-								return true, herr
-							}
-							continue
-						}
-						entry = wire.JournalEntry{Kind: wire.JournalLine, Line: a.Line}
-					}
-				case *wire.SnapSave:
-					entry = wire.JournalEntry{Kind: wire.JournalSnapSave}
-				case *wire.SnapRestore:
-					entry = wire.JournalEntry{Kind: wire.JournalSnapRestore}
-				default:
-					err := fmt.Errorf("cluster: unexpected prompt answer %T", am)
-					g.send(clientConn, &wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
-					return true, err
+				return true, aerr
+			}
+			var entry wire.JournalEntry
+			switch a := am.(type) {
+			case *wire.Command:
+				if a.EOF {
+					entry = wire.JournalEntry{Kind: wire.JournalEOF}
+				} else {
+					entry = wire.JournalEntry{Kind: wire.JournalLine, Line: a.Line}
 				}
-				// Journal before forwarding: if the backend dies taking this
-				// answer, the replay serves it instead of re-asking the client.
-				// The replication hook rides the same ordering, so the peer's
-				// copy is never ahead of what the client was asked.
-				sess.journal = append(sess.journal, entry)
-				g.replAppend(sess)
-				g.c.answersRelayed.Add(1)
-				if werr := g.send(bconn, am); werr != nil {
-					g.noteLeave(sess, b, true, werr.Error())
-					return false, werr
-				}
-				break
+			case *wire.SnapSave:
+				entry = wire.JournalEntry{Kind: wire.JournalSnapSave}
+			case *wire.SnapRestore:
+				entry = wire.JournalEntry{Kind: wire.JournalSnapRestore}
+			default:
+				err := fmt.Errorf("cluster: unexpected prompt answer %T", am)
+				g.send(clientConn, &wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
+				return true, err
+			}
+			// Journal before forwarding: if the backend dies taking this
+			// answer, the replay serves it instead of re-asking the client.
+			// The replication hook rides the same ordering, so the peer's
+			// copy is never ahead of what the client was asked.
+			sess.journal = append(sess.journal, entry)
+			g.replAppend(sess)
+			g.c.answersRelayed.Add(1)
+			if werr := g.send(bconn, am); werr != nil {
+				g.noteLeave(sess, b, true, werr.Error())
+				return false, werr
 			}
 		case *wire.SessMigrate:
 			// The backend is draining: it already flushed everything the

@@ -98,37 +98,50 @@ func servingBackend(t *testing.T, gw *cluster.Gateway) string {
 
 // TestGatewayScriptedSessionMatchesLocal: the baseline proxy path — a
 // scripted session through the gateway produces byte-identical output to a
-// local run, and the gateway accounts it.
+// local run, and the gateway accounts it. The second script's explore
+// lines are forwarded to the backend like any other command, and its
+// unknown option fails there exactly as it does locally.
 func TestGatewayScriptedSessionMatchesLocal(t *testing.T) {
 	_, addrA := startBackend(t, server.Config{})
 	_, addrB := startBackend(t, server.Config{})
 	gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addrA, addrB}})
 
-	golden := localGolden(t, scriptedSpec(), nil)
+	var relayed int64
+	for i, tc := range []struct {
+		script       string
+		scriptErrors int
+	}{
+		{"vcap;status;halt", 0},
+		{"vcap;explore depth=2 writes=8 states=64;explore depth=2 backends=2;halt", 1},
+	} {
+		spec := scriptedSpec()
+		spec.Script = tc.script
+		golden := localGolden(t, spec, nil)
 
-	cl, err := client.Dial(gwAddr, client.Options{})
-	if err != nil {
-		t.Fatalf("dial gateway: %v", err)
-	}
-	defer cl.Close()
-
-	var out bytes.Buffer
-	st, err := cl.Run(scriptedSpec(), &out, nil)
-	if err != nil {
-		t.Fatalf("run via gateway: %v", err)
-	}
-	if out.String() != golden {
-		t.Fatalf("gateway output differs from local run:\n--- local ---\n%s\n--- gateway ---\n%s", golden, out.String())
-	}
-	if st.Exit != 0 {
-		t.Fatalf("unexpected status %+v", st)
-	}
-	m := gw.Metrics()
-	if m.SessionsTotal != 1 || m.Dispatches != 1 || m.Failovers != 0 {
-		t.Fatalf("unexpected gateway metrics %+v", m)
-	}
-	if m.BytesRelayed != int64(len(golden)) {
-		t.Fatalf("BytesRelayed = %d, want %d", m.BytesRelayed, len(golden))
+		cl, err := client.Dial(gwAddr, client.Options{})
+		if err != nil {
+			t.Fatalf("dial gateway: %v", err)
+		}
+		var out bytes.Buffer
+		st, err := cl.Run(spec, &out, nil)
+		cl.Close()
+		if err != nil {
+			t.Fatalf("%q: run via gateway: %v", tc.script, err)
+		}
+		if out.String() != golden {
+			t.Fatalf("%q: gateway output differs from local run:\n--- local ---\n%s\n--- gateway ---\n%s", tc.script, golden, out.String())
+		}
+		if st.ScriptErrors != tc.scriptErrors || (st.Exit != 0) != (tc.scriptErrors > 0) {
+			t.Fatalf("%q: unexpected status %+v", tc.script, st)
+		}
+		relayed += int64(len(golden))
+		m := gw.Metrics()
+		if m.SessionsTotal != int64(i+1) || m.Dispatches != int64(i+1) || m.Failovers != 0 {
+			t.Fatalf("%q: unexpected gateway metrics %+v", tc.script, m)
+		}
+		if m.BytesRelayed != relayed {
+			t.Fatalf("%q: BytesRelayed = %d, want %d", tc.script, m.BytesRelayed, relayed)
+		}
 	}
 }
 
@@ -376,18 +389,17 @@ func collectSession(t *testing.T, conn net.Conn) (output []byte, traceFrames [][
 	}
 }
 
-// limitProxy is a byte-level TCP proxy that can cut the backend→client
-// direction of the *next* accepted connection mid-frame — after a fixed
-// byte budget, or halfway through its n-th wire frame — a deterministic
-// backend loss.
+// limitProxy is a TCP proxy that relays the backend→client direction
+// frame by frame and can cut the *next* accepted connection halfway
+// through its n-th wire frame: a deterministic backend loss tied to a
+// protocol event.
 type limitProxy struct {
 	lis     net.Listener
 	backend string
 
 	mu        sync.Mutex
-	nextLimit int64
-	nextFrame int // frame to cut inside on the next connection; -1 for none
-	totals    []int64
+	nextFrame int      // frame to cut inside on the next connection; -1 for none
+	types     [][]byte // per accepted connection: the type of each frame relayed
 	cuts      []bool
 }
 
@@ -405,28 +417,28 @@ func newLimitProxy(t *testing.T, backend string) *limitProxy {
 
 func (p *limitProxy) addr() string { return p.lis.Addr().String() }
 
-// armLimit cuts the next accepted connection's backend→client stream after
-// n bytes.
-func (p *limitProxy) armLimit(n int64) {
-	p.mu.Lock()
-	p.nextLimit = n
-	p.mu.Unlock()
-}
-
 // armFrameCut cuts the next accepted connection's backend→client stream
 // halfway through its frame number n, counting the handshake reply as
-// frame 0: a cut tied to a protocol event rather than to a byte count.
+// frame 0.
 func (p *limitProxy) armFrameCut(n int) {
 	p.mu.Lock()
 	p.nextFrame = n
 	p.mu.Unlock()
 }
 
-// total returns the backend→client byte count of accepted connection i.
-func (p *limitProxy) total(i int) int64 {
+// lastFrame returns the number of the last frame of one of the given
+// types relayed on accepted connection i, or -1 if there was none.
+func (p *limitProxy) lastFrame(i int, types ...byte) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.totals[i]
+	for n := len(p.types[i]) - 1; n >= 0; n-- {
+		for _, typ := range types {
+			if p.types[i][n] == typ {
+				return n
+			}
+		}
+	}
+	return -1
 }
 
 // cutFired reports whether an armed cut severed accepted connection i.
@@ -434,15 +446,6 @@ func (p *limitProxy) cutFired(i int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.cuts[i]
-}
-
-// relayed records progress on connection i: n bytes so far, and whether
-// the armed cut has just fired.
-func (p *limitProxy) relayed(i int, n int64, cut bool) {
-	p.mu.Lock()
-	p.totals[i] = n
-	p.cuts[i] = p.cuts[i] || cut
-	p.mu.Unlock()
 }
 
 func (p *limitProxy) serve() {
@@ -457,52 +460,26 @@ func (p *limitProxy) serve() {
 			continue
 		}
 		p.mu.Lock()
-		limit, frame := p.nextLimit, p.nextFrame
-		p.nextLimit, p.nextFrame = 0, -1
-		idx := len(p.totals)
-		p.totals = append(p.totals, 0)
+		cut := p.nextFrame
+		p.nextFrame = -1
+		idx := len(p.types)
+		p.types = append(p.types, nil)
 		p.cuts = append(p.cuts, false)
 		p.mu.Unlock()
 		go func() { io.Copy(b, c); b.Close() }()
 		go func() {
 			defer c.Close()
 			defer b.Close()
-			if frame >= 0 {
-				p.relayFrames(idx, b, c, frame)
-				return
-			}
-			var n int64
-			buf := make([]byte, 4096)
-			for {
-				max := int64(len(buf))
-				if limit > 0 && limit-n < max {
-					max = limit - n
-				}
-				if max <= 0 {
-					p.relayed(idx, n, true)
-					return // budget exhausted: slam the connection
-				}
-				k, err := b.Read(buf[:max])
-				if k > 0 {
-					n += int64(k)
-					p.relayed(idx, n, false)
-					if _, werr := c.Write(buf[:k]); werr != nil {
-						return
-					}
-				}
-				if err != nil {
-					return
-				}
-			}
+			p.relayFrames(idx, b, c, cut)
 		}()
 	}
 }
 
 // relayFrames forwards whole wire frames from b to c until frame number
 // cut, of which it forwards only the first half before returning (the
-// caller then closes both ends).
+// caller then closes both ends). Each frame is recorded before it is
+// written, so a reader that has seen a frame also sees its record.
 func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
-	var n int64
 	for i := 0; ; i++ {
 		var hdr [6]byte // type, flags, big-endian payload length
 		if _, err := io.ReadFull(b, hdr[:]); err != nil {
@@ -516,11 +493,13 @@ func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
 		if i == cut {
 			f = f[:len(f)/2]
 		}
+		p.mu.Lock()
+		p.types[idx] = append(p.types[idx], hdr[0])
+		p.cuts[idx] = i == cut
+		p.mu.Unlock()
 		if _, err := c.Write(f); err != nil {
 			return
 		}
-		n += int64(len(f))
-		p.relayed(idx, n, i == cut)
 		if i == cut {
 			return
 		}
@@ -530,8 +509,8 @@ func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
 // TestGatewayMidTraceStreamFailover: the backend connection dies partway
 // through a trace frame — after whole chunks were already relayed — and
 // the resumed stream's remaining frames are byte-identical to an
-// undisturbed run's. The cut point is computed from a recording pass, so
-// the failure lands deterministically inside the final trace frame.
+// undisturbed run's. The cut frame is found in a recording pass, so the
+// failure lands deterministically inside the final trace frame.
 func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	_, backendAddr := startBackend(t, server.Config{})
 	proxy := newLimitProxy(t, backendAddr)
@@ -557,27 +536,22 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 		return collectSession(t, conn)
 	}
 
-	// Recording pass: learn the backend→gateway byte total and the golden
-	// frame bytes of an undisturbed proxied session.
+	// Recording pass: learn the golden frame bytes of an undisturbed
+	// proxied session and the number of its final backend→gateway trace
+	// frame.
 	goldenOut, goldenFrames, goldenDone := runOnce()
 	if len(goldenFrames) < 2 {
 		t.Fatalf("need >= 2 trace frames to cut between chunks, got %d", len(goldenFrames))
 	}
-	streamTotal := proxy.total(0)
+	last := proxy.lastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	if last < 0 {
+		t.Fatal("recording pass relayed no trace frame")
+	}
 
-	// Arm the cut 10 bytes into the final trace frame: every earlier frame
-	// is relayed whole, the last one dies mid-read, and the resume offset
-	// is a whole number of chunks.
-	doneLen, err := wire.EncodeMsg(goldenDone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastLen := int64(len(goldenFrames[len(goldenFrames)-1]))
-	cut := streamTotal - int64(len(doneLen)) - lastLen + 10
-	if cut <= 0 || cut >= streamTotal {
-		t.Fatalf("bad cut point %d of %d", cut, streamTotal)
-	}
-	proxy.armLimit(cut)
+	// Cut halfway through the final trace frame: every earlier frame is
+	// relayed whole, the last one dies mid-read, and the resume offset is
+	// a whole number of chunks.
+	proxy.armFrameCut(last)
 
 	out, frames, done := runOnce()
 	if !bytes.Equal(out, goldenOut) {
@@ -593,6 +567,9 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	}
 	if *done != *goldenDone {
 		t.Fatalf("Done differs: %+v vs %+v", done, goldenDone)
+	}
+	if !proxy.cutFired(1) {
+		t.Fatal("the armed cut never fired on the failover pass's backend leg")
 	}
 	if got := gw.Metrics().Failovers; got != 1 {
 		t.Fatalf("gateway Failovers = %d, want 1", got)

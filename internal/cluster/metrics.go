@@ -32,11 +32,6 @@ type counters struct {
 	joins        atomic.Int64
 	authFailures atomic.Int64
 
-	exploreRuns       atomic.Int64
-	exploreIntercepts atomic.Int64
-	exploreBytesOut   atomic.Int64
-	exploreBytesIn    atomic.Int64
-
 	imageEvictions atomic.Int64
 
 	gossipConnects   atomic.Int64
@@ -81,13 +76,6 @@ type Metrics struct {
 	StatProbes   int64 // Stat requests answered on the client tier
 	Joins        int64 // Join registrations accepted
 	AuthFailures int64 // client handshakes rejected with Error{CodeAuth}
-
-	// Distributed-exploration counters (all zero until a session runs
-	// `explore backends=N`).
-	ExploreRuns       int64 // fan-outs coordinated by this gateway
-	ExploreIntercepts int64 // console explore lines served gateway-side
-	ExploreBytesOut   int64 // bytes shipped to explore executors (shards)
-	ExploreBytesIn    int64 // bytes received from explore executors (results)
 
 	ImageEvictions int64 // template images LRU-evicted from the cache
 
@@ -172,11 +160,6 @@ func (g *Gateway) Metrics() Metrics {
 		StatProbes:   g.c.statProbes.Load(),
 		Joins:        g.c.joins.Load(),
 		AuthFailures: g.c.authFailures.Load(),
-
-		ExploreRuns:       g.c.exploreRuns.Load(),
-		ExploreIntercepts: g.c.exploreIntercepts.Load(),
-		ExploreBytesOut:   g.c.exploreBytesOut.Load(),
-		ExploreBytesIn:    g.c.exploreBytesIn.Load(),
 
 		ImageEvictions: g.c.imageEvictions.Load(),
 

@@ -184,7 +184,7 @@ func TestGatewayCrashFailoverReclaimsReplica(t *testing.T) {
 // guarantee one tier up from PR 7: the *gateway* dies partway through a
 // TraceZ frame — after whole frames were already delivered — and the
 // session resumed on its replica peer delivers output and trace samples
-// byte-identical to an unmigrated run. The cut point is computed from a
+// byte-identical to an unmigrated run. The cut frame is found in a
 // recording pass, so the failure lands deterministically inside the final
 // trace frame.
 func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
@@ -192,16 +192,16 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	gwB, gwBAddr := startGateway(t, cluster.Config{Backends: []string{backendAddr}})
 	_, gwAAddr := startGateway(t, cluster.Config{Backends: []string{backendAddr}, Peer: gwBAddr,
 		PeerRetry: 50 * time.Millisecond, PeerHeartbeat: 100 * time.Millisecond})
-	// The client reaches gwA only through a byte-budget proxy: cutting the
-	// gateway→client stream mid-frame is exactly what a SIGKILLed gateway
-	// looks like from the wire.
+	// The client reaches gwA only through a frame-cutting proxy: cutting
+	// the gateway→client stream mid-frame is exactly what a SIGKILLed
+	// gateway looks like from the wire.
 	proxy := newLimitProxy(t, gwAAddr)
 
 	spec := scriptedSpec()
 	spec.Trace = true
 
-	// Frame-length math comes from a raw golden session against gwB: the
-	// same spec yields the same frame bytes on either gateway.
+	// A raw golden session against gwB: the same spec yields the same
+	// frame bytes on either gateway.
 	conn, flags := rawDial(t, gwBAddr, wire.FlagTraceZ)
 	if flags&wire.FlagTraceZ == 0 {
 		t.Fatal("gateway did not grant TraceZ")
@@ -209,7 +209,7 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	if err := wire.WriteMsg(conn, &wire.Run{Spec: spec, StreamTrace: true}); err != nil {
 		t.Fatal(err)
 	}
-	goldenOut, goldenFrames, goldenDone := collectSession(t, conn)
+	goldenOut, goldenFrames, _ := collectSession(t, conn)
 	conn.Close()
 	if len(goldenFrames) < 2 {
 		t.Fatalf("need >= 2 trace frames to cut between chunks, got %d", len(goldenFrames))
@@ -235,25 +235,17 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 		return out.Bytes(), samples, st
 	}
 
-	// Recording pass through the proxy, uncut: learn the gateway→client
-	// byte total of a full client session on this wire.
+	// Recording pass through the proxy, uncut: learn the number of the
+	// final trace frame on the gateway→client stream of a full client
+	// session.
 	recOut, recSamples, recSt := runViaClient(proxy.addr())
-	streamTotal := proxy.total(0)
+	last := proxy.lastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	if last < 0 {
+		t.Fatal("recording pass relayed no trace frame")
+	}
 
-	// Arm the cut 10 bytes into the final trace frame. The client session's
-	// gateway→client stream is the golden session's frames plus a Welcome
-	// of the same encoded length, so the recording total minus the tail
-	// frames positions the cut mid-frame deterministically.
-	doneFrame, err := wire.EncodeMsg(goldenDone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastLen := int64(len(goldenFrames[len(goldenFrames)-1]))
-	cut := streamTotal - int64(len(doneFrame)) - lastLen + 10
-	if cut <= 0 || cut >= streamTotal {
-		t.Fatalf("bad cut point %d of %d", cut, streamTotal)
-	}
-	proxy.armLimit(cut)
+	// Cut the next session halfway through that frame.
+	proxy.armFrameCut(last)
 
 	// Failover pass: dial list is the (doomed) proxy first, the replica
 	// second. The mid-frame cut must be invisible in the byte stream.
@@ -275,69 +267,11 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	if st != recSt {
 		t.Fatalf("status differs: %+v vs %+v", st, recSt)
 	}
+	if !proxy.cutFired(1) {
+		t.Fatal("the armed cut never fired on the failover pass")
+	}
 	if got := gwB.Metrics().SessionsTotal; got != 2 {
 		t.Fatalf("replica gateway served %d sessions, want 2 (golden + failover)", got)
-	}
-}
-
-// TestGatewayKillMidExploreFailover: the gateway dies with a distributed
-// `explore backends=2` fan-out in flight. The client journaled the explore
-// line before sending it, so the resume on the peer replays the whole
-// explore atomically — the report is byte-identical to an undisturbed run,
-// never torn.
-func TestGatewayKillMidExploreFailover(t *testing.T) {
-	_, addrX := startBackend(t, server.Config{})
-	_, addrY := startBackend(t, server.Config{})
-	backends := []string{addrX, addrY}
-	gwB, gwBAddr := startGateway(t, cluster.Config{Backends: backends})
-	// A synthetic backend-link delay stretches the fan-out so the crash
-	// lands while executor round-trips are still in flight.
-	gwA, gwAAddr := startGateway(t, cluster.Config{Backends: backends, Peer: gwBAddr,
-		PeerRetry: 50 * time.Millisecond, PeerHeartbeat: 100 * time.Millisecond,
-		ExploreNetDelay: 100 * time.Millisecond})
-
-	cmds := []string{"explore " + exploreOpts + " backends=2", "halt"}
-	golden := localGolden(t, interactiveSpec(), []string{"explore " + exploreOpts, "halt"})
-
-	cl, err := client.Dial(gwAAddr+","+gwBAddr, client.Options{
-		Reconnect: true,
-		Attempts:  10,
-		Backoff:   50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	var out bytes.Buffer
-	i := 0
-	st, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
-		if i == 0 {
-			// Fire the kill while the explore answer is being served: the
-			// fan-out takes several delayed waves, so the crash interrupts
-			// it mid-flight.
-			go func() {
-				time.Sleep(250 * time.Millisecond)
-				crashGateway(gwA)
-			}()
-		}
-		if i < len(cmds) {
-			i++
-			return cmds[i-1], true
-		}
-		return "", false
-	})
-	if err != nil {
-		t.Fatalf("run across mid-explore gateway crash: %v", err)
-	}
-	if st.Exit != 0 {
-		t.Fatalf("unexpected status %+v", st)
-	}
-	if out.String() != golden {
-		t.Fatalf("explore report torn or divergent after gateway crash:\n--- golden ---\n%s\n--- failover ---\n%s", golden, out.String())
-	}
-	if got := gwB.Metrics().SessionsTotal; got != 1 {
-		t.Fatalf("replica gateway served %d sessions, want 1", got)
 	}
 }
 

@@ -2,15 +2,15 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/memsim"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
-// ShardState is one frontier state shipped to an Executor for expansion:
+// ShardState is one frontier state handed to an Executor for expansion:
 // the O(dirty-page) FRAM delta against the shared post-flash baseline plus
 // its state hash.
 type ShardState struct {
@@ -48,17 +48,16 @@ type Expansion struct {
 
 // Executor is the unit the exploration coordinator fans work out to: a
 // worker pool that expands frontier states and filters dedup partitions.
-// The process-local implementation is LocalExecutor; internal/cluster
-// provides one backed by an edbd backend over the wire protocol.
+// LocalExecutor is the implementation; the interface is the seam through
+// which a caller instruments the search (perfbench times every call).
 //
 // Expand is stateless with respect to the search (any executor can expand
-// any state), so the coordinator is free to rebalance and to retry a batch
-// on a different executor after a failure. Dedup is stateful per partition:
-// it answers membership queries against partition part, inserting every
-// queried hash, with fresh[i] true iff hashes[i] was not already present
-// (an earlier occurrence within the same batch makes a later one a dup).
-// A partition is only ever queried on one executor at a time; after a
-// failover the coordinator re-seeds the replacement from its journal.
+// any state). Dedup is stateful per partition: it answers membership
+// queries against partition part, inserting every queried hash, with
+// fresh[i] true iff hashes[i] was not already present (an earlier
+// occurrence within the same batch makes a later one a dup). Partition p
+// is always queried on executor p mod len(execs). An error from any call
+// ends the search with that error.
 type Executor interface {
 	// BaseHash is the post-flash baseline FRAM hash; the coordinator
 	// cross-checks that every executor was built from an identical rig.
@@ -69,21 +68,18 @@ type Executor interface {
 }
 
 // DistStats is optional instrumentation for RunWithExecutors; the report
-// itself stays a pure function of the Config, so transfer accounting and
-// partition balance live here instead.
+// itself stays a pure function of the Config, so batching and partition
+// balance live here instead.
 type DistStats struct {
 	Waves        int
 	ShardBatches int     // Expand batches dispatched
-	ShardStates  int64   // frontier states shipped in those batches
-	Retries      int     // batches re-dispatched after an executor died
 	PartQueries  []int64 // dedup membership queries per partition
 	PartHits     []int64 // queries answered "already known" per partition
 }
 
 // LocalExecutor runs expansions on an in-process rig pool and keeps its
 // dedup partitions as plain hash sets. Run uses one of these with a single
-// partition; the console's `explore backends=N` uses one with N partitions,
-// which by construction produces the identical report.
+// partition.
 type LocalExecutor struct {
 	cfg  *Config
 	pool *rigPool
@@ -180,12 +176,11 @@ func (x *LocalExecutor) Close() error { return nil }
 // The report is a pure function of the Config and the partition count is
 // irrelevant to the verdict stream (a hash always lands in the same
 // partition, and the union of the partitions is one global set), so the
-// result is reflect.DeepEqual-identical to Run(cfg) at any executor count,
-// any partition count, and regardless of executor failures — as long as at
-// least one executor survives. stats may be nil.
+// result is reflect.DeepEqual-identical to Run(cfg) at any executor count
+// and any partition count. stats may be nil.
 func RunWithExecutors(cfg Config, execs []Executor, partitions int, stats *DistStats) (*Report, error) {
 	c := cfg
-	if err := c.applyLimits(); err != nil {
+	if err := c.applyDefaults(); err != nil {
 		return nil, err
 	}
 	if len(execs) == 0 {
@@ -227,11 +222,11 @@ func tracePath(nodes []node, id int) string {
 
 func partOf(h uint64, partitions int) int { return int(h % uint64(partitions)) }
 
-// runWaves is the engine shared by the single-process and distributed
-// paths: expand the frontier wave by wave, filter children through the
-// partitioned dedup set, and merge everything in canonical BFS order
-// (frontier order, then candidate order) so the report is independent of
-// executor count, worker count, and scheduling.
+// runWaves is the engine behind Run and RunWithExecutors: expand the
+// frontier wave by wave, filter children through the partitioned dedup
+// set, and merge everything in canonical BFS order (frontier order, then
+// candidate order) so the report is independent of executor count, worker
+// count, and scheduling.
 func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*Report, error) {
 	base := execs[0].BaseHash()
 	for i, e := range execs[1:] {
@@ -240,14 +235,12 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 				i+1, e.BaseHash(), base)
 		}
 	}
-	co := newCoordinator(c, execs, partitions, stats)
-
 	root := ShardState{ID: 0, Depth: 0, Hash: base, Delta: &memsim.Delta{Region: "FRAM"}}
 	nodes := []node{{parent: -1}}
 	frontier := []ShardState{root}
 	// Seed the root hash into its partition, so a branch that reverts the
 	// machine to the post-flash image is a dedup hit, not a new state.
-	if _, err := co.dedup(partOf(root.Hash, partitions), []uint64{root.Hash}); err != nil {
+	if _, err := dedup(execs, partOf(root.Hash, partitions), []uint64{root.Hash}, stats); err != nil {
 		return nil, err
 	}
 
@@ -258,7 +251,7 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 		if stats != nil {
 			stats.Waves++
 		}
-		exps, err := co.expand(frontier)
+		exps, err := expand(c, execs, frontier, stats)
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +300,7 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 			if len(perPart[p]) == 0 {
 				return nil, nil
 			}
-			return co.dedup(p, perPart[p])
+			return dedup(execs, p, perPart[p], stats)
 		})
 		if err != nil {
 			return nil, err
@@ -348,215 +341,60 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 	return rep, nil
 }
 
-// coordinator tracks executor liveness, partition ownership, and the
-// per-partition journal of fresh hashes that re-seeds a partition onto a
-// replacement executor after a failover.
-type coordinator struct {
-	c       *Config
-	execs   []Executor
-	journal [][]uint64 // per partition: every fresh hash, in insert order
-	stats   *DistStats
-
-	mu      sync.Mutex
-	live    []bool
-	owner   []int // partition -> executor slot
-	lastErr error
-}
-
-func newCoordinator(c *Config, execs []Executor, partitions int, stats *DistStats) *coordinator {
-	co := &coordinator{
-		c:       c,
-		execs:   execs,
-		journal: make([][]uint64, partitions),
-		stats:   stats,
-		live:    make([]bool, len(execs)),
-		owner:   make([]int, partitions),
+// expand fans the frontier out as batches of at most c.ShardStates states
+// over the executors: each executor pulls the next batch as soon as its
+// previous one returns. Results are positional, so the scheduling never
+// reaches the report.
+func expand(c *Config, execs []Executor, frontier []ShardState, stats *DistStats) ([]Expansion, error) {
+	batches := (len(frontier) + c.ShardStates - 1) / c.ShardStates
+	if stats != nil {
+		stats.ShardBatches += batches
 	}
-	for i := range co.live {
-		co.live[i] = true
-	}
-	for p := range co.owner {
-		co.owner[p] = p % len(execs)
-	}
-	return co
-}
-
-func (co *coordinator) kill(slot int, err error) {
-	co.mu.Lock()
-	co.live[slot] = false
-	co.lastErr = err
-	co.mu.Unlock()
-	co.execs[slot].Close()
-}
-
-func (co *coordinator) liveSlots() []int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	var out []int
-	for i, l := range co.live {
-		if l {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (co *coordinator) deadErr() error {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.lastErr == nil {
-		return fmt.Errorf("explore: all executors failed")
-	}
-	return fmt.Errorf("explore: all executors failed: %w", co.lastErr)
-}
-
-// expand fans the frontier out as bounded batches over the live executors:
-// each executor's feeder goroutine pulls the next batch as soon as its
-// previous one returns (load-aware by construction), and a batch whose
-// executor dies goes back on the pile for the survivors. Results are
-// positional, so none of this scheduling freedom reaches the report.
-func (co *coordinator) expand(frontier []ShardState) ([]Expansion, error) {
 	out := make([]Expansion, len(frontier))
-	type batch struct{ lo, hi int }
-	var pending []batch
-	for lo := 0; lo < len(frontier); lo += co.c.ShardStates {
-		hi := lo + co.c.ShardStates
-		if hi > len(frontier) {
-			hi = len(frontier)
+	var next atomic.Int64
+	_, err := parallel.MapN(len(execs), len(execs), func(slot int) (struct{}, error) {
+		for {
+			b := int(next.Add(1)) - 1
+			if b >= batches {
+				return struct{}{}, nil
+			}
+			lo := b * c.ShardStates
+			hi := min(lo+c.ShardStates, len(frontier))
+			exps, err := execs[slot].Expand(frontier[lo:hi])
+			if err != nil {
+				return struct{}{}, err
+			}
+			if len(exps) != hi-lo {
+				return struct{}{}, fmt.Errorf("explore: executor returned %d expansions for %d states", len(exps), hi-lo)
+			}
+			copy(out[lo:hi], exps)
 		}
-		pending = append(pending, batch{lo, hi})
-	}
-	if co.stats != nil {
-		co.stats.ShardBatches += len(pending)
-		co.stats.ShardStates += int64(len(frontier))
-	}
-	for round := 0; len(pending) > 0; round++ {
-		slots := co.liveSlots()
-		if len(slots) == 0 {
-			return nil, co.deadErr()
-		}
-		if round > 0 && co.stats != nil {
-			co.stats.Retries += len(pending)
-		}
-		q := make(chan batch, len(pending))
-		for _, b := range pending {
-			q <- b
-		}
-		close(q)
-		var mu sync.Mutex
-		var failed []batch
-		var wg sync.WaitGroup
-		for _, slot := range slots {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				for b := range q {
-					exps, err := co.execs[slot].Expand(frontier[b.lo:b.hi])
-					if err == nil && len(exps) != b.hi-b.lo {
-						err = fmt.Errorf("explore: executor returned %d expansions for %d states", len(exps), b.hi-b.lo)
-					}
-					if err != nil {
-						co.kill(slot, err)
-						mu.Lock()
-						failed = append(failed, b)
-						mu.Unlock()
-						return
-					}
-					copy(out[b.lo:b.hi], exps)
-				}
-			}(slot)
-		}
-		wg.Wait()
-		// Batches left in the queue because every feeder died mid-round
-		// are as unfinished as the explicitly failed ones.
-		for b := range q {
-			failed = append(failed, b)
-		}
-		sort.Slice(failed, func(i, j int) bool { return failed[i].lo < failed[j].lo })
-		pending = failed
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// dedup runs one partition's membership queries on its owning executor, in
-// order, chunked to bound frame sizes on the remote path. On an owner
-// failure the partition moves to the next live executor, which is re-seeded
-// from the journal before the failed chunk retries — the replacement's set
-// is then byte-for-byte the processed prefix, so verdicts never change.
-func (co *coordinator) dedup(part int, hashes []uint64) ([]bool, error) {
-	const chunk = 8192
-	out := make([]bool, 0, len(hashes))
-	for lo := 0; lo < len(hashes); lo += chunk {
-		hi := lo + chunk
-		if hi > len(hashes) {
-			hi = len(hashes)
-		}
-		for {
-			slot, err := co.ownerOf(part)
-			if err != nil {
-				return nil, err
-			}
-			fresh, err := co.execs[slot].Dedup(part, hashes[lo:hi])
-			if err == nil && len(fresh) != hi-lo {
-				err = fmt.Errorf("explore: executor returned %d verdicts for %d hashes", len(fresh), hi-lo)
-			}
-			if err != nil {
-				co.kill(slot, err)
-				continue
-			}
-			for i, f := range fresh {
-				if f {
-					co.journal[part] = append(co.journal[part], hashes[lo+i])
-				}
-			}
-			out = append(out, fresh...)
-			break
-		}
+// dedup runs one partition's membership queries, in order, on the
+// partition's executor.
+func dedup(execs []Executor, part int, hashes []uint64, stats *DistStats) ([]bool, error) {
+	fresh, err := execs[part%len(execs)].Dedup(part, hashes)
+	if err != nil {
+		return nil, err
 	}
-	if co.stats != nil {
+	if len(fresh) != len(hashes) {
+		return nil, fmt.Errorf("explore: executor returned %d verdicts for %d hashes", len(fresh), len(hashes))
+	}
+	if stats != nil {
 		hits := int64(0)
-		for _, f := range out {
+		for _, f := range fresh {
 			if !f {
 				hits++
 			}
 		}
-		co.stats.PartQueries[part] += int64(len(hashes))
-		co.stats.PartHits[part] += hits
+		stats.PartQueries[part] += int64(len(hashes))
+		stats.PartHits[part] += hits
 	}
-	return out, nil
-}
-
-// ownerOf returns the partition's owning executor slot, moving ownership to
-// the next live slot (ring order from the original owner) and re-seeding it
-// from the journal when the current owner is dead. Ownership only ever
-// moves on death and a dead executor never revives, so a replacement has
-// never seen the partition before the re-seed.
-func (co *coordinator) ownerOf(part int) (int, error) {
-	co.mu.Lock()
-	slot := co.owner[part]
-	if co.live[slot] {
-		co.mu.Unlock()
-		return slot, nil
-	}
-	found := -1
-	for d := 1; d <= len(co.execs); d++ {
-		if s := (slot + d) % len(co.execs); co.live[s] {
-			found = s
-			break
-		}
-	}
-	co.mu.Unlock()
-	if found < 0 {
-		return -1, co.deadErr()
-	}
-	co.mu.Lock()
-	co.owner[part] = found
-	co.mu.Unlock()
-	if len(co.journal[part]) > 0 {
-		if _, err := co.execs[found].Dedup(part, co.journal[part]); err != nil {
-			co.kill(found, err)
-			return co.ownerOf(part)
-		}
-	}
-	return found, nil
+	return fresh, nil
 }

@@ -105,35 +105,24 @@ func TestCapCounterConservation(t *testing.T) {
 	}
 }
 
-// flakyExecutor wraps a LocalExecutor and fails permanently after a set
-// number of Expand calls — the in-process stand-in for a backend SIGKILLed
-// mid-wave.
+// flakyExecutor wraps a LocalExecutor and fails every Expand call after
+// the first failAt.
 type flakyExecutor struct {
 	*LocalExecutor
-	expands  atomic.Int64
-	failAt   int64
-	poisoned atomic.Bool
+	expands atomic.Int64
+	failAt  int64
 }
 
 func (f *flakyExecutor) Expand(states []ShardState) ([]Expansion, error) {
-	if f.poisoned.Load() || f.expands.Add(1) > f.failAt {
-		f.poisoned.Store(true)
-		return nil, fmt.Errorf("executor connection torn down")
+	if f.expands.Add(1) > f.failAt {
+		return nil, fmt.Errorf("executor failed")
 	}
 	return f.LocalExecutor.Expand(states)
 }
 
-func (f *flakyExecutor) Dedup(part int, hashes []uint64) ([]bool, error) {
-	if f.poisoned.Load() {
-		return nil, fmt.Errorf("executor connection torn down")
-	}
-	return f.LocalExecutor.Dedup(part, hashes)
-}
-
 // TestExecutorMatrixInvariance is the tentpole invariant at the engine
 // layer: workers 1/4 × executors 1/2 × partitions 1/2/4 must all render
-// the byte-identical report Run produces, including when one executor dies
-// mid-search and its batches plus dedup partitions fail over.
+// the byte-identical report Run produces.
 func TestExecutorMatrixInvariance(t *testing.T) {
 	base, err := Run(smallConfig(false))
 	if err != nil {
@@ -180,78 +169,8 @@ func TestExecutorMatrixInvariance(t *testing.T) {
 	}
 }
 
-// killOnDeepBatch wraps a LocalExecutor so that whichever wrapper first
-// receives a beyond-root Expand batch dies permanently — a deterministic
-// in-process stand-in for a backend SIGKILLed mid-wave, independent of
-// which executor the scheduler hands the batch to.
-type killOnDeepBatch struct {
-	*LocalExecutor
-	killed *atomic.Bool // shared across the fleet: only one executor dies
-	dead   atomic.Bool
-}
-
-func (k *killOnDeepBatch) Expand(states []ShardState) ([]Expansion, error) {
-	if k.dead.Load() {
-		return nil, fmt.Errorf("executor is down")
-	}
-	if len(states) > 0 && states[0].Depth >= 1 && k.killed.CompareAndSwap(false, true) {
-		k.dead.Store(true)
-		return nil, fmt.Errorf("backend killed mid-wave")
-	}
-	return k.LocalExecutor.Expand(states)
-}
-
-func (k *killOnDeepBatch) Dedup(part int, hashes []uint64) ([]bool, error) {
-	if k.dead.Load() {
-		return nil, fmt.Errorf("executor is down")
-	}
-	return k.LocalExecutor.Dedup(part, hashes)
-}
-
-// TestExecutorFailover: one of two executors dies on the first beyond-root
-// wave; the coordinator must re-dispatch the lost batch, move the dead
-// executor's dedup partition (re-seeded from the journal), and still
-// produce the byte-identical report.
-func TestExecutorFailover(t *testing.T) {
-	base, err := Run(smallConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallConfig(false)
-	cfg.ShardStates = 2
-	var killed atomic.Bool
-	var execs []Executor
-	var wrapped []*killOnDeepBatch
-	for i := 0; i < 2; i++ {
-		inner, err := NewLocalExecutor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := &killOnDeepBatch{LocalExecutor: inner, killed: &killed}
-		wrapped = append(wrapped, k)
-		execs = append(execs, k)
-	}
-	stats := &DistStats{}
-	rep, err := RunWithExecutors(cfg, execs, 2, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !killed.Load() {
-		t.Fatal("no executor died; the failover path was not exercised")
-	}
-	if wrapped[0].dead.Load() && wrapped[1].dead.Load() {
-		t.Fatal("both executors died")
-	}
-	if stats.Retries == 0 {
-		t.Fatal("no batches were re-dispatched")
-	}
-	if !reflect.DeepEqual(rep, base) {
-		t.Fatalf("failover run diverges:\n%s\nvs base:\n%s", rep.Format(), base.Format())
-	}
-}
-
-// TestAllExecutorsDead: when the last executor dies the coordinator must
-// return its error instead of spinning.
+// TestAllExecutorsDead: when the executor dies the coordinator must end
+// the search with the executor's error instead of spinning.
 func TestAllExecutorsDead(t *testing.T) {
 	cfg := smallConfig(false)
 	cfg.ShardStates = 1
@@ -260,7 +179,7 @@ func TestAllExecutorsDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakyExecutor{LocalExecutor: inner, failAt: 1}
-	if _, err := RunWithExecutors(cfg, []Executor{flaky}, 1, nil); err == nil {
-		t.Fatal("want an all-executors-failed error")
+	if _, err := RunWithExecutors(cfg, []Executor{flaky}, 1, nil); err == nil || err.Error() != "executor failed" {
+		t.Fatalf("err = %v, want the executor's own error", err)
 	}
 }

@@ -14,11 +14,10 @@
 // 64-bit state hash computed at each capture over the delta's pages only,
 // before they are copied, with an optional full-image recompute as a debug
 // cross-check. Exploration is a breadth-first search whose waves fan out
-// over Executors — in-process rig pools (LocalExecutor) or edbd backends
-// over the wire — with results merged in canonical branch order, so the
-// report — including every WAR-violation branch trace — is bit-for-bit
-// identical at any worker count, executor count, and dedup partition
-// count.
+// over Executors, in-process rig pools (LocalExecutor), with results
+// merged in canonical branch order, so the report — including every
+// WAR-violation branch trace — is bit-for-bit identical at any worker
+// count, executor count, and dedup partition count.
 //
 // The detector half flags non-idempotent re-execution the way Surbatovich
 // et al.'s formal foundation defines it: a WAR violation is a non-volatile
@@ -54,8 +53,7 @@ type Config struct {
 	// (build the rig core.WithoutEDB()): the explorer installs its own
 	// minimal probe. Every call must produce an identical machine (same
 	// program, same seed) — the engine cross-checks the post-flash FRAM
-	// hash of each worker against the first. RunWithExecutors callers
-	// whose executors are all remote may leave it nil.
+	// hash of each worker against the first.
 	NewRig func() (*device.Device, device.Program, error)
 
 	// Mode is ModeWrite (default) or ModePage.
@@ -75,8 +73,8 @@ type Config struct {
 	// parallel.Workers().
 	Workers int
 	// ShardStates caps the frontier states per Expand batch the
-	// coordinator dispatches to one executor, so remote shard frames stay
-	// bounded and a wave pipelines across executors. Default 64.
+	// coordinator hands one executor, so a wave spreads across several
+	// executors. Default 64.
 	ShardStates int
 	// CheckHashes recomputes every state hash from the full FRAM image and
 	// errors on a mismatch with the incremental hash — the debug
@@ -88,13 +86,6 @@ func (c *Config) applyDefaults() error {
 	if c.NewRig == nil {
 		return fmt.Errorf("explore: Config.NewRig is required")
 	}
-	return c.applyLimits()
-}
-
-// applyLimits is applyDefaults without the NewRig requirement — the
-// distributed coordinator needs the same horizon and batching defaults but
-// builds no local rigs.
-func (c *Config) applyLimits() error {
 	if c.Mode == "" {
 		c.Mode = ModeWrite
 	}

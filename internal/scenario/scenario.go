@@ -280,11 +280,9 @@ func runPromptConsole(rig *core.Rig, out io.Writer, prompt PromptFunc, res *Resu
 	}
 }
 
-// ExploreSpec captures the console `explore` command's options in a form
-// that crosses the wire verbatim: the distributed checker ships one to
-// every enlisted backend alongside the scenario Spec, so the coordinator,
-// a backend, and the local CLI all build the identical explore.Config.
-// Zero-valued bounds mean the checker defaults.
+// ExploreSpec captures the console `explore` command's options; together
+// with the scenario Spec it determines the explore.Config. Zero-valued
+// bounds mean the checker defaults.
 type ExploreSpec struct {
 	// Guards is the resolved guard setting for the forked firmware — the
 	// session spec's default unless a guards/noguards option overrode it.
@@ -298,12 +296,6 @@ type ExploreSpec struct {
 	Writes  int
 	States  int
 	Workers int
-	// Backends fans the search across a cluster: through a gateway console
-	// it is the number of backends to enlist; locally it partitions the
-	// dedup set Backends ways. The report is identical either way — which
-	// is what makes the local command the byte-diff oracle for the
-	// distributed run. 0 means plain single-process exploration.
-	Backends int
 }
 
 // ParseExploreArgs parses the console `explore` command's options into an
@@ -343,8 +335,6 @@ func ParseExploreArgs(args []string, defGuards bool) (ExploreSpec, error) {
 			es.States = n
 		case "workers":
 			es.Workers = n
-		case "backends":
-			es.Backends = n
 		default:
 			return ExploreSpec{}, fmt.Errorf("explore: unknown option %q (try help)", a)
 		}
@@ -353,9 +343,7 @@ func ParseExploreArgs(args []string, defGuards bool) (ExploreSpec, error) {
 }
 
 // ExploreConfig builds the checker Config an ExploreSpec describes for the
-// given scenario Spec (which supplies the firmware and seed). Identical
-// (Spec, ExploreSpec) pairs build identical configs on every host — the
-// foundation the distributed checker's baseline-hash cross-check rests on.
+// given scenario Spec, which supplies the firmware and seed.
 func ExploreConfig(spec Spec, es ExploreSpec) (explore.Config, error) {
 	spec = spec.withDefaults()
 	if spec.AsmSource != "" {
@@ -387,42 +375,24 @@ func ExploreConfig(spec Spec, es ExploreSpec) (explore.Config, error) {
 	return cfg, nil
 }
 
-// RunExplore runs the exhaustive checker in-process. A Backends option
-// above one drives the distributed wave engine with the dedup set
-// partitioned that many ways — byte-identical output by construction, so
-// smoke tests diff it against a gateway's genuinely distributed run.
-func RunExplore(spec Spec, es ExploreSpec) (*explore.Report, error) {
-	cfg, err := ExploreConfig(spec, es)
-	if err != nil {
-		return nil, err
-	}
-	if es.Backends <= 1 {
-		return explore.Run(cfg)
-	}
-	ex, err := explore.NewLocalExecutor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ex.Close()
-	return explore.RunWithExecutors(cfg, []explore.Executor{ex}, es.Backends, nil)
-}
-
 // exploreHandler adapts the console's `explore` command to the exhaustive
 // intermittence checker. Each invocation forks fresh debugger-free rigs
 // from the spec's firmware (the explorer installs its own probe, so it
 // never touches the live rig), runs the bounded search, and returns the
 // report text. Options: guards|noguards override the spec's guard setting;
 // mode=write|page, depth=N, writes=N, states=N, workers=N bound the
-// search; check enables the full-image hash cross-check; backends=N
-// partitions the dedup set (a gateway intercepts the option to fan the
-// search across real backends — same report either way).
+// search; check enables the full-image hash cross-check.
 func exploreHandler(spec Spec) func(args []string) (string, error) {
 	return func(args []string) (string, error) {
 		es, err := ParseExploreArgs(args, spec.Guards)
 		if err != nil {
 			return "", err
 		}
-		rep, err := RunExplore(spec, es)
+		cfg, err := ExploreConfig(spec, es)
+		if err != nil {
+			return "", err
+		}
+		rep, err := explore.Run(cfg)
 		if err != nil {
 			return "", err
 		}

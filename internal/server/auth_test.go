@@ -222,41 +222,43 @@ func TestLegacyClientBaselineGolden(t *testing.T) {
 // TestUnknownCapabilityDownNegotiated: a future client advertising a
 // capability bit this build does not know is down-negotiated, not
 // disconnected — the unknown bit never echoes back, the session works, and
-// the daemon counts the sighting.
+// the daemon counts the sighting. 0x10 is the retired explore bit, which
+// must be treated the same way.
 func TestUnknownCapabilityDownNegotiated(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(60 * time.Second))
+	for i, unknown := range []byte{0x80, 0x10} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(60 * time.Second))
 
-	const future byte = 0x80
-	if err := wire.WriteMsgFlags(conn, &wire.Hello{Version: wire.Version, Client: "edb/future"}, future|wire.FlagTraceZ); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	m, flags, err := wire.ReadMsgFlags(conn)
-	if err != nil {
-		t.Fatalf("welcome: %v", err)
-	}
-	if _, ok := m.(*wire.Welcome); !ok {
-		t.Fatalf("want Welcome, got %#v", m)
-	}
-	if flags != wire.FlagTraceZ {
-		t.Fatalf("server echoed flags %#02x, want only %#02x (unknown bit masked)", flags, wire.FlagTraceZ)
-	}
-	if got := srv.Metrics().UnknownCapHellos; got != 1 {
-		t.Fatalf("want 1 unknown-cap hello counted, got %d", got)
-	}
-	// The connection is fully usable afterwards.
-	if err := wire.WriteMsg(conn, &wire.Ping{Token: 7}); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if m, err := wire.ReadMsg(conn); err != nil {
-		t.Fatalf("pong: %v", err)
-	} else if pong, ok := m.(*wire.Pong); !ok || pong.Token != 7 {
-		t.Fatalf("want Pong{7}, got %#v", m)
+		if err := wire.WriteMsgFlags(conn, &wire.Hello{Version: wire.Version, Client: "edb/future"}, unknown|wire.FlagTraceZ); err != nil {
+			t.Fatalf("%#02x: hello: %v", unknown, err)
+		}
+		m, flags, err := wire.ReadMsgFlags(conn)
+		if err != nil {
+			t.Fatalf("%#02x: welcome: %v", unknown, err)
+		}
+		if _, ok := m.(*wire.Welcome); !ok {
+			t.Fatalf("%#02x: want Welcome, got %#v", unknown, m)
+		}
+		if flags != wire.FlagTraceZ {
+			t.Fatalf("server echoed flags %#02x, want only %#02x (unknown bit %#02x masked)", flags, wire.FlagTraceZ, unknown)
+		}
+		if got := srv.Metrics().UnknownCapHellos; got != int64(i+1) {
+			t.Fatalf("%#02x: want %d unknown-cap hellos counted, got %d", unknown, i+1, got)
+		}
+		// The connection is fully usable afterwards.
+		if err := wire.WriteMsg(conn, &wire.Ping{Token: 7}); err != nil {
+			t.Fatalf("%#02x: ping: %v", unknown, err)
+		}
+		if m, err := wire.ReadMsg(conn); err != nil {
+			t.Fatalf("%#02x: pong: %v", unknown, err)
+		} else if pong, ok := m.(*wire.Pong); !ok || pong.Token != 7 {
+			t.Fatalf("%#02x: want Pong{7}, got %#v", unknown, m)
+		}
 	}
 }
 

@@ -30,11 +30,6 @@ type counters struct {
 	migrateBytesIn     atomic.Int64
 	resumeSkippedBytes atomic.Int64
 	statProbes         atomic.Int64
-
-	exploreSessions     atomic.Int64
-	exploreBatches      atomic.Int64
-	exploreStates       atomic.Int64
-	exploreDedupQueries atomic.Int64
 }
 
 // Metrics is a point-in-time snapshot of the daemon's counters; it
@@ -66,12 +61,6 @@ type Metrics struct {
 	MigrateBytesIn     int64 // template-image bytes received with SessResume frames
 	ResumeSkippedBytes int64 // replayed output bytes suppressed because the peer had them
 	StatProbes         int64 // load/drain probes answered
-
-	// Distributed-exploration counters (all zero without FlagExplore peers).
-	ExploreSessions     int64 // exploration executor sessions served
-	ExploreBatches      int64 // frontier expand batches executed
-	ExploreStates       int64 // frontier states expanded in those batches
-	ExploreDedupQueries int64 // dedup membership queries answered
 
 	// Warm-start pool counters (all zero when pooling is disabled).
 	WarmForks          int64 // sessions served by forking a pre-warmed template
@@ -110,11 +99,6 @@ func (s *Server) Metrics() Metrics {
 		MigrateBytesIn:     s.c.migrateBytesIn.Load(),
 		ResumeSkippedBytes: s.c.resumeSkippedBytes.Load(),
 		StatProbes:         s.c.statProbes.Load(),
-
-		ExploreSessions:     s.c.exploreSessions.Load(),
-		ExploreBatches:      s.c.exploreBatches.Load(),
-		ExploreStates:       s.c.exploreStates.Load(),
-		ExploreDedupQueries: s.c.exploreDedupQueries.Load(),
 	}
 	if s.pool != nil {
 		pm := s.pool.Metrics()

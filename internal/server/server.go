@@ -72,10 +72,6 @@ type Config struct {
 	// rejected, and a drain simply waits for busy sessions like a
 	// single-node deployment.
 	DisableCluster bool
-	// DisableExplore refuses the distributed-exploration capability:
-	// Explore sessions are then rejected and the backend never builds
-	// checker rig pools on behalf of a remote coordinator.
-	DisableExplore bool
 	// DisablePool turns off warm-start session pooling; every session
 	// then simulates its charge phase from cycle 0. Output is identical
 	// either way — the pool is purely a latency optimization.
@@ -449,9 +445,6 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	if s.cfg.DisableCluster {
 		caps &^= wire.FlagCluster
 	}
-	if s.cfg.DisableExplore {
-		caps &^= wire.FlagExplore
-	}
 	// Authentication gate: resolved before the Welcome, and before any
 	// session state exists. FlagAuth is echoed only when a token was
 	// offered and verified.
@@ -486,9 +479,8 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	traceZ := caps&wire.FlagTraceZ != 0
 	snap := caps&wire.FlagSnap != 0
 	cluster := caps&wire.FlagCluster != 0
-	explore := caps&wire.FlagExplore != 0
-	s.logf("conn %s: handshake ok (%s, tracez=%v, snap=%v, auth=%v, cluster=%v, explore=%v)",
-		conn.RemoteAddr(), hello.Client, traceZ, snap, caps&wire.FlagAuth != 0, cluster, explore)
+	s.logf("conn %s: handshake ok (%s, tracez=%v, snap=%v, auth=%v, cluster=%v)",
+		conn.RemoteAddr(), hello.Client, traceZ, snap, caps&wire.FlagAuth != 0, cluster)
 
 	for {
 		m, err := s.recv(conn, s.cfg.IdleTimeout)
@@ -533,22 +525,6 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			if s.isDraining() {
 				return
 			}
-		case *wire.Explore:
-			if !explore {
-				s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
-					Text: "explore capability was not negotiated"})
-				return
-			}
-			if !st.enterBusy() {
-				return
-			}
-			err := s.exploreSession(conn, req)
-			st.exitBusy()
-			if err != nil {
-				s.logf("conn %s: explore session ended: %v", conn.RemoteAddr(), err)
-			}
-			// An exploration session consumes the rest of the connection.
-			return
 		case *wire.SessResume:
 			if !cluster {
 				s.send(conn, &wire.Error{Code: wire.CodeBadRequest,

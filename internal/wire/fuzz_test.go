@@ -61,19 +61,6 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{TypeStat, 0, 0, 0, 0, 0})
 	f.Add([]byte{TypeJoin, 0, 0, 0, 0, 4, 0, 0, 0, 0})
-	// …explore-tier handshakes and frames (FlagExplore peers)…
-	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, FlagExplore|FlagCluster); err == nil {
-		f.Add(fr)
-	}
-	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, FlagExplore); err == nil {
-		f.Add(fr)
-	}
-	// …a dedup shard, a hostile state count (rejected before allocating),
-	// an expansion result, and an unknown shard kind…
-	f.Add([]byte{TypeExploreShard, 0, 0, 0, 0, 21, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 42})
-	f.Add([]byte{TypeExploreShard, 0, 0, 0, 0, 9, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{TypeExploreResult, 0, 0, 0, 0, 9, 0, 0xde, 0xca, 0xfb, 0xad, 0, 0, 0, 0})
-	f.Add([]byte{TypeExploreShard, 0, 0, 0, 0, 5, 9, 0, 0, 0, 1})
 	// …gossip-tier handshakes and frames (FlagGossip gateway peers): a
 	// replicated-gateway hello, a backend-join event, a hostile journal
 	// count in a session append (rejected before allocating), and an

@@ -43,10 +43,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/explore"
-	"repro/internal/memsim"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // encoders pools encode scratch; see AppendMsg.
@@ -84,9 +81,8 @@ const (
 	TypeStatReply   byte = 0x33 // reply to Stat
 	TypeJoin        byte = 0x34 // backend → gateway: register an advertised backend address (FlagCluster only)
 
-	TypeExplore       byte = 0x40 // coordinator → backend: open an exploration session (FlagExplore only)
-	TypeExploreShard  byte = 0x41 // coordinator → backend: expand a frontier batch / filter a dedup chunk (FlagExplore only)
-	TypeExploreResult byte = 0x42 // backend → coordinator: baseline hello, one state's expansion, or dedup verdicts (FlagExplore only)
+	// 0x40–0x42 are retired (the removed distributed-explore shard
+	// protocol); never reuse them. They decode as unknown types.
 
 	TypeGossip byte = 0x50 // gateway → gateway: one replication-stream event (FlagGossip only)
 )
@@ -122,12 +118,9 @@ const (
 	// byte-identical baseline protocol — cluster support needs no version
 	// bump.
 	FlagCluster byte = 0x08
-	// FlagExplore negotiates distributed exhaustive exploration: a peer
-	// that sets it may open an Explore session and stream ExploreShard
-	// batches at the serving backend's worker pool, receiving ExploreResult
-	// frames back. Peers that never offer the bit see a byte-identical
-	// baseline protocol — the checker fan-out needs no version bump.
-	FlagExplore byte = 0x10
+	// 0x10 is retired with types 0x40–0x42; never reuse it. A peer that
+	// still offers it is down-negotiated like any unknown bit.
+
 	// FlagGossip negotiates the gateway-to-gateway replication stream: a
 	// peer gateway that sets it may send Gossip frames (backend join/leave,
 	// per-session journal appends, template-image gossip) so a replica
@@ -141,7 +134,7 @@ const (
 // Handshake frames may carry bits outside this mask (a future peer's
 // capabilities); the framing layer passes them through and negotiation
 // masks them off, so old corpus entries and old peers keep working.
-const KnownCaps byte = FlagTraceZ | FlagSnap | FlagAuth | FlagCluster | FlagExplore | FlagGossip
+const KnownCaps byte = FlagTraceZ | FlagSnap | FlagAuth | FlagCluster | FlagGossip
 
 // handshakeFrame reports whether frames of type t carry capability flag
 // bits; every other frame type must have a zero flags byte in version 1.
@@ -364,99 +357,6 @@ type Gossip struct {
 	TraceSamples uint64
 }
 
-// ExploreShard request kinds.
-const (
-	ExploreExpand byte = 0 // expand a batch of frontier states
-	ExploreDedup  byte = 1 // filter a chunk of child hashes through one dedup partition
-)
-
-// ExploreResult kinds.
-const (
-	ExploreHello    byte = 0 // exploration session accepted; BaseHash is the baseline
-	ExploreExpanded byte = 1 // one frontier state's expansion (Index within the batch)
-	ExploreFresh    byte = 2 // dedup verdicts for one chunk
-)
-
-// ExplorePage is one dirtied page of a state delta — memsim.DeltaPage on
-// the wire. The region is implicit: exploration deltas are always against
-// the post-flash FRAM baseline.
-type ExplorePage struct {
-	Off  uint32
-	Data []byte
-}
-
-// ExploreState is one frontier state in an expand batch: the O(dirty-page)
-// FRAM delta against the shared baseline plus the incremental state hash
-// the executor cross-checks it against.
-type ExploreState struct {
-	ID    uint32
-	Depth uint32
-	Hash  uint64
-	Pages []ExplorePage
-}
-
-// ExploreChild is one captured successor state in an expansion result.
-type ExploreChild struct {
-	K     uint32 // candidate index injected in the parent's segment (1-based)
-	Hash  uint64
-	Pages []ExplorePage
-}
-
-// Explore opens an exploration session: the backend builds a rig pool for
-// the spec's firmware, replies with an ExploreResult hello carrying the
-// post-flash baseline hash, then serves ExploreShard requests on this
-// connection until the coordinator hangs up. Only valid after FlagExplore
-// was negotiated.
-type Explore struct {
-	Spec scenario.Spec
-	Ex   scenario.ExploreSpec
-}
-
-// ExploreShard carries one unit of exploration work to a backend: an
-// expand batch of frontier states, or a dedup chunk for one partition. Seq
-// is echoed in the matching results so a coordinator can sanity-check the
-// strictly serial request/response pairing. Only valid after FlagExplore
-// was negotiated.
-type ExploreShard struct {
-	Kind byte // ExploreExpand or ExploreDedup
-	Seq  uint32
-	// States is the expand batch (ExploreExpand only).
-	States []ExploreState
-	// Part/Hashes are the dedup partition and its membership queries
-	// (ExploreDedup only).
-	Part   uint32
-	Hashes []uint64
-}
-
-// ExploreResult answers Explore (hello) and ExploreShard requests. An
-// expand batch of n states is answered by n ExploreExpanded frames, one
-// per state in order — bounding each frame to a single state's children so
-// a wide batch can never outgrow MaxFrame. Only valid after FlagExplore
-// was negotiated.
-type ExploreResult struct {
-	Kind byte // ExploreHello, ExploreExpanded, or ExploreFresh
-
-	// BaseHash is the post-flash baseline FRAM hash (ExploreHello only).
-	BaseHash uint64
-
-	// Seq echoes the request; Index is the state's position in its expand
-	// batch (ExploreExpanded) — the remaining fields mirror explore.Expansion.
-	Seq        uint32
-	Index      uint32
-	Outcome    string
-	Cands      uint32
-	Asserts    uint32
-	HashChecks uint32
-	Hazard     bool
-	HazAddr    uint16 // present only when Hazard is set
-	HazCand    uint32
-	HazCycle   uint64
-	Children   []ExploreChild
-
-	// Fresh holds one dedup verdict per queried hash (ExploreFresh only).
-	Fresh []bool
-}
-
 // TracePoint is one raw trace sample.
 type TracePoint struct {
 	At uint64 // target clock cycles
@@ -516,11 +416,7 @@ func (*Pong) Type() byte        { return TypePong }
 func (*Stat) Type() byte        { return TypeStat }
 func (*StatReply) Type() byte   { return TypeStatReply }
 func (*Join) Type() byte        { return TypeJoin }
-func (*Explore) Type() byte     { return TypeExplore }
-
-func (*ExploreShard) Type() byte  { return TypeExploreShard }
-func (*ExploreResult) Type() byte { return TypeExploreResult }
-func (*Gossip) Type() byte        { return TypeGossip }
+func (*Gossip) Type() byte      { return TypeGossip }
 
 // newMsg maps a type code to a zero message.
 func newMsg(t byte) Msg {
@@ -563,12 +459,6 @@ func newMsg(t byte) Msg {
 		return &StatReply{}
 	case TypeJoin:
 		return &Join{}
-	case TypeExplore:
-		return &Explore{}
-	case TypeExploreShard:
-		return &ExploreShard{}
-	case TypeExploreResult:
-		return &ExploreResult{}
 	case TypeGossip:
 		return &Gossip{}
 	}
@@ -912,230 +802,6 @@ func (m *StatReply) decode(d *decoder) {
 func (m *Join) encode(e *encoder) { e.str(m.Addr) }
 func (m *Join) decode(d *decoder) { m.Addr = d.str() }
 
-func (m *Explore) encode(e *encoder) {
-	encodeSpec(e, &m.Spec)
-	e.bool(m.Ex.Guards)
-	e.str(m.Ex.Mode)
-	e.bool(m.Ex.Check)
-	e.u32(uint32(m.Ex.Depth))
-	e.u32(uint32(m.Ex.Writes))
-	e.u32(uint32(m.Ex.States))
-	e.u32(uint32(m.Ex.Workers))
-	e.u32(uint32(m.Ex.Backends))
-}
-
-func (m *Explore) decode(d *decoder) {
-	decodeSpec(d, &m.Spec)
-	m.Ex.Guards = d.bool()
-	m.Ex.Mode = d.str()
-	m.Ex.Check = d.bool()
-	m.Ex.Depth = int(d.u32())
-	m.Ex.Writes = int(d.u32())
-	m.Ex.States = int(d.u32())
-	m.Ex.Workers = int(d.u32())
-	m.Ex.Backends = int(d.u32())
-}
-
-// encodePages/decodePages hold the one canonical layout for a state delta's
-// dirty pages; expand requests and expansion results both ride on it.
-func encodePages(e *encoder, pages []ExplorePage) {
-	e.u32(uint32(len(pages)))
-	for _, p := range pages {
-		e.u32(p.Off)
-		e.bytes(p.Data)
-	}
-}
-
-func decodePages(d *decoder) []ExplorePage {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	// Each page costs at least 8 bytes (offset + data length), so a count
-	// beyond that bound can never decode; reject it before allocating.
-	const pageMin = 8
-	if uint64(n)*pageMin > uint64(len(d.b)-d.off) {
-		d.fail("delta page count %d exceeds payload", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	pages := make([]ExplorePage, n)
-	for i := range pages {
-		pages[i].Off = d.u32()
-		pages[i].Data = d.bytesField()
-	}
-	return pages
-}
-
-func (m *ExploreShard) encode(e *encoder) {
-	e.u8(m.Kind)
-	e.u32(m.Seq)
-	switch m.Kind {
-	case ExploreExpand:
-		e.u32(uint32(len(m.States)))
-		for i := range m.States {
-			s := &m.States[i]
-			e.u32(s.ID)
-			e.u32(s.Depth)
-			e.u64(s.Hash)
-			encodePages(e, s.Pages)
-		}
-	case ExploreDedup:
-		e.u32(m.Part)
-		e.u32(uint32(len(m.Hashes)))
-		for _, h := range m.Hashes {
-			e.u64(h)
-		}
-	}
-}
-
-func (m *ExploreShard) decode(d *decoder) {
-	m.Kind = d.u8()
-	m.Seq = d.u32()
-	switch m.Kind {
-	case ExploreExpand:
-		n := d.u32()
-		if d.err != nil {
-			return
-		}
-		// id + depth + hash + page count
-		const entryMin = 20
-		if uint64(n)*entryMin > uint64(len(d.b)-d.off) {
-			d.fail("explore state count %d exceeds payload", n)
-			return
-		}
-		if n > 0 {
-			m.States = make([]ExploreState, n)
-			for i := range m.States {
-				s := &m.States[i]
-				s.ID = d.u32()
-				s.Depth = d.u32()
-				s.Hash = d.u64()
-				s.Pages = decodePages(d)
-				if d.err != nil {
-					return
-				}
-			}
-		}
-	case ExploreDedup:
-		m.Part = d.u32()
-		n := d.u32()
-		if d.err != nil {
-			return
-		}
-		const hashSize = 8
-		if uint64(n)*hashSize > uint64(len(d.b)-d.off) {
-			d.fail("explore hash count %d exceeds payload", n)
-			return
-		}
-		if n > 0 {
-			m.Hashes = make([]uint64, n)
-			for i := range m.Hashes {
-				m.Hashes[i] = d.u64()
-			}
-		}
-	default:
-		d.fail("unknown explore shard kind %d", m.Kind)
-	}
-}
-
-func (m *ExploreResult) encode(e *encoder) {
-	e.u8(m.Kind)
-	switch m.Kind {
-	case ExploreHello:
-		e.u64(m.BaseHash)
-	case ExploreExpanded:
-		e.u32(m.Seq)
-		e.u32(m.Index)
-		e.str(m.Outcome)
-		e.u32(m.Cands)
-		e.u32(m.Asserts)
-		e.u32(m.HashChecks)
-		e.bool(m.Hazard)
-		if m.Hazard {
-			e.u16(m.HazAddr)
-			e.u32(m.HazCand)
-			e.u64(m.HazCycle)
-		}
-		e.u32(uint32(len(m.Children)))
-		for i := range m.Children {
-			c := &m.Children[i]
-			e.u32(c.K)
-			e.u64(c.Hash)
-			encodePages(e, c.Pages)
-		}
-	case ExploreFresh:
-		e.u32(m.Seq)
-		e.u32(uint32(len(m.Fresh)))
-		for _, f := range m.Fresh {
-			e.bool(f)
-		}
-	}
-}
-
-func (m *ExploreResult) decode(d *decoder) {
-	m.Kind = d.u8()
-	switch m.Kind {
-	case ExploreHello:
-		m.BaseHash = d.u64()
-	case ExploreExpanded:
-		m.Seq = d.u32()
-		m.Index = d.u32()
-		m.Outcome = d.str()
-		m.Cands = d.u32()
-		m.Asserts = d.u32()
-		m.HashChecks = d.u32()
-		m.Hazard = d.bool()
-		if m.Hazard {
-			m.HazAddr = d.u16()
-			m.HazCand = d.u32()
-			m.HazCycle = d.u64()
-		}
-		n := d.u32()
-		if d.err != nil {
-			return
-		}
-		// candidate + hash + page count
-		const entryMin = 16
-		if uint64(n)*entryMin > uint64(len(d.b)-d.off) {
-			d.fail("explore child count %d exceeds payload", n)
-			return
-		}
-		if n > 0 {
-			m.Children = make([]ExploreChild, n)
-			for i := range m.Children {
-				c := &m.Children[i]
-				c.K = d.u32()
-				c.Hash = d.u64()
-				c.Pages = decodePages(d)
-				if d.err != nil {
-					return
-				}
-			}
-		}
-	case ExploreFresh:
-		m.Seq = d.u32()
-		n := d.u32()
-		if d.err != nil {
-			return
-		}
-		if uint64(n) > uint64(len(d.b)-d.off) {
-			d.fail("explore verdict count %d exceeds payload", n)
-			return
-		}
-		if n > 0 {
-			m.Fresh = make([]bool, n)
-			for i := range m.Fresh {
-				m.Fresh[i] = d.bool()
-			}
-		}
-	default:
-		d.fail("unknown explore result kind %d", m.Kind)
-	}
-}
-
 func (m *Command) encode(e *encoder) { e.str(m.Line); e.bool(m.EOF) }
 func (m *Command) decode(d *decoder) { m.Line = d.str(); m.EOF = d.bool() }
 
@@ -1218,95 +884,6 @@ func (m *Done) decode(d *decoder) {
 	m.SimCycles = d.u64()
 	m.Commands = d.u32()
 	m.ScriptErrors = d.u32()
-}
-
-// ---- explore wire/engine conversions ----
-//
-// The backend executor and the gateway coordinator sit on opposite ends of
-// the same frames, so the one conversion between internal/explore's engine
-// types and the wire layout lives here — the two ends can never drift.
-
-// packPages flattens a state delta's dirty pages; the region is implicit
-// (exploration deltas are always FRAM-against-baseline).
-func packPages(d *memsim.Delta) []ExplorePage {
-	if d == nil || len(d.Pages) == 0 {
-		return nil
-	}
-	pages := make([]ExplorePage, len(d.Pages))
-	for i, p := range d.Pages {
-		pages[i] = ExplorePage{Off: uint32(p.Off), Data: p.Data}
-	}
-	return pages
-}
-
-func unpackPages(pages []ExplorePage) *memsim.Delta {
-	d := &memsim.Delta{Region: "FRAM"}
-	if len(pages) > 0 {
-		d.Pages = make([]memsim.DeltaPage, len(pages))
-		for i, p := range pages {
-			d.Pages[i] = memsim.DeltaPage{Off: int(p.Off), Data: p.Data}
-		}
-	}
-	return d
-}
-
-// PackStates converts a coordinator's frontier batch to its wire form.
-func PackStates(states []explore.ShardState) []ExploreState {
-	out := make([]ExploreState, len(states))
-	for i, st := range states {
-		out[i] = ExploreState{ID: uint32(st.ID), Depth: uint32(st.Depth), Hash: st.Hash, Pages: packPages(st.Delta)}
-	}
-	return out
-}
-
-// UnpackStates is PackStates' inverse, on the backend side.
-func UnpackStates(states []ExploreState) []explore.ShardState {
-	out := make([]explore.ShardState, len(states))
-	for i, st := range states {
-		out[i] = explore.ShardState{ID: int(st.ID), Depth: int(st.Depth), Hash: st.Hash, Delta: unpackPages(st.Pages)}
-	}
-	return out
-}
-
-// PackExpansion frames one state's expansion as an ExploreExpanded result;
-// index is the state's position in the request batch.
-func PackExpansion(seq uint32, index int, e *explore.Expansion) *ExploreResult {
-	m := &ExploreResult{
-		Kind: ExploreExpanded, Seq: seq, Index: uint32(index),
-		Outcome: e.Outcome, Cands: uint32(e.Cands),
-		Asserts: uint32(e.Asserts), HashChecks: uint32(e.HashChecks),
-	}
-	if e.Hazard != nil {
-		m.Hazard = true
-		m.HazAddr = uint16(e.Hazard.Addr)
-		m.HazCand = uint32(e.Hazard.Cand)
-		m.HazCycle = uint64(e.Hazard.Cycle)
-	}
-	if len(e.Children) > 0 {
-		m.Children = make([]ExploreChild, len(e.Children))
-		for i, c := range e.Children {
-			m.Children[i] = ExploreChild{K: uint32(c.K), Hash: c.Hash, Pages: packPages(c.Delta)}
-		}
-	}
-	return m
-}
-
-// UnpackExpansion is PackExpansion's inverse, on the coordinator side.
-func UnpackExpansion(m *ExploreResult) explore.Expansion {
-	e := explore.Expansion{
-		Outcome: m.Outcome, Cands: int(m.Cands),
-		Asserts: int(m.Asserts), HashChecks: int(m.HashChecks),
-	}
-	if m.Hazard {
-		e.Hazard = &explore.Hazard{Addr: memsim.Addr(m.HazAddr), Cand: int(m.HazCand), Cycle: sim.Cycles(m.HazCycle)}
-	}
-	if len(m.Children) > 0 {
-		e.Children = make([]explore.Child, len(m.Children))
-		for i, c := range m.Children {
-			e.Children[i] = explore.Child{K: int(c.K), Hash: c.Hash, Delta: unpackPages(c.Pages)}
-		}
-	}
-	return e
 }
 
 func (m *Ping) encode(e *encoder) { e.u64(m.Token) }

@@ -64,32 +64,6 @@ func sampleMsgs() []Msg {
 		&Stat{},
 		&StatReply{Sessions: 12, MaxSessions: 64, Draining: true},
 		&Join{Addr: "10.0.0.2:7070"},
-		&Explore{
-			Spec: scenario.Spec{App: "linkedlist", Seconds: 10, Distance: 1, Seed: 42, Print: "none"},
-			Ex:   scenario.ExploreSpec{Mode: "write", Check: true, Depth: 3, Writes: 8, States: 64, Workers: 2, Backends: 2},
-		},
-		&Explore{Spec: scenario.Spec{App: "safelist"}, Ex: scenario.ExploreSpec{Guards: true, Mode: "page"}},
-		&ExploreShard{Kind: ExploreExpand, Seq: 7, States: []ExploreState{
-			{ID: 0, Depth: 0, Hash: 0xfeedface},
-			{ID: 3, Depth: 2, Hash: 0xabad1dea, Pages: []ExplorePage{
-				{Off: 0, Data: []byte{1, 2, 3}},
-				{Off: 64, Data: []byte{4}},
-			}},
-		}},
-		&ExploreShard{Kind: ExploreDedup, Seq: 8, Part: 1, Hashes: []uint64{1, 2, 1 << 60}},
-		&ExploreShard{Kind: ExploreDedup, Seq: 9},
-		&ExploreResult{Kind: ExploreHello, BaseHash: 0xdecafbad},
-		&ExploreResult{
-			Kind: ExploreExpanded, Seq: 7, Index: 1, Outcome: "injected",
-			Cands: 4, Asserts: 1, HashChecks: 5,
-			Hazard: true, HazAddr: 0x4412, HazCand: 2, HazCycle: 900,
-			Children: []ExploreChild{
-				{K: 1, Hash: 11, Pages: []ExplorePage{{Off: 128, Data: []byte{9, 9}}}},
-				{K: 2, Hash: 12},
-			},
-		},
-		&ExploreResult{Kind: ExploreExpanded, Seq: 7, Outcome: "returned"},
-		&ExploreResult{Kind: ExploreFresh, Seq: 8, Fresh: []bool{true, false, true}},
 		&Gossip{Kind: GossipHeartbeat},
 		&Gossip{Kind: GossipReset},
 		&Gossip{Kind: GossipBackendJoin, Addr: "10.0.0.2:3490"},
@@ -175,9 +149,11 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("flags: want ErrBadFlags, got %v", err)
 	}
 
-	// Unknown type code.
-	if _, err := DecodePayload(0xEE, nil); err == nil {
-		t.Fatal("unknown type must fail")
+	// Unknown type codes, including the retired explore types.
+	for _, typ := range []byte{0xEE, 0x40, 0x41, 0x42} {
+		if _, err := DecodePayload(typ, nil); err == nil {
+			t.Fatalf("unknown type %#02x must fail", typ)
+		}
 	}
 
 	// Trailing bytes after a complete message.
@@ -246,79 +222,6 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := DecodePayload(TypeSessResume, ek.b); err == nil ||
 		!strings.Contains(err.Error(), "journal entry kind") {
 		t.Fatalf("unknown journal kind: got %v", err)
-	}
-
-	// Explore state count exceeding the payload must fail without
-	// allocating; each state costs at least twenty bytes.
-	var es encoder
-	es.u8(ExploreExpand)
-	es.u32(1) // Seq
-	es.u32(1 << 28)
-	if _, err := DecodePayload(TypeExploreShard, es.b); err == nil ||
-		!strings.Contains(err.Error(), "state count") {
-		t.Fatalf("hostile explore state count: got %v", err)
-	}
-
-	// Delta page count exceeding the payload must fail without allocating.
-	var ep encoder
-	ep.u8(ExploreExpand)
-	ep.u32(1)       // Seq
-	ep.u32(1)       // one state
-	ep.u32(0)       // ID
-	ep.u32(0)       // Depth
-	ep.u64(42)      // Hash
-	ep.u32(1 << 28) // hostile page count
-	if _, err := DecodePayload(TypeExploreShard, ep.b); err == nil ||
-		!strings.Contains(err.Error(), "page count") {
-		t.Fatalf("hostile delta page count: got %v", err)
-	}
-
-	// Dedup hash count exceeding the payload must fail without allocating.
-	var eh encoder
-	eh.u8(ExploreDedup)
-	eh.u32(1) // Seq
-	eh.u32(0) // Part
-	eh.u32(1 << 28)
-	if _, err := DecodePayload(TypeExploreShard, eh.b); err == nil ||
-		!strings.Contains(err.Error(), "hash count") {
-		t.Fatalf("hostile dedup hash count: got %v", err)
-	}
-
-	// Unknown explore shard / result kinds must fail.
-	if _, err := DecodePayload(TypeExploreShard, []byte{9, 0, 0, 0, 1}); err == nil ||
-		!strings.Contains(err.Error(), "shard kind") {
-		t.Fatalf("unknown shard kind: got %v", err)
-	}
-	if _, err := DecodePayload(TypeExploreResult, []byte{9}); err == nil ||
-		!strings.Contains(err.Error(), "result kind") {
-		t.Fatalf("unknown result kind: got %v", err)
-	}
-
-	// Expansion child count exceeding the payload must fail without
-	// allocating; each child costs at least sixteen bytes.
-	var ec encoder
-	ec.u8(ExploreExpanded)
-	ec.u32(1) // Seq
-	ec.u32(0) // Index
-	ec.str("returned")
-	ec.u32(0)       // Cands
-	ec.u32(0)       // Asserts
-	ec.u32(0)       // HashChecks
-	ec.bool(false)  // Hazard
-	ec.u32(1 << 28) // hostile child count
-	if _, err := DecodePayload(TypeExploreResult, ec.b); err == nil ||
-		!strings.Contains(err.Error(), "child count") {
-		t.Fatalf("hostile child count: got %v", err)
-	}
-
-	// Dedup verdict count exceeding the payload must fail without allocating.
-	var ev encoder
-	ev.u8(ExploreFresh)
-	ev.u32(1) // Seq
-	ev.u32(1 << 28)
-	if _, err := DecodePayload(TypeExploreResult, ev.b); err == nil ||
-		!strings.Contains(err.Error(), "verdict count") {
-		t.Fatalf("hostile verdict count: got %v", err)
 	}
 
 	// Non-canonical bool byte.
