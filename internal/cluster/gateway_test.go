@@ -108,11 +108,11 @@ func TestGatewayScriptedSessionMatchesLocal(t *testing.T) {
 
 	var relayed int64
 	for i, tc := range []struct {
-		script       string
-		scriptErrors int
+		script             string
+		exit, scriptErrors int
 	}{
-		{"vcap;status;halt", 0},
-		{"vcap;explore depth=2 writes=8 states=64;explore depth=2 backends=2;halt", 1},
+		{"vcap;status;halt", 0, 0},
+		{"vcap;explore depth=2 writes=8 states=64;explore depth=2 backends=2;halt", 1, 1},
 	} {
 		spec := scriptedSpec()
 		spec.Script = tc.script
@@ -131,7 +131,7 @@ func TestGatewayScriptedSessionMatchesLocal(t *testing.T) {
 		if out.String() != golden {
 			t.Fatalf("%q: gateway output differs from local run:\n--- local ---\n%s\n--- gateway ---\n%s", tc.script, golden, out.String())
 		}
-		if st.ScriptErrors != tc.scriptErrors || (st.Exit != 0) != (tc.scriptErrors > 0) {
+		if st.Exit != tc.exit || st.ScriptErrors != tc.scriptErrors {
 			t.Fatalf("%q: unexpected status %+v", tc.script, st)
 		}
 		relayed += int64(len(golden))
