@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +144,65 @@ func TestGatewayScriptedSessionMatchesLocal(t *testing.T) {
 		if m.BytesRelayed != relayed {
 			t.Fatalf("%q: BytesRelayed = %d, want %d", tc.script, m.BytesRelayed, relayed)
 		}
+	}
+}
+
+// TestGatewayExploreMatrixMatchesLocal: a console `explore … mode=M
+// workers=W` line is forwarded to the session's backend like any other
+// answer, and the session's output is byte-identical to a single-process
+// local run of the same line with no workers option, for every cell of
+// mode {write,page} × workers {1,4}.
+func TestGatewayExploreMatrixMatchesLocal(t *testing.T) {
+	_, addrA := startBackend(t, server.Config{})
+	_, addrB := startBackend(t, server.Config{})
+	gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addrA, addrB}})
+
+	const exploreOpts = "depth=2 writes=6 states=48"
+	var sessions, relayed int64
+	for _, mode := range []string{"write", "page"} {
+		golden := localGolden(t, interactiveSpec(), []string{fmt.Sprintf("explore %s mode=%s", exploreOpts, mode), "halt"})
+		if !strings.Contains(golden, "explore: mode="+mode+"\n") {
+			t.Fatalf("mode=%s: local run printed no explore report:\n%s", mode, golden)
+		}
+		for _, workers := range []int{1, 4} {
+			cmds := []string{fmt.Sprintf("explore %s mode=%s workers=%d", exploreOpts, mode, workers), "halt"}
+			cl, err := client.Dial(gwAddr, client.Options{})
+			if err != nil {
+				t.Fatalf("dial gateway: %v", err)
+			}
+			i := 0
+			var out bytes.Buffer
+			st, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
+				if i < len(cmds) {
+					i++
+					return cmds[i-1], true
+				}
+				return "", false
+			})
+			cl.Close()
+			if err != nil {
+				t.Fatalf("mode=%s workers=%d: run via gateway: %v", mode, workers, err)
+			}
+			if st.Exit != 0 {
+				t.Fatalf("mode=%s workers=%d: unexpected status %+v", mode, workers, st)
+			}
+			if out.String() != golden {
+				t.Fatalf("mode=%s workers=%d: session output differs from single-process run:\n--- local ---\n%s\n--- gateway ---\n%s",
+					mode, workers, golden, out.String())
+			}
+			sessions++
+			relayed += int64(len(golden))
+		}
+	}
+	m := gw.Metrics()
+	if m.SessionsTotal != sessions || m.Failovers != 0 {
+		t.Fatalf("unexpected gateway metrics %+v", m)
+	}
+	if m.AnswersRelayed != 2*sessions {
+		t.Fatalf("AnswersRelayed = %d, want %d (each explore and halt line forwarded once)", m.AnswersRelayed, 2*sessions)
+	}
+	if m.BytesRelayed != relayed {
+		t.Fatalf("BytesRelayed = %d, want %d", m.BytesRelayed, relayed)
 	}
 }
 

@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // FuzzWireDecode feeds arbitrary byte streams through the frame decoder —
@@ -61,6 +65,24 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{TypeStat, 0, 0, 0, 0, 0})
 	f.Add([]byte{TypeJoin, 0, 0, 0, 0, 4, 0, 0, 0, 0})
+	// …frames of the retired explore shard protocol, which must now fail
+	// as unknown types: one of each old message shape, a dedup shard, a
+	// hostile state count, a hello result, an unknown shard kind, and
+	// handshakes still offering the retired capability bit 0x10 (passed
+	// through untouched, like any unknown bit)…
+	for _, fr := range retiredExploreFrames() {
+		f.Add(fr)
+	}
+	f.Add([]byte{0x41, 0, 0, 0, 0, 21, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 42})
+	f.Add([]byte{0x41, 0, 0, 0, 0, 9, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x42, 0, 0, 0, 0, 9, 0, 0xde, 0xca, 0xfb, 0xad, 0, 0, 0, 0})
+	f.Add([]byte{0x41, 0, 0, 0, 0, 5, 9, 0, 0, 0, 1})
+	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, 0x10|FlagCluster); err == nil {
+		f.Add(fr)
+	}
+	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, 0x10); err == nil {
+		f.Add(fr)
+	}
 	// …gossip-tier handshakes and frames (FlagGossip gateway peers): a
 	// replicated-gateway hello, a backend-join event, a hostile journal
 	// count in a session append (rejected before allocating), and an
@@ -102,4 +124,122 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("re-encode mismatch for %T:\n  in  %x\n  out %x", m, data[:min(len(data), 64)], re[:min(len(re), 64)])
 		}
 	})
+}
+
+// retiredExploreFrames returns one frame of each message shape the
+// retired explore shard protocol carried in types 0x40–0x42, laid out as
+// that protocol encoded them: two session opens (spec plus search
+// options), an expand shard with delta pages, two dedup shards, and a
+// hello, two expansions and a dedup verdict result.
+func retiredExploreFrames() [][]byte {
+	frame := func(typ byte, build func(e *encoder)) []byte {
+		var e encoder
+		build(&e)
+		fr := []byte{typ, 0, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(fr[2:], uint32(len(e.b)))
+		return append(fr, e.b...)
+	}
+	open := func(spec scenario.Spec, guards bool, mode string, check bool, opts ...uint32) func(*encoder) {
+		return func(e *encoder) {
+			encodeSpec(e, &spec)
+			e.bool(guards)
+			e.str(mode)
+			e.bool(check)
+			for _, n := range opts { // depth, writes, states, workers, backends
+				e.u32(n)
+			}
+		}
+	}
+	return [][]byte{
+		frame(0x40, open(scenario.Spec{App: "linkedlist", Seconds: 10, Distance: 1, Seed: 42, Print: "none"},
+			false, "write", true, 3, 8, 64, 2, 2)),
+		frame(0x40, open(scenario.Spec{App: "safelist"}, true, "page", false, 0, 0, 0, 0, 0)),
+		frame(0x41, func(e *encoder) {
+			e.u8(0) // expand
+			e.u32(7)
+			e.u32(2)
+			e.u32(0)
+			e.u32(0)
+			e.u64(0xfeedface)
+			e.u32(0)
+			e.u32(3)
+			e.u32(2)
+			e.u64(0xabad1dea)
+			e.u32(2)
+			e.u32(0)
+			e.bytes([]byte{1, 2, 3})
+			e.u32(64)
+			e.bytes([]byte{4})
+		}),
+		frame(0x41, func(e *encoder) {
+			e.u8(1) // dedup
+			e.u32(8)
+			e.u32(1)
+			e.u32(3)
+			e.u64(1)
+			e.u64(2)
+			e.u64(1 << 60)
+		}),
+		frame(0x41, func(e *encoder) {
+			e.u8(1)
+			e.u32(9)
+			e.u32(0)
+			e.u32(0)
+		}),
+		frame(0x42, func(e *encoder) {
+			e.u8(0) // hello
+			e.u64(0xdecafbad)
+		}),
+		frame(0x42, func(e *encoder) {
+			e.u8(1) // expanded, with a hazard and two children
+			e.u32(7)
+			e.u32(1)
+			e.str("injected")
+			e.u32(4)
+			e.u32(1)
+			e.u32(5)
+			e.bool(true)
+			e.u16(0x4412)
+			e.u32(2)
+			e.u64(900)
+			e.u32(2)
+			e.u32(1)
+			e.u64(11)
+			e.u32(1)
+			e.u32(128)
+			e.bytes([]byte{9, 9})
+			e.u32(2)
+			e.u64(12)
+			e.u32(0)
+		}),
+		frame(0x42, func(e *encoder) {
+			e.u8(1)
+			e.u32(7)
+			e.u32(0)
+			e.str("returned")
+			e.u32(0)
+			e.u32(0)
+			e.u32(0)
+			e.bool(false)
+			e.u32(0)
+		}),
+		frame(0x42, func(e *encoder) {
+			e.u8(2) // dedup verdicts
+			e.u32(8)
+			e.u32(3)
+			e.bool(true)
+			e.bool(false)
+			e.bool(true)
+		}),
+	}
+}
+
+// TestRetiredExploreFramesRejected: every frame of the retired explore
+// shard protocol fails to decode as an unknown message type.
+func TestRetiredExploreFramesRejected(t *testing.T) {
+	for i, fr := range retiredExploreFrames() {
+		if _, _, err := ReadMsgFlags(bytes.NewReader(fr)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Fatalf("retired frame %d (type %#02x): got %v", i, fr[0], err)
+		}
+	}
 }
