@@ -29,8 +29,7 @@ benchcmp:
 
 # Regenerate every table, figure, case study, sweep, and ablation, plus
 # the trace-codec, snapshot, fleet, kernel, cluster, gateway-failover, and
-# exhaustive-exploration benchmarks (single-process and distributed), into
-# BENCH.json.
+# exhaustive-exploration benchmarks, into BENCH.json.
 results:
 	$(GO) run ./cmd/edb-bench -exp all -trace -snapshot -fleet -kernel -cluster -gateway-failover -explore -csv -out results
 

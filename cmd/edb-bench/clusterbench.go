@@ -104,7 +104,6 @@ func runClusterBench(o *jobOut, quick bool) error {
 	o.metric("cluster_migrations", float64(mig.migrations))
 	o.metric("cluster_migration_p50_ms", 1e3*mig.p50.Seconds())
 	o.metric("cluster_migration_p99_ms", 1e3*mig.p99.Seconds())
-	o.metric("cluster_migrate_image_bytes", float64(mig.imageBytes))
 	o.metric("cluster_placement_misses", float64(misses+mig.misses))
 	o.metric("cluster_think_ms", 1e3*thinkTime.Seconds())
 	o.metric("cluster_slots_per_backend", capPerBackend)
@@ -112,8 +111,8 @@ func runClusterBench(o *jobOut, quick bool) error {
 	fmt.Fprintf(&b, "\ndrain under load: %d sessions live, backend drained mid-prompt\n", mig.sessions)
 	fmt.Fprintf(&b, "  migrated %d sessions, lost %d (outputs verified against local golden)\n",
 		mig.migrations, mig.lost)
-	fmt.Fprintf(&b, "  migration latency p50 %.1f ms, p99 %.1f ms; %d image bytes shipped\n",
-		1e3*mig.p50.Seconds(), 1e3*mig.p99.Seconds(), mig.imageBytes)
+	fmt.Fprintf(&b, "  migration latency p50 %.1f ms, p99 %.1f ms\n",
+		1e3*mig.p50.Seconds(), 1e3*mig.p99.Seconds())
 	o.text = b.String()
 
 	js, err := json.MarshalIndent(o.metrics, "", "  ")
@@ -243,7 +242,6 @@ type drainResult struct {
 	lost       int
 	migrations int64
 	misses     int64
-	imageBytes int64
 	p50, p99   time.Duration
 }
 
@@ -333,7 +331,6 @@ func clusterDrainLeg(baseSpec scenario.Spec, cmds []string, goldens map[int64]st
 	m := fleet.gw.Metrics()
 	res.migrations = m.Migrations
 	res.misses = m.PlacementMisses
-	res.imageBytes = m.MigrateBytes
 	res.p50, res.p99 = m.MigrationP50, m.MigrationP99
 	if res.migrations == 0 {
 		return res, fmt.Errorf("drain of %s (inflight %d) produced no migrations", victim, inflight)

@@ -17,15 +17,15 @@ import (
 	"repro/internal/server"
 )
 
-// runGatewayFailoverBench measures the replicated-gateway hand-off path: a
-// fleet of live interactive sessions is parked mid-session on gateway A
-// (which replicates to its peer B), A is killed without warning, and every
-// client must resume on B. Reported numbers are the client-observed
-// hand-off latency distribution and the sessions-lost count — which must
-// be zero, enforced as a bench failure. Every surviving session's output
-// is verified byte-for-byte against a local golden run, so "survived"
-// means "indistinguishable from an unmigrated session", not merely "did
-// not error".
+// runGatewayFailoverBench measures the gateway hand-off path: two gateways
+// A and B stand in front of the same backends and share no state. A fleet
+// of live interactive sessions is parked mid-session on A, A is killed
+// without warning, and every client must resume on B from its own journal.
+// Reported numbers are the client-observed hand-off latency distribution
+// and the sessions-lost count — which must be zero, enforced as a bench
+// failure. Every surviving session's output is verified byte-for-byte
+// against a local golden run, so "survived" means "indistinguishable from
+// an unmigrated session", not merely "did not error".
 func runGatewayFailoverBench(o *jobOut, quick bool) error {
 	sessions := 16
 	if quick {
@@ -54,7 +54,7 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 		goldens[seed] = buf.String()
 	}
 
-	// Two backends shared by both gateways, gateway A replicating to B.
+	// Two backends shared by both gateways.
 	var backends []string
 	var cleanup []func()
 	defer func() {
@@ -90,12 +90,11 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 		})
 		return gw, lis.Addr().String(), nil
 	}
-	gwB, addrB, err := startGW(cluster.Config{Backends: backends, MaxConns: 512})
+	gwA, addrA, err := startGW(cluster.Config{Backends: backends, MaxConns: 512})
 	if err != nil {
 		return err
 	}
-	gwA, addrA, err := startGW(cluster.Config{Backends: backends, MaxConns: 512, Peer: addrB,
-		PeerRetry: 100 * time.Millisecond, PeerHeartbeat: 500 * time.Millisecond})
+	_, addrB, err := startGW(cluster.Config{Backends: backends, MaxConns: 512})
 	if err != nil {
 		return err
 	}
@@ -105,7 +104,7 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 	// at a time, so every hand-off latency is a clean per-session
 	// measurement instead of single-core queueing behind the other
 	// fifteen resumes (the kill itself still lands on all of them at
-	// once — every replica is live when A dies).
+	// once).
 	type out struct {
 		seed    int64
 		buf     bytes.Buffer
@@ -152,16 +151,6 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 	}
 	ready.Wait()
 
-	// Wait for the replica set to be warm on B — the bench measures the
-	// hand-off, not the race between replication and the kill.
-	warmBy := time.Now().Add(10 * time.Second)
-	for gwB.Metrics().ReplicaSessions < int64(sessions) && time.Now().Before(warmBy) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if live := gwB.Metrics().ReplicaSessions; live < int64(sessions) {
-		return fmt.Errorf("peer mirrors %d/%d sessions before the kill", live, sessions)
-	}
-
 	// Kill A: an already-cancelled context makes Shutdown slam every
 	// connection and the listener at once — no draining, no hand-off
 	// frames. Then let the parked clients answer into the wreckage.
@@ -194,22 +183,19 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 		return tooks[idx]
 	}
 	p50, p99 := quantile(0.50), quantile(0.99)
-	m := gwB.Metrics()
 
 	o.metric("gateway_failover_sessions", float64(sessions))
 	o.metric("gateway_failover_lost", float64(lost))
 	o.metric("gateway_failover_handoffs", float64(handoffs))
 	o.metric("gateway_failover_p50_ms", 1e3*p50.Seconds())
 	o.metric("gateway_failover_p99_ms", 1e3*p99.Seconds())
-	o.metric("gateway_failover_replica_reclaims", float64(m.ReplicaReclaims))
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "gateway failover: %d live sessions, serving gateway killed mid-session\n\n", sessions)
-	fmt.Fprintf(&b, "  handed off %d sessions to the replica, lost %d (outputs verified against local golden)\n",
+	fmt.Fprintf(&b, "  handed off %d sessions to the other gateway, lost %d (outputs verified against local golden)\n",
 		handoffs, lost)
 	fmt.Fprintf(&b, "  client-observed hand-off latency p50 %.1f ms, p99 %.1f ms\n",
 		1e3*p50.Seconds(), 1e3*p99.Seconds())
-	fmt.Fprintf(&b, "  replica reclaims on the surviving gateway: %d\n", m.ReplicaReclaims)
 	o.text = b.String()
 
 	js, err := json.MarshalIndent(o.metrics, "", "  ")

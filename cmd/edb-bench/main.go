@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fleetTags := flags.Int("fleet-tags", 0, "fleet size for -fleet and the fleet experiment (0 = defaults: 10000)")
 	kernelBench := flags.Bool("kernel", false, "record the sequential simulator kernel baseline as a 'kernel' suite in BENCH.json")
 	clusterBench := flags.Bool("cluster", false, "benchmark the edbd gateway tier: sessions/sec at 1/2/4 backends plus drain-migration latency (writes BENCH_cluster.json)")
-	failoverBench := flags.Bool("gateway-failover", false, "benchmark replicated-gateway hand-off: kill the serving gateway under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
+	failoverBench := flags.Bool("gateway-failover", false, "benchmark gateway hand-off: two gateways front the same backends, kill the serving one under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
 	exploreBench := flags.Bool("explore", false, "benchmark the exhaustive power-failure explorer: states/sec, dedup hit rate, 1/2/4-worker scaling (writes BENCH_explore.json)")
 	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")

@@ -25,10 +25,10 @@
 //	    byte-identical to the local run
 //
 //	edb -connect gw1:3490,gw2:3490 -app linkedlist -assert -script "vcap;halt"
-//	    the same against a replicated gateway pair: the first live address
-//	    wins, and if that gateway dies mid-session the client resumes on
-//	    the other, byte-identically (a multi-address list implies
-//	    -reconnect)
+//	    the same against two gateways in front of the same backends: the
+//	    first live address wins, and if that gateway dies mid-session the
+//	    client resumes on the other from its own journal, byte-identically
+//	    (a multi-address list implies -reconnect)
 //
 //	edb -connect host:3490 -tls -tls-ca cert.pem -auth-token s3cret ...
 //	    the same against a TLS daemon that checks a shared-secret token
@@ -71,7 +71,7 @@ func main() {
 		noSnap   = flag.Bool("no-snap", false, "with -connect: do not negotiate the snapshot (remote time-travel) capability")
 		script   = flag.String("script", "", "semicolon-separated console commands run in each session")
 		interact = flag.Bool("i", false, "interactive stdin console when a session opens")
-		connect  = flag.String("connect", "", "host:port of an edbd daemon (comma-separated list for a replicated gateway pair); run the session remotely")
+		connect  = flag.String("connect", "", "host:port of an edbd daemon (comma-separated list for a gateway pair); run the session remotely")
 		reconn   = flag.Bool("reconnect", false, "with -connect: resume the session transparently if the connection drops (implied by a multi-address -connect)")
 		useTLS   = flag.Bool("tls", false, "with -connect: dial the daemon over TLS")
 		tlsCA    = flag.String("tls-ca", "", "PEM CA bundle to verify the daemon's certificate (implies -tls)")

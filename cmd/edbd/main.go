@@ -26,22 +26,20 @@
 //
 //	edbd -gateway -backends 10.0.0.1:3490,10.0.0.2:3490
 //
-// Two gateways started with -peer pointing at each other replicate the
-// fleet state (backend registry, template-image cache, per-session
-// journals) over a FlagGossip stream, so either one can resume the
-// other's live sessions if it dies — clients dial both
-// (edb -connect gw1:3490,gw2:3490) and fail over transparently:
-//
-//	edbd -gateway -addr :3490 -peer 10.0.0.101:3490
-//	edbd -gateway -addr :3490 -peer 10.0.0.100:3490
-//
 // A backend started with -join registers itself with a gateway and
 // re-registers periodically as a heartbeat; -advertise overrides the
-// address it registers (defaults to -addr). With replicated gateways,
-// -join takes both addresses (comma-separated) and the heartbeat fans out
-// to each:
+// address it registers (defaults to -addr). -join takes several gateway
+// addresses (comma-separated) and the heartbeat fans out to each:
 //
 //	edbd -addr 10.0.0.3:3490 -join 10.0.0.100:3490,10.0.0.101:3490 -advertise 10.0.0.3:3490
+//
+// Two gateways in front of the same backends share no state, yet either
+// one can take over the other's live sessions: clients dial both
+// (edb -connect gw1:3490,gw2:3490) and, if their gateway dies, resume on
+// the other from their own journal, byte-identically:
+//
+//	edbd -gateway -addr 10.0.0.100:3490
+//	edbd -gateway -addr 10.0.0.101:3490
 //
 // The gateway→backend hop can be secured independently of the client tier:
 // -backend-token authenticates the gateway to its backends, and
@@ -113,7 +111,6 @@ func main() {
 		// Cluster topology.
 		gateway        = flag.Bool("gateway", false, "run as a gateway: route sessions to -backends instead of simulating locally")
 		backends       = flag.String("backends", "", "comma-separated backend addresses for -gateway")
-		peer           = flag.String("peer", "", "replica gateway address: replicate fleet state and live-session journals to it (requires -gateway)")
 		joinAddr       = flag.String("join", "", "gateway address(es) this backend registers itself with, comma-separated (heartbeat re-registration)")
 		advertise      = flag.String("advertise", "", "address to advertise when joining a gateway (default -addr)")
 		joinEvery      = flag.Duration("join-every", 10*time.Second, "re-registration period for -join")
@@ -136,15 +133,12 @@ func main() {
 		}
 		runGateway(gatewayArgs{
 			addr: *addr, metricsAddr: *metricsAddr, pprofAddr: *pprofAddr,
-			name: *name, backends: *backends, peer: *peer, maxConns: *maxConns,
+			name: *name, backends: *backends, maxConns: *maxConns,
 			idle: *idle, drain: *drain, verbose: *verbose,
 			tls: listenTLS, authToken: *authToken, requireAuth: *requireAuth,
 			backendTLS: backendTLS, backendToken: *backendToken,
 		})
 		return
-	}
-	if *peer != "" {
-		log.Fatal("edbd: -peer is for gateways; pair it with -gateway")
 	}
 
 	cfg := server.Config{
@@ -181,9 +175,8 @@ func main() {
 		if adv == "" {
 			adv = lis.Addr().String()
 		}
-		// One heartbeat loop per gateway: with a replicated pair, both
-		// gateways hear the registration first-hand, so either can place
-		// sessions here even before gossip catches up.
+		// One heartbeat loop per gateway: each gateway of a pair learns the
+		// fleet first-hand, so either can place sessions here.
 		for _, gw := range strings.Split(*joinAddr, ",") {
 			if gw = strings.TrimSpace(gw); gw != "" {
 				go joinLoop(gw, adv, *backendToken, backendTLS, *joinEvery)
@@ -213,7 +206,7 @@ func main() {
 
 type gatewayArgs struct {
 	addr, metricsAddr, pprofAddr string
-	name, backends, peer         string
+	name, backends               string
 	maxConns                     int
 	idle, drain                  time.Duration
 	verbose                      bool
@@ -234,7 +227,6 @@ func runGateway(a gatewayArgs) {
 	cfg := cluster.Config{
 		Name:         a.name,
 		Backends:     addrs,
-		Peer:         a.peer,
 		MaxConns:     a.maxConns,
 		IdleTimeout:  a.idle,
 		TLS:          a.tls,
@@ -255,12 +247,8 @@ func runGateway(a gatewayArgs) {
 	if err != nil {
 		log.Fatalf("edbd: %v", err)
 	}
-	peerNote := ""
-	if a.peer != "" {
-		peerNote = ", peer " + a.peer
-	}
-	log.Printf("edbd: gateway listening on %s (%s, %d backends%s)",
-		lis.Addr(), securityMode(a.tls, a.authToken), len(addrs), peerNote)
+	log.Printf("edbd: gateway listening on %s (%s, %d backends)",
+		lis.Addr(), securityMode(a.tls, a.authToken), len(addrs))
 
 	drained := make(chan error, 1)
 	sigs := make(chan os.Signal, 1)

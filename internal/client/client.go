@@ -152,7 +152,7 @@ type Client struct {
 // live endpoint wins without burning the retry schedule on a dead one.
 // With Options.Reconnect, Run keeps the list and rotates it on resume —
 // the address that just failed is retried last — which is how a client
-// rides out the death of a replicated gateway.
+// rides out the death of one gateway of a pair.
 func Dial(addr string, opts Options) (*Client, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -411,7 +411,6 @@ type runState struct {
 	journal      []wire.JournalEntry
 	outputBytes  uint64
 	traceSamples uint64
-	image        []byte // template image from a SessMigrate hand-off
 	resumes      int
 }
 
@@ -481,9 +480,8 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 				c.OnTrace(tr)
 			}
 		case *wire.SessMigrate:
-			// The server is draining this session away; carry its template
-			// image to wherever we land next.
-			st.image = t.Image
+			// The server is draining this session away; replay the journal
+			// wherever we land next.
 			if rerr := c.resume(spec, streamTrace, st); rerr != nil {
 				return Status{}, fmt.Errorf("client: session migrated but resume failed: %w", rerr)
 			}
@@ -545,13 +543,9 @@ func (c *Client) resume(spec scenario.Spec, streamTrace bool, st *runState) erro
 		SkipOutput:       st.outputBytes,
 		SkipTraceSamples: st.traceSamples,
 		Journal:          st.journal,
-		Image:            st.image,
 	})
-	if err == nil {
-		st.image = nil // delivered; don't re-ship on a later resume
-		if c.opts.OnResume != nil {
-			c.opts.OnResume(c.addr, time.Since(start))
-		}
+	if err == nil && c.opts.OnResume != nil {
+		c.opts.OnResume(c.addr, time.Since(start))
 	}
 	return err
 }

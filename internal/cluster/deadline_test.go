@@ -14,10 +14,10 @@ import (
 // synchronous net.Pipe, where every Write blocks until the peer reads —
 // the deterministic stand-in for a TCP peer with full socket buffers. The
 // gateway's writer differs from the backend's: one wire frame can exceed
-// 64 KiB (a SessResume template image, a gossip snapshot), so a single
-// Write call is chunked internally with a fresh deadline per chunk, and
-// the deadline is cleared afterwards so idle time before the next frame
-// can't trip a stale absolute deadline (the PR 5 class of bug).
+// 64 KiB (a large console output chunk, a SessResume carrying a long
+// journal), so a single Write call is chunked internally with a fresh
+// deadline per chunk, and the deadline is cleared afterwards so idle time
+// before the next frame can't trip a stale absolute deadline.
 
 // TestDeadlineWriterChunkedSlowReader: one Write far larger than
 // writeChunk, drained slowly but steadily, must complete even though the

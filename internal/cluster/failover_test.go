@@ -14,119 +14,33 @@ import (
 	"repro/internal/wire"
 )
 
-// startPeeredGateways starts two gateways replicating to each other over
-// the FlagGossip stream, both fronting the same backends.
-func startPeeredGateways(t *testing.T, backends []string) (gwA, gwB *cluster.Gateway, addrA, addrB string) {
+// startGatewayPair starts two gateways in front of the same backends.
+// They share no state: each learns the fleet from its own config, and a
+// client that loses one resumes on the other from its own journal.
+func startGatewayPair(t *testing.T, backends []string) (gwA, gwB *cluster.Gateway, addrA, addrB string) {
 	t.Helper()
-	// B first, so A can be born knowing its peer address; B learns A's via
-	// the same flag (its outbound stream just dials A).
+	gwA, addrA = startGateway(t, cluster.Config{Backends: backends})
 	gwB, addrB = startGateway(t, cluster.Config{Backends: backends})
-	gwA, addrA = startGateway(t, cluster.Config{Backends: backends, Peer: addrB,
-		PeerRetry: 50 * time.Millisecond, PeerHeartbeat: 100 * time.Millisecond})
 	return gwA, gwB, addrA, addrB
-}
-
-// waitUntil polls cond for up to 10s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // crashGateway is kill -9 as seen from every connection: an
 // already-cancelled context makes Shutdown cut the listener and all open
-// conns immediately, and no close/hand-off frames are sent — the peer's
-// replica store must survive untouched.
+// conns immediately, and no close/hand-off frames are sent.
 func crashGateway(gw *cluster.Gateway) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	gw.Shutdown(ctx)
 }
 
-// TestGossipNotOfferedNotGranted: a client that does not offer FlagGossip
-// must never be granted it — non-replicated handshakes stay byte-identical
-// to the pre-replication protocol even on a replicated gateway.
-func TestGossipNotOfferedNotGranted(t *testing.T) {
-	_, addr := startBackend(t, server.Config{})
-	_, gwB, _, gwAddrB := startPeeredGateways(t, []string{addr})
-	_ = gwB
-	conn, flags := rawDial(t, gwAddrB, wire.FlagTraceZ|wire.FlagSnap|wire.FlagCluster)
-	defer conn.Close()
-	if flags&wire.FlagGossip != 0 {
-		t.Fatalf("gateway granted FlagGossip unasked (caps %#02x)", flags)
-	}
-}
-
-// TestPeerReplicatesFleetState: the replication stream carries the backend
-// registry and per-session journals — a gateway configured with only a
-// peer (no backends of its own) learns the whole fleet, mirrors live
-// sessions while they run, and drops the mirror when they conclude.
-func TestPeerReplicatesFleetState(t *testing.T) {
-	_, addrX := startBackend(t, server.Config{})
-	_, addrY := startBackend(t, server.Config{})
-
-	gwB, gwBAddr := startGateway(t, cluster.Config{}) // knows nothing
-	_, gwAAddr := startGateway(t, cluster.Config{Backends: []string{addrX, addrY}, Peer: gwBAddr,
-		PeerRetry: 50 * time.Millisecond, PeerHeartbeat: 100 * time.Millisecond})
-
-	waitUntil(t, "backend registry to gossip over", func() bool {
-		return len(gwB.Metrics().Backends) == 2
-	})
-
-	cl, err := client.Dial(gwAAddr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	release := make(chan struct{})
-	var out bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		i := 0
-		_, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
-			if i == 0 {
-				i++
-				<-release
-				return "vcap", true
-			}
-			return "", false
-		})
-		done <- err
-	}()
-
-	// While the session is parked at its first prompt, the peer must hold
-	// its replica (spec and journal mirrored as they grow).
-	waitUntil(t, "session replica on the peer", func() bool {
-		return gwB.Metrics().ReplicaSessions == 1
-	})
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// Conclusion gossips a close; the replica must not leak.
-	waitUntil(t, "session replica release", func() bool {
-		return gwB.Metrics().ReplicaSessions == 0
-	})
-	if in := gwB.Metrics().GossipFramesIn; in == 0 {
-		t.Fatal("peer applied no gossip frames")
-	}
-}
-
 // TestGatewayCrashFailoverReclaimsReplica: kill the gateway serving a live
-// session; the client re-dials the peer from its dial list and resumes.
-// The peer matches the resume against the replica the dead gateway
-// streamed to it (the sessions-lost accounting), and the client's byte
+// session. The client re-dials the other gateway of the replicated pair
+// from its dial list, and that replica reclaims the session from the
+// client's own journal: it holds no copy of its own. The client's byte
 // stream is identical to an undisturbed run.
 func TestGatewayCrashFailoverReclaimsReplica(t *testing.T) {
 	_, addr := startBackend(t, server.Config{})
-	gwA, gwB, gwAAddr, gwBAddr := startPeeredGateways(t, []string{addr})
+	gwA, gwB, gwAAddr, gwBAddr := startGatewayPair(t, []string{addr})
 
 	cmds := []string{"vcap", "status", "halt"}
 	golden := localGolden(t, interactiveSpec(), cmds)
@@ -145,12 +59,8 @@ func TestGatewayCrashFailoverReclaimsReplica(t *testing.T) {
 	i := 0
 	st, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
 		if i == 1 {
-			// The first answer is journaled on gwA and gossiped. Wait for
-			// the replica, then kill gwA: the next send fails and the
-			// client must land on gwB.
-			waitUntil(t, "replica before the crash", func() bool {
-				return gwB.Metrics().ReplicaSessions == 1
-			})
+			// The first answer went through gwA. Kill it: the next send
+			// fails and the client must land on gwB.
 			crashGateway(gwA)
 		}
 		if i < len(cmds) {
@@ -168,30 +78,21 @@ func TestGatewayCrashFailoverReclaimsReplica(t *testing.T) {
 	if st.Exit != 0 {
 		t.Fatalf("unexpected status %+v", st)
 	}
-	m := gwB.Metrics()
-	if m.ReplicaReclaims != 1 {
-		t.Fatalf("peer ReplicaReclaims = %d, want 1 (%+v)", m.ReplicaReclaims, m)
-	}
-	if m.ReplicaSessions != 0 {
-		t.Fatalf("replica leaked after reclaim: %d live", m.ReplicaSessions)
-	}
-	if m.SessionsTotal != 1 {
-		t.Fatalf("peer served %d sessions, want 1", m.SessionsTotal)
+	if got := gwB.Metrics().SessionsTotal; got != 1 {
+		t.Fatalf("surviving gateway served %d sessions, want 1 (the resume)", got)
 	}
 }
 
-// TestGatewayKillMidTraceFrameFailover is the tentpole byte-stream
-// guarantee one tier up from PR 7: the *gateway* dies partway through a
-// TraceZ frame — after whole frames were already delivered — and the
-// session resumed on its replica peer delivers output and trace samples
-// byte-identical to an unmigrated run. The cut frame is found in a
-// recording pass, so the failure lands deterministically inside the final
-// trace frame.
+// TestGatewayKillMidTraceFrameFailover is the byte-stream guarantee one
+// tier up from the backend: the *gateway* dies partway through a TraceZ
+// frame — after whole frames were already delivered — and the session,
+// resumed from the client's journal on the other gateway of the pair,
+// delivers output and trace samples byte-identical to an unmigrated run.
+// The cut frame is found in a recording pass, so the failure lands
+// deterministically inside the final trace frame.
 func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	_, backendAddr := startBackend(t, server.Config{})
-	gwB, gwBAddr := startGateway(t, cluster.Config{Backends: []string{backendAddr}})
-	_, gwAAddr := startGateway(t, cluster.Config{Backends: []string{backendAddr}, Peer: gwBAddr,
-		PeerRetry: 50 * time.Millisecond, PeerHeartbeat: 100 * time.Millisecond})
+	_, gwB, gwAAddr, gwBAddr := startGatewayPair(t, []string{backendAddr})
 	// The client reaches gwA only through a frame-cutting proxy: cutting
 	// the gateway→client stream mid-frame is exactly what a SIGKILLed
 	// gateway looks like from the wire.
@@ -247,8 +148,9 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	// Cut the next session halfway through that frame.
 	proxy.armFrameCut(last)
 
-	// Failover pass: dial list is the (doomed) proxy first, the replica
-	// second. The mid-frame cut must be invisible in the byte stream.
+	// Failover pass: dial list is the (doomed) proxy first, the other
+	// gateway second. The mid-frame cut must be invisible in the byte
+	// stream.
 	out, samples, st := runViaClient(proxy.addr() + "," + gwBAddr)
 	if !bytes.Equal(out, recOut) {
 		t.Fatalf("failed-over output differs from unmigrated run:\n--- unmigrated ---\n%s\n--- failover ---\n%s", recOut, out)
@@ -271,7 +173,7 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 		t.Fatal("the armed cut never fired on the failover pass")
 	}
 	if got := gwB.Metrics().SessionsTotal; got != 2 {
-		t.Fatalf("replica gateway served %d sessions, want 2 (golden + failover)", got)
+		t.Fatalf("surviving gateway served %d sessions, want 2 (golden + failover)", got)
 	}
 }
 

@@ -14,12 +14,17 @@
 // the journal of prompt answers it has relayed plus the output-byte and
 // trace-sample offsets already delivered to the client — exactly the state
 // internal/wire.SessResume carries. A draining backend hands its sessions
-// back with SessMigrate frames (carrying its warm-start template image); a
-// crashed backend just drops the connection. Both paths converge on the
-// same re-dispatch: pick the next ring candidate, replay via SessResume,
-// and keep relaying. Because sessions are deterministic, the client's byte
-// stream is identical to an unmigrated run — the client cannot tell a
-// failover happened.
+// back with SessMigrate frames; a crashed backend just drops the
+// connection. Both paths converge on the same re-dispatch: pick the next
+// ring candidate, replay via SessResume, and keep relaying. Because
+// sessions are deterministic, the client's byte stream is identical to an
+// unmigrated run — the client cannot tell a failover happened.
+//
+// Sessions also survive gateway loss, with no state shared between
+// gateways. A reconnect-capable client keeps the same journal and offsets
+// itself, so when its gateway dies it dials another gateway in front of the
+// same backends and resumes there with its own SessResume, which this
+// gateway routes like a fresh placement.
 //
 // Both tiers authenticate independently: Config.TLS/AuthToken gate the
 // client side exactly like a plain edbd, and Config.BackendTLS/BackendToken
@@ -91,19 +96,6 @@ type Config struct {
 	// BackendToken, when non-empty, authenticates the gateway to its
 	// backends via FlagAuth.
 	BackendToken string
-	// Peer, when set, names the replica gateway this gateway streams its
-	// fleet state to: backend join/leave, the template-image cache, and
-	// per-session journals ride a FlagGossip connection so the peer can
-	// resume every live session if this gateway dies. The peer dial
-	// authenticates with AuthToken (the peer's client tier) and encrypts
-	// with BackendTLS when set.
-	Peer string
-	// PeerRetry is the redial backoff after a failed or lost peer
-	// connection (default 1s).
-	PeerRetry time.Duration
-	// PeerHeartbeat is the keepalive period on an idle peer stream; the
-	// receiving side reaps a peer silent for several heartbeats (default 2s).
-	PeerHeartbeat time.Duration
 	// Logf, when set, receives one line per connection-level event.
 	Logf func(format string, args ...any)
 }
@@ -142,12 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultBackendSessions <= 0 {
 		c.DefaultBackendSessions = 128
 	}
-	if c.PeerRetry <= 0 {
-		c.PeerRetry = time.Second
-	}
-	if c.PeerHeartbeat <= 0 {
-		c.PeerHeartbeat = 2 * time.Second
-	}
 	return c
 }
 
@@ -179,41 +165,9 @@ type Gateway struct {
 	ring     *hashRing
 	draining bool
 
-	// images caches warm-start template images observed in SessMigrate
-	// frames (or gossiped by the peer gateway), keyed by scenario.SpecHash,
-	// so a later failover of the same firmware family can ship a warm start
-	// even if its own hand-off carried none. Entries are LRU-evicted past
-	// imageCacheCap.
-	imgMu    sync.Mutex
-	images   map[uint64]*imageEntry
-	imgClock int64
-
-	// repl streams this gateway's fleet state to Config.Peer; nil when no
-	// peer is configured (every hook then short-circuits).
-	repl *replicator
-
-	// replica mirrors the peer gateway's live sessions, applied from its
-	// inbound gossip stream; a client that loses the peer and re-dials here
-	// reclaims its session from this store.
-	replicaMu sync.Mutex
-	replica   map[uint64]*replSess
-
-	sessSeq    atomic.Uint64
 	stopHealth chan struct{}
 	wg         sync.WaitGroup
 }
-
-// imageEntry is one cached template image plus its last-use stamp.
-type imageEntry struct {
-	data []byte
-	use  int64
-}
-
-// imageCacheCap bounds the template-image cache; the least-recently-used
-// entry is evicted beyond it (the cache is an optimization, not a
-// correctness requirement — a resume without an image cold-replays
-// byte-identically).
-const imageCacheCap = 16
 
 // New builds a gateway; zero-valued config fields take their defaults.
 func New(cfg Config) *Gateway {
@@ -221,17 +175,12 @@ func New(cfg Config) *Gateway {
 		cfg:        cfg.withDefaults(),
 		conns:      make(map[net.Conn]struct{}),
 		backends:   make(map[string]*backendState),
-		images:     make(map[uint64]*imageEntry),
-		replica:    make(map[uint64]*replSess),
 		stopHealth: make(chan struct{}),
 	}
 	for _, a := range g.cfg.Backends {
 		g.addBackendLocked(a)
 	}
 	g.rebuildRingLocked()
-	if g.cfg.Peer != "" {
-		g.repl = newReplicator(g)
-	}
 	return g
 }
 
@@ -265,45 +214,27 @@ func (g *Gateway) rebuildRingLocked() {
 // and its epoch advances, so per-session failure marks from its previous
 // life stop blacklisting it.
 func (g *Gateway) AddBackend(addr string) {
-	g.addBackend(addr, true)
-}
-
-func (g *Gateway) addBackend(addr string, gossip bool) {
 	g.mu.Lock()
-	announce := false
+	defer g.mu.Unlock()
 	if _, ok := g.backends[addr]; !ok {
 		g.addBackendLocked(addr)
 		g.rebuildRingLocked()
-		announce = true
 		g.logf("backend %s: joined (%d backends)", addr, len(g.backends))
 	} else if b := g.backends[addr]; b.down.Swap(false) {
 		b.epoch.Add(1)
-		announce = true
 		g.logf("backend %s: re-joined; session blacklists cleared", addr)
-	}
-	g.mu.Unlock()
-	if announce && gossip {
-		g.replBackend(addr, true)
 	}
 }
 
 // RemoveBackend drops a backend from the placement ring. Sessions in
 // flight on it keep running until their leg ends; new placements skip it.
 func (g *Gateway) RemoveBackend(addr string) {
-	g.removeBackend(addr, true)
-}
-
-func (g *Gateway) removeBackend(addr string, gossip bool) {
 	g.mu.Lock()
-	_, ok := g.backends[addr]
-	if ok {
+	defer g.mu.Unlock()
+	if _, ok := g.backends[addr]; ok {
 		delete(g.backends, addr)
 		g.rebuildRingLocked()
 		g.logf("backend %s: left (%d backends)", addr, len(g.backends))
-	}
-	g.mu.Unlock()
-	if ok && gossip {
-		g.replBackend(addr, false)
 	}
 }
 
@@ -349,10 +280,6 @@ func (g *Gateway) Serve(lis net.Listener) error {
 
 	g.wg.Add(1)
 	go g.healthLoop()
-	if g.repl != nil {
-		g.wg.Add(1)
-		go g.repl.loop()
-	}
 
 	for {
 		conn, err := lis.Accept()
@@ -474,11 +401,11 @@ type deadlineWriter struct {
 }
 
 // writeChunk bounds the bytes a deadlineWriter sends under one deadline
-// arm. A whole wire frame can be ~1 MiB (a SessResume template image, a
-// gossip snapshot); arming one absolute deadline for the full frame would
-// cut off a slow-but-draining peer that simply needs longer than d in
-// aggregate. Chunking re-arms per 64 KiB, so the deadline bounds *stall*,
-// not total transfer time.
+// arm. A whole wire frame can be up to 1 MiB (a large console output
+// chunk, a SessResume carrying a long journal); arming one absolute
+// deadline for the full frame would cut off a slow-but-draining peer that
+// simply needs longer than d in aggregate. Chunking re-arms per 64 KiB, so
+// the deadline bounds *stall*, not total transfer time.
 const writeChunk = 64 << 10
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
@@ -538,9 +465,13 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// dialRaw opens a TCP connection to an intra-fleet address (a backend or
-// the peer gateway), wrapping it in BackendTLS when configured.
-func (g *Gateway) dialRaw(addr string) (net.Conn, error) {
+// dialBackend opens an authenticated cluster connection to a backend,
+// wrapped in BackendTLS when configured, negotiating FlagCluster plus
+// exactly the capabilities in caps (FlagTraceZ/FlagSnap for proxied
+// sessions, whose byte stream is relayed verbatim and must match what the
+// client negotiated with the gateway). A backend that refuses any required
+// bit is an error, not a downgrade.
+func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, g.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -562,19 +493,6 @@ func (g *Gateway) dialRaw(addr string) (net.Conn, error) {
 			return nil, fmt.Errorf("cluster: %s tls: %w", addr, err)
 		}
 		conn = tc
-	}
-	return conn, nil
-}
-
-// dialBackend opens an authenticated cluster connection to a backend,
-// negotiating FlagCluster plus exactly the capabilities in caps
-// (FlagTraceZ/FlagSnap for proxied sessions, whose byte stream is relayed
-// verbatim and must match what the client negotiated with the gateway).
-// A backend that refuses any required bit is an error, not a downgrade.
-func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
-	conn, err := g.dialRaw(addr)
-	if err != nil {
-		return nil, err
 	}
 	want := (caps & (wire.FlagTraceZ | wire.FlagSnap)) | wire.FlagCluster
 	hello := &wire.Hello{Version: wire.Version, Client: g.cfg.Name}
@@ -672,13 +590,6 @@ func (g *Gateway) handle(conn net.Conn) {
 	cluster := caps&wire.FlagCluster != 0
 	g.logf("conn %s: handshake ok (%s, caps %#02x)", conn.RemoteAddr(), hello.Client, caps)
 
-	if caps&wire.FlagGossip != 0 {
-		// A peer gateway's replication stream: nothing but Gossip frames
-		// rides this connection from here on.
-		g.servePeer(conn)
-		return
-	}
-
 	for {
 		m, err := g.recv(conn, g.cfg.IdleTimeout)
 		if err != nil {
@@ -725,9 +636,10 @@ func (g *Gateway) handle(conn net.Conn) {
 				return
 			}
 		case *wire.SessResume:
-			// A reconnect-capable client resuming through the gateway (e.g.
-			// after a gateway restart): seed the proxy state from the
-			// client's own journal and route it like a fresh placement.
+			// A reconnect-capable client resuming through the gateway (after
+			// a gateway restart, or the death of another gateway in front of
+			// the same backends): seed the proxy state from the client's own
+			// journal and route it like a fresh placement.
 			if !cluster {
 				g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
@@ -744,14 +656,8 @@ func (g *Gateway) handle(conn net.Conn) {
 				journal:      req.Journal,
 				outputBytes:  req.SkipOutput,
 				traceSamples: req.SkipTraceSamples,
-				image:        req.Image,
 				resumed:      true,
 			}
-			// If the peer gateway replicated this session to us before it
-			// died, reclaim the replica: it confirms the hand-off (and
-			// feeds the sessions-lost accounting) and can fill a warm-start
-			// image the client doesn't carry.
-			g.reclaimReplica(sess)
 			if err := g.proxySession(conn, caps, sess); err != nil {
 				return
 			}
@@ -791,12 +697,8 @@ type sessState struct {
 	journal      []wire.JournalEntry
 	outputBytes  uint64
 	traceSamples uint64
-	image        []byte
 	resumed      bool // dispatch as SessResume instead of Run
 
-	// id names this session on the replication stream; assigned by
-	// replOpen, zero on non-replicated gateways.
-	id uint64
 	// failed maps a backend that failed this session to the backend epoch
 	// the failure was observed in; the mark expires when the backend
 	// re-joins (its epoch advances).
@@ -880,9 +782,6 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 	}
 	var req wire.Msg
 	if sess.resumed {
-		if sess.image == nil {
-			sess.image = g.cachedImage(scenario.SpecHash(sess.spec))
-		}
 		req = &wire.SessResume{
 			Spec:             sess.spec,
 			StreamTrace:      sess.streamTrace,
@@ -890,9 +789,7 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 			SkipOutput:       sess.outputBytes,
 			SkipTraceSamples: sess.traceSamples,
 			Journal:          sess.journal,
-			Image:            sess.image,
 		}
-		g.c.migrateBytes.Add(int64(len(sess.image)))
 	} else {
 		req = &wire.Run{Spec: sess.spec, StreamTrace: sess.streamTrace}
 	}
@@ -900,9 +797,6 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 		conn.Close()
 		g.markFailed(sess, b.addr)
 		return nil, nil, err
-	}
-	if sess.resumed {
-		sess.image = nil // delivered; don't re-ship on a later re-dispatch
 	}
 	if !sess.redispatchStart.IsZero() {
 		g.lat.record(time.Since(sess.redispatchStart))
@@ -924,54 +818,6 @@ func (g *Gateway) markFailed(sess *sessState, addr string) {
 	sess.failed[addr] = ep
 }
 
-func (g *Gateway) cachedImage(specHash uint64) []byte {
-	g.imgMu.Lock()
-	defer g.imgMu.Unlock()
-	e := g.images[specHash]
-	if e == nil {
-		return nil
-	}
-	g.imgClock++
-	e.use = g.imgClock
-	return e.data
-}
-
-// cacheImage stores a template image, LRU-evicting beyond imageCacheCap,
-// and gossips new entries to the peer gateway.
-func (g *Gateway) cacheImage(specHash uint64, img []byte) {
-	g.storeImage(specHash, img, true)
-}
-
-func (g *Gateway) storeImage(specHash uint64, img []byte, gossip bool) {
-	if len(img) == 0 {
-		return
-	}
-	g.imgMu.Lock()
-	e, ok := g.images[specHash]
-	if !ok {
-		if len(g.images) >= imageCacheCap {
-			var lruKey uint64
-			var lru *imageEntry
-			for k, v := range g.images {
-				if lru == nil || v.use < lru.use {
-					lruKey, lru = k, v
-				}
-			}
-			delete(g.images, lruKey)
-			g.c.imageEvictions.Add(1)
-		}
-		e = &imageEntry{}
-		g.images[specHash] = e
-	}
-	e.data = img
-	g.imgClock++
-	e.use = g.imgClock
-	g.imgMu.Unlock()
-	if !ok && gossip {
-		g.replImage(specHash, img)
-	}
-}
-
 // proxySession relays one session between the client and a backend,
 // re-dispatching on SessMigrate hand-offs and backend connection loss. It
 // returns nil when the session concluded and the client connection may
@@ -981,8 +827,6 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 	g.c.sessionsTotal.Add(1)
 	g.c.sessionsActive.Add(1)
 	defer g.c.sessionsActive.Add(-1)
-	g.replOpen(sess)
-	defer g.replClose(sess)
 
 	var lastErr error
 	for attempt := 0; attempt < g.cfg.MaxDispatches; attempt++ {
@@ -1084,10 +928,7 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 			}
 			// Journal before forwarding: if the backend dies taking this
 			// answer, the replay serves it instead of re-asking the client.
-			// The replication hook rides the same ordering, so the peer's
-			// copy is never ahead of what the client was asked.
 			sess.journal = append(sess.journal, entry)
-			g.replAppend(sess)
 			g.c.answersRelayed.Add(1)
 			if werr := g.send(bconn, am); werr != nil {
 				g.noteLeave(sess, b, true, werr.Error())
@@ -1096,10 +937,6 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 		case *wire.SessMigrate:
 			// The backend is draining: it already flushed everything the
 			// client is owed, so the journal + offsets resume elsewhere.
-			g.cacheImage(t.SpecHash, t.Image)
-			if len(t.Image) > 0 {
-				sess.image = t.Image
-			}
 			g.noteLeave(sess, b, false, "drain hand-off")
 			return false, nil
 		case *wire.Done:

@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// These are white-box unit tests for gateway placement-blacklist expiry
-// and the bounded template-image cache — state machines small enough to
-// pin directly, without sockets.
+// These are white-box unit tests for gateway placement-blacklist expiry —
+// a state machine small enough to pin directly, without sockets.
 
 // TestBlacklistExpiresOnRejoin is the regression test for the stuck
 // blacklist: markFailed used to brand a backend for the session's
@@ -61,61 +59,5 @@ func TestBlacklistExpiresOnRejoin(t *testing.T) {
 	g.markFailed(sess, addrA)
 	if !sess.failedNow(a) {
 		t.Fatal("failure mark in the backend's new life did not stick")
-	}
-}
-
-// TestImageCacheLRUBound hammers the template-image cache with distinct
-// spec hashes and checks the bound, the eviction counter, and the
-// least-recently-used choice of victim.
-func TestImageCacheLRUBound(t *testing.T) {
-	g := New(Config{})
-	const distinct = 4 * imageCacheCap
-	for i := 1; i <= distinct; i++ {
-		g.storeImage(uint64(i), []byte(fmt.Sprintf("img-%d", i)), false)
-	}
-	g.imgMu.Lock()
-	size := len(g.images)
-	g.imgMu.Unlock()
-	if size != imageCacheCap {
-		t.Fatalf("cache holds %d images, want the cap %d", size, imageCacheCap)
-	}
-	if got, want := g.Metrics().ImageEvictions, int64(distinct-imageCacheCap); got != want {
-		t.Fatalf("ImageEvictions = %d, want %d", got, want)
-	}
-
-	// Survivors are the most recent insertions; everything older is gone.
-	oldest := uint64(distinct - imageCacheCap + 1)
-	if g.cachedImage(oldest-1) != nil {
-		t.Fatalf("image %d should have been evicted", oldest-1)
-	}
-	if g.cachedImage(oldest) == nil {
-		t.Fatalf("image %d should have survived", oldest)
-	}
-
-	// That cachedImage hit refreshed `oldest`; the next insertion must
-	// evict the now-least-recently-used entry instead.
-	g.storeImage(uint64(distinct+1), []byte("one-more"), false)
-	if g.cachedImage(oldest) == nil {
-		t.Fatal("recently-used image was evicted over a staler one")
-	}
-	if g.cachedImage(oldest+1) != nil {
-		t.Fatalf("image %d (the LRU entry) should have been the victim", oldest+1)
-	}
-
-	// Re-storing an existing key refreshes in place: no growth, no
-	// eviction.
-	before := g.Metrics().ImageEvictions
-	g.storeImage(oldest, []byte("updated"), false)
-	g.imgMu.Lock()
-	size = len(g.images)
-	g.imgMu.Unlock()
-	if size != imageCacheCap {
-		t.Fatalf("refresh grew the cache to %d", size)
-	}
-	if got := g.Metrics().ImageEvictions; got != before {
-		t.Fatalf("refresh of an existing key evicted (%d -> %d)", before, got)
-	}
-	if string(g.cachedImage(oldest)) != "updated" {
-		t.Fatal("refresh did not replace the image bytes")
 	}
 }

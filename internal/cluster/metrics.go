@@ -22,7 +22,6 @@ type counters struct {
 	migrations      atomic.Int64
 	placementMisses atomic.Int64
 	dialErrors      atomic.Int64
-	migrateBytes    atomic.Int64
 
 	framesRelayed  atomic.Int64
 	bytesRelayed   atomic.Int64
@@ -31,15 +30,6 @@ type counters struct {
 	statProbes   atomic.Int64
 	joins        atomic.Int64
 	authFailures atomic.Int64
-
-	imageEvictions atomic.Int64
-
-	gossipConnects   atomic.Int64
-	gossipDialErrors atomic.Int64
-	gossipOverflows  atomic.Int64
-	gossipFramesOut  atomic.Int64
-	gossipFramesIn   atomic.Int64
-	replicaReclaims  atomic.Int64
 }
 
 // BackendMetrics is one backend's view in a metrics snapshot.
@@ -67,7 +57,6 @@ type Metrics struct {
 	Migrations      int64 // re-dispatches after a SessMigrate hand-off
 	PlacementMisses int64 // ring-preferred backends skipped for load or drain
 	DialErrors      int64 // backend dials that failed
-	MigrateBytes    int64 // template-image bytes carried across re-dispatches
 
 	FramesRelayed  int64 // backend frames forwarded to clients
 	BytesRelayed   int64 // session output bytes forwarded to clients
@@ -76,18 +65,6 @@ type Metrics struct {
 	StatProbes   int64 // Stat requests answered on the client tier
 	Joins        int64 // Join registrations accepted
 	AuthFailures int64 // client handshakes rejected with Error{CodeAuth}
-
-	ImageEvictions int64 // template images LRU-evicted from the cache
-
-	// Gateway-replication counters (all zero without Config.Peer and with
-	// no peer streaming in).
-	GossipConnects   int64 // outbound peer connections established
-	GossipDialErrors int64 // outbound peer dials that failed
-	GossipOverflows  int64 // peer connections dropped for outbound backlog
-	GossipFramesOut  int64 // gossip frames streamed to the peer
-	GossipFramesIn   int64 // gossip frames applied from the peer
-	ReplicaSessions  int64 // peer sessions currently mirrored here
-	ReplicaReclaims  int64 // client resumes matched to a mirrored peer session
 
 	// Migration-latency distribution: wall time from deciding to move a
 	// session (hand-off frame or dead connection) to its SessResume being
@@ -151,7 +128,6 @@ func (g *Gateway) Metrics() Metrics {
 		Migrations:      g.c.migrations.Load(),
 		PlacementMisses: g.c.placementMisses.Load(),
 		DialErrors:      g.c.dialErrors.Load(),
-		MigrateBytes:    g.c.migrateBytes.Load(),
 
 		FramesRelayed:  g.c.framesRelayed.Load(),
 		BytesRelayed:   g.c.bytesRelayed.Load(),
@@ -160,19 +136,7 @@ func (g *Gateway) Metrics() Metrics {
 		StatProbes:   g.c.statProbes.Load(),
 		Joins:        g.c.joins.Load(),
 		AuthFailures: g.c.authFailures.Load(),
-
-		ImageEvictions: g.c.imageEvictions.Load(),
-
-		GossipConnects:   g.c.gossipConnects.Load(),
-		GossipDialErrors: g.c.gossipDialErrors.Load(),
-		GossipOverflows:  g.c.gossipOverflows.Load(),
-		GossipFramesOut:  g.c.gossipFramesOut.Load(),
-		GossipFramesIn:   g.c.gossipFramesIn.Load(),
-		ReplicaReclaims:  g.c.replicaReclaims.Load(),
 	}
-	g.replicaMu.Lock()
-	m.ReplicaSessions = int64(len(g.replica))
-	g.replicaMu.Unlock()
 	m.MigrationCount, m.MigrationP50, m.MigrationP99 = g.lat.quantiles()
 
 	g.mu.Lock()

@@ -10,8 +10,8 @@ import (
 // contributes vnodes virtual points so load spreads evenly even with two or
 // three backends, and adding or removing one backend only remaps the keys
 // that hashed into its arcs — sessions already placed elsewhere keep their
-// placement, which is what makes template-image caches on the backends
-// stay warm across membership changes.
+// placement, which is what keeps each backend's warm-start templates hot
+// across membership changes.
 type hashRing struct {
 	points []ringPoint
 }

@@ -4,11 +4,14 @@
 // snapshot restores every stochastic stream and the forked run shares the
 // cold run's absolute deadline, a warm session's output is byte-for-byte
 // identical to a cold boot of the same spec — the pool is purely a latency
-// optimization, never a semantic one.
+// optimization, never a semantic one. A pool only forks templates it built
+// itself: templates never cross a process boundary, so nothing a peer sends
+// can change what a session computes.
 package scenario
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"sync"
 
@@ -109,6 +112,21 @@ func (t *Template) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, err
 	return execute(rig, prog, spec, out, prompt)
 }
 
+// TemplateKey collapses a spec to its simulation-shaping fields (Seconds,
+// Script and Interactive are per-session). Two specs with equal keys can be
+// served from the same template; this is the cluster placement key.
+func TemplateKey(s Spec) string { return templateKey(s.withDefaults()) }
+
+// SpecHash is the 64-bit FNV-1a of TemplateKey(s), the compact form the
+// wire carries for placement. Collisions only cost placement quality: the
+// full spec always rides along, and a pool keys its templates by the full
+// TemplateKey.
+func SpecHash(s Spec) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(TemplateKey(s)))
+	return h.Sum64()
+}
+
 // templateKey collapses a spec to its simulation-shaping fields. Seconds,
 // Script and Interactive are per-session: they change what a session does
 // with the rig, not how the rig evolves from cycle 0.
@@ -119,12 +137,11 @@ func templateKey(s Spec) string {
 
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
-	WarmForks          uint64 // sessions served from a template fork
-	SparePops          uint64 // …of which came from a pre-forked spare
-	ColdBoots          uint64 // sessions simulated from cycle 0
-	TemplatesBuilt     uint64
-	TemplatesInstalled uint64 // externally built templates adopted via Install
-	Untemplatable      uint64 // specs the pool gave up templating
+	WarmForks      uint64 // sessions served from a template fork
+	SparePops      uint64 // …of which came from a pre-forked spare
+	ColdBoots      uint64 // sessions simulated from cycle 0
+	TemplatesBuilt uint64
+	Untemplatable  uint64 // specs the pool gave up templating
 }
 
 // forkedRig is a pre-built warm fork waiting for a session.

@@ -159,3 +159,32 @@ func TestPoolNegativeCache(t *testing.T) {
 		t.Fatalf("rfid run output missing summary:\n%s", a.String())
 	}
 }
+
+// TestSpecHashStability: SpecHash keys on the simulation-shaping fields
+// only — per-session fields (Seconds, Script, Interactive) hash equal, any
+// sim-shaping change hashes different.
+func TestSpecHashStability(t *testing.T) {
+	base := scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Script: "vcap;halt"}
+	alt := base
+	alt.Seconds = 9
+	alt.Script = "status;halt"
+	alt.Interactive = true
+	if scenario.SpecHash(base) != scenario.SpecHash(alt) {
+		t.Fatal("per-session fields must not change SpecHash")
+	}
+	for _, mut := range []func(*scenario.Spec){
+		func(s *scenario.Spec) { s.App = "fib" },
+		func(s *scenario.Spec) { s.Seed = 43 },
+		func(s *scenario.Spec) { s.Trace = true },
+		func(s *scenario.Spec) { s.Guards = true },
+	} {
+		m := base
+		mut(&m)
+		if scenario.SpecHash(base) == scenario.SpecHash(m) {
+			t.Fatalf("sim-shaping mutation %+v must change SpecHash", m)
+		}
+	}
+	if scenario.TemplateKey(base) != scenario.TemplateKey(alt) {
+		t.Fatal("TemplateKey must ignore per-session fields")
+	}
+}

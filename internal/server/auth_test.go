@@ -222,11 +222,11 @@ func TestLegacyClientBaselineGolden(t *testing.T) {
 // TestUnknownCapabilityDownNegotiated: a future client advertising a
 // capability bit this build does not know is down-negotiated, not
 // disconnected — the unknown bit never echoes back, the session works, and
-// the daemon counts the sighting. 0x10 is the retired explore bit, which
-// must be treated the same way.
+// the daemon counts the sighting. 0x10 and 0x20 are the retired explore
+// and gossip bits, which must be treated the same way.
 func TestUnknownCapabilityDownNegotiated(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	for i, unknown := range []byte{0x80, 0x10} {
+	for i, unknown := range []byte{0x80, 0x10, 0x20} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)

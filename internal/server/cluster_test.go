@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -160,8 +161,9 @@ func TestSessResumeFailoverMatchesLocal(t *testing.T) {
 
 // TestDrainMigratesSessionAcrossServers is the graceful half: a draining
 // backend hands its interactive session off with SessMigrate between
-// commands; replaying the journal on a second server continues it with
-// byte-identical output, and the drained backend shuts down losing nothing.
+// commands; replaying the journal on a second server, which has never seen
+// the session's family, continues it with byte-identical output, and the
+// drained backend shuts down losing nothing.
 func TestDrainMigratesSessionAcrossServers(t *testing.T) {
 	srvA, addrA := startServer(t, server.Config{})
 	srvB, addrB := startServer(t, server.Config{})
@@ -217,7 +219,6 @@ func TestDrainMigratesSessionAcrossServers(t *testing.T) {
 		SpecHash:   scenario.SpecHash(spec),
 		SkipOutput: uint64(buf1.Len()),
 		Journal:    []wire.JournalEntry{{Kind: wire.JournalLine, Line: "vcap"}},
-		Image:      mig.Image,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +233,54 @@ func TestDrainMigratesSessionAcrossServers(t *testing.T) {
 	}
 	if m := srvB.Metrics(); m.SessionsResumed != 1 {
 		t.Fatalf("destination: want 1 resumed session, got %+v", m)
+	}
+}
+
+// TestImageCarryingResumeRefused: a SessResume whose reserved last field
+// is not empty, the slot that once carried a template image, must not run
+// a session. A backend cannot check an image without re-simulating it, and
+// an adopted image would serve every later session of its family: so after
+// the refused resume, a plain Run of the same family from a second
+// connection must still equal the local golden.
+func TestImageCarryingResumeRefused(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	spec := scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Script: "vcap;status;halt"}
+	var golden bytes.Buffer
+	if _, err := scenario.Run(spec, &golden, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-frame an encoded resume with bytes in its reserved slot.
+	fr, err := wire.EncodeMsg(&wire.SessResume{Spec: spec, SpecHash: scenario.SpecHash(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := bytes.Repeat([]byte{0xA5}, 64)
+	fr = binary.BigEndian.AppendUint32(fr[:len(fr)-4], uint32(len(img)))
+	fr = append(fr, img...)
+	binary.BigEndian.PutUint32(fr[2:6], uint32(len(fr)-6))
+
+	conn := dialCluster(t, addr, wire.FlagCluster)
+	if _, err := conn.Write(fr); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := wire.ReadMsg(conn); err == nil {
+		t.Errorf("image-carrying resume was answered with %T, want the connection closed", m)
+	}
+	conn.Close()
+	if n := srv.Metrics().SessionsTotal; n != 0 {
+		t.Errorf("image-carrying resume ran %d sessions, want 0", n)
+	}
+
+	conn2 := dialCluster(t, addr, 0)
+	if err := wire.WriteMsg(conn2, &wire.Run{Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	finishSession(t, conn2, &out, nil)
+	if out.String() != golden.String() {
+		t.Fatalf("session after the refused resume differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+			golden.String(), out.String())
 	}
 }
 

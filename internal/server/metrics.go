@@ -26,8 +26,6 @@ type counters struct {
 
 	sessionsMigrated   atomic.Int64
 	sessionsResumed    atomic.Int64
-	migrateBytesOut    atomic.Int64
-	migrateBytesIn     atomic.Int64
 	resumeSkippedBytes atomic.Int64
 	statProbes         atomic.Int64
 }
@@ -57,18 +55,15 @@ type Metrics struct {
 	// Cluster counters (all zero off-cluster).
 	SessionsMigrated   int64 // sessions handed off to a peer during a drain
 	SessionsResumed    int64 // migrated sessions replayed to their live point here
-	MigrateBytesOut    int64 // template-image bytes shipped with SessMigrate frames
-	MigrateBytesIn     int64 // template-image bytes received with SessResume frames
 	ResumeSkippedBytes int64 // replayed output bytes suppressed because the peer had them
 	StatProbes         int64 // load/drain probes answered
 
 	// Warm-start pool counters (all zero when pooling is disabled).
-	WarmForks          int64 // sessions served by forking a pre-warmed template
-	SparePops          int64 // …of which popped a pre-forked spare rig
-	ColdBoots          int64 // sessions simulated from cycle 0
-	TemplatesBuilt     int64 // firmware templates warmed in the background
-	TemplatesInstalled int64 // foreign template images adopted from migrations
-	Untemplatable      int64 // spec families the pool gave up templating
+	WarmForks      int64 // sessions served by forking a pre-warmed template
+	SparePops      int64 // …of which popped a pre-forked spare rig
+	ColdBoots      int64 // sessions simulated from cycle 0
+	TemplatesBuilt int64 // firmware templates warmed in the background
+	Untemplatable  int64 // spec families the pool gave up templating
 }
 
 // Metrics returns a snapshot of the server's counters.
@@ -95,8 +90,6 @@ func (s *Server) Metrics() Metrics {
 
 		SessionsMigrated:   s.c.sessionsMigrated.Load(),
 		SessionsResumed:    s.c.sessionsResumed.Load(),
-		MigrateBytesOut:    s.c.migrateBytesOut.Load(),
-		MigrateBytesIn:     s.c.migrateBytesIn.Load(),
 		ResumeSkippedBytes: s.c.resumeSkippedBytes.Load(),
 		StatProbes:         s.c.statProbes.Load(),
 	}
@@ -106,7 +99,6 @@ func (s *Server) Metrics() Metrics {
 		m.SparePops = int64(pm.SparePops)
 		m.ColdBoots = int64(pm.ColdBoots)
 		m.TemplatesBuilt = int64(pm.TemplatesBuilt)
-		m.TemplatesInstalled = int64(pm.TemplatesInstalled)
 		m.Untemplatable = int64(pm.Untemplatable)
 	}
 	return m

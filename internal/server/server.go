@@ -545,7 +545,6 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 				journal:          req.Journal,
 				skipOutput:       req.SkipOutput,
 				skipTraceSamples: req.SkipTraceSamples,
-				image:            req.Image,
 				resumed:          true,
 			}, traceZ, snap, cluster)
 			st.exitBusy()
@@ -579,7 +578,6 @@ type sessionReq struct {
 	journal          []wire.JournalEntry
 	skipOutput       uint64
 	skipTraceSamples uint64
-	image            []byte
 	resumed          bool
 }
 
@@ -590,10 +588,10 @@ type sessionReq struct {
 // drain-time migration hand-offs.
 //
 // Resume (req.resumed) leans entirely on determinism: the scenario is
-// re-run from its template (or cycle 0), journal entries answer the prompts
-// the original session already answered, the first skipOutput bytes — which
-// replay reproduces exactly — are discarded, and the session goes live at
-// precisely the byte the peer was owed next.
+// re-run from this server's own template (or cycle 0), journal entries
+// answer the prompts the original session already answered, the first
+// skipOutput bytes — which replay reproduces exactly — are discarded, and
+// the session goes live at precisely the byte the peer was owed next.
 func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bool) error {
 	if open := s.c.sessionsOpen.Add(1); open > int64(s.cfg.MaxSessions) {
 		s.c.sessionsOpen.Add(-1)
@@ -629,17 +627,6 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 
 	if req.resumed {
 		s.c.sessionsResumed.Add(1)
-		s.c.migrateBytesIn.Add(int64(len(req.image)))
-		if len(req.image) > 0 && s.pool != nil {
-			// Adopt the origin's template image so the replay warm-forks
-			// instead of re-simulating the charge phase. A bad image is not
-			// fatal — a cold replay is byte-identical, just slower.
-			if tmpl, err := scenario.UnmarshalTemplate(req.image); err == nil && tmpl.Usable(req.spec) {
-				s.pool.Install(tmpl)
-			} else {
-				s.logf("conn %s: resume image rejected (%v); replaying cold", conn.RemoteAddr(), err)
-			}
-		}
 	}
 
 	sw := &streamWriter{s: s, conn: conn}
@@ -756,29 +743,19 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 }
 
 // migrateOut hands the session to a cluster peer: flush what the peer is
-// owed, send SessMigrate (with this server's template image for the spec
-// family when one exists, so the destination can warm-fork the replay), and
-// latch the output stream shut. The peer re-dispatches from its own journal
-// — this side only has to get out of the way deterministically.
+// owed, send SessMigrate, and latch the output stream shut. The peer
+// re-dispatches from its own journal — this side only has to get out of
+// the way deterministically.
 func (s *Server) migrateOut(conn net.Conn, spec scenario.Spec, sw *streamWriter) {
 	if sw.flush() != nil {
 		return
 	}
-	var img []byte
-	if s.pool != nil {
-		if tmpl := s.pool.Template(spec); tmpl != nil && tmpl.Usable(spec) {
-			if b, err := tmpl.Marshal(); err == nil && len(b) <= wire.MaxFrame-128 {
-				img = b
-			}
-		}
-	}
-	if err := s.send(conn, &wire.SessMigrate{SpecHash: scenario.SpecHash(spec), Image: img}); err != nil {
+	if err := s.send(conn, &wire.SessMigrate{SpecHash: scenario.SpecHash(spec)}); err != nil {
 		sw.fail(err)
 		return
 	}
 	s.c.sessionsMigrated.Add(1)
-	s.c.migrateBytesOut.Add(int64(len(img)))
-	s.logf("conn %s: session migrated out (image %d bytes)", conn.RemoteAddr(), len(img))
+	s.logf("conn %s: session migrated out", conn.RemoteAddr())
 	sw.fail(errMigrated)
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -83,19 +82,23 @@ func FuzzWireDecode(f *testing.F) {
 	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, 0x10); err == nil {
 		f.Add(fr)
 	}
-	// …gossip-tier handshakes and frames (FlagGossip gateway peers): a
-	// replicated-gateway hello, a backend-join event, a hostile journal
-	// count in a session append (rejected before allocating), and an
-	// unknown gossip kind…
-	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, FlagGossip|FlagCluster); err == nil {
+	// …frames of the retired gateway gossip protocol, which must now fail
+	// as unknown types too: one of each old event shape, handshakes still
+	// offering the retired capability bit 0x20, a backend-join event, a
+	// hostile journal count in a session append, and an unknown gossip
+	// kind…
+	for _, fr := range retiredGossipFrames() {
 		f.Add(fr)
 	}
-	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd-gw"}, FlagGossip); err == nil {
+	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, 0x20|FlagCluster); err == nil {
 		f.Add(fr)
 	}
-	f.Add([]byte{TypeGossip, 0, 0, 0, 0, 10, 2, 0, 0, 0, 5, ':', '3', '4', '9', '0'})
-	f.Add([]byte{TypeGossip, 0, 0, 0, 0, 17, 6, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{TypeGossip, 0, 0, 0, 0, 1, 99})
+	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd-gw"}, 0x20); err == nil {
+		f.Add(fr)
+	}
+	f.Add([]byte{0x50, 0, 0, 0, 0, 10, 2, 0, 0, 0, 5, ':', '3', '4', '9', '0'})
+	f.Add([]byte{0x50, 0, 0, 0, 0, 17, 6, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x50, 0, 0, 0, 0, 1, 99})
 	// …a truncated SessResume whose journal count promises more entries than
 	// the payload holds (the decoder must reject it before allocating)…
 	f.Add([]byte{TypeSessResume, 0, 0, 0, 0, 4, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -132,13 +135,6 @@ func FuzzWireDecode(f *testing.F) {
 // options), an expand shard with delta pages, two dedup shards, and a
 // hello, two expansions and a dedup verdict result.
 func retiredExploreFrames() [][]byte {
-	frame := func(typ byte, build func(e *encoder)) []byte {
-		var e encoder
-		build(&e)
-		fr := []byte{typ, 0, 0, 0, 0, 0}
-		binary.BigEndian.PutUint32(fr[2:], uint32(len(e.b)))
-		return append(fr, e.b...)
-	}
 	open := func(spec scenario.Spec, guards bool, mode string, check bool, opts ...uint32) func(*encoder) {
 		return func(e *encoder) {
 			encodeSpec(e, &spec)
@@ -151,10 +147,10 @@ func retiredExploreFrames() [][]byte {
 		}
 	}
 	return [][]byte{
-		frame(0x40, open(scenario.Spec{App: "linkedlist", Seconds: 10, Distance: 1, Seed: 42, Print: "none"},
+		rawFrame(0x40, open(scenario.Spec{App: "linkedlist", Seconds: 10, Distance: 1, Seed: 42, Print: "none"},
 			false, "write", true, 3, 8, 64, 2, 2)),
-		frame(0x40, open(scenario.Spec{App: "safelist"}, true, "page", false, 0, 0, 0, 0, 0)),
-		frame(0x41, func(e *encoder) {
+		rawFrame(0x40, open(scenario.Spec{App: "safelist"}, true, "page", false, 0, 0, 0, 0, 0)),
+		rawFrame(0x41, func(e *encoder) {
 			e.u8(0) // expand
 			e.u32(7)
 			e.u32(2)
@@ -171,7 +167,7 @@ func retiredExploreFrames() [][]byte {
 			e.u32(64)
 			e.bytes([]byte{4})
 		}),
-		frame(0x41, func(e *encoder) {
+		rawFrame(0x41, func(e *encoder) {
 			e.u8(1) // dedup
 			e.u32(8)
 			e.u32(1)
@@ -180,17 +176,17 @@ func retiredExploreFrames() [][]byte {
 			e.u64(2)
 			e.u64(1 << 60)
 		}),
-		frame(0x41, func(e *encoder) {
+		rawFrame(0x41, func(e *encoder) {
 			e.u8(1)
 			e.u32(9)
 			e.u32(0)
 			e.u32(0)
 		}),
-		frame(0x42, func(e *encoder) {
+		rawFrame(0x42, func(e *encoder) {
 			e.u8(0) // hello
 			e.u64(0xdecafbad)
 		}),
-		frame(0x42, func(e *encoder) {
+		rawFrame(0x42, func(e *encoder) {
 			e.u8(1) // expanded, with a hazard and two children
 			e.u32(7)
 			e.u32(1)
@@ -212,7 +208,7 @@ func retiredExploreFrames() [][]byte {
 			e.u64(12)
 			e.u32(0)
 		}),
-		frame(0x42, func(e *encoder) {
+		rawFrame(0x42, func(e *encoder) {
 			e.u8(1)
 			e.u32(7)
 			e.u32(0)
@@ -223,7 +219,7 @@ func retiredExploreFrames() [][]byte {
 			e.bool(false)
 			e.u32(0)
 		}),
-		frame(0x42, func(e *encoder) {
+		rawFrame(0x42, func(e *encoder) {
 			e.u8(2) // dedup verdicts
 			e.u32(8)
 			e.u32(3)
@@ -234,10 +230,60 @@ func retiredExploreFrames() [][]byte {
 	}
 }
 
-// TestRetiredExploreFramesRejected: every frame of the retired explore
-// shard protocol fails to decode as an unknown message type.
-func TestRetiredExploreFramesRejected(t *testing.T) {
-	for i, fr := range retiredExploreFrames() {
+// retiredGossipFrames returns one frame of each event the retired
+// gateway gossip protocol carried in type 0x50, laid out as that protocol
+// encoded them: a heartbeat, a reset, a backend join and leave, two
+// template-image fills, a session open, two journal appends and a session
+// close.
+func retiredGossipFrames() [][]byte {
+	gossip := func(kind byte, build func(e *encoder)) []byte {
+		return rawFrame(0x50, func(e *encoder) {
+			e.u8(kind)
+			build(e)
+		})
+	}
+	none := func(*encoder) {}
+	return [][]byte{
+		gossip(0, none), // heartbeat
+		gossip(1, none), // reset
+		gossip(2, func(e *encoder) { e.str("10.0.0.2:3490") }), // backend join
+		gossip(3, func(e *encoder) { e.str("10.0.0.2:3490") }), // backend leave
+		gossip(4, func(e *encoder) { // template image
+			e.u64(0xfeedface)
+			e.bytes([]byte{0x1f, 0x8b})
+		}),
+		gossip(4, func(e *encoder) {
+			e.u64(3)
+			e.bytes(nil)
+		}),
+		gossip(5, func(e *encoder) { // session open
+			e.u64(9)
+			encodeSpec(e, &scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Interactive: true})
+			e.bool(true)
+		}),
+		gossip(6, func(e *encoder) { // session append
+			e.u64(9)
+			e.u32(2)
+			encodeJournal(e, []JournalEntry{{Kind: JournalLine, Line: "vcap"}, {Kind: JournalSnapSave}})
+			e.u64(4096)
+			e.u64(1024)
+		}),
+		gossip(6, func(e *encoder) {
+			e.u64(9)
+			e.u32(4)
+			encodeJournal(e, nil)
+			e.u64(5000)
+			e.u64(0)
+		}),
+		gossip(7, func(e *encoder) { e.u64(9) }), // session close
+	}
+}
+
+// TestRetiredProtocolFramesRejected: every frame of the retired explore
+// shard protocol and of the retired gateway gossip protocol fails to
+// decode as an unknown message type.
+func TestRetiredProtocolFramesRejected(t *testing.T) {
+	for i, fr := range append(retiredExploreFrames(), retiredGossipFrames()...) {
 		if _, _, err := ReadMsgFlags(bytes.NewReader(fr)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("retired frame %d (type %#02x): got %v", i, fr[0], err)
 		}

@@ -82,9 +82,8 @@ const (
 	TypeJoin        byte = 0x34 // backend → gateway: register an advertised backend address (FlagCluster only)
 
 	// 0x40–0x42 are retired (the removed distributed-explore shard
-	// protocol); never reuse them. They decode as unknown types.
-
-	TypeGossip byte = 0x50 // gateway → gateway: one replication-stream event (FlagGossip only)
+	// protocol), and so is 0x50 (the removed gateway gossip stream); never
+	// reuse them. They decode as unknown types.
 )
 
 // Capability flag bits, valid only on Hello and Welcome frames. A client
@@ -118,23 +117,16 @@ const (
 	// byte-identical baseline protocol — cluster support needs no version
 	// bump.
 	FlagCluster byte = 0x08
-	// 0x10 is retired with types 0x40–0x42; never reuse it. A peer that
-	// still offers it is down-negotiated like any unknown bit.
-
-	// FlagGossip negotiates the gateway-to-gateway replication stream: a
-	// peer gateway that sets it may send Gossip frames (backend join/leave,
-	// per-session journal appends, template-image gossip) so a replica
-	// gateway holds the fleet state needed to resume every live session if
-	// the primary dies. Peers that never offer the bit see a byte-identical
-	// baseline protocol — gateway replication needs no version bump.
-	FlagGossip byte = 0x20
+	// 0x10 is retired with types 0x40–0x42, and 0x20 with type 0x50;
+	// never reuse them. A peer that still offers one is down-negotiated
+	// like any unknown bit.
 )
 
 // KnownCaps is the set of capability bits this build understands.
 // Handshake frames may carry bits outside this mask (a future peer's
 // capabilities); the framing layer passes them through and negotiation
 // masks them off, so old corpus entries and old peers keep working.
-const KnownCaps byte = FlagTraceZ | FlagSnap | FlagAuth | FlagCluster | FlagGossip
+const KnownCaps byte = FlagTraceZ | FlagSnap | FlagAuth | FlagCluster
 
 // handshakeFrame reports whether frames of type t carry capability flag
 // bits; every other frame type must have a zero flags byte in version 1.
@@ -247,17 +239,16 @@ type JournalEntry struct {
 // first SkipOutput output bytes and SkipTraceSamples trace samples (the
 // client already has them), then continue serving the session live. Because
 // sessions are deterministic, the regenerated stream continues byte-exactly
-// where the origin backend's stream stopped. Image optionally carries a
-// serialized warm-start template (scenario.Template image) so the receiving
-// backend can skip the charge-phase simulation; an empty Image means the
-// receiver warm-starts from its own pool or cold-boots — output is
-// identical either way. Only valid after FlagCluster was negotiated.
+// where the origin backend's stream stopped; the receiver warm-starts from
+// its own pool or cold-boots, and the output is identical either way. The
+// payload ends in a reserved slot (see reserved). Only valid after
+// FlagCluster was negotiated.
 type SessResume struct {
 	Spec scenario.Spec
 	// StreamTrace mirrors Run.StreamTrace.
 	StreamTrace bool
-	// SpecHash is scenario.SpecHash(Spec); the receiver verifies it before
-	// adopting Image.
+	// SpecHash is scenario.SpecHash(Spec); the receiver rejects a resume
+	// whose hash does not match its spec.
 	SpecHash uint64
 	// SkipOutput is the count of session output bytes the client already
 	// received; the replayed stream's first SkipOutput bytes are dropped
@@ -269,24 +260,19 @@ type SessResume struct {
 	// unmigrated stream's.
 	SkipTraceSamples uint64
 	Journal          []JournalEntry
-	Image            []byte
 }
 
 // SessMigrate is sent by a draining backend in place of a Prompt: the
 // session should finish on another backend. The sender stops streaming the
 // session (anything its simulation still produces is discarded); the
-// gateway re-dispatches the session's journal as a SessResume elsewhere.
-// Image optionally carries the sender's serialized warm-start template for
-// the spec ("fullImage" mode); an empty Image is "delta" mode — the
-// receiver is expected to already hold the template (the RNG stream
-// positions and all other machine state ride inside the image; the journal
-// supplies everything since). Only sent after FlagCluster was negotiated.
+// gateway or the client re-dispatches the session's journal as a
+// SessResume elsewhere. The payload ends in a reserved slot (see reserved).
+// Only sent after FlagCluster was negotiated.
 type SessMigrate struct {
 	SpecHash uint64
 	// SimCycles is the origin's simulated clock at the migration point,
 	// for logs and migration-lag metrics.
 	SimCycles uint64
-	Image     []byte
 }
 
 // Stat probes a backend's load for placement and health decisions. Only
@@ -306,55 +292,6 @@ type StatReply struct {
 // negotiated.
 type Join struct {
 	Addr string
-}
-
-// Gossip event kinds: one per replication-stream event a gateway ships to
-// its peer. The stream is ordered per TCP connection; a reconnecting
-// sender opens with GossipReset and a full snapshot, so a receiver never
-// has to reconcile partial histories.
-const (
-	GossipHeartbeat    byte = 0 // keepalive; the receiver's read deadline rides on it
-	GossipReset        byte = 1 // drop all replica state from this peer; a snapshot follows
-	GossipBackendJoin  byte = 2 // Addr joined the sender's placement ring
-	GossipBackendLeave byte = 3 // Addr left the sender's placement ring
-	GossipImage        byte = 4 // template image for SpecHash entered the sender's cache
-	GossipSessOpen     byte = 5 // proxied session Sess opened with Spec/StreamTrace
-	GossipSessAppend   byte = 6 // session Sess journaled entries; offsets updated
-	GossipSessClose    byte = 7 // session Sess concluded; drop its replica
-)
-
-// Gossip is one gateway-to-gateway replication event. A replicated gateway
-// pair streams these over a dedicated peer connection so each side mirrors
-// the other's fleet state — the backend registry, the template-image
-// cache, and, per live proxied session, the prompt-answer journal plus
-// output/trace offsets (exactly the state SessResume carries). Only valid
-// after FlagGossip was negotiated.
-type Gossip struct {
-	Kind byte // Gossip* constant
-
-	// Addr is the backend address (GossipBackendJoin/GossipBackendLeave).
-	Addr string
-
-	// SpecHash/Image carry one template-image cache entry (GossipImage).
-	SpecHash uint64
-	Image    []byte
-
-	// Sess identifies the proxied session on the sending gateway
-	// (GossipSessOpen/GossipSessAppend/GossipSessClose).
-	Sess uint64
-	// Spec/StreamTrace open the session's replica (GossipSessOpen).
-	Spec        scenario.Spec
-	StreamTrace bool
-	// First is the journal index of Journal[0] — appends are idempotent, so
-	// a replica can detect gaps or replays (GossipSessAppend).
-	First uint32
-	// Journal holds the newly appended entries; it may be empty when only
-	// the offsets moved (GossipSessAppend).
-	Journal []JournalEntry
-	// OutputBytes/TraceSamples are the session's absolute delivered-to-client
-	// offsets after the append (GossipSessAppend).
-	OutputBytes  uint64
-	TraceSamples uint64
 }
 
 // TracePoint is one raw trace sample.
@@ -416,7 +353,6 @@ func (*Pong) Type() byte        { return TypePong }
 func (*Stat) Type() byte        { return TypeStat }
 func (*StatReply) Type() byte   { return TypeStatReply }
 func (*Join) Type() byte        { return TypeJoin }
-func (*Gossip) Type() byte      { return TypeGossip }
 
 // newMsg maps a type code to a zero message.
 func newMsg(t byte) Msg {
@@ -459,8 +395,6 @@ func newMsg(t byte) Msg {
 		return &StatReply{}
 	case TypeJoin:
 		return &Join{}
-	case TypeGossip:
-		return &Gossip{}
 	}
 	return nil
 }
@@ -658,9 +592,8 @@ func (m *Run) decode(d *decoder) {
 	m.StreamTrace = d.bool()
 }
 
-// encodeJournal/decodeJournal hold the one canonical field layout for a
-// prompt-answer journal on the wire; SessResume and Gossip both ride on it
-// so the two can never drift apart.
+// encodeJournal/decodeJournal hold the canonical field layout of a
+// prompt-answer journal on the wire.
 func encodeJournal(e *encoder, journal []JournalEntry) {
 	e.u32(uint32(len(journal)))
 	for _, j := range journal {
@@ -703,7 +636,7 @@ func (m *SessResume) encode(e *encoder) {
 	e.u64(m.SkipOutput)
 	e.u64(m.SkipTraceSamples)
 	encodeJournal(e, m.Journal)
-	e.bytes(m.Image)
+	e.reserved()
 }
 
 func (m *SessResume) decode(d *decoder) {
@@ -713,75 +646,19 @@ func (m *SessResume) decode(d *decoder) {
 	m.SkipOutput = d.u64()
 	m.SkipTraceSamples = d.u64()
 	m.Journal = decodeJournal(d)
-	if d.err != nil {
-		return
-	}
-	m.Image = d.bytesField()
-}
-
-func (m *Gossip) encode(e *encoder) {
-	e.u8(m.Kind)
-	switch m.Kind {
-	case GossipHeartbeat, GossipReset:
-	case GossipBackendJoin, GossipBackendLeave:
-		e.str(m.Addr)
-	case GossipImage:
-		e.u64(m.SpecHash)
-		e.bytes(m.Image)
-	case GossipSessOpen:
-		e.u64(m.Sess)
-		encodeSpec(e, &m.Spec)
-		e.bool(m.StreamTrace)
-	case GossipSessAppend:
-		e.u64(m.Sess)
-		e.u32(m.First)
-		encodeJournal(e, m.Journal)
-		e.u64(m.OutputBytes)
-		e.u64(m.TraceSamples)
-	case GossipSessClose:
-		e.u64(m.Sess)
-	}
-}
-
-func (m *Gossip) decode(d *decoder) {
-	m.Kind = d.u8()
-	switch m.Kind {
-	case GossipHeartbeat, GossipReset:
-	case GossipBackendJoin, GossipBackendLeave:
-		m.Addr = d.str()
-	case GossipImage:
-		m.SpecHash = d.u64()
-		m.Image = d.bytesField()
-	case GossipSessOpen:
-		m.Sess = d.u64()
-		decodeSpec(d, &m.Spec)
-		m.StreamTrace = d.bool()
-	case GossipSessAppend:
-		m.Sess = d.u64()
-		m.First = d.u32()
-		m.Journal = decodeJournal(d)
-		if d.err != nil {
-			return
-		}
-		m.OutputBytes = d.u64()
-		m.TraceSamples = d.u64()
-	case GossipSessClose:
-		m.Sess = d.u64()
-	default:
-		d.fail("unknown gossip kind %d", m.Kind)
-	}
+	d.reserved()
 }
 
 func (m *SessMigrate) encode(e *encoder) {
 	e.u64(m.SpecHash)
 	e.u64(m.SimCycles)
-	e.bytes(m.Image)
+	e.reserved()
 }
 
 func (m *SessMigrate) decode(d *decoder) {
 	m.SpecHash = d.u64()
 	m.SimCycles = d.u64()
-	m.Image = d.bytesField()
+	d.reserved()
 }
 
 func (m *Stat) encode(*encoder) {}
@@ -921,6 +798,11 @@ func (e *encoder) bytes(b []byte) {
 	e.b = append(e.b, b...)
 }
 
+// reserved writes an empty length-prefixed field. SessResume and
+// SessMigrate end in one, where protocol version 1 fixed a template-image
+// field; the slot keeps both layouts fixed and must stay empty.
+func (e *encoder) reserved() { e.u32(0) }
+
 // decoder reads payload fields with strict bounds checks; the first failure
 // latches in err and subsequent reads return zero values. Length-prefixed
 // fields are validated against the remaining payload before any
@@ -1007,6 +889,15 @@ func (d *decoder) str() string {
 		return ""
 	}
 	return string(s)
+}
+
+// reserved reads a field written by encoder.reserved and rejects any
+// content. A receiver cannot check a template image without re-simulating
+// it, so a frame that still carries one is refused, never adopted.
+func (d *decoder) reserved() {
+	if n := d.u32(); n != 0 {
+		d.fail("reserved field holds %d bytes", n)
+	}
 }
 
 func (d *decoder) bytesField() []byte {

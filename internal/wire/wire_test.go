@@ -56,32 +56,13 @@ func sampleMsgs() []Msg {
 				{Kind: JournalSnapRestore},
 				{Kind: JournalEOF},
 			},
-			Image: []byte{0x1f, 0x8b, 0x00},
 		},
 		&SessResume{Spec: scenario.Spec{App: "cem"}, SpecHash: 7},
-		&SessMigrate{SpecHash: 0xdeadbeefcafe, SimCycles: 1 << 33, Image: []byte{0x42}},
+		&SessMigrate{SpecHash: 0xdeadbeefcafe, SimCycles: 1 << 33},
 		&SessMigrate{SpecHash: 9},
 		&Stat{},
 		&StatReply{Sessions: 12, MaxSessions: 64, Draining: true},
 		&Join{Addr: "10.0.0.2:7070"},
-		&Gossip{Kind: GossipHeartbeat},
-		&Gossip{Kind: GossipReset},
-		&Gossip{Kind: GossipBackendJoin, Addr: "10.0.0.2:3490"},
-		&Gossip{Kind: GossipBackendLeave, Addr: "10.0.0.2:3490"},
-		&Gossip{Kind: GossipImage, SpecHash: 0xfeedface, Image: []byte{0x1f, 0x8b}},
-		&Gossip{Kind: GossipImage, SpecHash: 3},
-		&Gossip{
-			Kind: GossipSessOpen, Sess: 9,
-			Spec:        scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Interactive: true},
-			StreamTrace: true,
-		},
-		&Gossip{
-			Kind: GossipSessAppend, Sess: 9, First: 2,
-			Journal:     []JournalEntry{{Kind: JournalLine, Line: "vcap"}, {Kind: JournalSnapSave}},
-			OutputBytes: 4096, TraceSamples: 1024,
-		},
-		&Gossip{Kind: GossipSessAppend, Sess: 9, First: 4, OutputBytes: 5000},
-		&Gossip{Kind: GossipSessClose, Sess: 9},
 	}
 }
 
@@ -149,8 +130,8 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("flags: want ErrBadFlags, got %v", err)
 	}
 
-	// Unknown type codes, including the retired explore types.
-	for _, typ := range []byte{0xEE, 0x40, 0x41, 0x42} {
+	// Unknown type codes, including the retired explore and gossip types.
+	for _, typ := range []byte{0xEE, 0x40, 0x41, 0x42, 0x50} {
 		if _, err := DecodePayload(typ, nil); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("unknown type %#02x: got %v", typ, err)
 		}
@@ -224,6 +205,16 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("unknown journal kind: got %v", err)
 	}
 
+	// A SessResume or SessMigrate whose reserved slot is not empty: the
+	// frames a sender of template images wrote. A receiver cannot check
+	// an image, so it must refuse the frame rather than adopt the image.
+	for _, fr := range imageFrames() {
+		if _, err := ReadMsg(bytes.NewReader(fr)); err == nil ||
+			!strings.Contains(err.Error(), "reserved field") {
+			t.Fatalf("image-carrying frame type %#02x: got %v", fr[0], err)
+		}
+	}
+
 	// Non-canonical bool byte.
 	var e2 encoder
 	e2.str("cmd")
@@ -237,6 +228,47 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := ReadMsg(bytes.NewReader(f2[:len(f2)-2])); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated payload: want ErrUnexpectedEOF, got %v", err)
 	}
+}
+
+// imageFrames returns a SessResume and a SessMigrate that carry template
+// image bytes in their last field, laid out as senders of images encoded
+// them: the image-carrying sample messages of that protocol.
+func imageFrames() [][]byte {
+	return [][]byte{
+		rawFrame(TypeSessResume, func(e *encoder) {
+			encodeSpec(e, &scenario.Spec{
+				App: "linkedlist", Assert: true, Print: "none",
+				Seconds: 12.5, Seed: -3, Interactive: true,
+			})
+			e.bool(true)
+			e.u64(0xdeadbeefcafe)
+			e.u64(4096)
+			e.u64(1024)
+			encodeJournal(e, []JournalEntry{
+				{Kind: JournalLine, Line: "vcap"},
+				{Kind: JournalSnapSave},
+				{Kind: JournalLine, Line: "status"},
+				{Kind: JournalSnapRestore},
+				{Kind: JournalEOF},
+			})
+			e.bytes([]byte{0x1f, 0x8b, 0x00})
+		}),
+		rawFrame(TypeSessMigrate, func(e *encoder) {
+			e.u64(0xdeadbeefcafe)
+			e.u64(1 << 33)
+			e.bytes([]byte{0x42})
+		}),
+	}
+}
+
+// rawFrame frames the payload build writes under type typ with zero
+// flags, so tests can lay out bytes no live message encodes.
+func rawFrame(typ byte, build func(e *encoder)) []byte {
+	var e encoder
+	build(&e)
+	fr := []byte{typ, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(fr[2:], uint32(len(e.b)))
+	return append(fr, e.b...)
 }
 
 // TestEncodeRejectsOversize: messages larger than MaxFrame must not frame.

@@ -12,7 +12,7 @@
 set -eu
 
 BASE=${1:-HEAD~1}
-ARGS=${BENCH_ARGS:--snapshot -trace -fleet -kernel -explore -gateway-failover -quick}
+ARGS=${BENCH_ARGS:--snapshot -trace -fleet -kernel -cluster -explore -gateway-failover -quick}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 TMP=$(mktemp -d)
 cleanup() {
