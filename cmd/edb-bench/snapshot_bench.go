@@ -12,19 +12,22 @@ import (
 	"repro/internal/units"
 )
 
-// runSnapshotBench measures the warm-start machinery end to end: session
-// start latency cold (simulate the whole charge phase) versus warm (fork a
-// pre-warmed template) versus pool-served (pop a pre-forked spare), fork
-// throughput, and full-image versus dirty-page-delta snapshot sizes.
+// runSnapshotBench measures the warm-start machinery end to end: the time
+// from the start of a session to its first prompt, cold (simulate every
+// charge cycle before the assert), forked at first turn-on, forked at the
+// last power-on before the assert, and pool-served (pop a pre-forked spare
+// of that late point); the one-off template build; fork throughput; and
+// full-image versus dirty-page-delta snapshot sizes.
 //
-// Start latency uses a long-range tag (5 m), where the first charge takes
-// seconds of simulated time — the cost the pool exists to hide. The timed
-// specs pin the deadline 2 ms past the snapshot point so every variant does
-// the same tiny slice of post-start execution and the measured difference
-// is session start alone. Delta sizes use the default 1 m rig, whose
-// ~100 ms charge/run duty cycle makes every 100 ms window a representative
-// steady-state slice of intermittent execution (including the reboot, which
-// dirties all of SRAM).
+// The session is Fig. 7's linked-list assert with tracing on, on a seed
+// whose assert fires after 8 reboots (the perfbench session workload keeps
+// seeds like it). Each variant answers the first prompt with halt, so the
+// timed span is the session start plus the simulation up to the assert.
+// The turn-on fork comes from a template whose build deadline lands just
+// past turn-on, so its only point is the first turn-on. Delta sizes use
+// the default 1 m safelist rig, whose ~100 ms charge/run duty cycle makes
+// every 100 ms window a representative steady-state slice of intermittent
+// execution (including the reboot, which dirties all of SRAM).
 func runSnapshotBench(o *jobOut, quick bool) error {
 	trials := 9
 	forks := 32
@@ -33,52 +36,65 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 		trials, forks, intervals = 5, 8, 8
 	}
 
-	// One-off template cost: build the rig and simulate its charge phase to
-	// the quiescent point, then snapshot.
-	spec := scenario.Spec{App: "safelist", Seconds: 60, Seed: 42, Distance: 5}
+	spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 1, Seed: 14, Interactive: true}
 	t0 := time.Now()
 	tmpl, err := scenario.NewTemplate(spec)
 	if err != nil {
 		return err
 	}
 	buildMS := msSince(t0)
-
+	lateS, lateReboots := tmpl.ForkSeconds(spec)
+	if lateReboots == 0 {
+		return fmt.Errorf("snapshot bench invalid: the template forks at turn-on")
+	}
 	short := spec
-	short.Seconds = tmpl.WarmupSeconds() + 0.002
+	short.Seconds = tmpl.WarmupSeconds() + 0.001
+	onTmpl, err := scenario.NewTemplate(short)
+	if err != nil {
+		return err
+	}
+	if _, n := onTmpl.ForkSeconds(spec); n != 0 {
+		return fmt.Errorf("snapshot bench invalid: the turn-on template forks after %d reboots", n)
+	}
 
-	coldMS, err := medianRunMS(trials, func() error {
-		_, err := scenario.Run(short, io.Discard, nil)
+	coldMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
+		_, err := scenario.Run(spec, io.Discard, p)
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("cold run: %w", err)
 	}
-	warmMS, err := medianRunMS(trials, func() error {
-		_, err := tmpl.Run(short, io.Discard, nil)
+	onMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
+		_, err := onTmpl.Run(spec, io.Discard, p)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("warm run: %w", err)
+		return fmt.Errorf("turn-on fork: %w", err)
+	}
+	lateMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
+		_, err := tmpl.Run(spec, io.Discard, p)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("late fork: %w", err)
 	}
 
 	// Pool path: prime with one cold run so the template builds and the
-	// spare channel fills; between timed trials, wait (untimed) for the
+	// spare channel fills; after each timed trial, wait (untimed) for the
 	// async refill so every trial pops a pre-forked spare.
 	pool := scenario.NewPool(1)
-	if _, err := pool.Run(short, io.Discard, nil); err != nil {
+	if _, err := pool.Run(spec, io.Discard, haltAtFirstPrompt(nil)); err != nil {
 		return fmt.Errorf("pool prime: %w", err)
 	}
 	pool.Wait()
-	poolTimes := make([]float64, 0, trials)
-	for i := 0; i < trials; i++ {
-		t0 := time.Now()
-		if _, err := pool.Run(short, io.Discard, nil); err != nil {
-			return fmt.Errorf("pool run %d: %w", i, err)
-		}
-		poolTimes = append(poolTimes, msSince(t0))
+	poolMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
+		_, err := pool.Run(spec, io.Discard, p)
 		pool.Wait()
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("pool run: %w", err)
 	}
-	poolMS := median(poolTimes)
 	if m := pool.Metrics(); m.SparePops != uint64(trials) {
 		return fmt.Errorf("pool bench invalid: %d/%d trials served from a spare", m.SparePops, trials)
 	}
@@ -86,7 +102,7 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	// Fork throughput: how fast the daemon can mint ready-to-run rigs.
 	t0 = time.Now()
 	for i := 0; i < forks; i++ {
-		if _, _, err := tmpl.Fork(); err != nil {
+		if _, _, err := tmpl.Fork(spec); err != nil {
 			return fmt.Errorf("fork %d: %w", i, err)
 		}
 	}
@@ -94,17 +110,19 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 
 	// Snapshot sizes: arm a baseline on a forked 1 m rig mid-run, then take
 	// a dirty-page delta after each 100 ms steady-state window.
-	dspec := scenario.Spec{App: "safelist", Seconds: 60, Seed: 42}
+	dspec := scenario.Spec{App: "safelist", Seconds: 1, Seed: 42}
 	dtmpl, err := scenario.NewTemplate(dspec)
 	if err != nil {
 		return err
 	}
-	rig, _, err := dtmpl.Fork()
+	dspec.Seconds = 60
+	rig, _, err := dtmpl.Fork(dspec)
 	if err != nil {
 		return err
 	}
 	clk := rig.Device.Clock
-	base := dtmpl.WarmupSeconds() + 1.0
+	start, _ := dtmpl.ForkSeconds(dspec)
+	base := start + 1.0
 	if _, err := rig.RunUntil(clk.ToCycles(units.Seconds(base)), 0); err != nil {
 		return fmt.Errorf("delta rig warmup: %w", err)
 	}
@@ -138,19 +156,28 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	o.metric("snap_delta_bytes_median", deltaMedian)
 	o.metric("snap_size_ratio", sizeRatio)
 	o.metric("snap_template_build_ms", buildMS)
-	o.metric("snap_start_cold_ms", coldMS)
-	o.metric("snap_start_warm_ms", warmMS)
-	o.metric("snap_start_pool_ms", poolMS)
-	o.metric("snap_start_speedup_warm", coldMS/warmMS)
-	o.metric("snap_start_speedup_pool", coldMS/poolMS)
+	o.metric("snap_fork_point_s", lateS)
+	o.metric("snap_fork_point_reboots", float64(lateReboots))
+	o.metric("snap_prompt_cold_ms", coldMS)
+	o.metric("snap_prompt_turnon_ms", onMS)
+	o.metric("snap_prompt_late_ms", lateMS)
+	o.metric("snap_prompt_pool_ms", poolMS)
+	o.metric("snap_prompt_speedup_turnon", coldMS/onMS)
+	o.metric("snap_prompt_speedup_late", coldMS/lateMS)
+	o.metric("snap_prompt_speedup_pool", coldMS/poolMS)
 	o.metric("snap_forks_per_sec", forksPerSec)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "warm-start snapshots (safelist, seed %d):\n", spec.Seed)
-	fmt.Fprintf(&b, "  session start (5 m tag, %.2fs charge phase):\n", tmpl.WarmupSeconds())
-	fmt.Fprintf(&b, "    cold %8.3f ms   warm fork %8.3f ms (%.1fx)   pool spare %8.3f ms (%.1fx)\n",
-		coldMS, warmMS, coldMS/warmMS, poolMS, coldMS/poolMS)
-	fmt.Fprintf(&b, "    template build %.2f ms (one-off);  fork throughput %.0f forks/s\n", buildMS, forksPerSec)
+	fmt.Fprintf(&b, "warm-start sessions (linked list + assert, trace on, seed %d):\n", spec.Seed)
+	fmt.Fprintf(&b, "  time to the first prompt (the assert fires after %d reboots):\n", lateReboots)
+	row := func(label string, ms float64) {
+		fmt.Fprintf(&b, "    %-34s %8.3f ms (%.1fx)\n", label, ms, coldMS/ms)
+	}
+	row("cold", coldMS)
+	row(fmt.Sprintf("fork at first turn-on (%.3f s)", tmpl.WarmupSeconds()), onMS)
+	row(fmt.Sprintf("fork at last power-on (%.3f s)", lateS), lateMS)
+	row("pool spare of the last power-on", poolMS)
+	fmt.Fprintf(&b, "    template build %.2f ms (one-off: one run to the first entry);  fork throughput %.0f forks/s\n", buildMS, forksPerSec)
 	fmt.Fprintf(&b, "  snapshot size (1 m tag, 100 ms windows):\n")
 	fmt.Fprintf(&b, "    full image %d B   steady-state delta %.0f B (%.1fx smaller)\n",
 		fullBytes, deltaMedian, sizeRatio)
@@ -164,16 +191,32 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	return nil
 }
 
-// medianRunMS times trials invocations of fn and returns the median wall
-// time in milliseconds.
-func medianRunMS(trials int, fn func() error) (float64, error) {
+// haltAtFirstPrompt returns a prompt callback that calls at (when non-nil)
+// and ends the session with halt.
+func haltAtFirstPrompt(at func()) scenario.PromptFunc {
+	return func() (string, bool) {
+		if at != nil {
+			at()
+		}
+		return "halt", true
+	}
+}
+
+// medianPromptMS times trials sessions started by run from the start to
+// their first prompt and returns the median in milliseconds. run must
+// drive the session with the prompt callback it is given.
+func medianPromptMS(trials int, run func(scenario.PromptFunc) error) (float64, error) {
 	times := make([]float64, 0, trials)
 	for i := 0; i < trials; i++ {
+		var took float64
 		t0 := time.Now()
-		if err := fn(); err != nil {
+		if err := run(haltAtFirstPrompt(func() { took = msSince(t0) })); err != nil {
 			return 0, err
 		}
-		times = append(times, msSince(t0))
+		if took == 0 {
+			return 0, fmt.Errorf("the session never prompted")
+		}
+		times = append(times, took)
 	}
 	return median(times), nil
 }

@@ -51,7 +51,7 @@ func main() {
 	fmt.Print(trace.RenderASCII(late, rig.Device.Clock, 72, 10))
 
 	fmt.Println("RFID messages in the same window (→ reader-to-tag, ← tag-to-reader):")
-	for _, ev := range rig.EDB.Events().Events {
+	for _, ev := range rig.EDB.Events().Events() {
 		if ev.At < total-window {
 			continue
 		}

@@ -70,7 +70,7 @@ func (a *ADC) Read(v units.Volts) units.Volts {
 }
 
 // RNGState returns the noise stream position, for machine snapshots.
-func (a *ADC) RNGState() sim.RNGState { return a.rng.State() }
+func (a *ADC) RNGState() sim.RNGState { return a.rng.Snapshot() }
 
 // RestoreRNGState repositions the noise stream from a snapshot.
 func (a *ADC) RestoreRNGState(st sim.RNGState) { a.rng.RestoreState(st) }

@@ -49,9 +49,10 @@ type Console struct {
 	// buf backs out when no writer has been injected.
 	buf *strings.Builder
 
-	// lastEvent tracks how much of the event log each trace command has
-	// already printed.
-	lastEvent map[string]int
+	// lastEvent is each trace stream's position in the event log: the
+	// stream position (Dropped + index) of the first event it has not yet
+	// printed, which stays put when the log discards its oldest events.
+	lastEvent map[string]uint64
 
 	// explore, when injected (SetExplore), handles the `explore` command —
 	// the exhaustive power-failure checker lives above the console's
@@ -63,7 +64,7 @@ type Console struct {
 // board's console sink (printf output, assert notifications).
 func New(e *edb.EDB) *Console {
 	buf := &strings.Builder{}
-	c := &Console{e: e, out: buf, buf: buf, lastEvent: make(map[string]int)}
+	c := &Console{e: e, out: buf, buf: buf, lastEvent: make(map[string]uint64)}
 	e.SetConsoleSink(c.sink)
 	return c
 }
@@ -78,16 +79,25 @@ func (c *Console) sink(s string) {
 }
 
 // SetOutput routes asynchronous console output to w instead of the internal
-// buffer; Flush returns "" from then on. Passing nil restores buffering.
+// buffer, writing what the buffer holds to w first; Flush returns "" from
+// then on. Passing nil restores buffering.
 func (c *Console) SetOutput(w io.Writer) {
 	if w == nil {
 		c.buf = &strings.Builder{}
 		c.out = c.buf
 		return
 	}
+	if c.buf != nil && c.buf.Len() > 0 {
+		io.WriteString(w, c.buf.String())
+	}
 	c.out = w
 	c.buf = nil
 }
+
+// Write appends p to the console output, as if the target had printed it.
+// A warm fork uses it to replay the output a cold run wrote before the
+// fork point.
+func (c *Console) Write(p []byte) (int, error) { return c.out.Write(p) }
 
 // SetExplore injects the handler behind the `explore` command (the
 // exhaustive intermittence checker, internal/explore). The console stays
@@ -302,20 +312,21 @@ func (c *Console) traceCmd(args []string) (string, error) {
 	for _, k := range kinds {
 		wanted[k] = true
 	}
-	evs := c.e.Events().Events
-	start := c.lastEvent[stream]
-	if start > len(evs) {
-		start = 0
+	log := c.e.Events()
+	start := 0
+	if pos := c.lastEvent[stream]; pos > log.Dropped {
+		start = min(int(pos-log.Dropped), log.Len())
 	}
 	var b strings.Builder
 	n := 0
-	for _, ev := range evs[start:] {
+	for i := start; i < log.Len(); i++ {
+		ev := log.At(i)
 		if wanted[ev.Kind] || wantedPrefix(kinds, ev.Kind) {
 			fmt.Fprintf(&b, "%s\n", formatEvent(ev))
 			n++
 		}
 	}
-	c.lastEvent[stream] = len(evs)
+	c.lastEvent[stream] = log.Dropped + uint64(log.Len())
 	fmt.Fprintf(&b, "(%d %s events)\n", n, stream)
 	return b.String(), nil
 }
@@ -420,10 +431,7 @@ func (c *Console) statusCmd() (string, error) {
 	fmt.Fprintf(&b, "Vcap (ADC): %s\n", c.e.LastReading())
 	fmt.Fprintf(&b, "sessions=%d asserts=%d breakpoints=%d guards=%d printfs=%d save/restores=%d\n",
 		st.Sessions, st.Asserts, st.BreakHits, st.Guards, st.Printfs, st.SaveRestores)
-	kinds := map[string]int{}
-	for _, ev := range c.e.Events().Events {
-		kinds[ev.Kind]++
-	}
+	kinds := c.e.Events().Kinds()
 	names := make([]string, 0, len(kinds))
 	for k := range kinds {
 		names = append(names, k)

@@ -11,6 +11,8 @@ import (
 	"repro/internal/edb"
 	"repro/internal/energy"
 	"repro/internal/isa"
+	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -181,6 +183,40 @@ func TestTraceCommands(t *testing.T) {
 		t.Fatal("missing stream must error")
 	}
 	_ = e
+}
+
+// TestTraceKeepsPlaceAcrossDiscards: a trace stream prints every event it
+// has not printed yet, also after the event log discarded its oldest
+// quarter in between.
+func TestTraceKeepsPlaceAcrossDiscards(t *testing.T) {
+	_, e, c := rig(t)
+	log := e.Events()
+	log.Limit = 8
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			log.Add(trace.Event{At: sim.Cycles(i), Kind: "uart", Arg: i})
+		}
+	}
+	add(0, 6)
+	if out, err := c.Exec("trace iobus"); err != nil || !strings.Contains(out, "(6 iobus events)") {
+		t.Fatalf("%v %q", err, out)
+	}
+	add(6, 10)
+	if log.Dropped == 0 {
+		t.Fatal("the log must have discarded events")
+	}
+	out, err := c.Exec("trace iobus")
+	if err != nil || !strings.Contains(out, "(4 iobus events)") {
+		t.Fatalf("%v %q", err, out)
+	}
+	for i := 6; i < 10; i++ {
+		if !strings.Contains(out, fmt.Sprintf("@%d uart", i)) {
+			t.Fatalf("event %d missing:\n%s", i, out)
+		}
+	}
+	if out, _ := c.Exec("trace iobus"); !strings.Contains(out, "(0 iobus events)") {
+		t.Fatalf("third call: %q", out)
+	}
 }
 
 // hex16 formats a 16-bit value as four hex digits (console address syntax).

@@ -24,8 +24,8 @@ func (s *RigSnapshot) MemoryBytes() int { return s.Device.MemoryBytes() }
 func (s *RigSnapshot) Now() sim.Cycles { return s.Device.Now }
 
 // Snapshot captures the rig at a firmware-quiescent point (no firmware
-// stack live, no pending clock events — e.g. mid-charge before Main first
-// runs). Reader rigs cannot be snapshotted: the reader's inventory state
+// stack live, no pending clock events — e.g. at a power-on, before Main
+// starts). Reader rigs cannot be snapshotted: the reader's inventory state
 // machine lives outside the capture set.
 func (r *Rig) Snapshot() (*RigSnapshot, error) {
 	if r.Reader != nil {
@@ -67,9 +67,9 @@ func (r *Rig) Restore(s *RigSnapshot) error {
 
 // RunUntil is Run against an absolute deadline cycle with times reported
 // relative to origin — the warm-start entry point. A rig restored from a
-// mid-charge snapshot passes the deadline and origin a cold run would have
-// used, so every reported time (and therefore every output byte) matches
-// the cold run exactly.
+// snapshot passes the deadline and origin a cold run would have used, so
+// every reported time (and therefore every output byte) matches the cold
+// run exactly.
 func (r *Rig) RunUntil(deadline, origin sim.Cycles) (device.RunResult, error) {
 	if r.Reader != nil {
 		r.Reader.Start()

@@ -18,6 +18,21 @@ type I2CDevice interface {
 	WriteReg(reg byte, val byte)
 }
 
+// I2CState is what an I2C peripheral keeps of its own, outside device
+// memory: a split RNG stream, latched register bytes and a read count.
+// Device snapshots carry it for each attached I2CStateful peripheral.
+type I2CState struct {
+	RNG     sim.RNGState
+	Latched []byte
+	Reads   uint64
+}
+
+// I2CStateful is an I2C peripheral whose state a snapshot must carry.
+type I2CStateful interface {
+	I2CState() I2CState
+	RestoreI2CState(I2CState)
+}
+
 // I2CTransfer describes one completed bus transaction, for EDB's passive
 // I/O monitoring (§4.1.2: "Our prototype can monitor GPIO, UART, I2C...").
 type I2CTransfer struct {

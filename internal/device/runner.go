@@ -140,6 +140,13 @@ type Runner struct {
 	// OnReboot, if set, is called after each power-failure reboot.
 	OnReboot func(n int)
 
+	// OnPowerOn, if set, is called each time the supply has turned the
+	// device on and the program is about to start from its reset vector.
+	// Nothing volatile has survived the power-off before it, so the device
+	// is at a complete state cut: a snapshot taken here (see Snapshot),
+	// with the run's Tally, resumes exactly.
+	OnPowerOn func()
+
 	env   Env
 	slice Sliceable // P, if it can pause mid-run; nil for burst programs
 
@@ -150,7 +157,12 @@ type Runner struct {
 	reboots, faults        int
 	halted                 string
 	err                    error
+
+	resume Tally // the tallies the next Start continues from
 }
+
+// Tally is a run's count of power-failure reboots and memory faults.
+type Tally struct{ Reboots, Faults int }
 
 // NewRunner returns a runner for program p on device d.
 func NewRunner(d *Device, p Program) *Runner {
@@ -171,10 +183,10 @@ func (r *Runner) RunFor(d units.Seconds) (RunResult, error) {
 
 // RunUntil is RunFor against an absolute deadline cycle, with SimTime
 // reported relative to origin. It exists for warm-started rigs: a rig
-// restored from a mid-charge snapshot passes the deadline and origin a
-// cold run would have used (origin 0), so the deadline cycle and the
-// reported times — and therefore every output byte — match the cold run
-// exactly instead of being skewed by the snapshot point.
+// restored from a snapshot taken at a power-on passes the deadline and
+// origin a cold run would have used (origin 0), so the deadline cycle and
+// the reported times — and therefore every output byte — match the cold
+// run exactly instead of being skewed by the snapshot point.
 func (r *Runner) RunUntil(deadline, origin sim.Cycles) (RunResult, error) {
 	r.D.SetDeadline(deadline)
 	defer r.D.ClearDeadline()
@@ -183,15 +195,26 @@ func (r *Runner) RunUntil(deadline, origin sim.Cycles) (RunResult, error) {
 	return r.Result(origin)
 }
 
-// Start arms a run at charge entry with zeroed tallies. The caller sets
-// the device deadline that ends it.
+// Start arms a run at charge entry with zeroed tallies, or with the
+// tallies passed to Resume. The caller sets the device deadline that ends
+// it.
 func (r *Runner) Start() {
 	r.env.D = r.D
 	r.phase = phaseChargeEnter
 	r.completed, r.deadlineHit = false, false
-	r.reboots, r.faults = 0, 0
+	r.reboots, r.faults = r.resume.Reboots, r.resume.Faults
+	r.resume = Tally{}
 	r.halted, r.err = "", nil
 }
+
+// Tally returns the current run's reboots and faults so far.
+func (r *Runner) Tally() Tally { return Tally{r.reboots, r.faults} }
+
+// Resume makes the next Start continue from t instead of zero. A device
+// restored from a snapshot taken at a power-on (OnPowerOn) passes the
+// run's tallies there, so the resumed run reports what the run the
+// snapshot came from would.
+func (r *Runner) Resume(t Tally) { r.resume = t }
 
 // Step advances the run until the clock reaches stopAt or the run ends,
 // and reports whether it has ended. It pauses only between the env calls
@@ -253,6 +276,9 @@ func (r *Runner) advance(stopAt sim.Cycles) Outcome {
 			return OutPaused
 		}
 	case phaseRunEnter:
+		if r.OnPowerOn != nil {
+			r.OnPowerOn()
+		}
 		if r.slice != nil {
 			r.slice.ResetCPU()
 		}

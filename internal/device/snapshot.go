@@ -19,9 +19,14 @@ import (
 // execution context is a live Go stack and scheduled events are closures,
 // neither of which can be serialized. Snapshot therefore refuses to run
 // while clock events are pending, and callers must not invoke it from
-// inside Program.Main. The warm-session pool takes its snapshot after the
-// first charge phase, before Main has ever executed — a point every cold
-// run passes through with exactly this state.
+// inside Program.Main. The warm-session pool snapshots at power-ons
+// (Runner.OnPowerOn): the first turn-on, before Main has ever executed,
+// and each power-on after a power-failure reboot, where the firmware stack
+// has unwound and only non-volatile memory carried over. Both are points
+// every cold run passes through with exactly this state, provided nothing
+// volatile outlives the power failure outside the captured set: firmware
+// keeps its state in simulated memory, and I2C peripherals with state of
+// their own implement I2CStateful.
 type Snapshot struct {
 	Now      sim.Cycles
 	Regions  []RegionSnap
@@ -42,6 +47,7 @@ type Snapshot struct {
 	UARTRx      []byte
 	UARTSent    uint64
 	RFRx        []RFFrame
+	I2C         map[byte]I2CState // by bus address
 }
 
 // RegionSnap is one memory region's full contents.
@@ -75,7 +81,7 @@ func (d *Device) Snapshot() (*Snapshot, error) {
 	s := &Snapshot{
 		Now:              d.Clock.Now(),
 		Supply:           d.Supply.SnapshotState(),
-		RNG:              d.RNG.State(),
+		RNG:              d.RNG.Snapshot(),
 		LowPower:         d.lowPower,
 		InterruptPending: d.interruptPending,
 		Stats:            d.stats,
@@ -109,6 +115,14 @@ func (d *Device) Snapshot() (*Snapshot, error) {
 	for _, f := range d.RF.rxq {
 		f.Bits = append([]byte(nil), f.Bits...)
 		s.RFRx = append(s.RFRx, f)
+	}
+	for addr, dev := range d.I2C.devices {
+		if sd, ok := dev.(I2CStateful); ok {
+			if s.I2C == nil {
+				s.I2C = make(map[byte]I2CState)
+			}
+			s.I2C[addr] = sd.I2CState()
+		}
 	}
 	return s, nil
 }
@@ -174,6 +188,13 @@ func (d *Device) Restore(s *Snapshot) error {
 	for _, f := range s.RFRx {
 		f.Bits = append([]byte(nil), f.Bits...)
 		d.RF.rxq = append(d.RF.rxq, f)
+	}
+	for addr, st := range s.I2C {
+		sd, ok := d.I2C.devices[addr].(I2CStateful)
+		if !ok {
+			return fmt.Errorf("device: restore: no stateful I2C peripheral at %#02x", addr)
+		}
+		sd.RestoreI2CState(st)
 	}
 	return nil
 }

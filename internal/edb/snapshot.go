@@ -10,20 +10,28 @@ import (
 )
 
 // Snapshot is the debugger-side half of a machine snapshot: EDB's own RNG
-// streams (ADC noise), its latest reading, the recorded traces, and the
-// event log. Together with device.Snapshot it makes a warm-forked rig
-// bit-for-bit indistinguishable from one that cold-booted to the same
-// point.
+// streams (ADC noise), its latest reading, the recorded traces, the event
+// log, the save/restore samples and the printf output. Together with
+// device.Snapshot it makes a warm-forked rig bit-for-bit indistinguishable
+// from one that cold-booted to the same point.
+//
+// The recorded history is shared, not copied, in both directions: the
+// snapshot holds the board's own traces and log, and a restored board
+// starts from the snapshot's. Appends on either side never write what the
+// snapshot holds (trace.LogState for the event log, capacity-clipped
+// slices for the rest), so any number of forks can restore one snapshot
+// concurrently.
 type Snapshot struct {
-	RNG           sim.RNGState
-	ADCRNG        sim.RNGState
-	LastReading   units.Volts
-	Vcap          []trace.Sample // nil when Vcap tracing is off
-	Vreg          []trace.Sample // nil when Vreg tracing is off
-	Events        []trace.Event
-	EventsDropped uint64
-	WatchHits     []WatchpointHit
-	Stats         ActiveStats
+	RNG          sim.RNGState
+	ADCRNG       sim.RNGState
+	LastReading  units.Volts
+	Vcap         []trace.Sample // nil when Vcap tracing is off
+	Vreg         []trace.Sample // nil when Vreg tracing is off
+	Events       trace.LogState
+	WatchHits    []WatchpointHit
+	SaveRestores []SaveRestoreSample
+	Printf       string
+	Stats        ActiveStats
 }
 
 // Snapshot captures EDB's mutable state. Like device.Snapshot it is only
@@ -34,38 +42,46 @@ func (e *EDB) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("edb: cannot snapshot with an active-mode exchange open")
 	}
 	s := &Snapshot{
-		RNG:           e.rng.State(),
-		ADCRNG:        e.adc.RNGState(),
-		LastReading:   e.lastReading,
-		Events:        append([]trace.Event(nil), e.events.Events...),
-		EventsDropped: e.events.Dropped,
-		WatchHits:     append([]WatchpointHit(nil), e.watchHits...),
-		Stats:         e.stats,
+		RNG:          e.rng.Snapshot(),
+		ADCRNG:       e.adc.RNGState(),
+		LastReading:  e.lastReading,
+		Events:       e.events.Snapshot(),
+		WatchHits:    frozen(e.watchHits),
+		SaveRestores: frozen(e.saveRestores),
+		Printf:       e.printfBuf.String(),
+		Stats:        e.stats,
 	}
 	if e.vcapTrace != nil {
-		s.Vcap = append([]trace.Sample(nil), e.vcapTrace.Samples...)
+		s.Vcap = frozen(e.vcapTrace.Samples)
 	}
 	if e.vregTrace != nil {
-		s.Vreg = append([]trace.Sample(nil), e.vregTrace.Samples...)
+		s.Vreg = frozen(e.vregTrace.Samples)
 	}
 	return s, nil
 }
 
+// frozen returns xs with its capacity cut to its length, so that an append
+// to it copies instead of writing past the end into shared storage.
+func frozen[T any](xs []T) []T { return xs[:len(xs):len(xs)] }
+
 // RestoreSnapshot applies a captured EDB state onto a freshly built and
-// attached board (the warm-fork path).
+// attached board (the warm-fork path). The board shares the snapshot's
+// history and copies none of it up front.
 func (e *EDB) RestoreSnapshot(s *Snapshot) {
 	e.rng.RestoreState(s.RNG)
 	e.adc.RestoreRNGState(s.ADCRNG)
 	e.lastReading = s.LastReading
-	e.events.Events = append(e.events.Events[:0], s.Events...)
-	e.events.Dropped = s.EventsDropped
-	e.watchHits = append(e.watchHits[:0], s.WatchHits...)
+	e.events.Restore(s.Events)
+	e.watchHits = frozen(s.WatchHits)
+	e.saveRestores = frozen(s.SaveRestores)
+	e.printfBuf.Reset()
+	e.printfBuf.WriteString(s.Printf)
 	e.stats = s.Stats
 	if e.vcapTrace != nil && s.Vcap != nil {
-		e.vcapTrace.Samples = append(e.vcapTrace.Samples[:0], s.Vcap...)
+		e.vcapTrace.Samples = frozen(s.Vcap)
 	}
 	if e.vregTrace != nil && s.Vreg != nil {
-		e.vregTrace.Samples = append(e.vregTrace.Samples[:0], s.Vreg...)
+		e.vregTrace.Samples = frozen(s.Vreg)
 	}
 	e.leakValid = false
 }

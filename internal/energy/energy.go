@@ -299,7 +299,7 @@ func (h *RFHarvester) HarvesterState() (sim.RNGState, bool) {
 	if h.Noise == nil {
 		return sim.RNGState{}, false
 	}
-	return h.Noise.State(), true
+	return h.Noise.Snapshot(), true
 }
 
 // RestoreHarvesterState implements StatefulHarvester.

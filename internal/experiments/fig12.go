@@ -88,7 +88,7 @@ func RunFig12(cfg Fig12Config) (Fig12Result, error) {
 
 	var msgs []trace.Event
 	corrupt := 0
-	for _, ev := range e.Events().Events {
+	for _, ev := range e.Events().Events() {
 		if ev.Kind == "rfid-rx" || ev.Kind == "rfid-tx" {
 			msgs = append(msgs, ev)
 			if strings.Contains(ev.Text, "corrupt") {

@@ -39,7 +39,7 @@ type CPU struct {
 	// as normal completion.
 	halted bool
 
-	// instructions retired since reset (diagnostics).
+	// instructions retired since the last Reset (diagnostics).
 	retired uint64
 
 	// Predecoded-instruction cache over the flashed image, keyed by PC.
@@ -122,6 +122,7 @@ func (c *CPU) Reset(entry, stackTop uint16) {
 	c.R[SP] = stackTop
 	c.intDepth = 0
 	c.halted = false
+	c.retired = 0
 }
 
 // Halted reports whether the HALT port stopped the program.

@@ -63,6 +63,8 @@ type Program struct {
 	cpu *CPU
 	lib *libedb.Lib
 
+	// printBuf is the line PortPrintChar is building: volatile, like the
+	// target SRAM buffer it stands for.
 	printBuf strings.Builder
 	stackTop uint16
 }
@@ -196,10 +198,13 @@ func (p *Program) Main(env *device.Env) {
 
 // ResetCPU performs the power-on reset Main starts with: fresh register
 // file, PC at the entry vector, stack at the top of SRAM (the reboot
-// cleared the volatile stack). device.Runner calls it at each power-on
-// and then drives the CPU through StepUntil instead of a single Main call.
+// cleared the volatile stack), and an empty print line buffer (it models
+// target SRAM, so a line a brown-out cut short is lost, not glued onto the
+// next boot's first line). device.Runner calls it at each power-on and
+// then drives the CPU through StepUntil instead of a single Main call.
 func (p *Program) ResetCPU() {
 	p.cpu.Reset(p.img.Entry, p.stackTop)
+	p.printBuf.Reset()
 }
 
 // StepUntil advances the program until it halts (returns true) or simulated

@@ -57,6 +57,52 @@ func TestISACounterSurvivesIntermittence(t *testing.T) {
 	}
 }
 
+// TestRetiredCountsOnePowerCycle: Retired counts the instructions of the
+// last boot only. counterSrc stores its FRAM count once per 46-instruction
+// pass, so each boot retires 46 instructions per count it adds, give or
+// take the pass a brown-out cut short.
+func TestRetiredCountsOnePowerCycle(t *testing.T) {
+	const perPass = 46
+	d := device.NewWISP5(energy.NewRFHarvester(), 42)
+	e := edb.New(edb.DefaultConfig())
+	e.Attach(d)
+	prog := isa.NewProgram("nv-counter", counterSrc)
+	r := device.NewRunner(d, prog)
+	if err := r.Flash(); err != nil {
+		t.Fatal(err)
+	}
+	countAddr := memsim.Addr(prog.Image().Symbols["count"])
+	count := func() uint16 {
+		v, err := d.Mem.ReadWord(countAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// near reports whether n retired instructions fit the given passes.
+	near := func(n uint64, passes uint16) bool {
+		want := perPass * uint64(passes)
+		return n+perPass >= want && n <= want+perPass
+	}
+	var atPowerOn uint16
+	r.OnPowerOn = func() { atPowerOn = count() }
+	r.OnReboot = func(n int) {
+		if got := prog.CPU().Retired(); !near(got, count()-atPowerOn) {
+			t.Errorf("reboot %d: %d instructions retired for %d passes", n, got, count()-atPowerOn)
+		}
+	}
+	res, err := r.RunFor(units.Seconds(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reboots < 3 {
+		t.Fatalf("must be intermittent: %+v", res)
+	}
+	if got := prog.CPU().Retired(); !near(got, count()-atPowerOn) {
+		t.Fatalf("after the run: %d instructions retired for the last boot's %d passes", got, count()-atPowerOn)
+	}
+}
+
 func TestISAHaltCompletes(t *testing.T) {
 	d := device.NewWISP5(&energy.ConstantHarvester{I: units.MilliAmps(5), Voc: 3.3}, 1)
 	prog := isa.NewProgram("halts", `

@@ -5,6 +5,7 @@
 package periph
 
 import (
+	"repro/internal/device"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -135,6 +136,19 @@ func (a *Accelerometer) WriteReg(reg byte, val byte) {}
 // Reads returns the number of 3-axis samples latched.
 func (a *Accelerometer) Reads() uint64 { return a.reads }
 
+// I2CState implements device.I2CStateful: the noise stream, the latched
+// sample and the read count.
+func (a *Accelerometer) I2CState() device.I2CState {
+	return device.I2CState{RNG: a.rng.Snapshot(), Latched: append([]byte(nil), a.latched[:]...), Reads: a.reads}
+}
+
+// RestoreI2CState implements device.I2CStateful.
+func (a *Accelerometer) RestoreI2CState(s device.I2CState) {
+	a.rng.RestoreState(s.RNG)
+	copy(a.latched[:], s.Latched)
+	a.reads = s.Reads
+}
+
 // latch captures a fresh 3-axis sample into the data registers.
 func (a *Accelerometer) latch() {
 	a.reads++
@@ -174,3 +188,9 @@ func (t *TempSensor) ReadReg(reg byte) byte {
 
 // WriteReg implements device.I2CDevice.
 func (t *TempSensor) WriteReg(reg byte, val byte) {}
+
+// I2CState implements device.I2CStateful: the noise stream.
+func (t *TempSensor) I2CState() device.I2CState { return device.I2CState{RNG: t.rng.Snapshot()} }
+
+// RestoreI2CState implements device.I2CStateful.
+func (t *TempSensor) RestoreI2CState(s device.I2CState) { t.rng.RestoreState(s.RNG) }

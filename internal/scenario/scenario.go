@@ -173,8 +173,8 @@ func buildRig(spec Spec) (*core.Rig, device.Program, error) {
 
 // execute runs an assembled rig to the spec's absolute deadline. Cold rigs
 // start at cycle 0, so the deadline and origin match what RunFor would
-// use; warm-forked rigs resume mid-charge at the snapshot cycle but share
-// the same absolute deadline and origin 0, making their output
+// use; warm-forked rigs resume at a power-on at the snapshot cycle but
+// share the same absolute deadline and origin 0, making their output
 // byte-identical to a cold run's.
 func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
 	var res Result

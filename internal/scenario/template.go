@@ -1,15 +1,24 @@
-// Warm-start session support: a Template captures a spec's rig at its
-// first firmware-quiescent point (mid-charge, before Main ever runs), and
-// forks of that template skip the charge simulation entirely. Because the
-// snapshot restores every stochastic stream and the forked run shares the
-// cold run's absolute deadline, a warm session's output is byte-for-byte
-// identical to a cold boot of the same spec — the pool is purely a latency
-// optimization, never a semantic one. A pool only forks templates it built
-// itself: templates never cross a process boundary, so nothing a peer sends
-// can change what a session computes.
+// Warm-start session support: a Template runs a spec's family once and
+// keeps two full-machine snapshots of it, taken at power-ons: the first
+// turn-on (before Main ever runs) and the last power-on before the
+// debugger's first entry. A power-failure reboot is a complete state cut,
+// because only non-volatile state survives it, and by the next power-on
+// the simulator has dropped every volatile leftover too (the interpreter's
+// registers, retired count and print line are reset there), so the
+// snapshot holds all the state there is (device.Snapshot). A fork of the
+// later point skips every charge cycle before the entry, writes the console
+// output the cold run had written by then, and continues the runner's
+// reboot and fault tallies. Because the snapshot restores every stochastic
+// stream and the forked run shares the cold run's absolute deadline, a warm
+// session's output is byte-for-byte identical to a cold boot of the same
+// spec — the pool is purely a latency optimization, never a semantic one.
+// A pool only forks templates it built itself: templates never cross a
+// process boundary, so nothing a peer sends can change what a session
+// computes.
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -17,23 +26,59 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // Template is a pre-warmed rig image for one spec family: everything that
 // shapes the simulation (app, seed, distance, tracing, …) is fixed;
 // per-session fields (duration, script, interactivity) are not.
 type Template struct {
-	spec       Spec // defaulted
-	snap       *core.RigSnapshot
-	minSeconds float64 // snapshot time; forks need a deadline beyond it
+	spec  Spec       // defaulted
+	clock *sim.Clock // converts session deadlines to cycles
+	on    *point     // first turn-on
+	late  *point     // last power-on before the first entry or the build deadline (on if no other)
 }
 
-// NewTemplate builds and warms a template for the spec. It errors for
-// specs that cannot be templated: reader-driven rigs (the reader's
-// inventory state machine lives outside the snapshot), rigs that never
-// reach turn-on, and specs whose deadline lands before the warm-up point.
+// point is one place a session can fork from: a snapshot taken at a
+// power-on, the console output a cold run has written by then, and the
+// runner's tallies there.
+type point struct {
+	snap   *core.RigSnapshot
+	prefix []byte
+	tally  device.Tally
+}
+
+// NewTemplate builds and warms a template for the spec. It runs the spec
+// once from cycle 0 like a cold session, but with no interactive handler,
+// so the first debugger entry halts it; the spec's deadline bounds the
+// run. It errors for specs that cannot be templated: reader-driven rigs
+// (the reader's inventory state machine lives outside the snapshot) and
+// rigs that do not reach turn-on before the deadline.
 func NewTemplate(spec Spec) (*Template, error) {
 	spec = spec.withDefaults()
+	t := &Template{spec: spec}
+	clock, err := record(spec, func(p *point) {
+		if t.on == nil {
+			t.on = p
+		}
+		t.late = p
+	})
+	if err != nil {
+		return nil, err
+	}
+	if t.on == nil {
+		return nil, fmt.Errorf("scenario: template rig did not reach turn-on within %gs", spec.Seconds)
+	}
+	t.clock = clock
+	return t, nil
+}
+
+// record runs a (defaulted) spec from cycle 0 with no interactive handler
+// and passes keep a point at each power-on before the first debugger entry
+// or the deadline, in order. A power-on whose snapshot fails is skipped. It
+// returns a clock of the rig's rate.
+func record(spec Spec, keep func(*point)) (*sim.Clock, error) {
 	rig, _, err := buildRig(spec)
 	if err != nil {
 		return nil, err
@@ -41,49 +86,73 @@ func NewTemplate(spec Spec) (*Template, error) {
 	if rig.Reader != nil {
 		return nil, fmt.Errorf("scenario: reader specs cannot be templated")
 	}
+	// Everything execute does to a rig before its run, minus the handler.
+	var out bytes.Buffer
+	rig.Console.SetOutput(&out)
 	if spec.Trace {
-		// Cold runs enable tracing before the first charge; the template
-		// must too, so the snapshot carries the charge-phase samples.
 		rig.EDB.TraceVcap()
 	}
-	// Charge within the runner's bound, so the warm-up trajectory is the
-	// one a cold run would take.
-	if !rig.Device.IdleCharge(device.DefaultMaxChargeTime) {
-		return nil, fmt.Errorf("scenario: template rig never reached turn-on")
+	rig.Runner.OnPowerOn = func() {
+		if snap, err := rig.Snapshot(); err == nil {
+			keep(&point{snap: snap, prefix: bytes.Clone(out.Bytes()), tally: rig.Runner.Tally()})
+		}
 	}
-	snap, err := rig.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	t := &Template{
-		spec:       spec,
-		snap:       snap,
-		minSeconds: float64(rig.Device.Clock.ToSeconds(snap.Now())),
-	}
-	if !t.Usable(spec) {
-		return nil, fmt.Errorf("scenario: warm-up (%.3fs) overruns the %gs deadline", t.minSeconds, spec.Seconds)
-	}
-	return t, nil
+	// A run error (a charge that never reaches turn-on) ends the run like
+	// the deadline: the points before it are still ones a cold run passes.
+	rig.RunUntil(rig.Device.Clock.ToCycles(units.Seconds(spec.Seconds)), 0)
+	return sim.NewClock(rig.Device.Clock.Hz()), nil
 }
 
 // Usable reports whether warm forks of this template can serve the spec:
 // the simulation-shaping fields must match and the deadline must lie
-// strictly past the snapshot point.
+// strictly past the first turn-on.
 func (t *Template) Usable(spec Spec) bool {
 	spec = spec.withDefaults()
-	return templateKey(spec) == templateKey(t.spec) && spec.Seconds > t.minSeconds
+	return templateKey(spec) == templateKey(t.spec) && t.deadline(spec) > t.on.snap.Now()
+}
+
+// deadline is the absolute cycle a session of spec runs until.
+func (t *Template) deadline(spec Spec) sim.Cycles {
+	return t.clock.ToCycles(units.Seconds(spec.Seconds))
+}
+
+// start returns the latest point a usable spec's session can fork from:
+// one its deadline lies strictly past.
+func (t *Template) start(spec Spec) *point {
+	if t.deadline(spec) > t.late.snap.Now() {
+		return t.late
+	}
+	return t.on
 }
 
 // SnapshotBytes returns the size of the template's full memory image.
-func (t *Template) SnapshotBytes() int { return t.snap.MemoryBytes() }
+func (t *Template) SnapshotBytes() int { return t.on.snap.MemoryBytes() }
 
-// WarmupSeconds returns the simulated time of the template's snapshot
-// point. Only deadlines strictly past it can be served warm.
-func (t *Template) WarmupSeconds() float64 { return t.minSeconds }
+// WarmupSeconds returns the simulated time of the template's turn-on
+// snapshot. Only deadlines strictly past it can be served warm.
+func (t *Template) WarmupSeconds() float64 { return t.seconds(t.on) }
 
-// Fork builds a fresh rig and applies the template snapshot. The returned
-// rig is ready for execute() with the cold run's deadline and origin.
-func (t *Template) Fork() (*core.Rig, device.Program, error) {
+// ForkSeconds returns the simulated time of the snapshot a session of the
+// spec forks from, and the reboots the cold run has made by then.
+func (t *Template) ForkSeconds(spec Spec) (float64, int) {
+	p := t.start(spec.withDefaults())
+	return t.seconds(p), p.tally.Reboots
+}
+
+func (t *Template) seconds(p *point) float64 {
+	return float64(t.clock.ToSeconds(p.snap.Now()))
+}
+
+// Fork builds a fresh rig from the latest snapshot a session of the spec
+// can start from: the snapshot is applied, the runner continues its
+// reboot and fault tallies, and the console holds the output the cold run
+// wrote before that point, which execute passes on first. The rig is ready
+// for execute() with the cold run's deadline and origin.
+func (t *Template) Fork(spec Spec) (*core.Rig, device.Program, error) {
+	return t.fork(t.start(spec.withDefaults()))
+}
+
+func (t *Template) fork(p *point) (*core.Rig, device.Program, error) {
 	rig, prog, err := buildRig(t.spec)
 	if err != nil {
 		return nil, nil, err
@@ -92,9 +161,11 @@ func (t *Template) Fork() (*core.Rig, device.Program, error) {
 		// Enable before Restore so the snapshot's samples are re-adopted.
 		rig.EDB.TraceVcap()
 	}
-	if err := rig.Restore(t.snap); err != nil {
+	if err := rig.Restore(p.snap); err != nil {
 		return nil, nil, err
 	}
+	rig.Runner.Resume(p.tally)
+	rig.Console.Write(p.prefix)
 	return rig, prog, nil
 }
 
@@ -105,7 +176,7 @@ func (t *Template) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, err
 	if !t.Usable(spec) {
 		return Result{}, fmt.Errorf("scenario: template does not cover spec")
 	}
-	rig, prog, err := t.Fork()
+	rig, prog, err := t.fork(t.start(spec))
 	if err != nil {
 		return Result{}, err
 	}
@@ -196,16 +267,25 @@ func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) 
 	case e.tmpl != nil && e.tmpl.Usable(spec):
 		tmpl := e.tmpl
 		e.mu.Unlock()
+		// Spares are forks of the latest point; a deadline before it
+		// forks the turn-on point instead.
+		from := tmpl.start(spec)
 		var f *forkedRig
-		select {
-		case f = <-e.spares:
-			p.count(func(m *PoolMetrics) { m.WarmForks++; m.SparePops++ })
-			p.refillAsync(e, tmpl)
-		default:
-			p.count(func(m *PoolMetrics) { m.WarmForks++ })
+		if from == tmpl.late {
+			select {
+			case f = <-e.spares:
+				p.refillAsync(e, tmpl)
+			default:
+			}
 		}
+		p.count(func(m *PoolMetrics) {
+			m.WarmForks++
+			if f != nil {
+				m.SparePops++
+			}
+		})
 		if f == nil {
-			rig, prog, err := tmpl.Fork()
+			rig, prog, err := tmpl.fork(from)
 			if err != nil {
 				return Result{}, err
 			}
@@ -284,7 +364,7 @@ func (p *Pool) refill(e *poolEntry, tmpl *Template) {
 	if len(e.spares) >= p.spares {
 		return
 	}
-	rig, prog, err := tmpl.Fork()
+	rig, prog, err := tmpl.fork(tmpl.late)
 	if err != nil {
 		return
 	}

@@ -2,6 +2,8 @@ package scenario_test
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -187,4 +189,40 @@ func TestSpecHashStability(t *testing.T) {
 	if scenario.TemplateKey(base) != scenario.TemplateKey(alt) {
 		t.Fatal("TemplateKey must ignore per-session fields")
 	}
+}
+
+// TestPoolRetainedBytes caps the live heap a pool holds for four Fig. 7
+// families (linked list, assert, tracing on) whose asserts fire after 8–9
+// reboots, with two spares each. Each family keeps two snapshots: the
+// late one shares its ~22k events (16 B each), ~9k Vcap samples and a
+// 49,920 B memory image with every fork, so the spares add only their own
+// memory. The bound is 4 MB; about 3.1 MB is measured, against 0.95 MB
+// when the pool kept the turn-on snapshot alone.
+func TestPoolRetainedBytes(t *testing.T) {
+	const bound = 4 << 20
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	pool := scenario.NewPool(2)
+	for _, seed := range []int64{3, 14, 17, 19} {
+		spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 1, Seed: seed, Script: "halt"}
+		if _, err := pool.Run(spec, io.Discard, nil); err != nil {
+			t.Fatal(err)
+		}
+		pool.Wait()
+	}
+	retained := int64(heap()) - int64(before)
+	if m := pool.Metrics(); m.TemplatesBuilt != 4 {
+		t.Fatalf("want 4 templates: %+v", m)
+	}
+	t.Logf("pool retains %.2f MB", float64(retained)/(1<<20))
+	if retained > bound {
+		t.Fatalf("pool retains %d B, bound %d B", retained, bound)
+	}
+	runtime.KeepAlive(pool)
 }

@@ -308,6 +308,10 @@ func (s *countingSource) Seed(seed int64) {
 type RNGState struct {
 	Seed  int64
 	Draws uint64
+
+	// reg, set by Snapshot past the prefix, is a copy of the register at
+	// Draws, which RestoreState copies instead of replaying the stream.
+	reg *lfSource
 }
 
 // NewRNG returns a deterministic RNG with the given seed.
@@ -320,13 +324,34 @@ func NewRNG(seed int64) *RNG {
 // State captures the RNG's stream position for a machine snapshot.
 func (g *RNG) State() RNGState { return RNGState{Seed: g.src.seed, Draws: g.src.draws} }
 
-// RestoreState repositions the RNG to a captured stream position. When the
-// target is ahead of the current position on the same seed (the warm-fork
-// case: a freshly built rig fast-forwarding to a snapshot) the source is
-// advanced in place; otherwise it restarts the target seed's stream. A
+// Snapshot is State plus, once the stream has a register, a copy of it
+// (4,856 B), so that RestoreState costs O(register) instead of a replay of
+// every draw: the form for snapshots that are restored many times.
+func (g *RNG) Snapshot() RNGState {
+	st := g.State()
+	if g.src.draws > rngPrefix {
+		vec := *g.src.g.vec
+		st.reg = &lfSource{tap: g.src.g.tap, feed: g.src.g.feed, vec: &vec}
+	}
+	return st
+}
+
+// RestoreState repositions the RNG to a captured stream position. A state
+// from Snapshot carries its register, which is copied. Otherwise, when the
+// target is ahead of the current position on the same seed the source is
+// advanced in place, and else it restarts the target seed's stream. A
 // target inside the prefix needs no register work at all, and one past it
 // reseeds the register in place and advances it.
 func (g *RNG) RestoreState(st RNGState) {
+	if st.reg != nil {
+		g.src.seed, g.src.draws = st.Seed, st.Draws
+		if g.src.g.vec == nil {
+			g.src.g.vec = new([rngLen]int64)
+		}
+		*g.src.g.vec = *st.reg.vec
+		g.src.g.tap, g.src.g.feed = st.reg.tap, st.reg.feed
+		return
+	}
 	if st.Seed != g.src.seed || st.Draws < g.src.draws {
 		g.src.Seed(st.Seed)
 	}

@@ -100,3 +100,39 @@ func TestClockSetNow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A Snapshot state carries the register: restoring it copies the register
+// instead of replaying the stream, onto a fresh RNG, one on another seed or
+// one already past the position, and the snapshot stays usable after the
+// restored RNG draws on.
+func TestRNGSnapshotCarriesRegister(t *testing.T) {
+	g := NewRNG(7)
+	for i := 0; i < 1000; i++ {
+		g.Float64()
+	}
+	st := g.Snapshot()
+	if st.reg == nil || st.Draws != g.State().Draws {
+		t.Fatalf("snapshot past the prefix must carry the register: %+v", st)
+	}
+	want := make([]float64, 50)
+	for i := range want {
+		want[i] = g.Float64()
+	}
+	ahead := NewRNG(7)
+	for i := 0; i < 5000; i++ {
+		ahead.Float64()
+	}
+	for name, r := range map[string]*RNG{"fresh": NewRNG(7), "other seed": NewRNG(99), "ahead": ahead} {
+		for round := 0; round < 2; round++ {
+			r.RestoreState(st)
+			for i, w := range want {
+				if got := r.Float64(); got != w {
+					t.Fatalf("%s, round %d: draw %d = %v, want %v", name, round, i, got, w)
+				}
+			}
+		}
+	}
+	if early := NewRNG(7).Snapshot(); early.reg != nil {
+		t.Fatal("a stream inside its prefix has no register to carry")
+	}
+}

@@ -99,79 +99,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%d %s %d", e.At, e.Kind, e.Arg)
 }
 
-// Log is an event stream. With Limit > 0 it behaves as a ring: once full,
-// the oldest events are discarded (Dropped counts them), bounding memory
-// for long passive-monitoring sessions.
-type Log struct {
-	Name   string
-	Events []Event
-	// Limit bounds the retained events (0 = unbounded).
-	Limit int
-	// Dropped counts events discarded to honor Limit.
-	Dropped uint64
-}
-
-// NewLog returns an empty unbounded event log.
-func NewLog(name string) *Log { return &Log{Name: name} }
-
-// Add appends an event, discarding the oldest quarter of the log when the
-// limit is reached (batch discard keeps Add amortized O(1)).
-func (l *Log) Add(e Event) {
-	if l.Limit > 0 && len(l.Events) >= l.Limit {
-		drop := l.Limit / 4
-		if drop < 1 {
-			drop = 1
-		}
-		l.Dropped += uint64(drop)
-		l.Events = append(l.Events[:0], l.Events[drop:]...)
-	}
-	if len(l.Events) == cap(l.Events) {
-		l.grow()
-	}
-	l.Events = append(l.Events, e)
-}
-
-// grow doubles the log's capacity, capped at Limit. Past a few hundred
-// elements append grows a slice only about 1.25x at a time, so a long
-// passive session would re-copy its whole event history many times over.
-func (l *Log) grow() {
-	n := max(2*cap(l.Events), 64)
-	if l.Limit > 0 {
-		n = min(n, l.Limit)
-	}
-	if n <= len(l.Events) {
-		return // Limit was lowered below the length: leave it to append
-	}
-	events := make([]Event, len(l.Events), n)
-	copy(events, l.Events)
-	l.Events = events
-}
-
-// Count returns the number of events of the given kind ("" counts all).
-func (l *Log) Count(kind string) int {
-	if kind == "" {
-		return len(l.Events)
-	}
-	n := 0
-	for _, e := range l.Events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Filter returns the events of the given kind.
-func (l *Log) Filter(kind string) []Event {
-	var out []Event
-	for _, e := range l.Events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Stats summarizes a set of scalar values.
 type Stats struct {
 	N        int

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -181,56 +183,114 @@ func TestLogLimitRing(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		l.Add(Event{Kind: "e", Arg: i})
 	}
-	if len(l.Events) > 8 {
-		t.Fatalf("retained %d > limit", len(l.Events))
+	if l.Len() > 8 {
+		t.Fatalf("retained %d > limit", l.Len())
 	}
 	if l.Dropped == 0 {
 		t.Fatal("drops must be counted")
 	}
 	// The newest event is always retained.
-	if l.Events[len(l.Events)-1].Arg != 19 {
-		t.Fatalf("newest = %d", l.Events[len(l.Events)-1].Arg)
+	if got := l.At(l.Len() - 1).Arg; got != 19 {
+		t.Fatalf("newest = %d", got)
 	}
 	// Retained events stay in order.
-	for i := 1; i < len(l.Events); i++ {
-		if l.Events[i].Arg <= l.Events[i-1].Arg {
+	for i := 1; i < l.Len(); i++ {
+		if l.At(i).Arg <= l.At(i-1).Arg {
 			t.Fatal("order broken")
 		}
 	}
 }
 
-// The log grows geometrically but never past Limit, and keeps exactly the
+// storedRecords is the record capacity a log holds on to.
+func storedRecords(l *Log) int {
+	n := 0
+	for _, c := range l.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// The log's storage stays within a chunk of Limit, and it keeps exactly the
 // events a plain append-and-discard ring would.
 func TestLogGrowthBoundedByLimit(t *testing.T) {
 	l := NewLog("t")
-	l.Limit = 1000
+	l.Limit = 5000
 	var ref []Event
 	var dropped uint64
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 25000; i++ {
 		e := Event{At: sim.Cycles(i), Kind: "k", Arg: i}
 		l.Add(e)
-		if len(ref) >= 1000 {
-			ref = ref[250:]
-			dropped += 250
+		if len(ref) >= 5000 {
+			ref = ref[1250:]
+			dropped += 1250
 		}
 		ref = append(ref, e)
-		if cap(l.Events) > l.Limit {
-			t.Fatalf("after %d adds cap %d exceeds limit %d", i+1, cap(l.Events), l.Limit)
+		if got := storedRecords(l); got > l.Limit+2*chunkLen {
+			t.Fatalf("after %d adds the log stores %d records for limit %d", i+1, got, l.Limit)
 		}
 	}
-	if l.Dropped != dropped || len(l.Events) != len(ref) {
-		t.Fatalf("dropped %d len %d, want %d and %d", l.Dropped, len(l.Events), dropped, len(ref))
+	if l.Dropped != dropped || l.Len() != len(ref) {
+		t.Fatalf("dropped %d len %d, want %d and %d", l.Dropped, l.Len(), dropped, len(ref))
 	}
-	for i := range ref {
-		if l.Events[i] != ref[i] {
-			t.Fatalf("event %d = %v, want %v", i, l.Events[i], ref[i])
-		}
+	if got := l.Events(); !reflect.DeepEqual(got, ref) {
+		t.Fatal("retained events differ from the reference ring")
 	}
 
 	// Lowering Limit below the length must not break Add.
 	l.Limit = 10
 	l.Add(Event{Kind: "late"})
-	if got := l.Events[len(l.Events)-1].Kind; got != "late" {
+	if got := l.At(l.Len() - 1).Kind; got != "late" {
 		t.Fatalf("last event %q", got)
+	}
+}
+
+// A log restored from a snapshot holds the same events as the log it was
+// taken from and evolves exactly as that log would, while appends on
+// either side leave the snapshot and every other restored log untouched.
+func TestLogSnapshotShares(t *testing.T) {
+	kinds := []string{"gpio:app-pin", "uart", "watchpoint"}
+	ev := func(i int) Event {
+		e := Event{At: sim.Cycles(3 * i), Kind: kinds[i%3], Arg: i % 7}
+		if i%5 == 0 {
+			e.Text = fmt.Sprintf("t%d", i%11)
+		}
+		if i%97 == 0 {
+			e.Arg = math.MaxInt64 - i // does not fit a record
+		}
+		return e
+	}
+	src := NewLog("src")
+	src.Limit = 3000
+	for i := 0; i < 4321; i++ {
+		src.Add(ev(i))
+	}
+	want := src.Events()
+	st := src.Snapshot()
+
+	a, b := NewLog("a"), NewLog("b")
+	a.Limit, b.Limit = src.Limit, src.Limit
+	a.Restore(st)
+	b.Restore(st)
+	for i := 4321; i < 9000; i++ {
+		src.Add(ev(i))
+		a.Add(ev(i))
+		if i < 5000 {
+			b.Add(Event{Kind: "other", Arg: -i})
+		}
+	}
+	if !reflect.DeepEqual(a.Events(), src.Events()) || a.Dropped != src.Dropped {
+		t.Fatal("a restored log diverges from the log it was taken from")
+	}
+
+	var c Log
+	c.Restore(st)
+	if c.Dropped != st.dropped || !reflect.DeepEqual(c.Events(), want) {
+		t.Fatal("appends after the snapshot changed what it holds")
+	}
+	if got := b.At(b.Len() - 1); got.Kind != "other" || got.Arg != -4999 {
+		t.Fatalf("b's newest event = %v", got)
+	}
+	if n := b.Count("other"); n != 679 || b.Kinds()["other"] != n {
+		t.Fatalf("b holds %d events of its own, want 679", n)
 	}
 }
