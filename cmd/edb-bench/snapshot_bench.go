@@ -14,22 +14,22 @@ import (
 
 // runSnapshotBench measures the warm-start machinery end to end: the time
 // from the start of a session to its first prompt, cold (simulate every
-// charge cycle before the assert), forked at first turn-on, forked at the
-// last power-on before the assert, and pool-served (pop a pre-forked spare
-// of that late point); the one-off template build; fork throughput; and
-// full-image versus dirty-page-delta snapshot sizes.
+// charge cycle before the assert), cold while recording the family's
+// template (a pool's first session of a family), forked at the last
+// power-on before the assert, and pool-served (pop a pre-forked spare of
+// that point); fork throughput; and full-image versus dirty-page-delta
+// snapshot sizes.
 //
 // The session is Fig. 7's linked-list assert with tracing on, on a seed
 // whose assert fires after 8 reboots (the perfbench session workload keeps
 // seeds like it). Each variant answers the first prompt with halt, so the
 // timed span is the session start plus the simulation up to the assert.
-// The turn-on fork comes from a template whose build deadline lands just
-// past turn-on, so its only point is the first turn-on. Delta sizes use
-// the default 1 m safelist rig, whose ~100 ms charge/run duty cycle makes
-// every 100 ms window a representative steady-state slice of intermittent
-// execution (including the reboot, which dirties all of SRAM).
+// Delta sizes use the default 1 m safelist rig, whose ~100 ms charge/run
+// duty cycle makes every 100 ms window a representative steady-state
+// slice of intermittent execution (including the reboot, which dirties
+// all of SRAM).
 func runSnapshotBench(o *jobOut, quick bool) error {
-	trials := 9
+	trials := 25
 	forks := 32
 	intervals := 20
 	if quick {
@@ -37,72 +37,59 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	}
 
 	spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 1, Seed: 14, Interactive: true}
-	t0 := time.Now()
 	tmpl, err := scenario.NewTemplate(spec)
 	if err != nil {
 		return err
 	}
-	buildMS := msSince(t0)
-	lateS, lateReboots := tmpl.ForkSeconds(spec)
-	if lateReboots == 0 {
+	forkS, forkReboots := tmpl.ForkPoint()
+	if forkReboots == 0 {
 		return fmt.Errorf("snapshot bench invalid: the template forks at turn-on")
 	}
-	short := spec
-	short.Seconds = tmpl.WarmupSeconds() + 0.001
-	onTmpl, err := scenario.NewTemplate(short)
-	if err != nil {
-		return err
-	}
-	if _, n := onTmpl.ForkSeconds(spec); n != 0 {
-		return fmt.Errorf("snapshot bench invalid: the turn-on template forks after %d reboots", n)
-	}
 
-	coldMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
-		_, err := scenario.Run(spec, io.Discard, p)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("cold run: %w", err)
-	}
-	onMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
-		_, err := onTmpl.Run(spec, io.Discard, p)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("turn-on fork: %w", err)
-	}
-	lateMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
-		_, err := tmpl.Run(spec, io.Discard, p)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("late fork: %w", err)
-	}
-
-	// Pool path: prime with one cold run so the template builds and the
-	// spare channel fills; after each timed trial, wait (untimed) for the
-	// async refill so every trial pops a pre-forked spare.
+	// The pool variant is primed with one cold run, so the template is
+	// recorded and the spare channel fills; after each timed trial it
+	// waits (untimed) for the async refill, so every trial pops a spare.
 	pool := scenario.NewPool(1)
 	if _, err := pool.Run(spec, io.Discard, haltAtFirstPrompt(nil)); err != nil {
 		return fmt.Errorf("pool prime: %w", err)
 	}
 	pool.Wait()
-	poolMS, err := medianPromptMS(trials, func(p scenario.PromptFunc) error {
-		_, err := pool.Run(spec, io.Discard, p)
-		pool.Wait()
-		return err
-	})
+	ms, err := medianPromptMS(trials,
+		func(p scenario.PromptFunc) error {
+			_, err := scenario.Run(spec, io.Discard, p)
+			return err
+		},
+		// A fresh pool's first session of the family runs cold and
+		// records the template; no spares, so nothing runs beside it.
+		func(p scenario.PromptFunc) error {
+			pool := scenario.NewPool(0)
+			_, err := pool.Run(spec, io.Discard, p)
+			if m := pool.Metrics(); err == nil && m.TemplatesBuilt != 1 {
+				err = fmt.Errorf("the first session recorded %d templates", m.TemplatesBuilt)
+			}
+			return err
+		},
+		func(p scenario.PromptFunc) error {
+			_, err := tmpl.Run(spec, io.Discard, p)
+			return err
+		},
+		func(p scenario.PromptFunc) error {
+			_, err := pool.Run(spec, io.Discard, p)
+			pool.Wait()
+			return err
+		})
 	if err != nil {
-		return fmt.Errorf("pool run: %w", err)
+		return err
 	}
+	coldMS, recordMS, lateMS, poolMS := ms[0], ms[1], ms[2], ms[3]
 	if m := pool.Metrics(); m.SparePops != uint64(trials) {
 		return fmt.Errorf("pool bench invalid: %d/%d trials served from a spare", m.SparePops, trials)
 	}
 
 	// Fork throughput: how fast the daemon can mint ready-to-run rigs.
-	t0 = time.Now()
+	t0 := time.Now()
 	for i := 0; i < forks; i++ {
-		if _, _, err := tmpl.Fork(spec); err != nil {
+		if _, _, err := tmpl.Fork(); err != nil {
 			return fmt.Errorf("fork %d: %w", i, err)
 		}
 	}
@@ -115,13 +102,12 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	if err != nil {
 		return err
 	}
-	dspec.Seconds = 60
-	rig, _, err := dtmpl.Fork(dspec)
+	rig, _, err := dtmpl.Fork()
 	if err != nil {
 		return err
 	}
 	clk := rig.Device.Clock
-	start, _ := dtmpl.ForkSeconds(dspec)
+	start, _ := dtmpl.ForkPoint()
 	base := start + 1.0
 	if _, err := rig.RunUntil(clk.ToCycles(units.Seconds(base)), 0); err != nil {
 		return fmt.Errorf("delta rig warmup: %w", err)
@@ -155,29 +141,27 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	o.metric("snap_full_bytes", float64(fullBytes))
 	o.metric("snap_delta_bytes_median", deltaMedian)
 	o.metric("snap_size_ratio", sizeRatio)
-	o.metric("snap_template_build_ms", buildMS)
-	o.metric("snap_fork_point_s", lateS)
-	o.metric("snap_fork_point_reboots", float64(lateReboots))
+	o.metric("snap_fork_point_s", forkS)
+	o.metric("snap_fork_point_reboots", float64(forkReboots))
 	o.metric("snap_prompt_cold_ms", coldMS)
-	o.metric("snap_prompt_turnon_ms", onMS)
+	o.metric("snap_prompt_record_ms", recordMS)
 	o.metric("snap_prompt_late_ms", lateMS)
 	o.metric("snap_prompt_pool_ms", poolMS)
-	o.metric("snap_prompt_speedup_turnon", coldMS/onMS)
 	o.metric("snap_prompt_speedup_late", coldMS/lateMS)
 	o.metric("snap_prompt_speedup_pool", coldMS/poolMS)
 	o.metric("snap_forks_per_sec", forksPerSec)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "warm-start sessions (linked list + assert, trace on, seed %d):\n", spec.Seed)
-	fmt.Fprintf(&b, "  time to the first prompt (the assert fires after %d reboots):\n", lateReboots)
+	fmt.Fprintf(&b, "  time to the first prompt (the assert fires after %d reboots), median of %d:\n", forkReboots, trials)
 	row := func(label string, ms float64) {
-		fmt.Fprintf(&b, "    %-34s %8.3f ms (%.1fx)\n", label, ms, coldMS/ms)
+		fmt.Fprintf(&b, "    %-36s %8.3f ms (%.1fx)\n", label, ms, coldMS/ms)
 	}
 	row("cold", coldMS)
-	row(fmt.Sprintf("fork at first turn-on (%.3f s)", tmpl.WarmupSeconds()), onMS)
-	row(fmt.Sprintf("fork at last power-on (%.3f s)", lateS), lateMS)
+	row("cold, recording the template", recordMS)
+	row(fmt.Sprintf("fork at last power-on (%.3f s)", forkS), lateMS)
 	row("pool spare of the last power-on", poolMS)
-	fmt.Fprintf(&b, "    template build %.2f ms (one-off: one run to the first entry);  fork throughput %.0f forks/s\n", buildMS, forksPerSec)
+	fmt.Fprintf(&b, "    fork throughput %.0f forks/s\n", forksPerSec)
 	fmt.Fprintf(&b, "  snapshot size (1 m tag, 100 ms windows):\n")
 	fmt.Fprintf(&b, "    full image %d B   steady-state delta %.0f B (%.1fx smaller)\n",
 		fullBytes, deltaMedian, sizeRatio)
@@ -202,23 +186,31 @@ func haltAtFirstPrompt(at func()) scenario.PromptFunc {
 	}
 }
 
-// medianPromptMS times trials sessions started by run from the start to
-// their first prompt and returns the median in milliseconds. run must
-// drive the session with the prompt callback it is given.
-func medianPromptMS(trials int, run func(scenario.PromptFunc) error) (float64, error) {
-	times := make([]float64, 0, trials)
+// medianPromptMS times sessions from their start to their first prompt,
+// trials times for each of runs, and returns each run's median in
+// milliseconds. The runs take turns within every round, so a change in
+// the host's speed during the measurement falls on all of them alike. A
+// run must drive its session with the prompt callback it is given.
+func medianPromptMS(trials int, runs ...func(scenario.PromptFunc) error) ([]float64, error) {
+	times := make([][]float64, len(runs))
 	for i := 0; i < trials; i++ {
-		var took float64
-		t0 := time.Now()
-		if err := run(haltAtFirstPrompt(func() { took = msSince(t0) })); err != nil {
-			return 0, err
+		for k, run := range runs {
+			var took float64
+			t0 := time.Now()
+			if err := run(haltAtFirstPrompt(func() { took = msSince(t0) })); err != nil {
+				return nil, fmt.Errorf("variant %d: %w", k, err)
+			}
+			if took == 0 {
+				return nil, fmt.Errorf("variant %d: the session never prompted", k)
+			}
+			times[k] = append(times[k], took)
 		}
-		if took == 0 {
-			return 0, fmt.Errorf("the session never prompted")
-		}
-		times = append(times, took)
 	}
-	return median(times), nil
+	out := make([]float64, len(runs))
+	for k := range runs {
+		out[k] = median(times[k])
+	}
+	return out, nil
 }
 
 func msSince(t0 time.Time) float64 {

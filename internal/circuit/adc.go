@@ -69,8 +69,9 @@ func (a *ADC) Read(v units.Volts) units.Volts {
 	return a.CodeToVolts(a.Sample(v))
 }
 
-// RNGState returns the noise stream position, for machine snapshots.
-func (a *ADC) RNGState() sim.RNGState { return a.rng.Snapshot() }
+// RNGState captures the noise stream position into *st for machine
+// snapshots, like sim.RNG.SnapshotInto.
+func (a *ADC) RNGState(st *sim.RNGState) { a.rng.SnapshotInto(st) }
 
 // RestoreRNGState repositions the noise stream from a snapshot.
 func (a *ADC) RestoreRNGState(st sim.RNGState) { a.rng.RestoreState(st) }

@@ -28,22 +28,35 @@ func (s *RigSnapshot) Now() sim.Cycles { return s.Device.Now }
 // starts). Reader rigs cannot be snapshotted: the reader's inventory state
 // machine lives outside the capture set.
 func (r *Rig) Snapshot() (*RigSnapshot, error) {
-	if r.Reader != nil {
-		return nil, fmt.Errorf("core: reader rigs cannot be snapshotted")
-	}
-	ds, err := r.Device.Snapshot()
-	if err != nil {
+	s := new(RigSnapshot)
+	if err := r.SnapshotInto(s); err != nil {
 		return nil, err
 	}
-	s := &RigSnapshot{Device: ds}
-	if r.EDB != nil {
-		es, err := r.EDB.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		s.EDB = es
-	}
 	return s, nil
+}
+
+// SnapshotInto is Snapshot into *s, reusing the memory images and RNG
+// registers s holds from an earlier snapshot of this rig: for callers that
+// replace a snapshot nothing will restore any more. On error *s is left
+// partly written.
+func (r *Rig) SnapshotInto(s *RigSnapshot) error {
+	if r.Reader != nil {
+		return fmt.Errorf("core: reader rigs cannot be snapshotted")
+	}
+	if s.Device == nil {
+		s.Device = new(device.Snapshot)
+	}
+	if err := r.Device.SnapshotInto(s.Device); err != nil {
+		return err
+	}
+	if r.EDB == nil {
+		s.EDB = nil
+		return nil
+	}
+	if s.EDB == nil {
+		s.EDB = new(edb.Snapshot)
+	}
+	return r.EDB.SnapshotInto(s.EDB)
 }
 
 // Restore applies a snapshot taken from an identically assembled rig (same

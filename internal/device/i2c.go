@@ -28,8 +28,10 @@ type I2CState struct {
 }
 
 // I2CStateful is an I2C peripheral whose state a snapshot must carry.
+// I2CState captures it into *st, reusing the storage st holds from an
+// earlier capture (see sim.RNG.SnapshotInto).
 type I2CStateful interface {
-	I2CState() I2CState
+	I2CState(st *I2CState)
 	RestoreI2CState(I2CState)
 }
 

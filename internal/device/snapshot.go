@@ -75,36 +75,57 @@ func (s *Snapshot) MemoryBytes() int {
 // Snapshot captures the machine state. It fails if clock events are
 // pending (their callbacks cannot ride along in a snapshot).
 func (d *Device) Snapshot() (*Snapshot, error) {
-	if n := d.Clock.Pending(); n != 0 {
-		return nil, fmt.Errorf("device: cannot snapshot with %d scheduled events pending", n)
+	s := new(Snapshot)
+	if err := d.SnapshotInto(s); err != nil {
+		return nil, err
 	}
-	s := &Snapshot{
+	return s, nil
+}
+
+// SnapshotInto is Snapshot into *s, reusing the memory images and RNG
+// registers s holds from an earlier snapshot of this device: for callers
+// that replace a snapshot nothing will restore any more. On error *s is
+// left partly written.
+func (d *Device) SnapshotInto(s *Snapshot) error {
+	if n := d.Clock.Pending(); n != 0 {
+		return fmt.Errorf("device: cannot snapshot with %d scheduled events pending", n)
+	}
+	regions, monitors, loads, gpio, i2c := s.Regions, s.Monitors[:0], s.Loads, s.GPIO, s.I2C
+	*s = Snapshot{
 		Now:              d.Clock.Now(),
 		Supply:           d.Supply.SnapshotState(),
-		RNG:              d.RNG.Snapshot(),
+		RNG:              s.RNG,
+		Harvester:        s.Harvester,
 		LowPower:         d.lowPower,
 		InterruptPending: d.interruptPending,
 		Stats:            d.stats,
 		GPIOVersion:      d.GPIO.version,
 		UARTSent:         d.UART.bytesSent,
 	}
-	for _, r := range d.Mem.Regions() {
-		s.Regions = append(s.Regions, RegionSnap{Name: r.Name, Data: r.Snapshot()})
+	d.RNG.SnapshotInto(&s.RNG)
+	s.Regions = regions[:0]
+	for i, r := range d.Mem.Regions() {
+		var buf []byte
+		if i < len(regions) {
+			buf = regions[i].Data
+		}
+		s.Regions = append(s.Regions, RegionSnap{Name: r.Name, Data: r.SnapshotInto(buf)})
 	}
 	for _, slot := range d.monitors {
-		s.Monitors = append(s.Monitors, slot.next)
+		monitors = append(monitors, slot.next)
 	}
+	s.Monitors = monitors
 	if sh, ok := d.Supply.Harvester.(energy.StatefulHarvester); ok {
-		s.Harvester, s.HasHarvester = sh.HarvesterState()
+		s.HasHarvester = sh.HarvesterState(&s.Harvester)
 	}
 	if len(d.loads) > 0 {
-		s.Loads = make(map[string]units.Amps, len(d.loads))
+		s.Loads = reuseMap(loads, len(d.loads))
 		for _, e := range d.loads {
 			s.Loads[e.name] = e.amps
 		}
 	}
 	if len(d.GPIO.lines) > 0 {
-		s.GPIO = make(map[string]GPIOLineState, len(d.GPIO.lines))
+		s.GPIO = reuseMap(gpio, len(d.GPIO.lines))
 		for name, l := range d.GPIO.lines {
 			s.GPIO[name] = GPIOLineState{Level: l.level, Toggles: l.toggles}
 		}
@@ -116,15 +137,27 @@ func (d *Device) Snapshot() (*Snapshot, error) {
 		f.Bits = append([]byte(nil), f.Bits...)
 		s.RFRx = append(s.RFRx, f)
 	}
+	s.I2C = i2c
 	for addr, dev := range d.I2C.devices {
 		if sd, ok := dev.(I2CStateful); ok {
 			if s.I2C == nil {
 				s.I2C = make(map[byte]I2CState)
 			}
-			s.I2C[addr] = sd.I2CState()
+			st := s.I2C[addr]
+			sd.I2CState(&st)
+			s.I2C[addr] = st
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// reuseMap returns m emptied, or a new map for n entries if m is nil.
+func reuseMap[K comparable, V any](m map[K]V, n int) map[K]V {
+	if m == nil {
+		return make(map[K]V, n)
+	}
+	clear(m)
+	return m
 }
 
 // Restore applies a snapshot to a structurally identical device. Region

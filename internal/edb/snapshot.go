@@ -38,26 +38,40 @@ type Snapshot struct {
 // meaningful at firmware-quiescent points; open active-mode exchanges
 // cannot be captured.
 func (e *EDB) Snapshot() (*Snapshot, error) {
-	if e.activeDepth > 0 || e.inExchange {
-		return nil, fmt.Errorf("edb: cannot snapshot with an active-mode exchange open")
+	s := new(Snapshot)
+	if err := e.SnapshotInto(s); err != nil {
+		return nil, err
 	}
-	s := &Snapshot{
-		RNG:          e.rng.Snapshot(),
-		ADCRNG:       e.adc.RNGState(),
+	return s, nil
+}
+
+// SnapshotInto is Snapshot into *s, reusing the RNG registers and event
+// chunk list s holds from an earlier snapshot of this board (see
+// device.Device.SnapshotInto).
+func (e *EDB) SnapshotInto(s *Snapshot) error {
+	if e.activeDepth > 0 || e.inExchange {
+		return fmt.Errorf("edb: cannot snapshot with an active-mode exchange open")
+	}
+	*s = Snapshot{
+		RNG:          s.RNG,
+		ADCRNG:       s.ADCRNG,
 		LastReading:  e.lastReading,
-		Events:       e.events.Snapshot(),
+		Events:       s.Events,
 		WatchHits:    frozen(e.watchHits),
 		SaveRestores: frozen(e.saveRestores),
 		Printf:       e.printfBuf.String(),
 		Stats:        e.stats,
 	}
+	e.rng.SnapshotInto(&s.RNG)
+	e.adc.RNGState(&s.ADCRNG)
+	e.events.SnapshotInto(&s.Events)
 	if e.vcapTrace != nil {
 		s.Vcap = frozen(e.vcapTrace.Samples)
 	}
 	if e.vregTrace != nil {
 		s.Vreg = frozen(e.vregTrace.Samples)
 	}
-	return s, nil
+	return nil
 }
 
 // frozen returns xs with its capacity cut to its length, so that an append

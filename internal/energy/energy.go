@@ -286,20 +286,23 @@ func (h *RFHarvester) Reseed(seed int64) {
 type Reseeder interface{ Reseed(seed int64) }
 
 // StatefulHarvester is implemented by harvesters carrying stochastic
-// internal state that must ride along in machine snapshots. The bool result
-// of HarvesterState is false when the harvester happens to be running
+// internal state that must ride along in machine snapshots. HarvesterState
+// captures it into *st like sim.RNG.SnapshotInto, reusing the register st
+// holds; it reports false when the harvester happens to be running
 // deterministically (no state to capture).
 type StatefulHarvester interface {
-	HarvesterState() (sim.RNGState, bool)
+	HarvesterState(st *sim.RNGState) bool
 	RestoreHarvesterState(sim.RNGState)
 }
 
 // HarvesterState implements StatefulHarvester: the fading stream position.
-func (h *RFHarvester) HarvesterState() (sim.RNGState, bool) {
+func (h *RFHarvester) HarvesterState(st *sim.RNGState) bool {
 	if h.Noise == nil {
-		return sim.RNGState{}, false
+		*st = sim.RNGState{}
+		return false
 	}
-	return h.Noise.Snapshot(), true
+	h.Noise.SnapshotInto(st)
+	return true
 }
 
 // RestoreHarvesterState implements StatefulHarvester.

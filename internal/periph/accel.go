@@ -138,8 +138,10 @@ func (a *Accelerometer) Reads() uint64 { return a.reads }
 
 // I2CState implements device.I2CStateful: the noise stream, the latched
 // sample and the read count.
-func (a *Accelerometer) I2CState() device.I2CState {
-	return device.I2CState{RNG: a.rng.Snapshot(), Latched: append([]byte(nil), a.latched[:]...), Reads: a.reads}
+func (a *Accelerometer) I2CState(st *device.I2CState) {
+	a.rng.SnapshotInto(&st.RNG)
+	st.Latched = append(st.Latched[:0], a.latched[:]...)
+	st.Reads = a.reads
 }
 
 // RestoreI2CState implements device.I2CStateful.
@@ -190,7 +192,7 @@ func (t *TempSensor) ReadReg(reg byte) byte {
 func (t *TempSensor) WriteReg(reg byte, val byte) {}
 
 // I2CState implements device.I2CStateful: the noise stream.
-func (t *TempSensor) I2CState() device.I2CState { return device.I2CState{RNG: t.rng.Snapshot()} }
+func (t *TempSensor) I2CState(st *device.I2CState) { t.rng.SnapshotInto(&st.RNG) }
 
 // RestoreI2CState implements device.I2CStateful.
 func (t *TempSensor) RestoreI2CState(s device.I2CState) { t.rng.RestoreState(s.RNG) }

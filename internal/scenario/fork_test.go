@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // forkScripts are the session scripts the fork oracle runs: none (the
@@ -55,11 +58,13 @@ func forkApps(t *testing.T) []Spec {
 }
 
 // TestForkFromEveryRebootMatchesCold is the oracle for late forks: for
-// each firmware, with tracing on and off, on two seeds, it records the
-// turn-on point and every reboot point before the first debugger entry,
-// then forks every point into sessions with each script and with the
-// build deadline and twice it. Every fork's output bytes and Result must
-// equal a cold Run of the same session.
+// each firmware, with tracing on and off, on two seeds, it takes a point
+// at the turn-on and at every reboot's power-on before the first debugger
+// entry, then forks every point into sessions with each script and with
+// the build deadline and twice it. Every fork's output bytes and Result
+// must equal a cold Run of the same session. Each session is also run
+// cold with a recorder, which must change nothing and, at the build
+// deadline, record the last of those points.
 func TestForkFromEveryRebootMatchesCold(t *testing.T) {
 	// On seed 4 a brown-out cuts a printer.s line short before 0.7 s.
 	seeds := []int64{4, 42}
@@ -84,13 +89,44 @@ func TestForkFromEveryRebootMatchesCold(t *testing.T) {
 	}
 }
 
-func forkOracle(t *testing.T, base Spec) {
-	var points []*point
-	clock, err := record(base, func(p *point) { points = append(points, p) })
+// everyPoint runs a (defaulted) spec from cycle 0 the way execute does,
+// but with no interactive handler, so the first debugger entry halts it.
+// It returns a point at every power-on before the entry or the deadline,
+// and the rig's clock.
+func everyPoint(t *testing.T, spec Spec) ([]*point, *sim.Clock) {
+	rig, _, err := buildRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := &Template{spec: base, clock: clock, on: points[0], late: points[len(points)-1]}
+	var out bytes.Buffer
+	rig.Console.SetOutput(&out)
+	if spec.Trace {
+		rig.EDB.TraceVcap()
+	}
+	var points []*point
+	var lens []int
+	rig.Runner.OnPowerOn = func() {
+		snap, err := rig.Snapshot()
+		if err != nil {
+			t.Errorf("power-on %d: %v", len(points), err)
+			return
+		}
+		points = append(points, &point{snap: snap, tally: rig.Runner.Tally()})
+		lens = append(lens, out.Len())
+	}
+	clock := rig.Device.Clock
+	rig.RunUntil(clock.ToCycles(units.Seconds(spec.Seconds)), 0)
+	if len(points) == 0 {
+		t.Fatal("the rig never powered on")
+	}
+	for i, p := range points {
+		p.prefix = out.Bytes()[:lens[i]]
+	}
+	return points, sim.NewClock(clock.Hz())
+}
+
+func forkOracle(t *testing.T, base Spec) {
+	points, clock := everyPoint(t, base)
 	forks := 0
 	for _, secs := range []float64{base.Seconds, 2 * base.Seconds} {
 		for k, script := range forkScripts {
@@ -103,27 +139,48 @@ func forkOracle(t *testing.T, base Spec) {
 				// script are the same, and the first one was forked.
 				continue
 			}
+			same := func(what string, res Result, err error, out []byte) {
+				t.Helper()
+				if fmt.Sprint(errC) != fmt.Sprint(err) {
+					t.Fatalf("%gs %q: %s: error %v, cold %v", secs, script, what, err, errC)
+				}
+				if !bytes.Equal(cold.Bytes(), out) {
+					t.Fatalf("%gs %q: %s diverges from a cold run\n%s", secs, script, what, firstDiff(out, cold.Bytes()))
+				}
+				if !reflect.DeepEqual(resC, res) {
+					t.Fatalf("%gs %q: %s: result %+v, cold %+v", secs, script, what, res, resC)
+				}
+			}
+
+			rig, prog, err := buildRig(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec *Template
+			r, err := newRecorder(rig, spec, func(tmpl *Template) { rec = tmpl })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recorded bytes.Buffer
+			resR, errR := execute(rig, prog, spec, &recorded, nil, r)
+			same("the recording run", resR, errR, recorded.Bytes())
+			if last := points[len(points)-1]; secs == base.Seconds && (rec == nil || !reflect.DeepEqual(rec.at, last)) {
+				t.Fatalf("%gs %q: the recorder did not keep the last power-on (%d reboots)", secs, script, last.tally.Reboots)
+			}
+
 			for i, p := range points {
-				if tmpl.deadline(spec) <= p.snap.Now() {
+				tmpl := &Template{spec: base, clock: clock, at: p}
+				if !tmpl.Usable(spec) {
 					continue
 				}
-				rig, prog, err := tmpl.fork(p)
+				rig, prog, err := tmpl.Fork()
 				if err != nil {
 					t.Fatal(err)
 				}
 				var warm bytes.Buffer
-				resW, errW := execute(rig, prog, spec, &warm, nil)
+				resW, errW := execute(rig, prog, spec, &warm, nil, nil)
 				forks++
-				if fmt.Sprint(errC) != fmt.Sprint(errW) {
-					t.Fatalf("%gs %q: point %d (%d reboots): error %v, cold %v", secs, script, i, p.tally.Reboots, errW, errC)
-				}
-				if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-					t.Fatalf("%gs %q: fork of point %d (%d reboots) diverges from a cold run\n%s",
-						secs, script, i, p.tally.Reboots, firstDiff(warm.Bytes(), cold.Bytes()))
-				}
-				if !reflect.DeepEqual(resC, resW) {
-					t.Fatalf("%gs %q: point %d (%d reboots): result %+v, cold %+v", secs, script, i, p.tally.Reboots, resW, resC)
-				}
+				same(fmt.Sprintf("fork of point %d (%d reboots)", i, p.tally.Reboots), resW, errW, warm.Bytes())
 			}
 		}
 	}
@@ -142,7 +199,7 @@ func firstDiff(got, want []byte) string {
 }
 
 // TestLateForksShareTemplate runs forks of one late template concurrently,
-// then checks that the template's snapshots are unchanged. Forks share the
+// then checks that the template's snapshot is unchanged. Forks share the
 // recorded history (event chunks, traces, output prefix) instead of
 // copying it, so none may write it; under -race this also catches two
 // forks appending into the same shared storage.
@@ -152,8 +209,8 @@ func TestLateForksShareTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmpl.late.tally.Reboots < 8 {
-		t.Fatalf("want a late point after 8 or more reboots, got %+v", tmpl.late)
+	if tmpl.at.tally.Reboots < 8 {
+		t.Fatalf("want a late point after 8 or more reboots, got %+v", tmpl.at)
 	}
 	// Sessions resume past the assert, so every fork appends to the
 	// shared history, across chunk boundaries.
@@ -163,7 +220,7 @@ func TestLateForksShareTemplate(t *testing.T) {
 	if _, err := Run(session, &golden, nil); err != nil {
 		t.Fatal(err)
 	}
-	on, late := pointDigest(tmpl.on), pointDigest(tmpl.late)
+	digest := pointDigest(tmpl.at)
 
 	const forks = 6
 	var wg sync.WaitGroup
@@ -185,8 +242,8 @@ func TestLateForksShareTemplate(t *testing.T) {
 			t.Fatalf("fork %d diverges from a cold run\n%s", i, firstDiff(outs[i].Bytes(), golden.Bytes()))
 		}
 	}
-	if pointDigest(tmpl.on) != on || pointDigest(tmpl.late) != late {
-		t.Fatal("running forks changed the template's snapshots")
+	if pointDigest(tmpl.at) != digest {
+		t.Fatal("running forks changed the template's snapshot")
 	}
 }
 

@@ -130,7 +130,7 @@ func Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return execute(rig, prog, spec, out, prompt)
+	return execute(rig, prog, spec, out, prompt, nil)
 }
 
 // buildRig assembles the rig and program a (defaulted) spec describes.
@@ -175,9 +175,13 @@ func buildRig(spec Spec) (*core.Rig, device.Program, error) {
 // start at cycle 0, so the deadline and origin match what RunFor would
 // use; warm-forked rigs resume at a power-on at the snapshot cycle but
 // share the same absolute deadline and origin 0, making their output
-// byte-identical to a cold run's.
-func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
+// byte-identical to a cold run's. A cold rig may carry a recorder (else
+// nil), which records a template until the first debugger entry.
+func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, prompt PromptFunc, rec *recorder) (Result, error) {
 	var res Result
+	if rec != nil {
+		out = rec.attach(out)
+	}
 	rig.Console.SetOutput(out)
 	rig.Console.SetExplore(exploreHandler(spec))
 	var vcap *trace.Series
@@ -190,6 +194,9 @@ func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, promp
 	}
 
 	rig.EDB.OnInteractive(func(s *edb.Session) {
+		if rec != nil {
+			rec.stop()
+		}
 		rig.Console.BindSession(s)
 		defer rig.Console.BindSession(nil)
 		fmt.Fprintf(out, "\n[edb] interactive session: %s (Vcap=%.3f V)\n", s.Reason, s.Voltage())
@@ -204,6 +211,9 @@ func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, promp
 	})
 
 	rr, err := rig.RunUntil(rig.Device.Clock.ToCycles(units.Seconds(spec.Seconds)), 0)
+	if rec != nil {
+		rec.stop()
+	}
 	if err != nil {
 		return res, fmt.Errorf("run: %w", err)
 	}

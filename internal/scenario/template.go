@@ -1,24 +1,24 @@
-// Warm-start session support: a Template runs a spec's family once and
-// keeps two full-machine snapshots of it, taken at power-ons: the first
-// turn-on (before Main ever runs) and the last power-on before the
-// debugger's first entry. A power-failure reboot is a complete state cut,
-// because only non-volatile state survives it, and by the next power-on
-// the simulator has dropped every volatile leftover too (the interpreter's
-// registers, retired count and print line are reset there), so the
-// snapshot holds all the state there is (device.Snapshot). A fork of the
-// later point skips every charge cycle before the entry, writes the console
-// output the cold run had written by then, and continues the runner's
-// reboot and fault tallies. Because the snapshot restores every stochastic
-// stream and the forked run shares the cold run's absolute deadline, a warm
-// session's output is byte-for-byte identical to a cold boot of the same
-// spec — the pool is purely a latency optimization, never a semantic one.
-// A pool only forks templates it built itself: templates never cross a
+// Warm-start session support: a Template keeps one full-machine snapshot
+// of a spec's family, taken at the last power-on before the debugger's
+// first entry (or before the deadline, if the debugger never enters). A
+// power-failure reboot is a complete state cut, because only non-volatile
+// state survives it, and by the next power-on the simulator has dropped
+// every volatile leftover too (the interpreter's registers, retired count
+// and print line are reset there), so the snapshot holds all the state
+// there is (device.Snapshot). A fork skips every charge cycle before the
+// entry, writes the console output the cold run had written by then, and
+// continues the runner's reboot and fault tallies. Because the snapshot
+// restores every stochastic stream and the forked run shares the cold
+// run's absolute deadline, a warm session's output is byte-for-byte
+// identical to a cold boot of the same spec — the pool is purely a latency
+// optimization, never a semantic one. The snapshot is recorded during a
+// cold run of the family, so a pool spends no simulation of its own on it.
+// A pool only forks templates it recorded itself: templates never cross a
 // process boundary, so nothing a peer sends can change what a session
 // computes.
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -36,11 +36,10 @@ import (
 type Template struct {
 	spec  Spec       // defaulted
 	clock *sim.Clock // converts session deadlines to cycles
-	on    *point     // first turn-on
-	late  *point     // last power-on before the first entry or the build deadline (on if no other)
+	at    *point     // where every fork starts
 }
 
-// point is one place a session can fork from: a snapshot taken at a
+// point is a place a session can fork from: a snapshot taken at a
 // power-on, the console output a cold run has written by then, and the
 // runner's tallies there.
 type point struct {
@@ -49,66 +48,115 @@ type point struct {
 	tally  device.Tally
 }
 
-// NewTemplate builds and warms a template for the spec. It runs the spec
-// once from cycle 0 like a cold session, but with no interactive handler,
-// so the first debugger entry halts it; the spec's deadline bounds the
-// run. It errors for specs that cannot be templated: reader-driven rigs
-// (the reader's inventory state machine lives outside the snapshot) and
-// rigs that do not reach turn-on before the deadline.
-func NewTemplate(spec Spec) (*Template, error) {
-	spec = spec.withDefaults()
-	t := &Template{spec: spec}
-	clock, err := record(spec, func(p *point) {
-		if t.on == nil {
-			t.on = p
-		}
-		t.late = p
-	})
-	if err != nil {
-		return nil, err
-	}
-	if t.on == nil {
-		return nil, fmt.Errorf("scenario: template rig did not reach turn-on within %gs", spec.Seconds)
-	}
-	t.clock = clock
-	return t, nil
+// recorder finds a template's point during a cold run. At each power-on
+// before the first debugger entry it snapshots the rig into the buffers of
+// the point it replaces, so a run holds two snapshots however many charge
+// cycles it passes. It sits in front of the session's output to keep what
+// the console wrote before the entry; a point records how much of that was
+// written by then.
+type recorder struct {
+	rig  *core.Rig
+	spec Spec      // defaulted
+	w    io.Writer // the session's output
+	out  []byte    // what w was written before the entry
+
+	snap, spare *core.RigSnapshot
+	n           int // len(out) at snap
+	tally       device.Tally
+
+	stopped bool
+	done    func(*Template) // called once, when the recording stops
 }
 
-// record runs a (defaulted) spec from cycle 0 with no interactive handler
-// and passes keep a point at each power-on before the first debugger entry
-// or the deadline, in order. A power-on whose snapshot fails is skipped. It
-// returns a clock of the rig's rate.
-func record(spec Spec, keep func(*point)) (*sim.Clock, error) {
-	rig, _, err := buildRig(spec)
-	if err != nil {
-		return nil, err
-	}
+// newRecorder returns a recorder for a freshly built rig, which execute
+// attaches. It errors for reader-driven rigs: the reader's inventory
+// state machine lives outside the snapshot.
+func newRecorder(rig *core.Rig, spec Spec, done func(*Template)) (*recorder, error) {
 	if rig.Reader != nil {
 		return nil, fmt.Errorf("scenario: reader specs cannot be templated")
 	}
-	// Everything execute does to a rig before its run, minus the handler.
-	var out bytes.Buffer
-	rig.Console.SetOutput(&out)
-	if spec.Trace {
-		rig.EDB.TraceVcap()
+	return &recorder{rig: rig, spec: spec, done: done}, nil
+}
+
+// attach puts the recorder in front of the session's output w and
+// snapshots the rig from its next power-on on.
+func (r *recorder) attach(w io.Writer) io.Writer {
+	r.w = w
+	r.rig.Runner.OnPowerOn = r.powerOn
+	return r
+}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	if !r.stopped {
+		r.out = append(r.out, p...)
 	}
-	rig.Runner.OnPowerOn = func() {
-		if snap, err := rig.Snapshot(); err == nil {
-			keep(&point{snap: snap, prefix: bytes.Clone(out.Bytes()), tally: rig.Runner.Tally()})
+	return r.w.Write(p)
+}
+
+func (r *recorder) powerOn() {
+	if r.spare == nil {
+		r.spare = new(core.RigSnapshot)
+	}
+	if r.rig.SnapshotInto(r.spare) != nil {
+		return // keep the previous point
+	}
+	r.snap, r.spare = r.spare, r.snap
+	r.n, r.tally = len(r.out), r.rig.Runner.Tally()
+}
+
+// stop ends the recording at the first debugger entry or the end of the
+// run and hands the template to done: nil if the rig never powered on.
+func (r *recorder) stop() {
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	r.rig.Runner.OnPowerOn = nil
+	var t *Template
+	if r.snap != nil {
+		t = &Template{
+			spec:  r.spec,
+			clock: sim.NewClock(r.rig.Device.Clock.Hz()),
+			at:    &point{snap: r.snap, prefix: r.out[:r.n:r.n], tally: r.tally},
 		}
 	}
+	r.snap, r.spare = nil, nil
+	r.done(t)
+}
+
+// NewTemplate builds a template for the spec by running it cold with the
+// output discarded, halting at the first debugger entry; the spec's
+// deadline bounds the run. It errors for specs that cannot be templated:
+// reader-driven rigs and rigs that do not reach turn-on before the
+// deadline. A Pool records its templates during sessions instead.
+func NewTemplate(spec Spec) (*Template, error) {
+	spec = spec.withDefaults()
+	rig, prog, err := buildRig(spec)
+	if err != nil {
+		return nil, err
+	}
+	var t *Template
+	rec, err := newRecorder(rig, spec, func(recorded *Template) { t = recorded })
+	if err != nil {
+		return nil, err
+	}
+	run := spec
+	run.Script, run.Interactive = "halt", false
 	// A run error (a charge that never reaches turn-on) ends the run like
-	// the deadline: the points before it are still ones a cold run passes.
-	rig.RunUntil(rig.Device.Clock.ToCycles(units.Seconds(spec.Seconds)), 0)
-	return sim.NewClock(rig.Device.Clock.Hz()), nil
+	// the deadline: a point before it is still one a cold run passes.
+	_, _ = execute(rig, prog, run, io.Discard, nil, rec)
+	if t == nil {
+		return nil, fmt.Errorf("scenario: template rig did not reach turn-on within %gs", spec.Seconds)
+	}
+	return t, nil
 }
 
 // Usable reports whether warm forks of this template can serve the spec:
 // the simulation-shaping fields must match and the deadline must lie
-// strictly past the first turn-on.
+// strictly past the template's point.
 func (t *Template) Usable(spec Spec) bool {
 	spec = spec.withDefaults()
-	return templateKey(spec) == templateKey(t.spec) && t.deadline(spec) > t.on.snap.Now()
+	return templateKey(spec) == templateKey(t.spec) && t.deadline(spec) > t.at.snap.Now()
 }
 
 // deadline is the absolute cycle a session of spec runs until.
@@ -116,43 +164,22 @@ func (t *Template) deadline(spec Spec) sim.Cycles {
 	return t.clock.ToCycles(units.Seconds(spec.Seconds))
 }
 
-// start returns the latest point a usable spec's session can fork from:
-// one its deadline lies strictly past.
-func (t *Template) start(spec Spec) *point {
-	if t.deadline(spec) > t.late.snap.Now() {
-		return t.late
-	}
-	return t.on
-}
-
 // SnapshotBytes returns the size of the template's full memory image.
-func (t *Template) SnapshotBytes() int { return t.on.snap.MemoryBytes() }
+func (t *Template) SnapshotBytes() int { return t.at.snap.MemoryBytes() }
 
-// WarmupSeconds returns the simulated time of the template's turn-on
-// snapshot. Only deadlines strictly past it can be served warm.
-func (t *Template) WarmupSeconds() float64 { return t.seconds(t.on) }
-
-// ForkSeconds returns the simulated time of the snapshot a session of the
-// spec forks from, and the reboots the cold run has made by then.
-func (t *Template) ForkSeconds(spec Spec) (float64, int) {
-	p := t.start(spec.withDefaults())
-	return t.seconds(p), p.tally.Reboots
+// ForkPoint returns the simulated time forks start at and the reboots the
+// cold run has made by then. Only deadlines strictly past it can be served
+// warm.
+func (t *Template) ForkPoint() (seconds float64, reboots int) {
+	return float64(t.clock.ToSeconds(t.at.snap.Now())), t.at.tally.Reboots
 }
 
-func (t *Template) seconds(p *point) float64 {
-	return float64(t.clock.ToSeconds(p.snap.Now()))
-}
-
-// Fork builds a fresh rig from the latest snapshot a session of the spec
-// can start from: the snapshot is applied, the runner continues its
-// reboot and fault tallies, and the console holds the output the cold run
-// wrote before that point, which execute passes on first. The rig is ready
-// for execute() with the cold run's deadline and origin.
-func (t *Template) Fork(spec Spec) (*core.Rig, device.Program, error) {
-	return t.fork(t.start(spec.withDefaults()))
-}
-
-func (t *Template) fork(p *point) (*core.Rig, device.Program, error) {
+// Fork builds a fresh rig from the template's snapshot: the snapshot is
+// applied, the runner continues its reboot and fault tallies, and the
+// console holds the output the cold run wrote before that point, which
+// execute passes on first. The rig is ready for execute() with the cold
+// run's deadline and origin, for a spec the template is Usable for.
+func (t *Template) Fork() (*core.Rig, device.Program, error) {
 	rig, prog, err := buildRig(t.spec)
 	if err != nil {
 		return nil, nil, err
@@ -161,11 +188,11 @@ func (t *Template) fork(p *point) (*core.Rig, device.Program, error) {
 		// Enable before Restore so the snapshot's samples are re-adopted.
 		rig.EDB.TraceVcap()
 	}
-	if err := rig.Restore(p.snap); err != nil {
+	if err := rig.Restore(t.at.snap); err != nil {
 		return nil, nil, err
 	}
-	rig.Runner.Resume(p.tally)
-	rig.Console.Write(p.prefix)
+	rig.Runner.Resume(t.at.tally)
+	rig.Console.Write(t.at.prefix)
 	return rig, prog, nil
 }
 
@@ -176,11 +203,11 @@ func (t *Template) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, err
 	if !t.Usable(spec) {
 		return Result{}, fmt.Errorf("scenario: template does not cover spec")
 	}
-	rig, prog, err := t.fork(t.start(spec))
+	rig, prog, err := t.Fork()
 	if err != nil {
 		return Result{}, err
 	}
-	return execute(rig, prog, spec, out, prompt)
+	return execute(rig, prog, spec, out, prompt, nil)
 }
 
 // TemplateKey collapses a spec to its simulation-shaping fields (Seconds,
@@ -221,29 +248,30 @@ type forkedRig struct {
 	prog device.Program
 }
 
-// poolEntry tracks one template key: the template once built (or the
+// poolEntry tracks one template key: the template once recorded (or the
 // decision that the key is untemplatable — a negative cache so reader
-// specs don't re-run warm-up attempts), plus pre-forked spares.
+// specs are not recorded again), plus pre-forked spares.
 type poolEntry struct {
-	mu       sync.Mutex
-	building bool
-	tmpl     *Template // nil until built
-	dead     bool      // untemplatable; serve cold forever
-	spares   chan *forkedRig
+	mu        sync.Mutex
+	recording bool      // a cold session is recording the template
+	tmpl      *Template // nil until recorded
+	dead      bool      // untemplatable; serve cold forever
+	spares    chan *forkedRig
 }
 
 // Pool serves scenario sessions, warm-starting them from per-spec
-// templates. The first session for a spec cold-boots while a template
-// builds in the background; later sessions fork the template, preferring
-// a pre-forked spare for near-zero start latency.
+// templates. The first session for a spec runs cold and records the
+// template as it goes; later sessions fork it, preferring a pre-forked
+// spare for near-zero start latency. A session whose deadline falls before
+// the template's point runs cold.
 type Pool struct {
 	mu      sync.Mutex
 	entries map[string]*poolEntry
 	spares  int
 	metrics PoolMetrics
 
-	// wg tracks background template builds and spare refills, so tests
-	// and shutdown can wait for quiescence.
+	// wg tracks background spare refills, so tests and shutdown can wait
+	// for quiescence.
 	wg sync.WaitGroup
 }
 
@@ -267,16 +295,11 @@ func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) 
 	case e.tmpl != nil && e.tmpl.Usable(spec):
 		tmpl := e.tmpl
 		e.mu.Unlock()
-		// Spares are forks of the latest point; a deadline before it
-		// forks the turn-on point instead.
-		from := tmpl.start(spec)
 		var f *forkedRig
-		if from == tmpl.late {
-			select {
-			case f = <-e.spares:
-				p.refillAsync(e, tmpl)
-			default:
-			}
+		select {
+		case f = <-e.spares:
+			p.refillAsync(e, tmpl)
+		default:
 		}
 		p.count(func(m *PoolMetrics) {
 			m.WarmForks++
@@ -285,19 +308,19 @@ func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) 
 			}
 		})
 		if f == nil {
-			rig, prog, err := tmpl.fork(from)
+			rig, prog, err := tmpl.Fork()
 			if err != nil {
 				return Result{}, err
 			}
 			f = &forkedRig{rig: rig, prog: prog}
 		}
-		return execute(f.rig, f.prog, spec, out, prompt)
-	case !e.dead && !e.building && e.tmpl == nil:
-		// First sighting of this spec family: build the template in the
-		// background and serve this session cold.
-		e.building = true
-		p.wg.Add(1)
-		go p.buildTemplate(e, spec)
+		return execute(f.rig, f.prog, spec, out, prompt, nil)
+	case !e.dead && !e.recording && e.tmpl == nil:
+		// First sighting of this spec family: this cold session records
+		// the template.
+		e.recording = true
+		e.mu.Unlock()
+		return p.record(e, spec, out, prompt)
 	}
 	e.mu.Unlock()
 
@@ -305,8 +328,50 @@ func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) 
 	return Run(spec, out, prompt)
 }
 
-// Wait blocks until background template builds and refills settle —
-// deterministic hand-holding for tests and shutdown.
+// record serves a session cold while recording its family's template. The
+// template is published as soon as the recording stops, at the session's
+// first debugger entry, so sessions arriving meanwhile can fork it.
+func (p *Pool) record(e *poolEntry, spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
+	p.count(func(m *PoolMetrics) { m.ColdBoots++ })
+	rig, prog, err := buildRig(spec)
+	if err != nil {
+		p.publish(e, nil, true)
+		return Result{}, err
+	}
+	rec, err := newRecorder(rig, spec, func(t *Template) { p.publish(e, t, false) })
+	if err != nil {
+		p.publish(e, nil, true)
+	}
+	return execute(rig, prog, spec, out, prompt, rec)
+}
+
+// publish ends an entry's recording with its template: nil if the session
+// never reached turn-on, which leaves the next session to record again,
+// or if the family cannot be templated (dead).
+func (p *Pool) publish(e *poolEntry, t *Template, dead bool) {
+	e.mu.Lock()
+	e.recording = false
+	e.tmpl, e.dead = t, dead
+	e.mu.Unlock()
+	switch {
+	case dead:
+		p.count(func(m *PoolMetrics) { m.Untemplatable++ })
+	case t != nil:
+		p.count(func(m *PoolMetrics) { m.TemplatesBuilt++ })
+		if p.spares > 0 {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				for i := 0; i < p.spares; i++ {
+					p.refill(e, t)
+				}
+			}()
+		}
+	}
+}
+
+// Wait blocks until background spare refills settle — deterministic
+// hand-holding for tests and shutdown.
 func (p *Pool) Wait() { p.wg.Wait() }
 
 // Metrics returns a snapshot of the pool's counters.
@@ -333,25 +398,6 @@ func (p *Pool) entry(key string) *poolEntry {
 	return e
 }
 
-func (p *Pool) buildTemplate(e *poolEntry, spec Spec) {
-	defer p.wg.Done()
-	tmpl, err := NewTemplate(spec)
-	e.mu.Lock()
-	e.building = false
-	if err != nil {
-		e.dead = true
-		e.mu.Unlock()
-		p.count(func(m *PoolMetrics) { m.Untemplatable++ })
-		return
-	}
-	e.tmpl = tmpl
-	e.mu.Unlock()
-	p.count(func(m *PoolMetrics) { m.TemplatesBuilt++ })
-	for i := 0; i < p.spares; i++ {
-		p.refill(e, tmpl)
-	}
-}
-
 func (p *Pool) refillAsync(e *poolEntry, tmpl *Template) {
 	p.wg.Add(1)
 	go func() {
@@ -364,7 +410,7 @@ func (p *Pool) refill(e *poolEntry, tmpl *Template) {
 	if len(e.spares) >= p.spares {
 		return
 	}
-	rig, prog, err := tmpl.fork(tmpl.late)
+	rig, prog, err := tmpl.Fork()
 	if err != nil {
 		return
 	}

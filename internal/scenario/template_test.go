@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/scenario"
@@ -193,11 +194,12 @@ func TestSpecHashStability(t *testing.T) {
 
 // TestPoolRetainedBytes caps the live heap a pool holds for four Fig. 7
 // families (linked list, assert, tracing on) whose asserts fire after 8–9
-// reboots, with two spares each. Each family keeps two snapshots: the
-// late one shares its ~22k events (16 B each), ~9k Vcap samples and a
-// 49,920 B memory image with every fork, so the spares add only their own
-// memory. The bound is 4 MB; about 3.1 MB is measured, against 0.95 MB
-// when the pool kept the turn-on snapshot alone.
+// reboots, with two spares each. Each family keeps one snapshot, at the
+// last power-on before the assert, which shares its ~22k events (16 B
+// each), ~9k Vcap samples and a 49,920 B memory image with every fork, so
+// the spares add only their own memory. The bound is 4 MB; about 2.75 MB
+// is measured, against 0.95 MB when the pool kept a turn-on snapshot,
+// which holds almost no history.
 func TestPoolRetainedBytes(t *testing.T) {
 	const bound = 4 << 20
 	heap := func() uint64 {
@@ -225,4 +227,99 @@ func TestPoolRetainedBytes(t *testing.T) {
 		t.Fatalf("pool retains %d B, bound %d B", retained, bound)
 	}
 	runtime.KeepAlive(pool)
+}
+
+// TestRecordingAllocationBounded: a pool's first session of a family
+// records the template, snapshotting the rig at every power-on before the
+// first debugger entry. A session that never enters runs to its deadline
+// that way, here through about 600 power-ons. Each snapshot reuses the
+// buffers of the one it replaces, so recording may allocate a bounded
+// amount more than the same cold session: about two snapshots (a 49,920 B
+// memory image and a few 4,856 B RNG registers each), not one per
+// power-on. About 170 KB is measured; taking a fresh snapshot at each
+// power-on allocates 36 MB more.
+func TestRecordingAllocationBounded(t *testing.T) {
+	const bound = 256 << 10
+	spec := scenario.Spec{App: "linkedlist", Trace: true, Seconds: 60, Seed: 42}
+	alloc := func(f func() (scenario.Result, error)) (uint64, scenario.Result) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	cold, res := alloc(func() (scenario.Result, error) { return scenario.Run(spec, io.Discard, nil) })
+	pool := scenario.NewPool(0)
+	recorded, _ := alloc(func() (scenario.Result, error) { return pool.Run(spec, io.Discard, nil) })
+	if m := pool.Metrics(); m.TemplatesBuilt != 1 || res.Run.Reboots < 500 {
+		t.Fatalf("want one template after 500 or more reboots: %+v, %d reboots", m, res.Run.Reboots)
+	}
+	extra := int64(recorded) - int64(cold)
+	t.Logf("%d reboots: recording allocated %.1f KB more than a cold run", res.Run.Reboots, float64(extra)/1024)
+	if extra > bound {
+		t.Fatalf("recording allocated %d B more than a cold run, bound %d B", extra, bound)
+	}
+}
+
+// TestPoolForksWhileRecordingSessionRuns: a pool publishes a family's
+// template at the recording session's first debugger entry, and that
+// session runs on while others fork the template. The recording rig keeps
+// appending to the event log and Vcap trace the snapshot shares, past the
+// snapshot's end; no fork may see any of it. Under -race this also catches
+// either side writing what the other reads.
+func TestPoolForksWhileRecordingSessionRuns(t *testing.T) {
+	spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 2, Seed: 14, Script: "status;resume"}
+	first := spec
+	first.Script = ""
+	resume := func() (string, bool) { return "resume", true }
+	var golden, firstGolden bytes.Buffer
+	if _, err := scenario.Run(spec, &golden, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scenario.Run(first, &firstGolden, resume); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := scenario.NewPool(2)
+	const forks = 4
+	outs := make([]bytes.Buffer, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	started := false
+	var firstOut bytes.Buffer
+	_, err := pool.Run(first, &firstOut, func() (string, bool) {
+		if !started {
+			started = true
+			for i := range outs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = pool.Run(spec, &outs[i], nil)
+				}(i)
+			}
+		}
+		return resume()
+	})
+	wg.Wait()
+	pool.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if firstOut.String() != firstGolden.String() {
+		t.Fatal("the recording session diverges from a cold run")
+	}
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if outs[i].String() != golden.String() {
+			t.Fatalf("fork %d diverges from a cold run", i)
+		}
+	}
+	if m := pool.Metrics(); m.TemplatesBuilt != 1 || m.ColdBoots != 1 || m.WarmForks != forks {
+		t.Fatalf("want one recording cold session and %d forks: %+v", forks, m)
+	}
 }

@@ -62,7 +62,7 @@ type Metrics struct {
 	WarmForks      int64 // sessions served by forking a pre-warmed template
 	SparePops      int64 // …of which popped a pre-forked spare rig
 	ColdBoots      int64 // sessions simulated from cycle 0
-	TemplatesBuilt int64 // firmware templates warmed in the background
+	TemplatesBuilt int64 // firmware templates recorded during cold sessions
 	Untemplatable  int64 // spec families the pool gave up templating
 }
 

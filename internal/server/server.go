@@ -313,7 +313,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		if s.pool != nil {
-			s.pool.Wait() // let background template builds settle
+			s.pool.Wait() // let background spare refills settle
 		}
 		return nil
 	case <-ctx.Done():

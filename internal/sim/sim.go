@@ -328,12 +328,25 @@ func (g *RNG) State() RNGState { return RNGState{Seed: g.src.seed, Draws: g.src.
 // (4,856 B), so that RestoreState costs O(register) instead of a replay of
 // every draw: the form for snapshots that are restored many times.
 func (g *RNG) Snapshot() RNGState {
-	st := g.State()
-	if g.src.draws > rngPrefix {
-		vec := *g.src.g.vec
-		st.reg = &lfSource{tap: g.src.g.tap, feed: g.src.g.feed, vec: &vec}
-	}
+	var st RNGState
+	g.SnapshotInto(&st)
 	return st
+}
+
+// SnapshotInto is Snapshot into *st, reusing the register copy st holds
+// from an earlier Snapshot: for callers that replace a state nothing will
+// restore any more.
+func (g *RNG) SnapshotInto(st *RNGState) {
+	reg := st.reg
+	*st = g.State()
+	if g.src.draws > rngPrefix {
+		if reg == nil {
+			reg = &lfSource{vec: new([rngLen]int64)}
+		}
+		*reg.vec = *g.src.g.vec
+		reg.tap, reg.feed = g.src.g.tap, g.src.g.feed
+		st.reg = reg
+	}
 }
 
 // RestoreState repositions the RNG to a captured stream position. A state

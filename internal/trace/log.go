@@ -8,10 +8,14 @@ import "repro/internal/sim"
 //
 // A log stores each event as a 16-byte record instead of a 48-byte Event:
 // the kind and text are interned together as one symbol, so a record holds
-// no string headers. Records fill fixed-size chunks. A chunk that a
-// LogState can see is never written again, so Snapshot and Restore share
-// the recorded history instead of copying it. A restored log copies at
-// most the one partly filled chunk, and only when it next appends.
+// no string headers. Records fill fixed-size chunks. No record a LogState
+// can see is ever written again, so Snapshot and Restore share the
+// recorded history instead of copying it: the log a state was taken from
+// appends past it, and a restored log copies the one partly filled chunk
+// before its first append. The symbol table and the side table of wide
+// Args only grow between discards; a discard that finds either past twice
+// Limit rebuilds both from the retained events, so a log whose events
+// carry many distinct texts stays bounded by Limit too.
 type Log struct {
 	Name string
 	// Limit bounds the retained events (0 = unbounded).
@@ -24,7 +28,7 @@ type Log struct {
 	chunks [][]record // every chunk but the last is full
 	off    int        // discarded records at the front of chunks[0]
 	n      int        // retained records
-	shared bool       // the last chunk is visible to a LogState
+	shared bool       // the last chunk is a restored state's: copy it before appending
 
 	syms    []symbol
 	index   map[symbol]uint32 // syms' lookup; nil until needed after Restore
@@ -57,6 +61,11 @@ func (l *Log) Add(e Event) {
 	if l.Limit > 0 && l.n >= l.Limit {
 		l.discard(max(l.Limit/4, 1))
 	}
+	l.push(e)
+}
+
+// push appends an event without regard to Limit.
+func (l *Log) push(e Event) {
 	r := record{at: e.At, arg: int32(e.Arg), sym: l.intern(e.Kind, e.Text)}
 	if int(r.arg) != e.Arg {
 		r.arg = int32(len(l.wide))
@@ -78,7 +87,8 @@ func (l *Log) Add(e Event) {
 	l.n++
 }
 
-// discard drops the k oldest events, releasing chunks that empties.
+// discard drops the k oldest events, releasing chunks that empties, and
+// compacts the log once its tables have outgrown the limit.
 func (l *Log) discard(k int) {
 	l.Dropped += uint64(k)
 	l.off += k
@@ -88,6 +98,22 @@ func (l *Log) discard(k int) {
 		l.chunks = l.chunks[1:]
 		l.off -= chunkLen
 	}
+	if len(l.syms) > 2*l.Limit || len(l.wide) > 2*l.Limit {
+		l.compact()
+	}
+}
+
+// compact rewrites the retained events into fresh chunks and tables that
+// hold only what they reference. A LogState keeps the old storage.
+func (l *Log) compact() {
+	old := *l
+	l.chunks, l.off, l.n, l.shared = nil, 0, 0, false
+	l.syms, l.index, l.lastSym, l.wide = nil, nil, 0, nil
+	old.scan(func(rs []record) {
+		for _, r := range rs {
+			l.push(old.event(r))
+		}
+	})
 }
 
 // intern returns the symbol of a (kind, text) pair, adding it if new.
@@ -210,9 +236,16 @@ type LogState struct {
 
 // Snapshot captures the retained events in O(chunks), without copying them.
 func (l *Log) Snapshot() LogState {
-	l.shared = true
-	return LogState{
-		chunks:  append([][]record(nil), l.chunks...),
+	var st LogState
+	l.SnapshotInto(&st)
+	return st
+}
+
+// SnapshotInto is Snapshot into *st, reusing the chunk list st holds from
+// an earlier Snapshot that nothing restores any more.
+func (l *Log) SnapshotInto(st *LogState) {
+	*st = LogState{
+		chunks:  append(st.chunks[:0], l.chunks...),
 		off:     l.off,
 		n:       l.n,
 		dropped: l.Dropped,

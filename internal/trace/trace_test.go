@@ -244,6 +244,43 @@ func TestLogGrowthBoundedByLimit(t *testing.T) {
 	}
 }
 
+// Events whose texts all differ, and whose Args do not fit a record, grow
+// the symbol and wide-argument tables by one entry each; discards must
+// keep those within a small multiple of Limit while the log still holds
+// exactly what a plain ring would, and a state taken before the tables
+// are rebuilt must keep reading its own events.
+func TestLogTablesBoundedByLimit(t *testing.T) {
+	l := NewLog("t")
+	l.Limit = 64
+	ev := func(i int) Event {
+		return Event{At: sim.Cycles(i), Kind: "watchpoint", Arg: math.MaxInt64 - i, Text: fmt.Sprintf("V=%.4f", float64(i)/1e4)}
+	}
+	var ref, early []Event
+	var st LogState
+	for i := 0; i < 4*l.Limit; i++ {
+		l.Add(ev(i))
+		if len(ref) >= l.Limit {
+			ref = ref[l.Limit/4:]
+		}
+		ref = append(ref, ev(i))
+		if i == l.Limit {
+			st, early = l.Snapshot(), l.Events()
+		}
+		if len(l.syms) > 3*l.Limit || len(l.wide) > 3*l.Limit {
+			t.Fatalf("after %d adds the log holds %d symbols and %d wide args for limit %d",
+				i+1, len(l.syms), len(l.wide), l.Limit)
+		}
+	}
+	if got := l.Events(); !reflect.DeepEqual(got, ref) || l.Dropped != uint64(4*l.Limit-len(ref)) {
+		t.Fatalf("retained events differ from the reference ring (dropped %d)", l.Dropped)
+	}
+	var r Log
+	r.Restore(st)
+	if !reflect.DeepEqual(r.Events(), early) {
+		t.Fatal("rebuilding the tables changed what an earlier state holds")
+	}
+}
+
 // A log restored from a snapshot holds the same events as the log it was
 // taken from and evolves exactly as that log would, while appends on
 // either side leave the snapshot and every other restored log untouched.
