@@ -51,13 +51,12 @@ func runClusterBench(o *jobOut, quick bool) error {
 	// backend ran it or how often it moved.
 	maxClients := legs[len(legs)-1] * capPerBackend
 	goldens := make(map[int64]string, maxClients)
-	pool := scenario.NewPool(2)
 	for seed := int64(1); seed <= int64(maxClients); seed++ {
 		spec := baseSpec
 		spec.Seed = seed
 		var buf bytes.Buffer
 		i := 0
-		if _, err := pool.Run(spec, &buf, func() (string, bool) {
+		if _, err := scenario.Run(spec, &buf, func() (string, bool) {
 			if i < len(cmds) {
 				i++
 				return cmds[i-1], true

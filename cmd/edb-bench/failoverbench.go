@@ -36,13 +36,12 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 
 	// Local goldens, one per seed: the deterministic-replay oracle.
 	goldens := make(map[int64]string, sessions)
-	pool := scenario.NewPool(2)
 	for seed := int64(1); seed <= int64(sessions); seed++ {
 		spec := baseSpec
 		spec.Seed = seed
 		var buf bytes.Buffer
 		i := 0
-		if _, err := pool.Run(spec, &buf, func() (string, bool) {
+		if _, err := scenario.Run(spec, &buf, func() (string, bool) {
 			if i < len(cmds) {
 				i++
 				return cmds[i-1], true

@@ -15,10 +15,9 @@ import (
 // runSnapshotBench measures the warm-start machinery end to end: the time
 // from the start of a session to its first prompt, cold (simulate every
 // charge cycle before the assert), cold while recording the family's
-// template (a pool's first session of a family), forked at the last
-// power-on before the assert, and pool-served (pop a pre-forked spare of
-// that point); fork throughput; and full-image versus dirty-page-delta
-// snapshot sizes.
+// template (a pool's first session of a family), and forked at the last
+// power-on before the assert (every later session of the family); and
+// full-image versus dirty-page-delta snapshot sizes.
 //
 // The session is Fig. 7's linked-list assert with tracing on, on a seed
 // whose assert fires after 8 reboots (the perfbench session workload keeps
@@ -30,10 +29,9 @@ import (
 // all of SRAM).
 func runSnapshotBench(o *jobOut, quick bool) error {
 	trials := 25
-	forks := 32
 	intervals := 20
 	if quick {
-		trials, forks, intervals = 5, 8, 8
+		trials, intervals = 5, 8
 	}
 
 	spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 1, Seed: 14, Interactive: true}
@@ -46,23 +44,15 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 		return fmt.Errorf("snapshot bench invalid: the template forks at turn-on")
 	}
 
-	// The pool variant is primed with one cold run, so the template is
-	// recorded and the spare channel fills; after each timed trial it
-	// waits (untimed) for the async refill, so every trial pops a spare.
-	pool := scenario.NewPool(1)
-	if _, err := pool.Run(spec, io.Discard, haltAtFirstPrompt(nil)); err != nil {
-		return fmt.Errorf("pool prime: %w", err)
-	}
-	pool.Wait()
 	ms, err := medianPromptMS(trials,
 		func(p scenario.PromptFunc) error {
 			_, err := scenario.Run(spec, io.Discard, p)
 			return err
 		},
 		// A fresh pool's first session of the family runs cold and
-		// records the template; no spares, so nothing runs beside it.
+		// records the template.
 		func(p scenario.PromptFunc) error {
-			pool := scenario.NewPool(0)
+			pool := scenario.NewPool()
 			_, err := pool.Run(spec, io.Discard, p)
 			if m := pool.Metrics(); err == nil && m.TemplatesBuilt != 1 {
 				err = fmt.Errorf("the first session recorded %d templates", m.TemplatesBuilt)
@@ -72,28 +62,11 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 		func(p scenario.PromptFunc) error {
 			_, err := tmpl.Run(spec, io.Discard, p)
 			return err
-		},
-		func(p scenario.PromptFunc) error {
-			_, err := pool.Run(spec, io.Discard, p)
-			pool.Wait()
-			return err
 		})
 	if err != nil {
 		return err
 	}
-	coldMS, recordMS, lateMS, poolMS := ms[0], ms[1], ms[2], ms[3]
-	if m := pool.Metrics(); m.SparePops != uint64(trials) {
-		return fmt.Errorf("pool bench invalid: %d/%d trials served from a spare", m.SparePops, trials)
-	}
-
-	// Fork throughput: how fast the daemon can mint ready-to-run rigs.
-	t0 := time.Now()
-	for i := 0; i < forks; i++ {
-		if _, _, err := tmpl.Fork(); err != nil {
-			return fmt.Errorf("fork %d: %w", i, err)
-		}
-	}
-	forksPerSec := float64(forks) / time.Since(t0).Seconds()
+	coldMS, recordMS, lateMS := ms[0], ms[1], ms[2]
 
 	// Snapshot sizes: arm a baseline on a forked 1 m rig mid-run, then take
 	// a dirty-page delta after each 100 ms steady-state window.
@@ -146,10 +119,7 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	o.metric("snap_prompt_cold_ms", coldMS)
 	o.metric("snap_prompt_record_ms", recordMS)
 	o.metric("snap_prompt_late_ms", lateMS)
-	o.metric("snap_prompt_pool_ms", poolMS)
 	o.metric("snap_prompt_speedup_late", coldMS/lateMS)
-	o.metric("snap_prompt_speedup_pool", coldMS/poolMS)
-	o.metric("snap_forks_per_sec", forksPerSec)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "warm-start sessions (linked list + assert, trace on, seed %d):\n", spec.Seed)
@@ -160,8 +130,6 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	row("cold", coldMS)
 	row("cold, recording the template", recordMS)
 	row(fmt.Sprintf("fork at last power-on (%.3f s)", forkS), lateMS)
-	row("pool spare of the last power-on", poolMS)
-	fmt.Fprintf(&b, "    fork throughput %.0f forks/s\n", forksPerSec)
 	fmt.Fprintf(&b, "  snapshot size (1 m tag, 100 ms windows):\n")
 	fmt.Fprintf(&b, "    full image %d B   steady-state delta %.0f B (%.1fx smaller)\n",
 		fullBytes, deltaMedian, sizeRatio)

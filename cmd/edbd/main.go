@@ -98,8 +98,7 @@ func main() {
 		noTraceZ    = flag.Bool("no-tracez", false, "refuse the compressed-trace capability; always stream raw Trace chunks")
 		noSnap      = flag.Bool("no-snap", false, "refuse the snapshot (remote time-travel) capability")
 		noCluster   = flag.Bool("no-cluster", false, "refuse the cluster capability; no migration, no Stat probes")
-		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots")
-		poolSpares  = flag.Int("pool-spares", 2, "pre-forked rigs kept ready per firmware template")
+		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots (the pool keeps every family's template until exit)")
 		pprofAddr   = flag.String("pprof", "", "optional listen address for the net/http/pprof profiling endpoint")
 		verbose     = flag.Bool("v", false, "log per-connection events")
 		tlsCert     = flag.String("tls-cert", "", "PEM certificate; serve TLS (requires -tls-key)")
@@ -151,7 +150,6 @@ func main() {
 		DisableSnap:    *noSnap,
 		DisableCluster: *noCluster,
 		DisablePool:    *noPool,
-		PoolSpares:     *poolSpares,
 		TLS:            listenTLS,
 		AuthToken:      *authToken,
 		RequireAuth:    *requireAuth,

@@ -50,6 +50,19 @@ import (
 // ErrGatewayClosed is returned by Serve after Shutdown begins.
 var ErrGatewayClosed = errors.New("cluster: gateway closed")
 
+const (
+	// vnodes is the number of virtual ring points per backend.
+	vnodes = 64
+	// readTimeout bounds a handshake read, client or backend, and the
+	// wait for a Stat probe's reply.
+	readTimeout = 10 * time.Second
+	// backendReadTimeout bounds the wait for each backend frame of a
+	// session; it lies above the longest permitted simulation.
+	backendReadTimeout = 90 * time.Second
+	// dialTimeout bounds each backend dial.
+	dialTimeout = 5 * time.Second
+)
+
 // Config parameterizes the gateway.
 type Config struct {
 	// Name identifies the gateway in client handshakes (default
@@ -58,22 +71,13 @@ type Config struct {
 	// Backends is the initial backend address list; more can join at
 	// runtime via AddBackend or wire Join frames.
 	Backends []string
-	// VNodes is the number of virtual ring points per backend (default 64).
-	VNodes int
 	// MaxConns bounds simultaneously open client connections (default 256).
 	MaxConns int
 	// IdleTimeout reaps clients idling between requests or sitting on a
 	// prompt (default 2m), mirroring the backend behavior.
 	IdleTimeout time.Duration
-	// ReadTimeout bounds the client handshake read (default 10s).
-	ReadTimeout time.Duration
 	// WriteTimeout bounds each outbound frame write (default 10s).
 	WriteTimeout time.Duration
-	// BackendReadTimeout bounds the wait for each backend frame (default
-	// 90s — above the longest permitted simulation).
-	BackendReadTimeout time.Duration
-	// DialTimeout bounds each backend dial (default 5s).
-	DialTimeout time.Duration
 	// HealthInterval is the backend Stat-probe period (default 2s).
 	HealthInterval time.Duration
 	// MaxDispatches bounds backend placements per session, counting the
@@ -104,26 +108,14 @@ func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "edbd-gateway"
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 10 * time.Second
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
-	}
-	if c.BackendReadTimeout <= 0 {
-		c.BackendReadTimeout = 90 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -205,7 +197,7 @@ func (g *Gateway) rebuildRingLocked() {
 	for a := range g.backends {
 		addrs = append(addrs, a)
 	}
-	g.ring = buildRing(addrs, g.cfg.VNodes)
+	g.ring = buildRing(addrs, vnodes)
 }
 
 // AddBackend registers a backend address at runtime (idempotent). The ring
@@ -378,7 +370,7 @@ func (g *Gateway) probe(b *backendState) {
 		b.down.Store(true)
 		return
 	}
-	m, err := g.recvBackend(conn, g.cfg.ReadTimeout)
+	m, err := g.recvBackend(conn, readTimeout)
 	if err != nil {
 		b.down.Store(true)
 		return
@@ -472,7 +464,7 @@ func isTimeout(err error) bool {
 // client negotiated with the gateway). A backend that refuses any required
 // bit is an error, not a downgrade.
 func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, g.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +477,7 @@ func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
 			}
 		}
 		tc := tls.Client(conn, cfg)
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.DialTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 		err := tc.HandshakeContext(ctx)
 		cancel()
 		if err != nil {
@@ -505,7 +497,7 @@ func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	m, flags, err := g.recvf(conn, g.cfg.ReadTimeout)
+	m, flags, err := g.recvf(conn, readTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -545,7 +537,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 
 	if tc, ok := conn.(*tls.Conn); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ReadTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
 		err := tc.HandshakeContext(ctx)
 		cancel()
 		if err != nil {
@@ -554,7 +546,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		}
 	}
 
-	m, helloFlags, err := g.recvf(conn, g.cfg.ReadTimeout)
+	m, helloFlags, err := g.recvf(conn, readTimeout)
 	if err != nil {
 		return
 	}
@@ -872,7 +864,7 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 // with which the backend ended the session.
 func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessState, free func()) (done bool, err error) {
 	for {
-		m, rerr := g.recvBackend(bconn, g.cfg.BackendReadTimeout)
+		m, rerr := g.recvBackend(bconn, backendReadTimeout)
 		if rerr != nil {
 			g.noteLeave(sess, b, true, rerr.Error())
 			return false, rerr

@@ -9,13 +9,15 @@ import (
 )
 
 // TestPoolConcurrentSessionsRaceBuild runs one spec family's sessions
-// concurrently on a fresh pool. The first wave races the pool's own
-// template build: each session starts cold or warm depending on when the
-// build lands. The second wave forks the finished template and pops
-// spares while refills run. Every session must produce byte-identical
-// output, because the pool only changes how a session starts, never what
-// it computes. Run under -race this covers Pool's locking between Run,
-// the background build and spare refills.
+// concurrently on a fresh pool. In the first wave one session records the
+// template while the others start; each of them runs cold or forks,
+// depending on whether the recording session has reached its first
+// debugger entry and published the template. The second wave forks the
+// finished template concurrently. Every session must produce
+// byte-identical output, because the pool only changes how a session
+// starts, never what it computes. Run under -race this covers Pool's
+// locking between Run, the recording session's publish and concurrent
+// forks.
 func TestPoolConcurrentSessionsRaceBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation load")
@@ -27,7 +29,7 @@ func TestPoolConcurrentSessionsRaceBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := scenario.NewPool(2)
+	p := scenario.NewPool()
 	const sessions = 12
 	wave := func() {
 		t.Helper()
@@ -56,10 +58,8 @@ func TestPoolConcurrentSessionsRaceBuild(t *testing.T) {
 		}
 	}
 
-	wave() // races the build the first session starts
-	p.Wait()
-	wave() // forks the built template, popping and refilling spares
-	p.Wait()
+	wave() // races the recording the first session starts
+	wave() // forks the recorded template
 
 	m := p.Metrics()
 	if m.TemplatesBuilt != 1 {

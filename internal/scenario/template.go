@@ -236,52 +236,34 @@ func templateKey(s Spec) string {
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
 	WarmForks      uint64 // sessions served from a template fork
-	SparePops      uint64 // …of which came from a pre-forked spare
 	ColdBoots      uint64 // sessions simulated from cycle 0
 	TemplatesBuilt uint64
 	Untemplatable  uint64 // specs the pool gave up templating
 }
 
-// forkedRig is a pre-built warm fork waiting for a session.
-type forkedRig struct {
-	rig  *core.Rig
-	prog device.Program
-}
-
-// poolEntry tracks one template key: the template once recorded (or the
+// poolEntry tracks one template key: the template once recorded, or the
 // decision that the key is untemplatable — a negative cache so reader
-// specs are not recorded again), plus pre-forked spares.
+// specs are not recorded again.
 type poolEntry struct {
 	mu        sync.Mutex
 	recording bool      // a cold session is recording the template
 	tmpl      *Template // nil until recorded
 	dead      bool      // untemplatable; serve cold forever
-	spares    chan *forkedRig
 }
 
 // Pool serves scenario sessions, warm-starting them from per-spec
 // templates. The first session for a spec runs cold and records the
-// template as it goes; later sessions fork it, preferring a pre-forked
-// spare for near-zero start latency. A session whose deadline falls before
-// the template's point runs cold.
+// template as it goes; later sessions fork it. A session whose deadline
+// falls before the template's point runs cold.
 type Pool struct {
 	mu      sync.Mutex
 	entries map[string]*poolEntry
-	spares  int
 	metrics PoolMetrics
-
-	// wg tracks background spare refills, so tests and shutdown can wait
-	// for quiescence.
-	wg sync.WaitGroup
 }
 
-// NewPool returns a pool keeping up to spares pre-forked rigs per
-// template (0 disables pre-forking but keeps warm template forks).
-func NewPool(spares int) *Pool {
-	if spares < 0 {
-		spares = 0
-	}
-	return &Pool{entries: make(map[string]*poolEntry), spares: spares}
+// NewPool returns an empty pool.
+func NewPool() *Pool {
+	return &Pool{entries: make(map[string]*poolEntry)}
 }
 
 // Run serves one session for the spec, warm when possible, cold
@@ -295,26 +277,12 @@ func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) 
 	case e.tmpl != nil && e.tmpl.Usable(spec):
 		tmpl := e.tmpl
 		e.mu.Unlock()
-		var f *forkedRig
-		select {
-		case f = <-e.spares:
-			p.refillAsync(e, tmpl)
-		default:
+		p.count(func(m *PoolMetrics) { m.WarmForks++ })
+		rig, prog, err := tmpl.Fork()
+		if err != nil {
+			return Result{}, err
 		}
-		p.count(func(m *PoolMetrics) {
-			m.WarmForks++
-			if f != nil {
-				m.SparePops++
-			}
-		})
-		if f == nil {
-			rig, prog, err := tmpl.Fork()
-			if err != nil {
-				return Result{}, err
-			}
-			f = &forkedRig{rig: rig, prog: prog}
-		}
-		return execute(f.rig, f.prog, spec, out, prompt, nil)
+		return execute(rig, prog, spec, out, prompt, nil)
 	case !e.dead && !e.recording && e.tmpl == nil:
 		// First sighting of this spec family: this cold session records
 		// the template.
@@ -358,21 +326,8 @@ func (p *Pool) publish(e *poolEntry, t *Template, dead bool) {
 		p.count(func(m *PoolMetrics) { m.Untemplatable++ })
 	case t != nil:
 		p.count(func(m *PoolMetrics) { m.TemplatesBuilt++ })
-		if p.spares > 0 {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				for i := 0; i < p.spares; i++ {
-					p.refill(e, t)
-				}
-			}()
-		}
 	}
 }
-
-// Wait blocks until background spare refills settle — deterministic
-// hand-holding for tests and shutdown.
-func (p *Pool) Wait() { p.wg.Wait() }
 
 // Metrics returns a snapshot of the pool's counters.
 func (p *Pool) Metrics() PoolMetrics {
@@ -392,30 +347,8 @@ func (p *Pool) entry(key string) *poolEntry {
 	defer p.mu.Unlock()
 	e, ok := p.entries[key]
 	if !ok {
-		e = &poolEntry{spares: make(chan *forkedRig, p.spares+1)}
+		e = &poolEntry{}
 		p.entries[key] = e
 	}
 	return e
-}
-
-func (p *Pool) refillAsync(e *poolEntry, tmpl *Template) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.refill(e, tmpl)
-	}()
-}
-
-func (p *Pool) refill(e *poolEntry, tmpl *Template) {
-	if len(e.spares) >= p.spares {
-		return
-	}
-	rig, prog, err := tmpl.Fork()
-	if err != nil {
-		return
-	}
-	select {
-	case e.spares <- &forkedRig{rig: rig, prog: prog}:
-	default:
-	}
 }

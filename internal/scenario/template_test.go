@@ -104,17 +104,16 @@ func TestTemplateRejectsUncoverableSpecs(t *testing.T) {
 }
 
 // TestPoolServesWarmAfterColdFirst: the pool cold-boots the first session
-// for a spec, builds the template in the background, then serves later
-// sessions warm — all with byte-identical output.
+// for a spec, which records the template as it runs, then serves later
+// sessions by forking it — all with byte-identical output.
 func TestPoolServesWarmAfterColdFirst(t *testing.T) {
 	spec := scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Script: "vcap;status;halt"}
-	pool := scenario.NewPool(2)
+	pool := scenario.NewPool()
 
 	var first bytes.Buffer
 	if _, err := pool.Run(spec, &first, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool.Wait() // template build + spare pre-forks settle
 
 	var second, third bytes.Buffer
 	if _, err := pool.Run(spec, &second, nil); err != nil {
@@ -123,7 +122,6 @@ func TestPoolServesWarmAfterColdFirst(t *testing.T) {
 	if _, err := pool.Run(spec, &third, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool.Wait()
 
 	if first.String() != second.String() || first.String() != third.String() {
 		t.Fatal("pool-served sessions diverge from the cold first session")
@@ -132,25 +130,20 @@ func TestPoolServesWarmAfterColdFirst(t *testing.T) {
 	if m.ColdBoots != 1 || m.TemplatesBuilt != 1 || m.WarmForks != 2 {
 		t.Fatalf("metrics: %+v", m)
 	}
-	if m.SparePops == 0 {
-		t.Fatalf("expected at least one pre-forked spare to be used: %+v", m)
-	}
 }
 
 // TestPoolNegativeCache: untemplatable specs are served cold forever and
 // the failed warm-up is not retried.
 func TestPoolNegativeCache(t *testing.T) {
 	spec := scenario.Spec{App: "rfid", Seconds: 2, Seed: 42}
-	pool := scenario.NewPool(1)
+	pool := scenario.NewPool()
 	var a, b bytes.Buffer
 	if _, err := pool.Run(spec, &a, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool.Wait()
 	if _, err := pool.Run(spec, &b, nil); err != nil {
 		t.Fatal(err)
 	}
-	pool.Wait()
 	if a.String() != b.String() {
 		t.Fatal("cold-served rfid sessions must still be deterministic")
 	}
@@ -194,14 +187,14 @@ func TestSpecHashStability(t *testing.T) {
 
 // TestPoolRetainedBytes caps the live heap a pool holds for four Fig. 7
 // families (linked list, assert, tracing on) whose asserts fire after 8–9
-// reboots, with two spares each. Each family keeps one snapshot, at the
-// last power-on before the assert, which shares its ~22k events (16 B
-// each), ~9k Vcap samples and a 49,920 B memory image with every fork, so
-// the spares add only their own memory. The bound is 4 MB; about 2.75 MB
-// is measured, against 0.95 MB when the pool kept a turn-on snapshot,
-// which holds almost no history.
+// reboots. Each family keeps one template: a snapshot at the last power-on
+// before the assert, with its ~22k events (16 B each), ~9k Vcap samples
+// and a 49,920 B memory image, which every fork shares. The bound is
+// 3 MiB; about 2.23 MB is measured, against 2.75 MB when the pool also
+// kept two pre-forked rigs per family, so a change that holds rigs per
+// family again fails it.
 func TestPoolRetainedBytes(t *testing.T) {
-	const bound = 4 << 20
+	const bound = 3 << 20
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -210,13 +203,12 @@ func TestPoolRetainedBytes(t *testing.T) {
 		return m.HeapAlloc
 	}
 	before := heap()
-	pool := scenario.NewPool(2)
+	pool := scenario.NewPool()
 	for _, seed := range []int64{3, 14, 17, 19} {
 		spec := scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Seconds: 1, Seed: seed, Script: "halt"}
 		if _, err := pool.Run(spec, io.Discard, nil); err != nil {
 			t.Fatal(err)
 		}
-		pool.Wait()
 	}
 	retained := int64(heap()) - int64(before)
 	if m := pool.Metrics(); m.TemplatesBuilt != 4 {
@@ -252,7 +244,7 @@ func TestRecordingAllocationBounded(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc, res
 	}
 	cold, res := alloc(func() (scenario.Result, error) { return scenario.Run(spec, io.Discard, nil) })
-	pool := scenario.NewPool(0)
+	pool := scenario.NewPool()
 	recorded, _ := alloc(func() (scenario.Result, error) { return pool.Run(spec, io.Discard, nil) })
 	if m := pool.Metrics(); m.TemplatesBuilt != 1 || res.Run.Reboots < 500 {
 		t.Fatalf("want one template after 500 or more reboots: %+v, %d reboots", m, res.Run.Reboots)
@@ -283,7 +275,7 @@ func TestPoolForksWhileRecordingSessionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := scenario.NewPool(2)
+	pool := scenario.NewPool()
 	const forks = 4
 	outs := make([]bytes.Buffer, forks)
 	errs := make([]error, forks)
@@ -304,7 +296,6 @@ func TestPoolForksWhileRecordingSessionRuns(t *testing.T) {
 		return resume()
 	})
 	wg.Wait()
-	pool.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,12 @@ type Metrics struct {
 
 	// Warm-start pool counters (all zero when pooling is disabled).
 	WarmForks      int64 // sessions served by forking a pre-warmed template
-	SparePops      int64 // …of which popped a pre-forked spare rig
 	ColdBoots      int64 // sessions simulated from cycle 0
 	TemplatesBuilt int64 // firmware templates recorded during cold sessions
 	Untemplatable  int64 // spec families the pool gave up templating
+	// SparePops is always zero: the pool keeps no pre-forked rigs. It
+	// stays because the benchmark harness (perfbench) still reads it.
+	SparePops int64
 }
 
 // Metrics returns a snapshot of the server's counters.
@@ -96,7 +98,6 @@ func (s *Server) Metrics() Metrics {
 	if s.pool != nil {
 		pm := s.pool.Metrics()
 		m.WarmForks = int64(pm.WarmForks)
-		m.SparePops = int64(pm.SparePops)
 		m.ColdBoots = int64(pm.ColdBoots)
 		m.TemplatesBuilt = int64(pm.TemplatesBuilt)
 		m.Untemplatable = int64(pm.Untemplatable)

@@ -43,6 +43,9 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown begins.
 var ErrServerClosed = errors.New("server: closed")
 
+// handshakeTimeout bounds the handshake read, TLS included.
+const handshakeTimeout = 10 * time.Second
+
 // Config parameterizes the daemon.
 type Config struct {
 	// Name identifies the server in the handshake (default "edbd").
@@ -56,8 +59,6 @@ type Config struct {
 	// IdleTimeout reaps connections that sit between requests, and
 	// interactive sessions awaiting a command (default 2m).
 	IdleTimeout time.Duration
-	// ReadTimeout bounds the handshake read (default 10s).
-	ReadTimeout time.Duration
 	// WriteTimeout bounds each outbound frame write (default 10s).
 	WriteTimeout time.Duration
 	// DisableTraceZ refuses the compressed-trace capability even for
@@ -74,12 +75,14 @@ type Config struct {
 	DisableCluster bool
 	// DisablePool turns off warm-start session pooling; every session
 	// then simulates its charge phase from cycle 0. Output is identical
-	// either way — the pool is purely a latency optimization.
+	// either way — the pool is purely a latency optimization. The pool
+	// keeps every family's template for the life of the process, so this
+	// is the way to run a server in bounded memory.
 	DisablePool bool
 	// TLS, when set, wraps the listener so every connection speaks TLS.
 	// Set ClientCAs + ClientAuth: tls.RequireAndVerifyClientCert for mTLS;
-	// the TLS handshake completes under ReadTimeout, before the protocol
-	// handshake.
+	// the TLS handshake completes within the 10 s handshake timeout,
+	// before the protocol handshake.
 	TLS *tls.Config
 	// AuthToken, when non-empty, arms token authentication: a client that
 	// offers FlagAuth must present exactly this token (compared in
@@ -92,9 +95,6 @@ type Config struct {
 	// session state is allocated. With no AuthToken configured it fails
 	// closed: every client is rejected.
 	RequireAuth bool
-	// PoolSpares is the number of pre-forked rigs kept ready per firmware
-	// template (default 2; 0 keeps templates but no pre-forks).
-	PoolSpares int
 	// Logf, when set, receives one line per connection-level event.
 	Logf func(format string, args ...any)
 }
@@ -114,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 10 * time.Second
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -180,14 +177,7 @@ func (st *connState) exitBusy() {
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), conns: make(map[net.Conn]*connState)}
 	if !s.cfg.DisablePool {
-		spares := s.cfg.PoolSpares
-		if spares == 0 {
-			spares = 2
-		}
-		if spares < 0 {
-			spares = 0
-		}
-		s.pool = scenario.NewPool(spares)
+		s.pool = scenario.NewPool()
 	}
 	return s
 }
@@ -312,9 +302,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		if s.pool != nil {
-			s.pool.Wait() // let background spare refills settle
-		}
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -401,7 +388,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	// mTLS, a protocol mismatch — are counted and never reach the protocol
 	// handshake.
 	if tc, ok := conn.(*tls.Conn); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ReadTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
 		err := tc.HandshakeContext(ctx)
 		cancel()
 		if err != nil {
@@ -411,7 +398,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		}
 	}
 
-	m, helloFlags, err := s.recvf(conn, s.cfg.ReadTimeout)
+	m, helloFlags, err := s.recvf(conn, handshakeTimeout)
 	if err != nil {
 		return
 	}

@@ -176,7 +176,7 @@ func TestServerDisableSnap(t *testing.T) {
 // sessions from template forks with byte-identical output, and the metrics
 // record the split.
 func TestPoolWarmSessionsMatchCold(t *testing.T) {
-	srv, addr := startServer(t, server.Config{PoolSpares: 1})
+	srv, addr := startServer(t, server.Config{})
 	spec := testSpec(42)
 	golden, _ := localGolden(t, spec)
 
@@ -193,14 +193,10 @@ func TestPoolWarmSessionsMatchCold(t *testing.T) {
 	if first.String() != golden {
 		t.Fatal("first (cold) session differs from local golden")
 	}
-
-	// The template builds in the background; wait for it.
-	deadline := time.Now().Add(30 * time.Second)
-	for srv.Metrics().TemplatesBuilt == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("template never built")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The first session recorded the template and published it before
+	// its Done frame.
+	if n := srv.Metrics().TemplatesBuilt; n != 1 {
+		t.Fatalf("templates built after the first session: %d, want 1", n)
 	}
 
 	var second bytes.Buffer
