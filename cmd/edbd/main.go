@@ -173,11 +173,12 @@ func main() {
 		if adv == "" {
 			adv = lis.Addr().String()
 		}
+		d := &wire.Dialer{Timeout: joinTimeout, TLS: backendTLS, Name: "edbd-join", Token: *backendToken}
 		// One heartbeat loop per gateway: each gateway of a pair learns the
 		// fleet first-hand, so either can place sessions here.
 		for _, gw := range strings.Split(*joinAddr, ",") {
 			if gw = strings.TrimSpace(gw); gw != "" {
-				go joinLoop(gw, adv, *backendToken, backendTLS, *joinEvery)
+				go joinLoop(d, gw, adv, *joinEvery)
 			}
 		}
 	}
@@ -268,13 +269,17 @@ func runGateway(a gatewayArgs) {
 	log.Printf("edbd: gateway stopped cleanly")
 }
 
+// joinTimeout bounds a Join's dial and handshake, and then each frame of
+// the registration.
+const joinTimeout = 10 * time.Second
+
 // joinLoop registers this backend with a gateway and re-registers every
 // period as a liveness heartbeat, logging only on state changes so a down
 // gateway does not flood the log.
-func joinLoop(gateway, advertise, token string, tlsCfg *tls.Config, every time.Duration) {
+func joinLoop(d *wire.Dialer, gateway, advertise string, every time.Duration) {
 	ok := false
 	for {
-		err := joinOnce(gateway, advertise, token, tlsCfg)
+		err := joinOnce(d, gateway, advertise)
 		switch {
 		case err == nil && !ok:
 			log.Printf("edbd: registered with gateway %s as %s", gateway, advertise)
@@ -287,53 +292,19 @@ func joinLoop(gateway, advertise, token string, tlsCfg *tls.Config, every time.D
 	}
 }
 
-func joinOnce(gateway, advertise, token string, tlsCfg *tls.Config) error {
-	conn, err := net.DialTimeout("tcp", gateway, 5*time.Second)
+func joinOnce(d *wire.Dialer, gateway, advertise string) error {
+	conn, _, granted, err := d.Dial(context.Background(), gateway, wire.FlagCluster)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	if tlsCfg != nil {
-		cfg := tlsCfg
-		if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
-			if host, _, err := net.SplitHostPort(gateway); err == nil {
-				cfg = cfg.Clone()
-				cfg.ServerName = host
-			}
-		}
-		tc := tls.Client(conn, cfg)
-		if err := tc.Handshake(); err != nil {
-			return err
-		}
-		conn = tc
-	}
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	caps := wire.FlagCluster
-	hello := &wire.Hello{Version: wire.Version, Client: "edbd-join"}
-	if token != "" {
-		caps |= wire.FlagAuth
-		hello.Token = token
-	}
-	if err := wire.WriteMsgFlags(conn, hello, caps); err != nil {
-		return err
-	}
-	m, flags, err := wire.ReadMsgFlags(conn)
-	if err != nil {
-		return err
-	}
-	if e, ok := m.(*wire.Error); ok {
-		return e
-	}
-	if _, ok := m.(*wire.Welcome); !ok {
-		return errors.New("unexpected handshake reply")
-	}
-	if flags&wire.FlagCluster == 0 {
+	if granted&wire.FlagCluster == 0 {
 		return errors.New("gateway did not grant the cluster capability")
 	}
-	if err := wire.WriteMsg(conn, &wire.Join{Addr: advertise}); err != nil {
+	if err := wire.SendMsg(conn, &wire.Join{Addr: advertise}, 0, joinTimeout); err != nil {
 		return err
 	}
-	m, err = wire.ReadMsg(conn)
+	m, _, err := wire.RecvMsg(conn, joinTimeout)
 	if err != nil {
 		return err
 	}

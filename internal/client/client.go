@@ -26,9 +26,20 @@ import (
 // has ended.
 var ErrSessionClosed = errors.New("client: session closed")
 
-// Options configures dialing and per-frame deadlines.
+const (
+	// readTimeout bounds the wait for each server frame, generously above
+	// the longest permitted simulation.
+	readTimeout = 60 * time.Second
+	// writeTimeout bounds each outbound frame write's stall.
+	writeTimeout = 10 * time.Second
+	// maxResumes caps reconnect-and-resume attempts per Run.
+	maxResumes = 3
+)
+
+// Options configures dialing.
 type Options struct {
-	// DialTimeout bounds each TCP dial attempt (default 5s).
+	// DialTimeout bounds each connection attempt, TLS and protocol
+	// handshake included (default 5s).
 	DialTimeout time.Duration
 	// Attempts is the number of dial attempts before giving up (default 1;
 	// raise it to tolerate a daemon that is still starting).
@@ -38,11 +49,6 @@ type Options struct {
 	Backoff time.Duration
 	// MaxBackoff caps the retry delay (default 2s).
 	MaxBackoff time.Duration
-	// ReadTimeout bounds the wait for each server frame (default 60s —
-	// generously above the longest permitted simulation).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write (default 10s).
-	WriteTimeout time.Duration
 	// Name identifies this client in the handshake.
 	Name string
 	// RawTrace suppresses the compressed-trace capability in the
@@ -53,11 +59,6 @@ type Options struct {
 	// behavior of a client that predates remote time-travel. The server
 	// then serves the baseline protocol byte-identically.
 	NoSnap bool
-	// Context, when set, bounds the whole Dial — every attempt and every
-	// backoff sleep. Cancelling it makes Dial return immediately with the
-	// context's error instead of sleeping out the remaining retries.
-	// DialContext is the explicit-argument equivalent.
-	Context context.Context
 	// TLS, when set, dials TLS over the TCP connection. If ServerName is
 	// empty and certificate verification is on, it is filled in from the
 	// dialed address's host. Set Certificates for mTLS.
@@ -77,8 +78,6 @@ type Options struct {
 	// list it also hides the death of the gateway itself. Output remains
 	// byte-identical either way.
 	Reconnect bool
-	// MaxResumes caps reconnect-and-resume attempts per Run (default 3).
-	MaxResumes int
 	// OnResume, when set, is called after each successful
 	// reconnect-and-resume with the address the session landed on and the
 	// wall time from detecting the loss to the resume request being
@@ -100,17 +99,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 60 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
 	if o.Name == "" {
 		o.Name = "edb-client"
-	}
-	if o.MaxResumes <= 0 {
-		o.MaxResumes = 3
 	}
 	return o
 }
@@ -133,10 +123,7 @@ type Client struct {
 	addrs      []string // the full dial list; len 1 without failover peers
 	addrIdx    int      // index of addr in addrs
 	serverName string
-	traceZ     bool
-	snap       bool
-	authed     bool
-	cluster    bool
+	caps       byte // capability bits the server granted
 	scratch    []wire.TracePoint
 	traceBuf   wire.Trace
 }
@@ -144,8 +131,8 @@ type Client struct {
 // Dial connects to an edbd daemon, retrying failed dials with exponential
 // backoff, and completes the protocol handshake. Handshake rejections
 // (e.g. a version mismatch or a bad auth token) are returned immediately
-// without retrying — they will not fix themselves. Opts.Context, when set,
-// cancels the retry loop; see DialContext.
+// without retrying — they will not fix themselves. DialContext makes the
+// retry loop cancellable.
 //
 // addr may be a comma-separated dial list ("gw1:3535,gw2:3535"): each
 // attempt tries every address in order before backing off, so the first
@@ -154,11 +141,7 @@ type Client struct {
 // the address that just failed is retried last — which is how a client
 // rides out the death of one gateway of a pair.
 func Dial(addr string, opts Options) (*Client, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return DialContext(ctx, addr, opts)
+	return DialContext(context.Background(), addr, opts)
 }
 
 // DialContext is Dial bounded by ctx: cancellation interrupts both
@@ -168,7 +151,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 //
 // Retry classification: transient failures — unreachable address,
 // Error{CodeBusy} from a full server — are retried on the backoff schedule.
-// Typed handshake rejections that can never succeed on retry — a version
+// Handshake failures that can never succeed on retry — a version
 // mismatch, Error{CodeAuth} from a bad or missing token, a TLS certificate
 // failure — fail fast on the first attempt, no matter how many attempts
 // remain.
@@ -177,6 +160,19 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	addrs := splitAddrs(addr)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: no address to dial in %q", addr)
+	}
+	d := wire.Dialer{Timeout: o.DialTimeout, TLS: o.TLS, Name: o.Name, Token: o.AuthToken}
+	var caps byte // the dialer adds FlagAuth when there is a token
+	if !o.RawTrace {
+		caps |= wire.FlagTraceZ
+	}
+	if !o.NoSnap {
+		caps |= wire.FlagSnap
+	}
+	if o.Reconnect {
+		// The cluster capability tells the server this client understands
+		// SessMigrate hand-offs and SessResume replays.
+		caps |= wire.FlagCluster
 	}
 	backoff := o.Backoff
 	var lastErr error
@@ -197,34 +193,24 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 		// Try every address in the dial list before sleeping out a backoff:
 		// a dead first gateway must not delay failover to its live peer.
 		for i, a := range addrs {
-			conn, err := o.dialOnce(ctx, a)
+			conn, w, granted, err := d.Dial(ctx, a, caps)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, fmt.Errorf("client: dial %s: %w", a, ctx.Err())
 				}
-				if errors.Is(err, errTLSHandshake) {
-					// A reachable server whose TLS handshake fails (bad cert,
-					// protocol mismatch) will not fix itself; surface it now.
+				var werr *wire.Error
+				if errors.Is(err, wire.ErrHandshake) || errors.As(err, &werr) && werr.Code != wire.CodeBusy {
+					// A reachable server whose handshake fails (bad cert,
+					// protocol mismatch) or that refuses it (CodeAuth,
+					// CodeVersion) will not change its mind: fail fast.
 					return nil, err
 				}
+				// An unreachable or full server may admit the next attempt.
 				lastErr = err
 				continue
 			}
-			c := &Client{conn: conn, opts: o, addr: a, addrs: addrs, addrIdx: i}
-			if err := c.handshake(); err != nil {
-				conn.Close()
-				var werr *wire.Error
-				if errors.As(err, &werr) && werr.Code == wire.CodeBusy {
-					// A full server drains; the next candidate (or the next
-					// attempt) may be admitted.
-					lastErr = err
-					continue
-				}
-				// Every other typed rejection — CodeAuth, CodeVersion, a
-				// malformed handshake — cannot succeed on retry: fail fast.
-				return nil, err
-			}
-			return c, nil
+			return &Client{conn: conn, opts: o, addr: a, addrs: addrs, addrIdx: i,
+				serverName: w.Server, caps: granted}, nil
 		}
 	}
 	return nil, fmt.Errorf("client: dial %s failed after %d attempts: %w", addr, o.Attempts, lastErr)
@@ -239,37 +225,6 @@ func splitAddrs(addr string) []string {
 		}
 	}
 	return addrs
-}
-
-// errTLSHandshake marks TLS setup failures so the retry loop can tell them
-// apart from transient TCP connect errors.
-var errTLSHandshake = errors.New("client: tls handshake")
-
-// dialOnce makes one connection attempt: TCP connect, then the TLS
-// handshake when Options.TLS is set, all bounded by DialTimeout and ctx.
-func (o *Options) dialOnce(ctx context.Context, addr string) (net.Conn, error) {
-	dctx, cancel := context.WithTimeout(ctx, o.DialTimeout)
-	defer cancel()
-	conn, err := (&net.Dialer{}).DialContext(dctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if o.TLS == nil {
-		return conn, nil
-	}
-	cfg := o.TLS
-	if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
-		if host, _, err := net.SplitHostPort(addr); err == nil {
-			cfg = cfg.Clone()
-			cfg.ServerName = host
-		}
-	}
-	tc := tls.Client(conn, cfg)
-	if err := tc.HandshakeContext(dctx); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w with %s: %v", errTLSHandshake, addr, err)
-	}
-	return tc, nil
 }
 
 // ServerName returns the daemon's name from the handshake.
@@ -295,94 +250,37 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-func (c *Client) handshake() error {
-	var caps byte
-	if !c.opts.RawTrace {
-		caps = wire.FlagTraceZ
-	}
-	if !c.opts.NoSnap {
-		caps |= wire.FlagSnap
-	}
-	if c.opts.Reconnect {
-		// The cluster capability tells the server this client understands
-		// SessMigrate hand-offs and SessResume replays.
-		caps |= wire.FlagCluster
-	}
-	hello := &wire.Hello{Version: wire.Version, Client: c.opts.Name}
-	if c.opts.AuthToken != "" {
-		// Only offer FlagAuth when there is a token to present: a
-		// token-less client stays byte-identical to the pre-auth protocol
-		// (and keeps working against pre-auth servers).
-		caps |= wire.FlagAuth
-		hello.Token = c.opts.AuthToken
-	}
-	if err := c.sendf(hello, caps); err != nil {
-		return fmt.Errorf("client: handshake send: %w", err)
-	}
-	m, flags, err := c.recvf()
-	if err != nil {
-		return fmt.Errorf("client: handshake recv: %w", err)
-	}
-	switch w := m.(type) {
-	case *wire.Welcome:
-		if w.Version != wire.Version {
-			return fmt.Errorf("client: server speaks protocol version %d, want %d", w.Version, wire.Version)
-		}
-		c.serverName = w.Server
-		// The server echoes the capability subset it accepted; only bits we
-		// asked for may take effect.
-		c.traceZ = flags&caps&wire.FlagTraceZ != 0
-		c.snap = flags&caps&wire.FlagSnap != 0
-		c.authed = flags&caps&wire.FlagAuth != 0
-		c.cluster = flags&caps&wire.FlagCluster != 0
-		return nil
-	case *wire.Error:
-		return w
-	}
-	return fmt.Errorf("client: unexpected handshake reply %T", m)
-}
-
 // TraceZ reports whether compressed trace streaming was negotiated in the
 // handshake.
-func (c *Client) TraceZ() bool { return c.traceZ }
+func (c *Client) TraceZ() bool { return c.caps&wire.FlagTraceZ != 0 }
 
 // Snap reports whether remote time-travel (SnapSave/SnapRestore) was
 // negotiated in the handshake.
-func (c *Client) Snap() bool { return c.snap }
+func (c *Client) Snap() bool { return c.caps&wire.FlagSnap != 0 }
 
 // Authenticated reports whether the server verified this client's auth
 // token in the handshake. False with an AuthToken set means the server has
 // no token authentication configured (a wrong token fails the Dial).
-func (c *Client) Authenticated() bool { return c.authed }
+func (c *Client) Authenticated() bool { return c.caps&wire.FlagAuth != 0 }
 
 // Cluster reports whether the cluster capability (migration hand-offs and
 // journal resume) was negotiated in the handshake.
-func (c *Client) Cluster() bool { return c.cluster }
+func (c *Client) Cluster() bool { return c.caps&wire.FlagCluster != 0 }
 
 func (c *Client) send(m wire.Msg) error {
-	return c.sendf(m, 0)
-}
-
-func (c *Client) sendf(m wire.Msg, flags byte) error {
-	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	return wire.WriteMsgFlags(c.conn, m, flags)
+	return wire.SendMsg(c.conn, m, 0, writeTimeout)
 }
 
 func (c *Client) recv() (wire.Msg, error) {
-	m, _, err := c.recvf()
+	m, _, err := wire.RecvMsg(c.conn, readTimeout)
 	return m, err
-}
-
-func (c *Client) recvf() (wire.Msg, byte, error) {
-	c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	return wire.ReadMsgFlags(c.conn)
 }
 
 // decodeTraceZ decodes one compressed trace chunk into the client's reused
 // scratch buffer and returns a raw-chunk view over it, so OnTrace callbacks
 // observe the same shape whichever encoding the server streamed.
 func (c *Client) decodeTraceZ(t *wire.TraceZ) (*wire.Trace, error) {
-	if !c.traceZ {
+	if !c.TraceZ() {
 		return nil, errors.New("client: server sent TraceZ without negotiating the capability")
 	}
 	pts, err := tracecodec.Decode(c.scratch[:0], t.Data, int(t.Count))
@@ -506,36 +404,31 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 // returns an error when reconnect is off, the resume budget is spent, or
 // the redial fails — callers then surface the original failure.
 func (c *Client) resume(spec scenario.Spec, streamTrace bool, st *runState) error {
-	if !c.opts.Reconnect || !c.cluster {
+	if !c.opts.Reconnect || !c.Cluster() {
 		return errors.New("client: reconnect not enabled")
 	}
-	if st.resumes >= c.opts.MaxResumes {
-		return fmt.Errorf("client: resume budget (%d) exhausted", c.opts.MaxResumes)
+	if st.resumes >= maxResumes {
+		return fmt.Errorf("client: resume budget (%d) exhausted", maxResumes)
 	}
 	st.resumes++
 	start := time.Now()
-	ctx := c.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Rotate the dial list past the address that just failed: its peers
 	// get the first shot, and it goes last in case it is all there is.
 	rot := make([]string, 0, len(c.addrs))
 	rot = append(rot, c.addrs[c.addrIdx+1:]...)
 	rot = append(rot, c.addrs[:c.addrIdx+1]...)
-	nc, err := DialContext(ctx, strings.Join(rot, ","), c.opts)
+	nc, err := DialContext(context.Background(), strings.Join(rot, ","), c.opts)
 	if err != nil {
 		return err
 	}
-	if !nc.cluster {
+	if !nc.Cluster() {
 		nc.Close()
 		return errors.New("client: reconnected server does not speak the cluster capability")
 	}
 	c.conn.Close()
 	c.conn = nc.conn
 	c.addr, c.addrIdx = nc.addr, indexOf(c.addrs, nc.addr)
-	c.serverName, c.traceZ, c.snap, c.authed, c.cluster =
-		nc.serverName, nc.traceZ, nc.snap, nc.authed, nc.cluster
+	c.serverName, c.caps = nc.serverName, nc.caps
 	err = c.send(&wire.SessResume{
 		Spec:             spec,
 		StreamTrace:      streamTrace,
@@ -638,7 +531,7 @@ func (s *Session) snapRPC(m wire.Msg) (string, error) {
 		}
 		return "", ErrSessionClosed
 	}
-	if !s.c.snap {
+	if !s.c.Snap() {
 		return "", errors.New("client: snapshot capability not negotiated (server too old or -no-snap)")
 	}
 	if err := s.c.send(m); err != nil {

@@ -99,8 +99,8 @@ func TestDialContextCancel(t *testing.T) {
 	}
 }
 
-// TestDialPreCancelledContext: Options.Context already cancelled fails the
-// dial before any attempt.
+// TestDialPreCancelledContext: a context already cancelled fails the dial
+// before any attempt.
 func TestDialPreCancelledContext(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -111,7 +111,7 @@ func TestDialPreCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.Dial(addr, client.Options{Context: ctx, Attempts: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := client.DialContext(ctx, addr, client.Options{Attempts: 10}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -164,6 +164,22 @@ func TestDialTLSAuth(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("TLS verification failure retried for %v instead of failing fast", elapsed)
+	}
+
+	// So must a client without a certificate against an mTLS server. Under
+	// TLS 1.3 the client's side of the TLS handshake succeeds, and the
+	// server's rejection arrives where the Welcome should.
+	mtls, err := tlstest.ServerConfig(certPEM, keyPEM, certPEM)
+	if err != nil {
+		t.Fatalf("mTLS server tls: %v", err)
+	}
+	mtlsAddr := startServer(t, server.Config{TLS: mtls})
+	start = time.Now()
+	if _, err := client.Dial(mtlsAddr, client.Options{TLS: cliTLS, Attempts: 100, Backoff: 500 * time.Millisecond}); err == nil {
+		t.Fatal("mTLS server accepted a client without a certificate")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("client-certificate rejection retried for %v instead of failing fast", elapsed)
 	}
 }
 

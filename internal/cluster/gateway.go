@@ -34,7 +34,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/subtle"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -53,14 +52,15 @@ var ErrGatewayClosed = errors.New("cluster: gateway closed")
 const (
 	// vnodes is the number of virtual ring points per backend.
 	vnodes = 64
-	// readTimeout bounds a handshake read, client or backend, and the
-	// wait for a Stat probe's reply.
+	// readTimeout bounds the wait for a Stat probe's reply.
 	readTimeout = 10 * time.Second
 	// backendReadTimeout bounds the wait for each backend frame of a
 	// session; it lies above the longest permitted simulation.
 	backendReadTimeout = 90 * time.Second
-	// dialTimeout bounds each backend dial.
+	// dialTimeout bounds each backend dial, handshake included.
 	dialTimeout = 5 * time.Second
+	// writeTimeout bounds each outbound frame write's stall.
+	writeTimeout = 10 * time.Second
 )
 
 // Config parameterizes the gateway.
@@ -76,8 +76,6 @@ type Config struct {
 	// IdleTimeout reaps clients idling between requests or sitting on a
 	// prompt (default 2m), mirroring the backend behavior.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write (default 10s).
-	WriteTimeout time.Duration
 	// HealthInterval is the backend Stat-probe period (default 2s).
 	HealthInterval time.Duration
 	// MaxDispatches bounds backend placements per session, counting the
@@ -114,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -146,9 +141,11 @@ type backendState struct {
 
 // Gateway is one gateway instance.
 type Gateway struct {
-	cfg Config
-	c   counters
-	lat latencyRing
+	cfg    Config
+	c      counters
+	hs     wire.Acceptor // the client-facing handshake
+	dialer wire.Dialer   // the gateway→backend handshake
+	lat    latencyRing
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -163,8 +160,12 @@ type Gateway struct {
 
 // New builds a gateway; zero-valued config fields take their defaults.
 func New(cfg Config) *Gateway {
+	cfg = cfg.withDefaults()
 	g := &Gateway{
-		cfg:        cfg.withDefaults(),
+		cfg: cfg,
+		hs: wire.Acceptor{Name: cfg.Name, Token: cfg.AuthToken, RequireAuth: cfg.RequireAuth,
+			WriteTimeout: writeTimeout, Logf: cfg.Logf},
+		dialer:     wire.Dialer{Timeout: dialTimeout, TLS: cfg.BackendTLS, Name: cfg.Name, Token: cfg.BackendToken},
 		conns:      make(map[net.Conn]struct{}),
 		backends:   make(map[string]*backendState),
 		stopHealth: make(chan struct{}),
@@ -366,11 +367,11 @@ func (g *Gateway) probe(b *backendState) {
 		return
 	}
 	defer conn.Close()
-	if err := g.sendBackend(conn, &wire.Stat{}); err != nil {
+	if err := g.send(conn, &wire.Stat{}); err != nil {
 		b.down.Store(true)
 		return
 	}
-	m, err := g.recvBackend(conn, readTimeout)
+	m, err := g.recv(conn, readTimeout)
 	if err != nil {
 		b.down.Store(true)
 		return
@@ -387,135 +388,31 @@ func (g *Gateway) probe(b *backendState) {
 	b.draining.Store(st.Draining)
 }
 
-type deadlineWriter struct {
-	conn net.Conn
-	d    time.Duration
-}
-
-// writeChunk bounds the bytes a deadlineWriter sends under one deadline
-// arm. A whole wire frame can be up to 1 MiB (a large console output
-// chunk, a SessResume carrying a long journal); arming one absolute
-// deadline for the full frame would cut off a slow-but-draining peer that
-// simply needs longer than d in aggregate. Chunking re-arms per 64 KiB, so
-// the deadline bounds *stall*, not total transfer time.
-const writeChunk = 64 << 10
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if len(p) <= writeChunk {
-		w.conn.SetWriteDeadline(time.Now().Add(w.d))
-		return w.conn.Write(p)
-	}
-	total := 0
-	for len(p) > 0 {
-		c := p
-		if len(c) > writeChunk {
-			c = c[:writeChunk]
-		}
-		w.conn.SetWriteDeadline(time.Now().Add(w.d))
-		n, err := w.conn.Write(c)
-		total += n
-		if err != nil {
-			return total, err
-		}
-		p = p[n:]
-	}
-	// Clear the last chunk's deadline: frames written after this one may
-	// be preceded by arbitrary idle time, and a stale absolute deadline
-	// would fail them spuriously (the PR 5 class of bug).
-	w.conn.SetWriteDeadline(time.Time{})
-	return total, nil
-}
-
 func (g *Gateway) send(conn net.Conn, m wire.Msg) error {
-	return g.sendf(conn, m, 0)
-}
-
-func (g *Gateway) sendf(conn net.Conn, m wire.Msg, flags byte) error {
-	return wire.WriteMsgFlags(&deadlineWriter{conn: conn, d: g.cfg.WriteTimeout}, m, flags)
-}
-
-func (g *Gateway) recvf(conn net.Conn, d time.Duration) (wire.Msg, byte, error) {
-	conn.SetReadDeadline(time.Now().Add(d))
-	return wire.ReadMsgFlags(conn)
+	return wire.SendMsg(conn, m, 0, writeTimeout)
 }
 
 func (g *Gateway) recv(conn net.Conn, d time.Duration) (wire.Msg, error) {
-	m, _, err := g.recvf(conn, d)
+	m, _, err := wire.RecvMsg(conn, d)
 	return m, err
 }
 
-func (g *Gateway) sendBackend(conn net.Conn, m wire.Msg) error {
-	return g.send(conn, m)
-}
-
-func (g *Gateway) recvBackend(conn net.Conn, d time.Duration) (wire.Msg, error) {
-	return g.recv(conn, d)
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// dialBackend opens an authenticated cluster connection to a backend,
-// wrapped in BackendTLS when configured, negotiating FlagCluster plus
-// exactly the capabilities in caps (FlagTraceZ/FlagSnap for proxied
-// sessions, whose byte stream is relayed verbatim and must match what the
-// client negotiated with the gateway). A backend that refuses any required
-// bit is an error, not a downgrade.
+// dialBackend opens a cluster connection to a backend, negotiating
+// FlagCluster plus exactly the capabilities in caps (FlagTraceZ/FlagSnap
+// for proxied sessions, whose byte stream is relayed verbatim and must
+// match what the client negotiated with the gateway). A backend that
+// refuses any required bit is an error, not a downgrade.
 func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if g.cfg.BackendTLS != nil {
-		cfg := g.cfg.BackendTLS
-		if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
-			if host, _, err := net.SplitHostPort(addr); err == nil {
-				cfg = cfg.Clone()
-				cfg.ServerName = host
-			}
-		}
-		tc := tls.Client(conn, cfg)
-		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-		err := tc.HandshakeContext(ctx)
-		cancel()
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("cluster: %s tls: %w", addr, err)
-		}
-		conn = tc
-	}
 	want := (caps & (wire.FlagTraceZ | wire.FlagSnap)) | wire.FlagCluster
-	hello := &wire.Hello{Version: wire.Version, Client: g.cfg.Name}
-	offer := want
-	if g.cfg.BackendToken != "" {
-		offer |= wire.FlagAuth
-		hello.Token = g.cfg.BackendToken
-	}
-	if err := g.sendf(conn, hello, offer); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	m, flags, err := g.recvf(conn, readTimeout)
+	conn, _, granted, err := g.dialer.Dial(context.Background(), addr, want)
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("cluster: backend %s: %w", addr, err)
 	}
-	switch w := m.(type) {
-	case *wire.Welcome:
-		if flags&want != want {
-			conn.Close()
-			return nil, fmt.Errorf("cluster: backend %s granted caps %#02x, need %#02x", addr, flags, want)
-		}
-		return conn, nil
-	case *wire.Error:
+	if granted&want != want {
 		conn.Close()
-		return nil, fmt.Errorf("cluster: backend %s: %w", addr, w)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("cluster: backend %s: unexpected handshake reply %T", addr, m)
+		return nil, fmt.Errorf("cluster: backend %s granted caps %#02x, need %#02x", addr, granted, want)
 	}
+	return conn, nil
 }
 
 // handle owns one client connection: handshake, then a loop of proxied
@@ -536,56 +433,16 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 
-	if tc, ok := conn.(*tls.Conn); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
-		err := tc.HandshakeContext(ctx)
-		cancel()
-		if err != nil {
-			g.logf("conn %s: tls handshake failed: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
-
-	m, helloFlags, err := g.recvf(conn, readTimeout)
+	caps, err := g.hs.Accept(conn)
 	if err != nil {
 		return
 	}
-	hello, ok := m.(*wire.Hello)
-	if !ok {
-		g.send(conn, &wire.Error{Code: wire.CodeBadRequest, Text: "expected Hello"})
-		return
-	}
-	if hello.Version != wire.Version {
-		g.send(conn, &wire.Error{Code: wire.CodeVersion,
-			Text: fmt.Sprintf("gateway speaks protocol version %d, client sent %d", wire.Version, hello.Version)})
-		return
-	}
-	caps := helloFlags & wire.KnownCaps
-	offeredAuth := caps&wire.FlagAuth != 0
-	caps &^= wire.FlagAuth
-	switch {
-	case offeredAuth && g.cfg.AuthToken != "":
-		if subtle.ConstantTimeCompare([]byte(hello.Token), []byte(g.cfg.AuthToken)) != 1 {
-			g.c.authFailures.Add(1)
-			g.send(conn, &wire.Error{Code: wire.CodeAuth, Text: "authentication failed: bad token"})
-			return
-		}
-		caps |= wire.FlagAuth
-	case g.cfg.RequireAuth:
-		g.c.authFailures.Add(1)
-		g.send(conn, &wire.Error{Code: wire.CodeAuth, Text: "authentication required: offer FlagAuth with a token"})
-		return
-	}
-	if err := g.sendf(conn, &wire.Welcome{Version: wire.Version, Server: g.cfg.Name}, caps); err != nil {
-		return
-	}
 	cluster := caps&wire.FlagCluster != 0
-	g.logf("conn %s: handshake ok (%s, caps %#02x)", conn.RemoteAddr(), hello.Client, caps)
 
 	for {
 		m, err := g.recv(conn, g.cfg.IdleTimeout)
 		if err != nil {
-			if isTimeout(err) {
+			if wire.IsTimeout(err) {
 				g.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
 			}
 			return
@@ -785,7 +642,7 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 	} else {
 		req = &wire.Run{Spec: sess.spec, StreamTrace: sess.streamTrace}
 	}
-	if err := g.sendBackend(conn, req); err != nil {
+	if err := g.send(conn, req); err != nil {
 		conn.Close()
 		g.markFailed(sess, b.addr)
 		return nil, nil, err
@@ -864,7 +721,7 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 // with which the backend ended the session.
 func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessState, free func()) (done bool, err error) {
 	for {
-		m, rerr := g.recvBackend(bconn, backendReadTimeout)
+		m, rerr := g.recv(bconn, backendReadTimeout)
 		if rerr != nil {
 			g.noteLeave(sess, b, true, rerr.Error())
 			return false, rerr
@@ -896,7 +753,7 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 			}
 			am, aerr := g.recv(clientConn, g.cfg.IdleTimeout)
 			if aerr != nil {
-				if isTimeout(aerr) {
+				if wire.IsTimeout(aerr) {
 					g.send(clientConn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
 				}
 				return true, aerr

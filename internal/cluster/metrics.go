@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // counters is the gateway's hot-path instrumentation; atomics only, so
@@ -27,9 +29,8 @@ type counters struct {
 	bytesRelayed   atomic.Int64
 	answersRelayed atomic.Int64
 
-	statProbes   atomic.Int64
-	joins        atomic.Int64
-	authFailures atomic.Int64
+	statProbes atomic.Int64
+	joins      atomic.Int64
 }
 
 // BackendMetrics is one backend's view in a metrics snapshot.
@@ -62,9 +63,10 @@ type Metrics struct {
 	BytesRelayed   int64 // session output bytes forwarded to clients
 	AnswersRelayed int64 // prompt answers journaled and forwarded to backends
 
-	StatProbes   int64 // Stat requests answered on the client tier
-	Joins        int64 // Join registrations accepted
-	AuthFailures int64 // client handshakes rejected with Error{CodeAuth}
+	StatProbes int64 // Stat requests answered on the client tier
+	Joins      int64 // Join registrations accepted
+
+	wire.HandshakeMetrics // client-tier auth, TLS and unknown-capability handshake counters
 
 	// Migration-latency distribution: wall time from deciding to move a
 	// session (hand-off frame or dead connection) to its SessResume being
@@ -133,9 +135,10 @@ func (g *Gateway) Metrics() Metrics {
 		BytesRelayed:   g.c.bytesRelayed.Load(),
 		AnswersRelayed: g.c.answersRelayed.Load(),
 
-		StatProbes:   g.c.statProbes.Load(),
-		Joins:        g.c.joins.Load(),
-		AuthFailures: g.c.authFailures.Load(),
+		StatProbes: g.c.statProbes.Load(),
+		Joins:      g.c.joins.Load(),
+
+		HandshakeMetrics: g.hs.Metrics(),
 	}
 	m.MigrationCount, m.MigrationP50, m.MigrationP99 = g.lat.quantiles()
 

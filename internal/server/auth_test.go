@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"bytes"
+	"context"
+	"crypto/tls"
 	"errors"
 	"io"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/tlstest"
 	"repro/internal/wire"
@@ -27,10 +30,52 @@ func testTLS(t *testing.T) (certPEM, keyPEM []byte) {
 	return certPEM, keyPEM
 }
 
+// authTier starts the listener a TestAuthMatrix row dials: a backend, or
+// a gateway in front of an open backend, checking testToken. It returns
+// the address and a reader of that listener's handshake counters and
+// session count.
+func authTier(t *testing.T, gateway bool, tlsCfg *tls.Config, require bool) (string, func() (wire.HandshakeMetrics, int64)) {
+	t.Helper()
+	if !gateway {
+		srv, addr := startServer(t, server.Config{AuthToken: testToken, RequireAuth: require, TLS: tlsCfg})
+		return addr, func() (wire.HandshakeMetrics, int64) {
+			m := srv.Metrics()
+			return m.HandshakeMetrics, m.SessionsTotal
+		}
+	}
+	_, backend := startServer(t, server.Config{})
+	gw, addr := startGateway(t, cluster.Config{Backends: []string{backend},
+		AuthToken: testToken, RequireAuth: require, TLS: tlsCfg})
+	return addr, func() (wire.HandshakeMetrics, int64) {
+		m := gw.Metrics()
+		return m.HandshakeMetrics, m.SessionsTotal
+	}
+}
+
+// startGateway serves a gateway on a loopback port.
+func startGateway(t *testing.T, cfg cluster.Config) (*cluster.Gateway, string) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	gw := cluster.New(cfg)
+	done := make(chan error, 1)
+	go func() { done <- gw.Serve(lis) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+		<-done
+	})
+	return gw, lis.Addr().String()
+}
+
 // TestAuthMatrix covers the token-auth decision table — token required ×
 // token offered × token correct — in both plaintext and TLS transports,
-// asserting the exact Error frame for every rejection and that rejected
-// handshakes never allocate session state.
+// against a backend and against a gateway, asserting the exact Error frame
+// for every rejection, the listener's handshake counters, and that
+// rejected handshakes never allocate session state.
 func TestAuthMatrix(t *testing.T) {
 	certPEM, keyPEM := testTLS(t)
 	srvTLS, err := tlstest.ServerConfig(certPEM, keyPEM, nil)
@@ -61,62 +106,68 @@ func TestAuthMatrix(t *testing.T) {
 		if useTLS {
 			transport = "tls"
 		}
-		for _, row := range rows {
-			t.Run(transport+"/"+row.name, func(t *testing.T) {
-				cfg := server.Config{AuthToken: testToken, RequireAuth: row.require}
-				opts := client.Options{AuthToken: row.offer}
-				if useTLS {
-					cfg.TLS = srvTLS
-					opts.TLS = cliTLS
-				}
-				srv, addr := startServer(t, cfg)
+		for _, gateway := range []bool{false, true} {
+			tier := "backend"
+			if gateway {
+				tier = "gateway"
+			}
+			for _, row := range rows {
+				t.Run(transport+"/"+tier+"/"+row.name, func(t *testing.T) {
+					var tlsCfg *tls.Config
+					opts := client.Options{AuthToken: row.offer}
+					if useTLS {
+						tlsCfg = srvTLS
+						opts.TLS = cliTLS
+					}
+					addr, counters := authTier(t, gateway, tlsCfg, row.require)
 
-				cl, err := client.Dial(addr, opts)
-				if row.wantErr != "" {
-					var werr *wire.Error
-					if !errors.As(err, &werr) {
-						t.Fatalf("want a wire.Error, got %v", err)
+					cl, err := client.Dial(addr, opts)
+					if row.wantErr != "" {
+						var werr *wire.Error
+						if !errors.As(err, &werr) {
+							t.Fatalf("want a wire.Error, got %v", err)
+						}
+						if werr.Code != wire.CodeAuth || werr.Text != row.wantErr {
+							t.Fatalf("got Error{code %d, %q}, want Error{code %d, %q}",
+								werr.Code, werr.Text, wire.CodeAuth, row.wantErr)
+						}
+						hm, sessions := counters()
+						if want := (wire.HandshakeMetrics{AuthFailures: 1}); hm != want {
+							t.Fatalf("handshake counters after reject: %+v, want %+v", hm, want)
+						}
+						if sessions != 0 {
+							t.Fatalf("a rejected handshake must not allocate session state: %d sessions", sessions)
+						}
+						return
 					}
-					if werr.Code != wire.CodeAuth || werr.Text != row.wantErr {
-						t.Fatalf("got Error{code %d, %q}, want Error{code %d, %q}",
-							werr.Code, werr.Text, wire.CodeAuth, row.wantErr)
+					if err != nil {
+						t.Fatalf("dial: %v", err)
 					}
-					m := srv.Metrics()
-					if m.AuthFailures != 1 || m.AuthHandshakes != 0 {
-						t.Fatalf("auth counters after reject: %+v", m)
+					defer cl.Close()
+					if cl.Authenticated() != row.wantAuthed {
+						t.Fatalf("Authenticated() = %v, want %v", cl.Authenticated(), row.wantAuthed)
 					}
-					if m.SessionsTotal != 0 || m.SessionsOpen != 0 {
-						t.Fatalf("a rejected handshake must not allocate session state: %+v", m)
+					// The session itself behaves identically regardless of
+					// transport, tier or auth: byte-identical scripted output.
+					spec := testSpec(42)
+					golden, _ := localGolden(t, spec)
+					var buf bytes.Buffer
+					st, err := cl.Run(spec, &buf, nil)
+					if err != nil {
+						t.Fatalf("run: %v", err)
 					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("dial: %v", err)
-				}
-				defer cl.Close()
-				if cl.Authenticated() != row.wantAuthed {
-					t.Fatalf("Authenticated() = %v, want %v", cl.Authenticated(), row.wantAuthed)
-				}
-				// The session itself behaves identically regardless of
-				// transport or auth: byte-identical scripted output.
-				spec := testSpec(42)
-				golden, _ := localGolden(t, spec)
-				var buf bytes.Buffer
-				st, err := cl.Run(spec, &buf, nil)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				if st.Exit != 0 || buf.String() != golden {
-					t.Fatalf("authenticated session output differs from local golden (exit %d)", st.Exit)
-				}
-				m := srv.Metrics()
-				if row.wantAuthed && m.AuthHandshakes != 1 {
-					t.Fatalf("want 1 authenticated handshake, got %+v", m)
-				}
-				if m.AuthFailures != 0 {
-					t.Fatalf("accepted handshake counted a failure: %+v", m)
-				}
-			})
+					if st.Exit != 0 || buf.String() != golden {
+						t.Fatalf("authenticated session output differs from local golden (exit %d)", st.Exit)
+					}
+					var want wire.HandshakeMetrics
+					if row.wantAuthed {
+						want.AuthHandshakes = 1
+					}
+					if hm, _ := counters(); hm != want {
+						t.Fatalf("handshake counters after accept: %+v, want %+v", hm, want)
+					}
+				})
+			}
 		}
 	}
 }
@@ -124,19 +175,26 @@ func TestAuthMatrix(t *testing.T) {
 // TestRequireAuthWithoutServerToken: RequireAuth with no configured token
 // fails closed — every client is rejected with a text that tells the
 // operator what is misconfigured, whether or not the client offered a
-// token.
+// token — on a backend and on a gateway alike.
 func TestRequireAuthWithoutServerToken(t *testing.T) {
 	srv, addr := startServer(t, server.Config{RequireAuth: true})
+	_, backend := startServer(t, server.Config{})
+	gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{backend}, RequireAuth: true})
 	const want = "authentication required but no token is configured server-side"
-	for _, offer := range []string{"", "some-token"} {
-		_, err := client.Dial(addr, client.Options{AuthToken: offer})
-		var werr *wire.Error
-		if !errors.As(err, &werr) || werr.Code != wire.CodeAuth || werr.Text != want {
-			t.Fatalf("offer %q: got %v, want Error{code %d, %q}", offer, err, wire.CodeAuth, want)
+	for _, a := range []string{addr, gwAddr} {
+		for _, offer := range []string{"", "some-token"} {
+			_, err := client.Dial(a, client.Options{AuthToken: offer})
+			var werr *wire.Error
+			if !errors.As(err, &werr) || werr.Code != wire.CodeAuth || werr.Text != want {
+				t.Fatalf("%s, offer %q: got %v, want Error{code %d, %q}", a, offer, err, wire.CodeAuth, want)
+			}
 		}
 	}
 	if m := srv.Metrics(); m.AuthFailures != 2 || m.SessionsTotal != 0 {
-		t.Fatalf("metrics after fail-closed rejects: %+v", m)
+		t.Fatalf("backend metrics after fail-closed rejects: %+v", m)
+	}
+	if m := gw.Metrics(); m.AuthFailures != 2 || m.SessionsTotal != 0 {
+		t.Fatalf("gateway metrics after fail-closed rejects: %+v", m)
 	}
 }
 

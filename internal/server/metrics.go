@@ -1,6 +1,10 @@
 package server
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/wire"
+)
 
 // counters is the server's hot-path instrumentation; every field is an
 // atomic so session goroutines never contend on a lock to count.
@@ -18,11 +22,6 @@ type counters struct {
 	idleReaped       atomic.Int64
 	traceBytes       atomic.Int64
 	traceSamples     atomic.Int64
-
-	authHandshakes       atomic.Int64
-	authFailures         atomic.Int64
-	tlsHandshakeFailures atomic.Int64
-	unknownCapHellos     atomic.Int64
 
 	sessionsMigrated   atomic.Int64
 	sessionsResumed    atomic.Int64
@@ -47,10 +46,7 @@ type Metrics struct {
 	TraceBytes       int64 // trace-stream frame bytes (raw or compressed) sent to clients
 	TraceSamples     int64 // trace samples streamed to clients
 
-	AuthHandshakes       int64 // handshakes that authenticated with a valid token
-	AuthFailures         int64 // handshakes rejected with Error{CodeAuth}
-	TLSHandshakeFailures int64 // TLS handshakes that never reached the protocol
-	UnknownCapHellos     int64 // Hellos advertising capability bits this build ignores
+	wire.HandshakeMetrics // auth, TLS and unknown-capability handshake counters
 
 	// Cluster counters (all zero off-cluster).
 	SessionsMigrated   int64 // sessions handed off to a peer during a drain
@@ -85,10 +81,7 @@ func (s *Server) Metrics() Metrics {
 		TraceBytes:       s.c.traceBytes.Load(),
 		TraceSamples:     s.c.traceSamples.Load(),
 
-		AuthHandshakes:       s.c.authHandshakes.Load(),
-		AuthFailures:         s.c.authFailures.Load(),
-		TLSHandshakeFailures: s.c.tlsHandshakeFailures.Load(),
-		UnknownCapHellos:     s.c.unknownCapHellos.Load(),
+		HandshakeMetrics: s.hs.Metrics(),
 
 		SessionsMigrated:   s.c.sessionsMigrated.Load(),
 		SessionsResumed:    s.c.sessionsResumed.Load(),

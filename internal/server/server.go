@@ -25,7 +25,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"crypto/subtle"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -42,9 +41,6 @@ import (
 
 // ErrServerClosed is returned by Serve after Shutdown begins.
 var ErrServerClosed = errors.New("server: closed")
-
-// handshakeTimeout bounds the handshake read, TLS included.
-const handshakeTimeout = 10 * time.Second
 
 // Config parameterizes the daemon.
 type Config struct {
@@ -125,20 +121,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg  Config
 	c    counters
+	hs   wire.Acceptor
 	pool *scenario.Pool // nil when pooling is disabled
 
 	mu       sync.Mutex
 	lis      net.Listener
 	conns    map[net.Conn]*connState
 	draining bool
-
-	// rlog rate-limits handshake-failure logging so an unauthenticated
-	// flood cannot turn the log into its own denial of service.
-	rlog struct {
-		mu         sync.Mutex
-		last       time.Time
-		suppressed int
-	}
 
 	wg sync.WaitGroup
 }
@@ -175,8 +164,24 @@ func (st *connState) exitBusy() {
 
 // New builds a server; zero-valued config fields take their defaults.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), conns: make(map[net.Conn]*connState)}
-	if !s.cfg.DisablePool {
+	cfg = cfg.withDefaults()
+	var refuse byte
+	if cfg.DisableTraceZ {
+		refuse |= wire.FlagTraceZ
+	}
+	if cfg.DisableSnap {
+		refuse |= wire.FlagSnap
+	}
+	if cfg.DisableCluster {
+		refuse |= wire.FlagCluster
+	}
+	s := &Server{
+		cfg: cfg,
+		hs: wire.Acceptor{Name: cfg.Name, Refuse: refuse, Token: cfg.AuthToken, RequireAuth: cfg.RequireAuth,
+			WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf},
+		conns: make(map[net.Conn]*connState),
+	}
+	if !cfg.DisablePool {
 		s.pool = scenario.NewPool()
 	}
 	return s
@@ -186,29 +191,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// rlogf logs like logf but at most once per second, counting what it
-// suppressed in between — hostile peers control how often handshake
-// failures happen, so they must not control the log volume.
-func (s *Server) rlogf(format string, args ...any) {
-	if s.cfg.Logf == nil {
-		return
-	}
-	s.rlog.mu.Lock()
-	now := time.Now()
-	if now.Sub(s.rlog.last) < time.Second {
-		s.rlog.suppressed++
-		s.rlog.mu.Unlock()
-		return
-	}
-	suppressed := s.rlog.suppressed
-	s.rlog.last, s.rlog.suppressed = now, 0
-	s.rlog.mu.Unlock()
-	if suppressed > 0 {
-		format += fmt.Sprintf(" (%d similar suppressed)", suppressed)
-	}
-	s.cfg.Logf(format, args...)
 }
 
 // ListenAndServe listens on addr and serves until Shutdown.
@@ -314,50 +296,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// deadlineWriter arms a fresh write deadline immediately before every
-// underlying Write, so WriteTimeout bounds per-write *progress* instead of
-// a whole transfer: a slow-but-draining reader of a long chunked send is
-// never spuriously cut, while a stuck reader still times out within one
-// WriteTimeout of its last accepted byte. Routing every outbound byte
-// through this type is what guarantees no server write can ever block
-// forever on a dead peer — a path that forgot to arm a deadline would
-// otherwise hang its session goroutine (and a drain) indefinitely.
-type deadlineWriter struct {
-	conn net.Conn
-	d    time.Duration
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	w.conn.SetWriteDeadline(time.Now().Add(w.d))
-	return w.conn.Write(p)
-}
-
-// send writes one frame under the write deadline.
+// send writes one frame under the write deadline. Every outbound byte goes
+// through a wire.DeadlineWriter, so no server write can block forever on a
+// dead peer: a path that armed no deadline would hang its session
+// goroutine, and a drain, indefinitely.
 func (s *Server) send(conn net.Conn, m wire.Msg) error {
-	return s.sendf(conn, m, 0)
-}
-
-// sendf writes one frame carrying capability flag bits under the write
-// deadline.
-func (s *Server) sendf(conn net.Conn, m wire.Msg, flags byte) error {
-	return wire.WriteMsgFlags(&deadlineWriter{conn: conn, d: s.cfg.WriteTimeout}, m, flags)
+	return wire.SendMsg(conn, m, 0, s.cfg.WriteTimeout)
 }
 
 // recv reads one frame under deadline d.
 func (s *Server) recv(conn net.Conn, d time.Duration) (wire.Msg, error) {
-	m, _, err := s.recvf(conn, d)
+	m, _, err := wire.RecvMsg(conn, d)
 	return m, err
-}
-
-// recvf reads one frame and its capability flag bits under deadline d.
-func (s *Server) recvf(conn net.Conn, d time.Duration) (wire.Msg, byte, error) {
-	conn.SetReadDeadline(time.Now().Add(d))
-	return wire.ReadMsgFlags(conn)
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 func (s *Server) isDraining() bool {
@@ -383,96 +333,18 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		return
 	}
 
-	// Complete the TLS handshake explicitly (it would otherwise piggyback
-	// on the first read) so certificate failures — a bad client cert under
-	// mTLS, a protocol mismatch — are counted and never reach the protocol
-	// handshake.
-	if tc, ok := conn.(*tls.Conn); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
-		err := tc.HandshakeContext(ctx)
-		cancel()
-		if err != nil {
-			s.c.tlsHandshakeFailures.Add(1)
-			s.rlogf("conn %s: tls handshake failed: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
-
-	m, helloFlags, err := s.recvf(conn, handshakeTimeout)
+	caps, err := s.hs.Accept(conn)
 	if err != nil {
-		return
-	}
-	hello, ok := m.(*wire.Hello)
-	if !ok {
-		s.send(conn, &wire.Error{Code: wire.CodeBadRequest, Text: "expected Hello"})
-		return
-	}
-	if hello.Version != wire.Version {
-		s.send(conn, &wire.Error{Code: wire.CodeVersion,
-			Text: fmt.Sprintf("server speaks protocol version %d, client sent %d", wire.Version, hello.Version)})
-		return
-	}
-	// Capability negotiation: echo back the subset of the client's
-	// advertised capability bits this server accepts. Old clients send zero
-	// flags and get the baseline protocol (raw Trace chunks). Bits this
-	// build does not know are masked off — the peer is down-negotiated, not
-	// disconnected — but counted and logged so a fleet operator can see
-	// newer clients knocking.
-	if unknown := helloFlags &^ wire.KnownCaps; unknown != 0 {
-		s.c.unknownCapHellos.Add(1)
-		s.rlogf("conn %s: hello advertised unknown capability bits %#02x (ignored)", conn.RemoteAddr(), unknown)
-	}
-	caps := helloFlags & wire.KnownCaps
-	if s.cfg.DisableTraceZ {
-		caps &^= wire.FlagTraceZ
-	}
-	if s.cfg.DisableSnap {
-		caps &^= wire.FlagSnap
-	}
-	if s.cfg.DisableCluster {
-		caps &^= wire.FlagCluster
-	}
-	// Authentication gate: resolved before the Welcome, and before any
-	// session state exists. FlagAuth is echoed only when a token was
-	// offered and verified.
-	offeredAuth := caps&wire.FlagAuth != 0
-	caps &^= wire.FlagAuth
-	switch {
-	case offeredAuth && s.cfg.AuthToken != "":
-		if subtle.ConstantTimeCompare([]byte(hello.Token), []byte(s.cfg.AuthToken)) != 1 {
-			s.c.authFailures.Add(1)
-			s.rlogf("conn %s: authentication failed (%s): bad token", conn.RemoteAddr(), hello.Client)
-			s.send(conn, &wire.Error{Code: wire.CodeAuth, Text: "authentication failed: bad token"})
-			return
-		}
-		caps |= wire.FlagAuth
-		s.c.authHandshakes.Add(1)
-	case s.cfg.RequireAuth:
-		// No usable token: either the client never offered one, or the
-		// operator required auth without configuring a token — fail closed
-		// either way.
-		s.c.authFailures.Add(1)
-		s.rlogf("conn %s: unauthenticated handshake rejected (%s)", conn.RemoteAddr(), hello.Client)
-		text := "authentication required: offer FlagAuth with a token"
-		if s.cfg.AuthToken == "" {
-			text = "authentication required but no token is configured server-side"
-		}
-		s.send(conn, &wire.Error{Code: wire.CodeAuth, Text: text})
-		return
-	}
-	if err := s.sendf(conn, &wire.Welcome{Version: wire.Version, Server: s.cfg.Name}, caps); err != nil {
 		return
 	}
 	traceZ := caps&wire.FlagTraceZ != 0
 	snap := caps&wire.FlagSnap != 0
 	cluster := caps&wire.FlagCluster != 0
-	s.logf("conn %s: handshake ok (%s, tracez=%v, snap=%v, auth=%v, cluster=%v)",
-		conn.RemoteAddr(), hello.Client, traceZ, snap, caps&wire.FlagAuth != 0, cluster)
 
 	for {
 		m, err := s.recv(conn, s.cfg.IdleTimeout)
 		if err != nil {
-			if isTimeout(err) {
+			if wire.IsTimeout(err) {
 				s.c.idleReaped.Add(1)
 				s.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
 				s.logf("conn %s: reaped idle", conn.RemoteAddr())
@@ -664,7 +536,7 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 			}
 			m, err := s.recv(conn, s.cfg.IdleTimeout)
 			if err != nil {
-				if isTimeout(err) {
+				if wire.IsTimeout(err) {
 					s.c.idleReaped.Add(1)
 					s.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
 					s.logf("conn %s: reaped idle session", conn.RemoteAddr())
@@ -799,12 +671,12 @@ func (s *Server) streamTrace(conn net.Conn, series *trace.Series, traceZ bool, s
 		}
 		start = int(skipSamples)
 	}
-	// The buffered writer sits on a deadlineWriter, not the bare conn: one
-	// Flush can span several underlying writes (and under TLS, several
-	// records), and each must earn a fresh deadline. Arming a single
-	// absolute deadline around the whole chunked send — the old shape —
-	// spuriously times out a reader that drains steadily but slowly.
-	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, d: s.cfg.WriteTimeout}, 32<<10)
+	// The buffered writer sits on a wire.DeadlineWriter, not the bare conn:
+	// one Flush can span several underlying writes (and under TLS, several
+	// records), and each must earn a fresh deadline. A single absolute
+	// deadline around the whole chunked send would time out a reader that
+	// drains steadily but slowly.
+	bw := bufio.NewWriterSize(&wire.DeadlineWriter{Conn: conn, Timeout: s.cfg.WriteTimeout}, 32<<10)
 	pts := make([]wire.TracePoint, 0, chunkSamples)
 	var (
 		enc   tracecodec.Encoder

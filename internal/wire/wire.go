@@ -33,6 +33,15 @@
 // Every message's encoding is canonical: Decode(Encode(m)) == m and
 // re-encoding a decoded frame reproduces the original bytes, which
 // FuzzWireDecode enforces.
+//
+// Negotiation and deadlines live here too, in one copy that every edbd
+// peer (client, backend, gateway, and a backend joining a gateway) calls.
+// Dialer runs the dialing side of the handshake: TCP connect, TLS, Hello,
+// Welcome, all under one timeout. Acceptor runs the accepting side: TLS,
+// version check, capability masking, token check, Welcome, with the
+// handshake counters and rate-limited failure logs. SendMsg and RecvMsg
+// arm a fresh deadline per frame, and DeadlineWriter re-arms per 64 KiB
+// within one, so a deadline bounds a stall, never a whole transfer.
 package wire
 
 import (
