@@ -43,11 +43,13 @@ examples:
 	$(GO) run ./examples/asm
 	$(GO) run ./examples/datalogger
 
+# Every fuzz target in the tree, 10 s each; CI's fuzz job runs this target.
 fuzz:
-	$(GO) test ./internal/debugwire -run '^$$' -fuzz FuzzDecode -fuzztime 20s
-	$(GO) test ./internal/console -run '^$$' -fuzz FuzzExec -fuzztime 20s
-	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 20s
-	$(GO) test ./internal/tracecodec -run '^$$' -fuzz FuzzTraceCodec -fuzztime 20s
+	$(GO) test ./internal/debugwire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/debugwire -run '^$$' -fuzz '^FuzzAccumulatorChunking$$' -fuzztime 10s
+	$(GO) test ./internal/console -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s
+	$(GO) test ./internal/tracecodec -run '^$$' -fuzz '^FuzzTraceCodec$$' -fuzztime 10s
 
 # End-to-end remote-debugging smoke test: edbd daemon vs local run,
 # byte-identical output, graceful drain.

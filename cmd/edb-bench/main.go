@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,12 +44,17 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// experimentIDs is every id -exp accepts in a comma-separated list; "all"
+// alone selects them all.
+var experimentIDs = []string{"table2", "table3", "table4", "fig2", "fig7", "fig9", "fig11", "fig12",
+	"sweep", "sec531", "sec532", "baselines", "ablations", "explore", "fleet"}
+
 // run is the whole command on the given arguments; it returns the exit
 // code.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	flags := flag.NewFlagSet("edb-bench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	exp := flags.String("exp", "all", "experiment id (table2|table3|table4|fig2|fig7|fig9|fig11|fig12|sweep|sec531|sec532|baselines|ablations|explore|fleet|all)")
+	exp := flags.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs, "|")+"), or all")
 	out := flags.String("out", "results", "output directory for result files ('' to skip writing)")
 	quick := flags.Bool("quick", false, "shorter runs (coarser statistics)")
 	csv := flags.Bool("csv", false, "also write figure data as CSV files")
@@ -104,8 +110,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		parallel.SetWorkers(*par)
 	}
 
-	wanted := strings.Split(*exp, ",")
 	all := *exp == "all"
+	var wanted, unknown []string
+	if !all {
+		for _, w := range strings.Split(*exp, ",") {
+			if w = strings.TrimSpace(w); w == "" {
+				continue
+			}
+			if !slices.Contains(experimentIDs, w) {
+				unknown = append(unknown, w)
+			}
+			wanted = append(wanted, w)
+		}
+	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(stderr, "unknown experiment ids in -exp: %s (ids: %s, or all)\n",
+			strings.Join(unknown, ", "), strings.Join(experimentIDs, "|"))
+		return 2
+	}
 	// A benchmark flag (-trace, -snapshot, -fleet, -kernel, -explore) alone
 	// runs just that benchmark; combining one with an explicit -exp adds it
 	// to that selection.
@@ -120,17 +142,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			all, wanted = false, nil
 		}
 	}
-	want := func(id string) bool {
-		if all {
-			return true
-		}
-		for _, w := range wanted {
-			if strings.TrimSpace(w) == id {
-				return true
-			}
-		}
-		return false
-	}
+	want := func(id string) bool { return all || slices.Contains(wanted, id) }
 
 	jobs := paperJobs(want, *quick, *csv, *fleetTags)
 	add := func(id string, fn func(*jobOut) error) {

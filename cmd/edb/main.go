@@ -68,7 +68,6 @@ func main() {
 		doTrace  = flag.Bool("trace", false, "print the final 150 ms energy trace")
 		traceOut = flag.String("trace-out", "", "write the final energy-trace window as CSV (at_cycles,v), ADC-quantized; implies -trace")
 		rawTrace = flag.Bool("raw-trace", false, "with -connect: do not negotiate compressed trace streaming")
-		noSnap   = flag.Bool("no-snap", false, "with -connect: do not negotiate the snapshot (remote time-travel) capability")
 		script   = flag.String("script", "", "semicolon-separated console commands run in each session")
 		interact = flag.Bool("i", false, "interactive stdin console when a session opens")
 		connect  = flag.String("connect", "", "host:port of an edbd daemon (comma-separated list for a gateway pair); run the session remotely")
@@ -129,7 +128,7 @@ func main() {
 		// the surviving peer, so it switches reconnect on.
 		reconnect := *reconn || strings.Contains(*connect, ",")
 		cl, err := client.Dial(*connect, client.Options{
-			Name: "edb-cli", Attempts: 5, RawTrace: *rawTrace, NoSnap: *noSnap,
+			Name: "edb-cli", Attempts: 5, RawTrace: *rawTrace,
 			TLS: tlsCfg, AuthToken: *token, Reconnect: reconnect,
 		})
 		if err != nil {

@@ -8,11 +8,14 @@
 // For anything beyond loopback use, secure the listener: -tls-cert/-tls-key
 // serve TLS (generate a keypair with `go run ./scripts/gencert`),
 // -tls-client-ca additionally requires and verifies client certificates
-// (mTLS), and -auth-token (or the EDBD_AUTH_TOKEN environment variable)
-// arms token authentication — with -require-auth, token-less clients are
-// rejected outright:
+// (mTLS), and the EDBD_AUTH_TOKEN environment variable arms token
+// authentication — with -require-auth, token-less clients are rejected
+// outright:
 //
 //	EDBD_AUTH_TOKEN=s3cret edbd -tls-cert cert.pem -tls-key key.pem -require-auth
+//
+// Tokens are read from the environment only, never from flags: the
+// command line is public, on the host and on the -metrics pages.
 //
 // # Cluster mode
 //
@@ -42,21 +45,19 @@
 //	edbd -gateway -addr 10.0.0.101:3490
 //
 // The gateway→backend hop can be secured independently of the client tier:
-// -backend-token authenticates the gateway to its backends, and
-// -backend-tls-ca (plus -backend-tls-cert/-backend-tls-key for mTLS)
-// encrypts the hop.
+// the EDBD_BACKEND_TOKEN environment variable authenticates the gateway to
+// its backends (and a -join backend to its gateways), and -backend-tls-ca
+// (plus -backend-tls-cert/-backend-tls-key for mTLS) encrypts the hop.
 //
-// The -metrics listener serves Go's expvar page at /debug/vars: an "edbd"
+// The -metrics listener serves Go's expvar page at /debug/vars — an "edbd"
 // map for a backend (sessions, commands, bytes, migration counters, pool
 // fork/boot split) or an "edbd_gateway" map for a gateway (per-backend
 // session counts, migrations and failovers, migration latency p50/p99,
-// placement misses).
+// placement misses) — and Go's net/http/pprof profiler at /debug/pprof/,
+// both without authentication, so bind it to a trusted address:
 //
-// The -pprof listener serves Go's net/http/pprof profiler (and the same
-// expvar page) for CPU/heap profiling of a live daemon:
-//
-//	edbd -pprof 127.0.0.1:3492 &
-//	go tool pprof http://127.0.0.1:3492/debug/pprof/profile?seconds=10
+//	edbd -metrics 127.0.0.1:3491 &
+//	go tool pprof http://127.0.0.1:3491/debug/pprof/profile?seconds=10
 //
 // SIGINT/SIGTERM starts a graceful drain: the listener closes, in-flight
 // sessions finish — on a cluster backend they migrate out — bounded by
@@ -88,7 +89,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:3490", "listen address for the debug protocol")
-		metricsAddr = flag.String("metrics", "", "optional listen address for the expvar metrics endpoint (/debug/vars)")
+		metricsAddr = flag.String("metrics", "", "optional listen address serving the expvar metrics (/debug/vars) and the pprof profiler (/debug/pprof/), unauthenticated")
 		name        = flag.String("name", "", "server name reported in the handshake (default edbd, or edbd-gateway with -gateway)")
 		maxConns    = flag.Int("max-conns", 256, "maximum simultaneous client connections")
 		maxSessions = flag.Int("max-sessions", 128, "maximum simultaneous debug sessions")
@@ -96,16 +97,13 @@ func main() {
 		idle        = flag.Duration("idle", 2*time.Minute, "idle timeout before a quiet connection or session is reaped")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM")
 		noTraceZ    = flag.Bool("no-tracez", false, "refuse the compressed-trace capability; always stream raw Trace chunks")
-		noSnap      = flag.Bool("no-snap", false, "refuse the snapshot (remote time-travel) capability")
 		noCluster   = flag.Bool("no-cluster", false, "refuse the cluster capability; no migration, no Stat probes")
 		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots (the pool keeps every family's template until exit)")
-		pprofAddr   = flag.String("pprof", "", "optional listen address for the net/http/pprof profiling endpoint")
 		verbose     = flag.Bool("v", false, "log per-connection events")
 		tlsCert     = flag.String("tls-cert", "", "PEM certificate; serve TLS (requires -tls-key)")
 		tlsKey      = flag.String("tls-key", "", "PEM private key for -tls-cert")
 		tlsClientCA = flag.String("tls-client-ca", "", "PEM CA bundle; require and verify client certificates against it (mTLS, requires -tls-cert)")
-		authToken   = flag.String("auth-token", os.Getenv("EDBD_AUTH_TOKEN"), "shared-secret auth token clients must present (default $EDBD_AUTH_TOKEN)")
-		requireAuth = flag.Bool("require-auth", false, "reject clients that do not authenticate with -auth-token")
+		requireAuth = flag.Bool("require-auth", false, "reject clients that do not authenticate with the $EDBD_AUTH_TOKEN token")
 
 		// Cluster topology.
 		gateway        = flag.Bool("gateway", false, "run as a gateway: route sessions to -backends instead of simulating locally")
@@ -113,15 +111,18 @@ func main() {
 		joinAddr       = flag.String("join", "", "gateway address(es) this backend registers itself with, comma-separated (heartbeat re-registration)")
 		advertise      = flag.String("advertise", "", "address to advertise when joining a gateway (default -addr)")
 		joinEvery      = flag.Duration("join-every", 10*time.Second, "re-registration period for -join")
-		backendToken   = flag.String("backend-token", os.Getenv("EDBD_BACKEND_TOKEN"), "auth token for the gateway→backend hop (default $EDBD_BACKEND_TOKEN); also presented by -join")
 		backendTLSCA   = flag.String("backend-tls-ca", "", "PEM CA bundle; dial backends (or the -join gateway) over TLS verified against it")
 		backendTLSCert = flag.String("backend-tls-cert", "", "PEM client certificate for the backend hop (mTLS, requires -backend-tls-key)")
 		backendTLSKey  = flag.String("backend-tls-key", "", "PEM private key for -backend-tls-cert")
 	)
 	flag.Parse()
+	// The tokens come from the environment, not flags: expvar's cmdline
+	// and /debug/pprof/cmdline publish the command line on -metrics.
+	authToken := os.Getenv("EDBD_AUTH_TOKEN")
+	backendToken := os.Getenv("EDBD_BACKEND_TOKEN")
 
-	if *requireAuth && *authToken == "" {
-		log.Fatal("edbd: -require-auth needs a token (-auth-token or EDBD_AUTH_TOKEN)")
+	if *requireAuth && authToken == "" {
+		log.Fatal("edbd: -require-auth needs a token in EDBD_AUTH_TOKEN")
 	}
 	listenTLS := loadListenerTLS(*tlsCert, *tlsKey, *tlsClientCA)
 	backendTLS := loadBackendTLS(*backendTLSCA, *backendTLSCert, *backendTLSKey)
@@ -131,11 +132,11 @@ func main() {
 			log.Fatal("edbd: -join is for backends; a gateway takes -backends")
 		}
 		runGateway(gatewayArgs{
-			addr: *addr, metricsAddr: *metricsAddr, pprofAddr: *pprofAddr,
+			addr: *addr, metricsAddr: *metricsAddr,
 			name: *name, backends: *backends, maxConns: *maxConns,
 			idle: *idle, drain: *drain, verbose: *verbose,
-			tls: listenTLS, authToken: *authToken, requireAuth: *requireAuth,
-			backendTLS: backendTLS, backendToken: *backendToken,
+			tls: listenTLS, authToken: authToken, requireAuth: *requireAuth,
+			backendTLS: backendTLS, backendToken: backendToken,
 		})
 		return
 	}
@@ -147,11 +148,10 @@ func main() {
 		MaxSimSeconds:  *maxSimSecs,
 		IdleTimeout:    *idle,
 		DisableTraceZ:  *noTraceZ,
-		DisableSnap:    *noSnap,
 		DisableCluster: *noCluster,
 		DisablePool:    *noPool,
 		TLS:            listenTLS,
-		AuthToken:      *authToken,
+		AuthToken:      authToken,
 		RequireAuth:    *requireAuth,
 	}
 	if *verbose {
@@ -160,7 +160,7 @@ func main() {
 	srv := server.New(cfg)
 
 	expvar.Publish("edbd", expvar.Func(func() any { return srv.Metrics() }))
-	serveHTTP(*metricsAddr, *pprofAddr)
+	serveHTTP(*metricsAddr)
 
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -173,7 +173,7 @@ func main() {
 		if adv == "" {
 			adv = lis.Addr().String()
 		}
-		d := &wire.Dialer{Timeout: joinTimeout, TLS: backendTLS, Name: "edbd-join", Token: *backendToken}
+		d := &wire.Dialer{Timeout: joinTimeout, TLS: backendTLS, Name: "edbd-join", Token: backendToken}
 		// One heartbeat loop per gateway: each gateway of a pair learns the
 		// fleet first-hand, so either can place sessions here.
 		for _, gw := range strings.Split(*joinAddr, ",") {
@@ -204,16 +204,16 @@ func main() {
 }
 
 type gatewayArgs struct {
-	addr, metricsAddr, pprofAddr string
-	name, backends               string
-	maxConns                     int
-	idle, drain                  time.Duration
-	verbose                      bool
-	tls                          *tls.Config
-	authToken                    string
-	requireAuth                  bool
-	backendTLS                   *tls.Config
-	backendToken                 string
+	addr, metricsAddr string
+	name, backends    string
+	maxConns          int
+	idle, drain       time.Duration
+	verbose           bool
+	tls               *tls.Config
+	authToken         string
+	requireAuth       bool
+	backendTLS        *tls.Config
+	backendToken      string
 }
 
 func runGateway(a gatewayArgs) {
@@ -240,7 +240,7 @@ func runGateway(a gatewayArgs) {
 	gw := cluster.New(cfg)
 
 	expvar.Publish("edbd_gateway", expvar.Func(func() any { return gw.Metrics() }))
-	serveHTTP(a.metricsAddr, a.pprofAddr)
+	serveHTTP(a.metricsAddr)
 
 	lis, err := net.Listen("tcp", a.addr)
 	if err != nil {
@@ -378,25 +378,25 @@ func loadBackendTLS(ca, cert, key string) *tls.Config {
 	return cfg
 }
 
-func serveHTTP(metricsAddr, pprofAddr string) {
-	if metricsAddr != "" {
-		go func() {
-			// expvar registers /debug/vars on the default mux.
-			if err := http.ListenAndServe(metricsAddr, nil); err != nil {
-				log.Printf("edbd: metrics endpoint: %v", err)
-			}
-		}()
+// serveHTTP serves the default mux on addr, when one is given. expvar
+// registers /debug/vars there and net/http/pprof /debug/pprof/, so this
+// one listener serves both, without authentication. It logs the bound
+// address, which names the port when addr asks for any (":0").
+func serveHTTP(addr string) {
+	if addr == "" {
+		return
 	}
-	if pprofAddr != "" && pprofAddr != metricsAddr {
-		go func() {
-			// net/http/pprof registers /debug/pprof/* on the default mux;
-			// a dedicated listener keeps the profiler off the metrics port
-			// unless the operator points both at the same address.
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				log.Printf("edbd: pprof endpoint: %v", err)
-			}
-		}()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Printf("edbd: metrics endpoint: %v", err)
+		return
 	}
+	log.Printf("edbd: metrics and profiler at http://%s/debug/", lis.Addr())
+	go func() {
+		if err := http.Serve(lis, nil); err != nil {
+			log.Printf("edbd: metrics endpoint: %v", err)
+		}
+	}()
 }
 
 func securityMode(tlsCfg *tls.Config, token string) string {

@@ -1,10 +1,11 @@
 // Package client is the Go client library for edbd, the networked debug
 // daemon. It dials with a timeout and reconnect-with-backoff (cancellable
 // via DialContext), optionally over TLS with token authentication, speaks
-// the internal/wire handshake, streams scenario sessions, and exposes a
-// Console-compatible Exec API for interactive remote debugging, so code
-// written against internal/console's command surface drives a remote
-// target unchanged.
+// the internal/wire handshake, and streams scenario sessions. Client.Run
+// answers an interactive session's prompts through the same
+// scenario.PromptFunc a local scenario.Run takes, so code that drives a
+// local console drives a remote target unchanged; every answer travels as
+// a console line, time-travel's snap and restore included.
 package client
 
 import (
@@ -21,10 +22,6 @@ import (
 	"repro/internal/tracecodec"
 	"repro/internal/wire"
 )
-
-// ErrSessionClosed is returned by Session.Exec after the remote session
-// has ended.
-var ErrSessionClosed = errors.New("client: session closed")
 
 const (
 	// readTimeout bounds the wait for each server frame, generously above
@@ -55,10 +52,6 @@ type Options struct {
 	// handshake, forcing the server to stream raw Trace chunks — the
 	// behavior of a client that predates the codec.
 	RawTrace bool
-	// NoSnap suppresses the snapshot capability in the handshake — the
-	// behavior of a client that predates remote time-travel. The server
-	// then serves the baseline protocol byte-identically.
-	NoSnap bool
 	// TLS, when set, dials TLS over the TCP connection. If ServerName is
 	// empty and certificate verification is on, it is filled in from the
 	// dialed address's host. Set Certificates for mTLS.
@@ -166,9 +159,6 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	if !o.RawTrace {
 		caps |= wire.FlagTraceZ
 	}
-	if !o.NoSnap {
-		caps |= wire.FlagSnap
-	}
 	if o.Reconnect {
 		// The cluster capability tells the server this client understands
 		// SessMigrate hand-offs and SessResume replays.
@@ -254,10 +244,6 @@ func (c *Client) Ping() error {
 // handshake.
 func (c *Client) TraceZ() bool { return c.caps&wire.FlagTraceZ != 0 }
 
-// Snap reports whether remote time-travel (SnapSave/SnapRestore) was
-// negotiated in the handshake.
-func (c *Client) Snap() bool { return c.caps&wire.FlagSnap != 0 }
-
 // Authenticated reports whether the server verified this client's auth
 // token in the handshake. False with an AuthToken set means the server has
 // no token authentication configured (a wrong token fails the Dial).
@@ -301,17 +287,6 @@ type Status struct {
 	ScriptErrors int
 }
 
-// runState is the client-side migration journal: everything needed to
-// resume the session byte-exactly on a fresh connection — the answers
-// already given, and how much output and trace data this side already
-// holds. It mirrors what a gateway keeps per proxied session.
-type runState struct {
-	journal      []wire.JournalEntry
-	outputBytes  uint64
-	traceSamples uint64
-	resumes      int
-}
-
 // Run executes one scenario session on the daemon, streaming its output to
 // out. The prompt callback answers interactive prompts (it is only
 // consulted when spec.Interactive is set and no script is given); pass nil
@@ -323,48 +298,57 @@ type runState struct {
 // its journal, and the output delivered to out stays byte-identical to an
 // uninterrupted run.
 func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFunc) (Status, error) {
-	st := &runState{}
-	streamTrace := c.OnTrace != nil
-	if err := c.send(&wire.Run{Spec: spec, StreamTrace: streamTrace}); err != nil {
-		if rerr := c.resume(spec, streamTrace, st); rerr != nil {
+	run := &wire.Run{Spec: spec, StreamTrace: c.OnTrace != nil}
+	// rec is everything needed to resume the session byte-exactly on a
+	// fresh connection: the answers already given, and how much output and
+	// trace data this side already holds.
+	rec := run.Seed()
+	resumes := 0
+	resume := func() error {
+		if resumes >= maxResumes {
+			return fmt.Errorf("client: resume budget (%d) exhausted", maxResumes)
+		}
+		resumes++
+		return c.resume(&rec)
+	}
+	if err := c.send(run); err != nil {
+		if rerr := resume(); rerr != nil {
 			return Status{}, err
 		}
 	}
 	for {
 		m, err := c.recv()
 		if err != nil {
-			if rerr := c.resume(spec, streamTrace, st); rerr != nil {
+			if rerr := resume(); rerr != nil {
 				return Status{}, err
 			}
 			continue
 		}
 		switch t := m.(type) {
 		case *wire.Output:
-			st.outputBytes += uint64(len(t.Data))
+			rec.SkipOutput += uint64(len(t.Data))
 			if out != nil {
 				if _, err := out.Write(t.Data); err != nil {
 					return Status{}, err
 				}
 			}
 		case *wire.Prompt:
-			resp := &wire.Command{EOF: true}
-			entry := wire.JournalEntry{Kind: wire.JournalEOF}
+			ans := &wire.Command{EOF: true}
 			if prompt != nil {
 				if line, ok := prompt(); ok {
-					resp = &wire.Command{Line: line}
-					entry = wire.JournalEntry{Kind: wire.JournalLine, Line: line}
+					ans = &wire.Command{Line: line}
 				}
 			}
 			// Journal before sending: if the send fails mid-flight, the
 			// resumed session replays this answer instead of re-asking.
-			st.journal = append(st.journal, entry)
-			if err := c.send(resp); err != nil {
-				if rerr := c.resume(spec, streamTrace, st); rerr != nil {
+			rec.Answered(ans)
+			if err := c.send(ans); err != nil {
+				if rerr := resume(); rerr != nil {
 					return Status{}, err
 				}
 			}
 		case *wire.Trace:
-			st.traceSamples += uint64(len(t.Samples))
+			rec.SkipTraceSamples += uint64(len(t.Samples))
 			if c.OnTrace != nil {
 				c.OnTrace(t)
 			}
@@ -373,14 +357,14 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 			if err != nil {
 				return Status{}, err
 			}
-			st.traceSamples += uint64(t.Count)
+			rec.SkipTraceSamples += uint64(t.Count)
 			if c.OnTrace != nil {
 				c.OnTrace(tr)
 			}
 		case *wire.SessMigrate:
 			// The server is draining this session away; replay the journal
 			// wherever we land next.
-			if rerr := c.resume(spec, streamTrace, st); rerr != nil {
+			if rerr := resume(); rerr != nil {
 				return Status{}, fmt.Errorf("client: session migrated but resume failed: %w", rerr)
 			}
 		case *wire.Done:
@@ -399,18 +383,14 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 	}
 }
 
-// resume redials and replays the session from the journal, rotating the
-// dial list so the surviving peer of a dead gateway is tried first. It
-// returns an error when reconnect is off, the resume budget is spent, or
-// the redial fails — callers then surface the original failure.
-func (c *Client) resume(spec scenario.Spec, streamTrace bool, st *runState) error {
+// resume redials and sends the session's record as a SessResume, rotating
+// the dial list so the surviving peer of a dead gateway is tried first. It
+// returns an error when reconnect is off or the redial fails — callers
+// then surface the original failure.
+func (c *Client) resume(rec *wire.SessResume) error {
 	if !c.opts.Reconnect || !c.Cluster() {
 		return errors.New("client: reconnect not enabled")
 	}
-	if st.resumes >= maxResumes {
-		return fmt.Errorf("client: resume budget (%d) exhausted", maxResumes)
-	}
-	st.resumes++
 	start := time.Now()
 	// Rotate the dial list past the address that just failed: its peers
 	// get the first shot, and it goes last in case it is all there is.
@@ -429,14 +409,7 @@ func (c *Client) resume(spec scenario.Spec, streamTrace bool, st *runState) erro
 	c.conn = nc.conn
 	c.addr, c.addrIdx = nc.addr, indexOf(c.addrs, nc.addr)
 	c.serverName, c.caps = nc.serverName, nc.caps
-	err = c.send(&wire.SessResume{
-		Spec:             spec,
-		StreamTrace:      streamTrace,
-		SpecHash:         scenario.SpecHash(spec),
-		SkipOutput:       st.outputBytes,
-		SkipTraceSamples: st.traceSamples,
-		Journal:          st.journal,
-	})
+	err = c.send(rec)
 	if err == nil && c.opts.OnResume != nil {
 		c.opts.OnResume(c.addr, time.Since(start))
 	}
@@ -450,184 +423,4 @@ func indexOf(addrs []string, addr string) int {
 		}
 	}
 	return 0
-}
-
-// Session is an open remote interactive debugging session. Its Exec method
-// is Console-compatible — the same command surface as
-// internal/console.Console.Exec, executed on the daemon's rig.
-type Session struct {
-	c      *Client
-	out    io.Writer
-	status Status
-	closed bool
-	err    error
-}
-
-// Start launches an interactive session for the spec. Output produced
-// before the first console prompt (the run banner) is written to out, as
-// is any output after the console closes (the run summary). Start returns
-// once the remote console is ready for Exec.
-func (c *Client) Start(spec scenario.Spec, out io.Writer) (*Session, error) {
-	spec.Interactive = true
-	spec.Script = ""
-	if err := c.send(&wire.Run{Spec: spec}); err != nil {
-		return nil, err
-	}
-	s := &Session{c: c, out: out}
-	if _, err := s.pump(nil); err != nil {
-		return nil, err
-	}
-	if s.closed {
-		return nil, fmt.Errorf("client: session ended before first prompt (exit %d)", s.status.Exit)
-	}
-	return s, nil
-}
-
-// Exec runs one console command in the remote session and returns its
-// output — the Console-compatible entry point. It returns once the remote
-// console prompts again (or, after resume, when the run ends or the next
-// session opens). After the session ends, Exec returns ErrSessionClosed.
-func (s *Session) Exec(line string) (string, error) {
-	if s.closed {
-		if s.err != nil {
-			return "", s.err
-		}
-		return "", ErrSessionClosed
-	}
-	if err := s.c.send(&wire.Command{Line: line}); err != nil {
-		s.closed, s.err = true, err
-		return "", err
-	}
-	var buf strings.Builder
-	if _, err := s.pump(&buf); err != nil {
-		return "", err
-	}
-	// Drop the next prompt string the engine streamed just before the
-	// Prompt frame; Exec callers are not rendering a terminal.
-	return strings.TrimSuffix(buf.String(), "(edb) "), nil
-}
-
-// SnapSave arms a server-side snapshot of the session's target: memory
-// baselines plus the resume energy level, with dirty-page tracking armed
-// so the restore costs O(pages written since). It requires the FlagSnap
-// capability and returns the console's confirmation text.
-func (s *Session) SnapSave() (string, error) {
-	return s.snapRPC(&wire.SnapSave{})
-}
-
-// SnapRestore reverts the session's target to the armed snapshot —
-// remote time-travel. It requires the FlagSnap capability and returns the
-// console's confirmation text.
-func (s *Session) SnapRestore() (string, error) {
-	return s.snapRPC(&wire.SnapRestore{})
-}
-
-// snapRPC sends a snapshot frame in place of a Command and pumps to the
-// next prompt, exactly like Exec.
-func (s *Session) snapRPC(m wire.Msg) (string, error) {
-	if s.closed {
-		if s.err != nil {
-			return "", s.err
-		}
-		return "", ErrSessionClosed
-	}
-	if !s.c.Snap() {
-		return "", errors.New("client: snapshot capability not negotiated (server too old or -no-snap)")
-	}
-	if err := s.c.send(m); err != nil {
-		s.closed, s.err = true, err
-		return "", err
-	}
-	var buf strings.Builder
-	if _, err := s.pump(&buf); err != nil {
-		return "", err
-	}
-	return strings.TrimSuffix(buf.String(), "(edb) "), nil
-}
-
-// Close ends the session's console loop (like a local stdin EOF) and waits
-// for the run to finish, returning its status.
-func (s *Session) Close() (Status, error) {
-	if s.closed {
-		return s.status, s.err
-	}
-	if err := s.c.send(&wire.Command{EOF: true}); err != nil {
-		s.closed, s.err = true, err
-		return Status{}, err
-	}
-	for !s.closed {
-		if _, err := s.pump(nil); err != nil {
-			return Status{}, err
-		}
-		if !s.closed {
-			// The engine prompted again (a later session opened); keep
-			// answering EOF until the run drains.
-			if err := s.c.send(&wire.Command{EOF: true}); err != nil {
-				s.closed, s.err = true, err
-				return Status{}, err
-			}
-		}
-	}
-	return s.status, s.err
-}
-
-// Status returns the final status once the session has closed.
-func (s *Session) Status() Status { return s.status }
-
-// Closed reports whether the remote session has ended.
-func (s *Session) Closed() bool { return s.closed }
-
-// pump reads frames until the next Prompt (returning true) or Done
-// (marking the session closed). Output goes to buf when non-nil, else to
-// the session's writer.
-func (s *Session) pump(buf io.Writer) (bool, error) {
-	for {
-		m, err := s.c.recv()
-		if err != nil {
-			s.closed, s.err = true, err
-			return false, err
-		}
-		switch t := m.(type) {
-		case *wire.Output:
-			w := s.out
-			if buf != nil {
-				w = buf
-			}
-			if w != nil {
-				w.Write(t.Data)
-			}
-		case *wire.Prompt:
-			return true, nil
-		case *wire.Trace:
-			if s.c.OnTrace != nil {
-				s.c.OnTrace(t)
-			}
-		case *wire.TraceZ:
-			tr, err := s.c.decodeTraceZ(t)
-			if err != nil {
-				s.closed, s.err = true, err
-				return false, err
-			}
-			if s.c.OnTrace != nil {
-				s.c.OnTrace(tr)
-			}
-		case *wire.Done:
-			s.closed = true
-			s.status = Status{
-				Exit:         int(t.Exit),
-				Halted:       t.Halted,
-				SimCycles:    t.SimCycles,
-				Commands:     int(t.Commands),
-				ScriptErrors: int(t.ScriptErrors),
-			}
-			return false, nil
-		case *wire.Error:
-			s.closed, s.err = true, t
-			return false, t
-		default:
-			err := fmt.Errorf("client: unexpected message %T during session", m)
-			s.closed, s.err = true, err
-			return false, err
-		}
-	}
 }

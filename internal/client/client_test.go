@@ -226,8 +226,9 @@ func TestReconnectBackoff(t *testing.T) {
 	}
 }
 
-// TestInteractiveExec drives a remote interactive session through the
-// Console-compatible Exec API.
+// TestInteractiveExec drives a remote interactive session command by
+// command through Run's prompt callback: each answer's output has arrived
+// by the time the next prompt is asked.
 func TestInteractiveExec(t *testing.T) {
 	addr := startServer(t, server.Config{})
 	cl, err := client.Dial(addr, client.Options{})
@@ -236,44 +237,37 @@ func TestInteractiveExec(t *testing.T) {
 	}
 	defer cl.Close()
 
-	var banner bytes.Buffer
-	sess, err := cl.Start(assertSpec(), &banner)
+	spec := assertSpec()
+	spec.Interactive = true
+	cmds := []string{"vcap", "read", "halt"}
+	var out bytes.Buffer
+	var replies []string // the banner, then the output of each command
+	mark := 0
+	st, err := cl.Run(spec, &out, func() (string, bool) {
+		replies = append(replies, out.String()[mark:])
+		mark = out.Len()
+		if len(replies) > len(cmds) {
+			return "", false
+		}
+		return cmds[len(replies)-1], true
+	})
 	if err != nil {
-		t.Fatalf("start: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(banner.String(), "[edb] interactive session: assert") {
-		t.Fatalf("banner missing session line:\n%s", banner.String())
+	if len(replies) < 3 {
+		t.Fatalf("session prompted %d times, want at least 3", len(replies))
 	}
-
-	out, err := sess.Exec("vcap")
-	if err != nil {
-		t.Fatalf("exec vcap: %v", err)
+	if !strings.Contains(replies[0], "[edb] interactive session: assert") {
+		t.Fatalf("banner missing session line:\n%s", replies[0])
 	}
-	if !strings.Contains(out, "Vcap = ") {
-		t.Fatalf("vcap output: %q", out)
+	if !strings.Contains(replies[1], "Vcap = ") {
+		t.Fatalf("vcap output: %q", replies[1])
 	}
-	out, err = sess.Exec("read")
-	if err != nil {
-		t.Fatalf("exec read (console errors are output, not failures): %v", err)
-	}
-	if !strings.Contains(out, "error:") {
-		t.Fatalf("malformed read should report a console error, got %q", out)
-	}
-	if _, err := sess.Exec("halt"); err != nil {
-		t.Fatalf("exec halt: %v", err)
-	}
-	st, err := sess.Close()
-	if err != nil {
-		t.Fatalf("close: %v", err)
+	if !strings.Contains(replies[2], "error:") {
+		t.Fatalf("malformed read should report a console error, got %q", replies[2])
 	}
 	if !strings.Contains(st.Halted, "assert") {
 		t.Fatalf("final status should record the assert halt, got %+v", st)
-	}
-	if !sess.Closed() {
-		t.Fatal("session should report closed")
-	}
-	if _, err := sess.Exec("vcap"); err == nil {
-		t.Fatal("exec after close must fail")
 	}
 }
 

@@ -135,71 +135,83 @@ func (p *cuttableProxy) acceptCount() int {
 // TestRunReconnectResumesMidSession: with Options.Reconnect, a connection
 // killed mid-interactive-session is invisible to the caller — the client
 // redials, replays its journal via SessResume, and the output delivered is
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. The time-travel case cuts after
+// the write and before restore, so the resumed rig must rebuild the
+// snapshot from the journal for restore to find it.
 func TestRunReconnectResumesMidSession(t *testing.T) {
 	addr := startServer(t, server.Config{})
-	proxy := newCuttableProxy(t, addr)
-
 	spec := scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Interactive: true}
-	cmds := []string{"vcap", "status", "halt"}
+	for _, tc := range []struct {
+		name string
+		cmds []string
+		cut  int // the answer whose send finds the wire cut
+	}{
+		{"console", []string{"vcap", "status", "halt"}, 1},
+		{"time-travel", []string{"snap", "write 0x4400 0xBEEF", "read 0x4400", "restore", "read 0x4400", "halt"}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proxy := newCuttableProxy(t, addr)
+			cmds := tc.cmds
 
-	var golden bytes.Buffer
-	gi := 0
-	if _, err := scenario.Run(spec, &golden, func() (string, bool) {
-		if gi < len(cmds) {
-			gi++
-			return cmds[gi-1], true
-		}
-		return "", false
-	}); err != nil {
-		t.Fatal(err)
-	}
+			var golden bytes.Buffer
+			gi := 0
+			if _, err := scenario.Run(spec, &golden, func() (string, bool) {
+				if gi < len(cmds) {
+					gi++
+					return cmds[gi-1], true
+				}
+				return "", false
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	cl, err := client.Dial(proxy.addr(), client.Options{
-		Reconnect: true,
-		Attempts:  10,
-		Backoff:   50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-	if !cl.Cluster() {
-		t.Fatal("cluster capability not negotiated")
-	}
+			cl, err := client.Dial(proxy.addr(), client.Options{
+				Reconnect: true,
+				Attempts:  10,
+				Backoff:   50 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer cl.Close()
+			if !cl.Cluster() {
+				t.Fatal("cluster capability not negotiated")
+			}
 
-	var out bytes.Buffer
-	i := 0
-	st, err := cl.Run(spec, &out, func() (string, bool) {
-		if i == 1 {
-			// Kill the wire right before the second answer goes out: the
-			// send fails, and the journaled answer must replay instead of
-			// being re-asked.
-			proxy.cut()
-		}
-		if i < len(cmds) {
-			i++
-			return cmds[i-1], true
-		}
-		return "", false
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if out.String() != golden.String() {
-		t.Fatalf("resumed output differs from uninterrupted run:\n--- golden ---\n%s\n--- resumed ---\n%s",
-			golden.String(), out.String())
-	}
-	if st.Exit != 0 {
-		t.Fatalf("unexpected status %+v", st)
-	}
-	if proxy.acceptCount() < 2 {
-		t.Fatalf("expected a reconnect, saw %d connections", proxy.acceptCount())
-	}
-	// The prompt callback must have been consulted once per command overall:
-	// replay answered the journaled ones.
-	if i != len(cmds) {
-		t.Fatalf("prompt consulted %d times, want %d", i, len(cmds))
+			var out bytes.Buffer
+			i := 0
+			st, err := cl.Run(spec, &out, func() (string, bool) {
+				if i == tc.cut {
+					// Kill the wire right before this answer goes out: the
+					// send fails, and the journaled answer must replay
+					// instead of being re-asked.
+					proxy.cut()
+				}
+				if i < len(cmds) {
+					i++
+					return cmds[i-1], true
+				}
+				return "", false
+			})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if out.String() != golden.String() {
+				t.Fatalf("resumed output differs from uninterrupted run:\n--- golden ---\n%s\n--- resumed ---\n%s",
+					golden.String(), out.String())
+			}
+			if st.Exit != 0 {
+				t.Fatalf("unexpected status %+v", st)
+			}
+			if proxy.acceptCount() < 2 {
+				t.Fatalf("expected a reconnect, saw %d connections", proxy.acceptCount())
+			}
+			// The prompt callback must have been consulted once per command
+			// overall: replay answered the journaled ones.
+			if i != len(cmds) {
+				t.Fatalf("prompt consulted %d times, want %d", i, len(cmds))
+			}
+		})
 	}
 }
 

@@ -11,9 +11,9 @@
 // the home backend is full, down, or draining.
 //
 // Sessions survive backend loss. The gateway keeps, per proxied session,
-// the journal of prompt answers it has relayed plus the output-byte and
-// trace-sample offsets already delivered to the client — exactly the state
-// internal/wire.SessResume carries. A draining backend hands its sessions
+// a wire.SessResume: the journal of prompt answers it has relayed plus the
+// output-byte and trace-sample offsets already delivered to the client. A
+// draining backend hands its sessions
 // back with SessMigrate frames; a crashed backend just drops the
 // connection. Both paths converge on the same re-dispatch: pick the next
 // ring candidate, replay via SessResume, and keep relaying. Because
@@ -398,12 +398,12 @@ func (g *Gateway) recv(conn net.Conn, d time.Duration) (wire.Msg, error) {
 }
 
 // dialBackend opens a cluster connection to a backend, negotiating
-// FlagCluster plus exactly the capabilities in caps (FlagTraceZ/FlagSnap
-// for proxied sessions, whose byte stream is relayed verbatim and must
-// match what the client negotiated with the gateway). A backend that
-// refuses any required bit is an error, not a downgrade.
+// FlagCluster plus the client's FlagTraceZ from caps (a proxied session's
+// byte stream is relayed verbatim and must match what the client
+// negotiated with the gateway). A backend that refuses any required bit is
+// an error, not a downgrade.
 func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
-	want := (caps & (wire.FlagTraceZ | wire.FlagSnap)) | wire.FlagCluster
+	want := caps&wire.FlagTraceZ | wire.FlagCluster
 	conn, _, granted, err := g.dialer.Dial(context.Background(), addr, want)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: backend %s: %w", addr, err)
@@ -480,7 +480,7 @@ func (g *Gateway) handle(conn net.Conn) {
 				return
 			}
 		case *wire.Run:
-			sess := &sessState{spec: req.Spec, streamTrace: req.StreamTrace}
+			sess := &sessState{rec: req.Seed()}
 			if err := g.proxySession(conn, caps, sess); err != nil {
 				return
 			}
@@ -499,14 +499,7 @@ func (g *Gateway) handle(conn net.Conn) {
 					Text: "resume spec hash does not match its spec"})
 				return
 			}
-			sess := &sessState{
-				spec:         req.Spec,
-				streamTrace:  req.StreamTrace,
-				journal:      req.Journal,
-				outputBytes:  req.SkipOutput,
-				traceSamples: req.SkipTraceSamples,
-				resumed:      true,
-			}
+			sess := &sessState{rec: *req, resumed: true}
 			if err := g.proxySession(conn, caps, sess); err != nil {
 				return
 			}
@@ -537,16 +530,13 @@ func (g *Gateway) aggregateStat() *wire.StatReply {
 }
 
 // sessState is everything the gateway must remember to move one proxied
-// session to another backend mid-run: the session request, the prompt
-// answers already relayed (the replay journal), and how many output bytes
-// and trace samples the client already holds (the skip offsets).
+// session to another backend mid-run.
 type sessState struct {
-	spec         scenario.Spec
-	streamTrace  bool
-	journal      []wire.JournalEntry
-	outputBytes  uint64
-	traceSamples uint64
-	resumed      bool // dispatch as SessResume instead of Run
+	// rec is the session's progress record: its spec, the prompt answers
+	// already relayed (the replay journal), and how many output bytes and
+	// trace samples the client already holds (the skip offsets).
+	rec     wire.SessResume
+	resumed bool // dispatch rec as a SessResume instead of a Run
 
 	// failed maps a backend that failed this session to the backend epoch
 	// the failure was observed in; the mark expires when the backend
@@ -575,7 +565,7 @@ func (g *Gateway) place(sess *sessState) (*backendState, error) {
 	g.mu.Lock()
 	ring := g.ring
 	g.mu.Unlock()
-	order := ring.order(scenario.SpecHash(sess.spec))
+	order := ring.order(sess.rec.SpecHash)
 	if len(order) == 0 {
 		return nil, errors.New("cluster: no backends configured")
 	}
@@ -629,18 +619,9 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 		g.markFailed(sess, b.addr)
 		return nil, nil, err
 	}
-	var req wire.Msg
-	if sess.resumed {
-		req = &wire.SessResume{
-			Spec:             sess.spec,
-			StreamTrace:      sess.streamTrace,
-			SpecHash:         scenario.SpecHash(sess.spec),
-			SkipOutput:       sess.outputBytes,
-			SkipTraceSamples: sess.traceSamples,
-			Journal:          sess.journal,
-		}
-	} else {
-		req = &wire.Run{Spec: sess.spec, StreamTrace: sess.streamTrace}
+	var req wire.Msg = &sess.rec
+	if !sess.resumed {
+		req = &wire.Run{Spec: sess.rec.Spec, StreamTrace: sess.rec.StreamTrace}
 	}
 	if err := g.send(conn, req); err != nil {
 		conn.Close()
@@ -728,20 +709,20 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 		}
 		switch t := m.(type) {
 		case *wire.Output:
-			sess.outputBytes += uint64(len(t.Data))
+			sess.rec.SkipOutput += uint64(len(t.Data))
 			g.c.bytesRelayed.Add(int64(len(t.Data)))
 			g.c.framesRelayed.Add(1)
 			if err := g.send(clientConn, t); err != nil {
 				return true, err
 			}
 		case *wire.Trace:
-			sess.traceSamples += uint64(len(t.Samples))
+			sess.rec.SkipTraceSamples += uint64(len(t.Samples))
 			g.c.framesRelayed.Add(1)
 			if err := g.send(clientConn, t); err != nil {
 				return true, err
 			}
 		case *wire.TraceZ:
-			sess.traceSamples += uint64(t.Count)
+			sess.rec.SkipTraceSamples += uint64(t.Count)
 			g.c.framesRelayed.Add(1)
 			if err := g.send(clientConn, t); err != nil {
 				return true, err
@@ -758,28 +739,17 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 				}
 				return true, aerr
 			}
-			var entry wire.JournalEntry
-			switch a := am.(type) {
-			case *wire.Command:
-				if a.EOF {
-					entry = wire.JournalEntry{Kind: wire.JournalEOF}
-				} else {
-					entry = wire.JournalEntry{Kind: wire.JournalLine, Line: a.Line}
-				}
-			case *wire.SnapSave:
-				entry = wire.JournalEntry{Kind: wire.JournalSnapSave}
-			case *wire.SnapRestore:
-				entry = wire.JournalEntry{Kind: wire.JournalSnapRestore}
-			default:
+			a, ok := am.(*wire.Command)
+			if !ok {
 				err := fmt.Errorf("cluster: unexpected prompt answer %T", am)
 				g.send(clientConn, &wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
 				return true, err
 			}
 			// Journal before forwarding: if the backend dies taking this
 			// answer, the replay serves it instead of re-asking the client.
-			sess.journal = append(sess.journal, entry)
+			sess.rec.Answered(a)
 			g.c.answersRelayed.Add(1)
-			if werr := g.send(bconn, am); werr != nil {
+			if werr := g.send(bconn, a); werr != nil {
 				g.noteLeave(sess, b, true, werr.Error())
 				return false, werr
 			}
@@ -833,5 +803,5 @@ func (g *Gateway) noteLeave(sess *sessState, b *backendState, failover bool, rea
 }
 
 func (sess *sessState) cleanLeg() bool {
-	return sess.outputBytes == 0 && sess.traceSamples == 0 && len(sess.journal) == 0
+	return sess.rec.SkipOutput == 0 && sess.rec.SkipTraceSamples == 0 && len(sess.rec.Journal) == 0
 }

@@ -337,65 +337,78 @@ func TestGatewayDrainMigratesSession(t *testing.T) {
 // TestGatewayBackendCrashFailover: killing the serving backend outright
 // (force shutdown, connections cut, no hand-off frame) loses nothing — the
 // gateway replays its own journal on the surviving backend and the client's
-// byte stream is identical to an undisturbed run.
+// byte stream is identical to an undisturbed run. The time-travel case
+// crashes after the write and before restore, so the surviving backend
+// must rebuild the snapshot from the journal for restore to find it.
 func TestGatewayBackendCrashFailover(t *testing.T) {
-	srvA, addrA := startBackend(t, server.Config{})
-	srvB, addrB := startBackend(t, server.Config{})
-	servers := map[string]*server.Server{addrA: srvA, addrB: srvB}
-	gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addrA, addrB}})
+	for _, tc := range []struct {
+		name  string
+		cmds  []string
+		crash int // the prompt at which the serving backend dies
+	}{
+		{"console", []string{"vcap", "status", "halt"}, 1},
+		{"time-travel", []string{"snap", "write 0x4400 0xBEEF", "read 0x4400", "restore", "read 0x4400", "halt"}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvA, addrA := startBackend(t, server.Config{})
+			srvB, addrB := startBackend(t, server.Config{})
+			servers := map[string]*server.Server{addrA: srvA, addrB: srvB}
+			gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addrA, addrB}})
 
-	cmds := []string{"vcap", "status", "halt"}
-	golden := localGolden(t, interactiveSpec(), cmds)
+			cmds := tc.cmds
+			golden := localGolden(t, interactiveSpec(), cmds)
 
-	cl, err := client.Dial(gwAddr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	var other *server.Server
-	var out bytes.Buffer
-	i := 0
-	st, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
-		if i == 1 {
-			// Second prompt: crash the serving backend. An already-expired
-			// context makes Shutdown cut every connection immediately — the
-			// closest a test gets to kill -9.
-			addr := servingBackend(t, gw)
-			for a, s := range servers {
-				if a != addr {
-					other = s
-				}
+			cl, err := client.Dial(gwAddr, client.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			crashed := make(chan struct{})
-			go func() {
-				servers[addr].Shutdown(ctx)
-				close(crashed)
-			}()
-			<-crashed
-		}
-		if i < len(cmds) {
-			i++
-			return cmds[i-1], true
-		}
-		return "", false
-	})
-	if err != nil {
-		t.Fatalf("run via gateway: %v", err)
-	}
-	if out.String() != golden {
-		t.Fatalf("failed-over session output differs from local run:\n--- local ---\n%s\n--- failover ---\n%s", golden, out.String())
-	}
-	if st.Exit != 0 {
-		t.Fatalf("unexpected status %+v", st)
-	}
-	if got := gw.Metrics().Failovers; got < 1 {
-		t.Fatalf("gateway Failovers = %d, want >= 1", got)
-	}
-	if got := other.Metrics().SessionsResumed; got != 1 {
-		t.Fatalf("surviving backend SessionsResumed = %d, want 1", got)
+			defer cl.Close()
+
+			var other *server.Server
+			var out bytes.Buffer
+			i := 0
+			st, err := cl.Run(interactiveSpec(), &out, func() (string, bool) {
+				if i == tc.crash {
+					// Crash the serving backend. An already-expired context
+					// makes Shutdown cut every connection immediately — the
+					// closest a test gets to kill -9.
+					addr := servingBackend(t, gw)
+					for a, s := range servers {
+						if a != addr {
+							other = s
+						}
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					cancel()
+					crashed := make(chan struct{})
+					go func() {
+						servers[addr].Shutdown(ctx)
+						close(crashed)
+					}()
+					<-crashed
+				}
+				if i < len(cmds) {
+					i++
+					return cmds[i-1], true
+				}
+				return "", false
+			})
+			if err != nil {
+				t.Fatalf("run via gateway: %v", err)
+			}
+			if out.String() != golden {
+				t.Fatalf("failed-over session output differs from local run:\n--- local ---\n%s\n--- failover ---\n%s", golden, out.String())
+			}
+			if st.Exit != 0 {
+				t.Fatalf("unexpected status %+v", st)
+			}
+			if got := gw.Metrics().Failovers; got < 1 {
+				t.Fatalf("gateway Failovers = %d, want >= 1", got)
+			}
+			if got := other.Metrics().SessionsResumed; got != 1 {
+				t.Fatalf("surviving backend SessionsResumed = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/wire"
 )
 
 // These are white-box unit tests for gateway placement-blacklist expiry —
@@ -18,8 +19,9 @@ func TestBlacklistExpiresOnRejoin(t *testing.T) {
 	const addrA, addrB = "198.51.100.1:3491", "198.51.100.2:3491"
 	g := New(Config{Backends: []string{addrA, addrB}})
 
-	sess := &sessState{spec: scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42,
+	run := &wire.Run{Spec: scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42,
 		Script: "vcap;status;halt"}}
+	sess := &sessState{rec: run.Seed()}
 	g.markFailed(sess, addrA)
 	a := g.backend(addrA)
 	if !sess.failedNow(a) {

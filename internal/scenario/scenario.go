@@ -12,6 +12,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -85,6 +86,15 @@ func (s Spec) withDefaults() Spec {
 // assembling a rig. edbd uses it to reject bad requests cheaply; cmd/edb
 // uses it to map spec mistakes to usage-style exits.
 func Validate(s Spec) error {
+	// A NaN fails every comparison, so it would slip past both the default
+	// for a non-positive value and a server's duration limit, and a NaN
+	// deadline never arrives.
+	if math.IsNaN(s.Seconds) || math.IsInf(s.Seconds, 0) {
+		return fmt.Errorf("scenario: duration %v s is not a finite number", s.Seconds)
+	}
+	if math.IsNaN(s.Distance) || math.IsInf(s.Distance, 0) {
+		return fmt.Errorf("scenario: distance %v m is not a finite number", s.Distance)
+	}
 	s = s.withDefaults()
 	if s.AsmSource != "" {
 		return nil

@@ -280,11 +280,11 @@ func TestLegacyClientBaselineGolden(t *testing.T) {
 // TestUnknownCapabilityDownNegotiated: a future client advertising a
 // capability bit this build does not know is down-negotiated, not
 // disconnected — the unknown bit never echoes back, the session works, and
-// the daemon counts the sighting. 0x10 and 0x20 are the retired explore
-// and gossip bits, which must be treated the same way.
+// the daemon counts the sighting. 0x10, 0x20 and 0x02 are the retired
+// explore, gossip and snapshot bits, which must be treated the same way.
 func TestUnknownCapabilityDownNegotiated(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	for i, unknown := range []byte{0x80, 0x10, 0x20} {
+	for i, unknown := range []byte{0x80, 0x10, 0x20, 0x02} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)

@@ -61,9 +61,6 @@ type Config struct {
 	// clients that advertise it; every session then streams raw Trace
 	// chunks. Useful for debugging the codec path itself.
 	DisableTraceZ bool
-	// DisableSnap refuses the snapshot capability (remote time-travel)
-	// even for clients that advertise it.
-	DisableSnap bool
 	// DisableCluster refuses the cluster capability: Stat probes,
 	// SessResume replays and drain-time SessMigrate hand-offs are then
 	// rejected, and a drain simply waits for busy sessions like a
@@ -168,9 +165,6 @@ func New(cfg Config) *Server {
 	var refuse byte
 	if cfg.DisableTraceZ {
 		refuse |= wire.FlagTraceZ
-	}
-	if cfg.DisableSnap {
-		refuse |= wire.FlagSnap
 	}
 	if cfg.DisableCluster {
 		refuse |= wire.FlagCluster
@@ -338,7 +332,6 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		return
 	}
 	traceZ := caps&wire.FlagTraceZ != 0
-	snap := caps&wire.FlagSnap != 0
 	cluster := caps&wire.FlagCluster != 0
 
 	for {
@@ -374,7 +367,8 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			if !st.enterBusy() {
 				return
 			}
-			err := s.session(conn, sessionReq{spec: req.Spec, streamTrace: req.StreamTrace}, traceZ, snap, cluster)
+			rec := req.Seed()
+			err := s.session(conn, &rec, false, traceZ, cluster)
 			st.exitBusy()
 			if err != nil {
 				return
@@ -398,14 +392,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			if !st.enterBusy() {
 				return
 			}
-			err := s.session(conn, sessionReq{
-				spec:             req.Spec,
-				streamTrace:      req.StreamTrace,
-				journal:          req.Journal,
-				skipOutput:       req.SkipOutput,
-				skipTraceSamples: req.SkipTraceSamples,
-				resumed:          true,
-			}, traceZ, snap, cluster)
+			err := s.session(conn, req, true, traceZ, cluster)
 			st.exitBusy()
 			if err != nil {
 				return
@@ -427,31 +414,19 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 // now lives elsewhere.
 var errMigrated = errors.New("server: session migrated to a peer")
 
-// sessionReq is a session request in either form: a fresh Run, or a
-// SessResume replay of a migrated session — a fresh run plus the journal of
-// prompt answers already given and the output/trace offsets the peer
-// already holds.
-type sessionReq struct {
-	spec             scenario.Spec
-	streamTrace      bool
-	journal          []wire.JournalEntry
-	skipOutput       uint64
-	skipTraceSamples uint64
-	resumed          bool
-}
-
-// session runs one scenario for the connection. The calling goroutine owns
-// the entire simulation; the client only ever observes framed output.
-// traceZ selects the negotiated trace encoding for StreamTrace requests;
-// snap permits SnapSave/SnapRestore answers to prompts; cluster permits
-// drain-time migration hand-offs.
+// session runs one scenario for the connection. req is the session's
+// progress record: a fresh Run's seed, with an empty journal and zero
+// offsets, or the SessResume of a migrated session (resumed). The calling
+// goroutine owns the entire simulation; the client only ever observes
+// framed output. traceZ selects the negotiated trace encoding for
+// StreamTrace requests; cluster permits drain-time migration hand-offs.
 //
-// Resume (req.resumed) leans entirely on determinism: the scenario is
-// re-run from this server's own template (or cycle 0), journal entries
-// answer the prompts the original session already answered, the first
-// skipOutput bytes — which replay reproduces exactly — are discarded, and
-// the session goes live at precisely the byte the peer was owed next.
-func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bool) error {
+// Resume leans entirely on determinism: the scenario is re-run from this
+// server's own template (or cycle 0), journal entries answer the prompts
+// the original session already answered, the first SkipOutput bytes —
+// which replay reproduces exactly — are discarded, and the session goes
+// live at precisely the byte the peer was owed next.
+func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, cluster bool) error {
 	if open := s.c.sessionsOpen.Add(1); open > int64(s.cfg.MaxSessions) {
 		s.c.sessionsOpen.Add(-1)
 		s.c.sessionsRejected.Add(1)
@@ -475,45 +450,36 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 	}
 	s.c.sessionsTotal.Add(1)
 
-	if req.spec.Seconds > s.cfg.MaxSimSeconds {
+	if req.Spec.Seconds > s.cfg.MaxSimSeconds {
 		return end(&wire.Error{Code: wire.CodeBadRequest,
 			Text: fmt.Sprintf("simulated duration %.1fs exceeds server limit %.1fs",
-				req.spec.Seconds, s.cfg.MaxSimSeconds)})
+				req.Spec.Seconds, s.cfg.MaxSimSeconds)})
 	}
-	if err := scenario.Validate(req.spec); err != nil {
+	if err := scenario.Validate(req.Spec); err != nil {
 		return end(&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
 	}
 
-	if req.resumed {
+	if resumed {
 		s.c.sessionsResumed.Add(1)
 	}
 
 	sw := &streamWriter{s: s, conn: conn}
 	var out io.Writer = sw
-	if req.skipOutput > 0 {
-		out = &skipWriter{w: sw, n: req.skipOutput, c: &s.c}
+	if req.SkipOutput > 0 {
+		out = &skipWriter{w: sw, n: req.SkipOutput, c: &s.c}
 	}
 
 	migrated := false
-	replay := req.journal
+	replay := req.Journal
 	var prompt scenario.PromptFunc
-	if req.spec.Interactive && req.spec.Script == "" {
+	if req.Spec.Interactive && req.Spec.Script == "" {
 		prompt = func() (string, bool) {
 			// Replay first: answers the original session already consumed,
 			// served without touching the network.
 			if len(replay) > 0 {
 				j := replay[0]
 				replay = replay[1:]
-				switch j.Kind {
-				case wire.JournalLine:
-					return j.Line, true
-				case wire.JournalSnapSave:
-					return "snap", true
-				case wire.JournalSnapRestore:
-					return "restore", true
-				default: // wire.JournalEOF
-					return "", false
-				}
+				return j.Line, j.Kind == wire.JournalLine
 			}
 			if migrated {
 				// The hand-off happened at an earlier prompt; refuse to
@@ -524,7 +490,7 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 			// the next Prompt — always between commands, never in the middle
 			// of one, so the in-flight answer's output is already flushed.
 			if cluster && s.isDraining() {
-				s.migrateOut(conn, req.spec, sw)
+				s.migrateOut(conn, req.SpecHash, sw)
 				migrated = true
 				return "", false
 			}
@@ -544,27 +510,10 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 				sw.fail(err)
 				return "", false
 			}
-			switch cmd := m.(type) {
-			case *wire.Command:
-				if cmd.EOF {
-					return "", false
-				}
+			if cmd, ok := m.(*wire.Command); ok && !cmd.EOF {
 				return cmd.Line, true
-			case *wire.SnapSave, *wire.SnapRestore:
-				// Remote time-travel rides the console's snap/restore
-				// machinery: the frame stands in for the command line.
-				if !snap {
-					s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
-						Text: "snapshot capability was not negotiated"})
-					return "", false
-				}
-				if _, ok := m.(*wire.SnapSave); ok {
-					return "snap", true
-				}
-				return "restore", true
-			default:
-				return "", false
 			}
+			return "", false
 		}
 	}
 
@@ -572,7 +521,7 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 	if s.pool != nil {
 		run = s.pool.Run
 	}
-	res, err := run(req.spec, out, prompt)
+	res, err := run(req.Spec, out, prompt)
 	s.c.commandsServed.Add(int64(res.Commands))
 	s.c.simCycles.Add(int64(res.SimCycles))
 	s.c.scriptErrors.Add(int64(res.ScriptErrors))
@@ -587,8 +536,8 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 	if err != nil {
 		return end(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 	}
-	if req.streamTrace && res.Vcap != nil {
-		if err := s.streamTrace(conn, res.Vcap, traceZ, req.skipTraceSamples); err != nil {
+	if req.StreamTrace && res.Vcap != nil {
+		if err := s.streamTrace(conn, res.Vcap, traceZ, req.SkipTraceSamples); err != nil {
 			return err
 		}
 	}
@@ -605,11 +554,11 @@ func (s *Server) session(conn net.Conn, req sessionReq, traceZ, snap, cluster bo
 // owed, send SessMigrate, and latch the output stream shut. The peer
 // re-dispatches from its own journal — this side only has to get out of
 // the way deterministically.
-func (s *Server) migrateOut(conn net.Conn, spec scenario.Spec, sw *streamWriter) {
+func (s *Server) migrateOut(conn net.Conn, specHash uint64, sw *streamWriter) {
 	if sw.flush() != nil {
 		return
 	}
-	if err := s.send(conn, &wire.SessMigrate{SpecHash: scenario.SpecHash(spec)}); err != nil {
+	if err := s.send(conn, &wire.SessMigrate{SpecHash: specHash}); err != nil {
 		sw.fail(err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -272,12 +273,8 @@ func TestForcedDrain(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer cl.Close()
-	spec := testSpec(42)
-	spec.Script = ""
-	sess, err := cl.Start(spec, nil) // parked at a prompt, sending nothing
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
+	parked, release, ran := park(cl, 42, "vcap")
+	<-parked // the session waits at a prompt, and its client sends nothing
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -287,9 +284,35 @@ func TestForcedDrain(t *testing.T) {
 	if err := <-serveDone; !errors.Is(err, server.ErrServerClosed) {
 		t.Fatalf("Serve returned %v", err)
 	}
-	if _, err := sess.Exec("vcap"); err == nil {
+	close(release)
+	if err := <-ran; err == nil {
 		t.Fatal("session should be dead after forced drain")
 	}
+}
+
+// park starts an interactive session of testSpec(seed) on cl and holds
+// its first prompt open: parked closes once the session waits there, and
+// closing release answers it with line, and every later prompt with EOF.
+// ran yields Run's error once the session ends.
+func park(cl *client.Client, seed int64, line string) (parked, release chan struct{}, ran chan error) {
+	spec := testSpec(seed)
+	spec.Script = ""
+	spec.Interactive = true
+	parked, release, ran = make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		answered := false
+		_, err := cl.Run(spec, nil, func() (string, bool) {
+			if answered {
+				return "", false
+			}
+			answered = true
+			close(parked)
+			<-release
+			return line, true
+		})
+		ran <- err
+	}()
+	return parked, release, ran
 }
 
 // TestVersionMismatch: a client speaking the wrong protocol version is
@@ -342,12 +365,8 @@ func TestSessionLimit(t *testing.T) {
 		t.Fatalf("dial 1: %v", err)
 	}
 	defer cl1.Close()
-	spec := testSpec(42)
-	spec.Script = ""
-	sess, err := cl1.Start(spec, nil) // hold the only session slot open
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
+	parked, release, held := park(cl1, 42, "halt")
+	<-parked // hold the only session slot open
 
 	cl2, err := client.Dial(addr, client.Options{})
 	if err != nil {
@@ -364,11 +383,9 @@ func TestSessionLimit(t *testing.T) {
 	}
 
 	// Release the slot; the same connection can then serve a session.
-	if _, err := sess.Exec("halt"); err != nil {
-		t.Fatalf("halt: %v", err)
-	}
-	if _, err := sess.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("held session: %v", err)
 	}
 	if _, err := cl2.Run(testSpec(42), nil, nil); err != nil {
 		t.Fatalf("run after release: %v", err)
@@ -419,6 +436,35 @@ func TestSimSecondsLimit(t *testing.T) {
 	var werr *wire.Error
 	if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
 		t.Fatalf("want Error{CodeBadRequest}, got %v", err)
+	}
+}
+
+// TestNonFiniteSpecRejected: a NaN fails every comparison, so a NaN
+// duration would pass the limit check and never reach its deadline. A
+// non-finite duration or distance is a bad request, and the connection
+// stays usable.
+func TestNonFiniteSpecRejected(t *testing.T) {
+	srv, addr := startServer(t, server.Config{MaxSimSeconds: 1})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	for _, spec := range []scenario.Spec{
+		{App: "busy", Seconds: math.NaN(), Seed: 7},
+		{App: "busy", Seconds: 0.5, Distance: math.Inf(1), Seed: 7},
+	} {
+		_, err = cl.Run(spec, nil, nil)
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+			t.Fatalf("seconds %v, distance %v: want Error{CodeBadRequest}, got %v", spec.Seconds, spec.Distance, err)
+		}
+	}
+	if _, err := cl.Run(scenario.Spec{App: "busy", Seconds: 0.5, Seed: 7}, nil, nil); err != nil {
+		t.Fatalf("finite spec after the rejections: %v", err)
+	}
+	if open := srv.Metrics().SessionsOpen; open != 0 {
+		t.Fatalf("%d sessions still open", open)
 	}
 }
 

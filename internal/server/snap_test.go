@@ -2,32 +2,32 @@ package server_test
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// TestOldClientNoSnapCompat is the backwards-compatibility guarantee for
-// the snapshot capability: a client that never offers FlagSnap (one built
-// before it existed) negotiates zero capabilities and receives a transcript
-// byte-identical to a local run — the new server bits are invisible to it.
+// TestOldClientNoSnapCompat is the backwards-compatibility guarantee for a
+// client built before any capability existed: it negotiates zero
+// capabilities and receives a transcript byte-identical to a local run —
+// the new server bits are invisible to it.
 func TestOldClientNoSnapCompat(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 	spec := testSpec(42)
 	golden, _ := localGolden(t, spec)
 
-	cl, err := client.Dial(addr, client.Options{NoSnap: true, RawTrace: true})
+	cl, err := client.Dial(addr, client.Options{RawTrace: true})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer cl.Close()
-	if cl.Snap() || cl.TraceZ() {
-		t.Fatalf("client advertised nothing but negotiated snap=%v tracez=%v", cl.Snap(), cl.TraceZ())
+	if cl.TraceZ() {
+		t.Fatalf("client advertised nothing but negotiated tracez=%v", cl.TraceZ())
 	}
 	// Two sessions: the first may cold-boot while the pool warms a
 	// template, the second may be served from a fork — both must match the
@@ -45,130 +45,105 @@ func TestOldClientNoSnapCompat(t *testing.T) {
 	_ = srv
 }
 
-// TestSnapFrameWithoutCapabilityRejected: answering a prompt with SnapSave
-// when FlagSnap was never negotiated is a protocol error, not silent
-// time-travel.
-func TestSnapFrameWithoutCapabilityRejected(t *testing.T) {
-	_, addr := startServer(t, server.Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(60 * time.Second))
-
-	if err := wire.WriteMsg(conn, &wire.Hello{Version: wire.Version, Client: "edb/v-old"}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := wire.ReadMsg(conn); err != nil {
-		t.Fatal(err)
-	} else if _, ok := m.(*wire.Welcome); !ok {
-		t.Fatalf("want Welcome, got %T", m)
-	}
-
+// TestRetiredSnapFrameEndsSession: a client that still answers a prompt
+// with a retired snapshot frame (type 0x12 or 0x13) gets no time-travel.
+// The frame fails to decode as an unknown type, so no command runs, and
+// the session ends with its connection.
+func TestRetiredSnapFrameEndsSession(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
 	spec := testSpec(42)
 	spec.Script = ""
 	spec.Interactive = true
-	if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	sawError := false
-loop:
-	for {
-		m, err := wire.ReadMsg(conn)
-		if err != nil {
-			break
+	for _, typ := range []byte{0x12, 0x13} {
+		conn := dialCluster(t, addr, 0)
+		if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
+			t.Fatal(err)
 		}
-		switch m.(type) {
-		case *wire.Output:
-		case *wire.Prompt:
-			if err := wire.WriteMsg(conn, &wire.SnapSave{}); err != nil {
-				t.Fatal(err)
-			}
-		case *wire.Error:
-			sawError = true
-			break loop
-		case *wire.Done:
-			break loop
+		var banner bytes.Buffer
+		driveUntilPrompt(t, conn, &banner)
+		before := srv.Metrics()
+		if _, err := conn.Write([]byte{typ, 0, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawError {
-		t.Fatal("server accepted SnapSave without the capability")
+		if m, err := wire.ReadMsg(conn); err == nil {
+			t.Fatalf("type %#02x: session went on after the retired frame with %T", typ, m)
+		}
+		after := srv.Metrics()
+		if after.CommandsServed != before.CommandsServed {
+			t.Fatalf("type %#02x: the retired frame ran %d commands", typ, after.CommandsServed-before.CommandsServed)
+		}
+		if after.SessionsOpen != 0 {
+			t.Fatalf("type %#02x: %d sessions still open", typ, after.SessionsOpen)
+		}
 	}
 }
 
-// TestRemoteSnapRestore drives remote time-travel end to end: arm a
-// snapshot, mutate target memory through the console, revert, and observe
-// the memory read back at its snapshotted value.
-func TestRemoteSnapRestore(t *testing.T) {
-	_, addr := startServer(t, server.Config{})
-	cl, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+// replies runs an interactive session on cl, answering its prompts with
+// cmds in order and EOF after. replies[0] is the output before the first
+// prompt, and replies[i] the output of cmds[i-1] up to the next prompt,
+// without the prompt string.
+func replies(t *testing.T, cl *client.Client, spec scenario.Spec, cmds []string) []string {
+	t.Helper()
+	var out bytes.Buffer
+	var got []string
+	mark := 0
+	cut := func() {
+		got = append(got, strings.TrimSuffix(out.String()[mark:], "(edb) "))
+		mark = out.Len()
 	}
-	defer cl.Close()
-	if !cl.Snap() {
-		t.Fatal("snapshot capability must negotiate by default")
+	i := 0
+	if _, err := cl.Run(spec, &out, func() (string, bool) {
+		if len(got) <= len(cmds) {
+			cut()
+		}
+		if i == len(cmds) {
+			return "", false
+		}
+		i++
+		return cmds[i-1], true
+	}); err != nil {
+		t.Fatalf("run: %v", err)
 	}
+	if len(got) <= len(cmds) {
+		cut()
+	}
+	return got
+}
 
+// TestRemoteSnapRestore drives remote time-travel end to end, against a
+// backend and through a gateway: arm a snapshot, mutate target memory
+// through the console, revert, and read the memory back at its
+// snapshotted value. snap and restore are console lines like any other.
+func TestRemoteSnapRestore(t *testing.T) {
+	_, backend := startServer(t, server.Config{})
+	_, gateway := startGateway(t, cluster.Config{Backends: []string{backend}})
 	spec := testSpec(42)
 	spec.Script = ""
-	var banner bytes.Buffer
-	sess, err := cl.Start(spec, &banner)
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-
-	o, err := sess.SnapSave()
-	if err != nil {
-		t.Fatalf("snap: %v", err)
-	}
-	if !strings.Contains(o, "snapshot armed") {
-		t.Fatalf("snap output: %q", o)
-	}
-	before, err := sess.Exec("read 0x4400")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("write 0x4400 0xBEEF"); err != nil {
-		t.Fatal(err)
-	}
-	after, err := sess.Exec("read 0x4400")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Fatal("write must change the read-back")
-	}
-	o, err = sess.SnapRestore()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if !strings.Contains(o, "restored") {
-		t.Fatalf("restore output: %q", o)
-	}
-	reverted, err := sess.Exec("read 0x4400")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reverted != before {
-		t.Fatalf("time-travel failed:\nbefore  %q\nafter   %q\nrevert  %q", before, after, reverted)
-	}
-	if _, err := sess.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-// TestServerDisableSnap: the server-side kill switch wins negotiation.
-func TestServerDisableSnap(t *testing.T) {
-	_, addr := startServer(t, server.Config{DisableSnap: true})
-	cl, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-	if cl.Snap() {
-		t.Fatal("server must refuse the snap capability when disabled")
+	spec.Interactive = true
+	cmds := []string{"snap", "read 0x4400", "write 0x4400 0xBEEF", "read 0x4400", "restore", "read 0x4400"}
+	for via, addr := range map[string]string{"backend": backend, "gateway": gateway} {
+		cl, err := client.Dial(addr, client.Options{})
+		if err != nil {
+			t.Fatalf("%s: dial: %v", via, err)
+		}
+		r := replies(t, cl, spec, cmds)
+		cl.Close()
+		if len(r) != len(cmds)+1 {
+			t.Fatalf("%s: %d replies for %d commands", via, len(r)-1, len(cmds))
+		}
+		if !strings.Contains(r[1], "snapshot armed") {
+			t.Fatalf("%s: snap output: %q", via, r[1])
+		}
+		before, after, reverted := r[2], r[4], r[6]
+		if before == after {
+			t.Fatalf("%s: write must change the read-back", via)
+		}
+		if !strings.Contains(r[5], "restored") {
+			t.Fatalf("%s: restore output: %q", via, r[5])
+		}
+		if reverted != before {
+			t.Fatalf("%s: time-travel failed:\nbefore  %q\nafter   %q\nrevert  %q", via, before, after, reverted)
+		}
 	}
 }
 

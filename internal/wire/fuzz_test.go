@@ -29,15 +29,9 @@ func FuzzWireDecode(f *testing.F) {
 	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, FlagTraceZ); err == nil {
 		f.Add(fr)
 	}
-	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb"}, FlagTraceZ|FlagSnap); err == nil {
-		f.Add(fr)
-	}
-	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, FlagSnap); err == nil {
-		f.Add(fr)
-	}
 	// …auth handshakes: a token-bearing Hello, the server's FlagAuth echo,
 	// and a Hello whose FlagAuth promises a token the payload doesn't have…
-	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb", Token: "s3cret"}, FlagAuth|FlagTraceZ|FlagSnap); err == nil {
+	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb", Token: "s3cret"}, FlagAuth|FlagTraceZ); err == nil {
 		f.Add(fr)
 	}
 	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb", Token: ""}, FlagAuth); err == nil {
@@ -53,10 +47,8 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(fr)
 	}
 	f.Add([]byte{TypeWelcome, 0xF8, 0, 0, 0, 6, 0, 1, 0, 0, 0, 0})
-	f.Add([]byte{TypeSnapSave, FlagSnap, 0, 0, 0, 0})
-	f.Add([]byte{TypeSnapRestore, 0, 0, 0, 0, 1, 0xAA})
 	// …cluster-tier handshakes and frames (FlagCluster peers)…
-	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, FlagCluster|FlagTraceZ|FlagSnap); err == nil {
+	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edbd-gw"}, FlagCluster|FlagTraceZ); err == nil {
 		f.Add(fr)
 	}
 	if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, FlagCluster); err == nil {
@@ -99,6 +91,28 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0x50, 0, 0, 0, 0, 10, 2, 0, 0, 0, 5, ':', '3', '4', '9', '0'})
 	f.Add([]byte{0x50, 0, 0, 0, 0, 17, 6, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0x50, 0, 0, 0, 0, 1, 99})
+	// …frames of the retired snapshot path, which must now fail too: the
+	// SnapSave and SnapRestore prompt answers (types 0x12 and 0x13, one
+	// still flagged with the retired bit 0x02 and one with a stray payload
+	// byte), resumes whose journals hold the retired kinds 2 and 3, and
+	// handshakes still offering bit 0x02, alone and beside the live bits
+	// (passed through untouched, like any unknown bit)…
+	for _, fr := range append(retiredSnapFrames(), retiredJournalFrames()...) {
+		f.Add(fr)
+	}
+	f.Add([]byte{0x12, 0x02, 0, 0, 0, 0})
+	f.Add([]byte{0x13, 0, 0, 0, 0, 1, 0xAA})
+	for _, caps := range []byte{0x02, 0x02 | FlagTraceZ, 0x02 | FlagTraceZ | FlagCluster} {
+		if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb"}, caps); err == nil {
+			f.Add(fr)
+		}
+		if fr, err := EncodeMsgFlags(&Welcome{Version: Version, Server: "edbd"}, caps); err == nil {
+			f.Add(fr)
+		}
+	}
+	if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb", Token: "s3cret"}, FlagAuth|FlagTraceZ|0x02); err == nil {
+		f.Add(fr)
+	}
 	// …a truncated SessResume whose journal count promises more entries than
 	// the payload holds (the decoder must reject it before allocating)…
 	f.Add([]byte{TypeSessResume, 0, 0, 0, 0, 4, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -264,7 +278,7 @@ func retiredGossipFrames() [][]byte {
 		gossip(6, func(e *encoder) { // session append
 			e.u64(9)
 			e.u32(2)
-			encodeJournal(e, []JournalEntry{{Kind: JournalLine, Line: "vcap"}, {Kind: JournalSnapSave}})
+			encodeJournal(e, []JournalEntry{{Kind: JournalLine, Line: "vcap"}, {Kind: 2}}) // 2: a retired SnapSave answer
 			e.u64(4096)
 			e.u64(1024)
 		}),
@@ -279,13 +293,45 @@ func retiredGossipFrames() [][]byte {
 	}
 }
 
+// retiredSnapFrames returns the two prompt answers of the retired
+// snapshot path as its clients sent them: SnapSave (type 0x12) and
+// SnapRestore (type 0x13), each with an empty payload.
+func retiredSnapFrames() [][]byte {
+	return [][]byte{{0x12, 0, 0, 0, 0, 0}, {0x13, 0, 0, 0, 0, 0}}
+}
+
+// retiredJournalFrames returns SessResume frames whose journals hold the
+// retired kinds 2 (a SnapSave answer) and 3 (a SnapRestore answer), laid
+// out as the gateway and the client journaled them.
+func retiredJournalFrames() [][]byte {
+	resume := func(kind byte) []byte {
+		return rawFrame(TypeSessResume, func(e *encoder) {
+			encodeSpec(e, &scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Interactive: true})
+			e.bool(false)
+			e.u64(0xdeadbeefcafe)
+			e.u64(512)
+			e.u64(0)
+			encodeJournal(e, []JournalEntry{{Kind: JournalLine, Line: "vcap"}, {Kind: kind}, {Kind: JournalEOF}})
+			e.reserved()
+		})
+	}
+	return [][]byte{resume(2), resume(3)}
+}
+
 // TestRetiredProtocolFramesRejected: every frame of the retired explore
-// shard protocol and of the retired gateway gossip protocol fails to
-// decode as an unknown message type.
+// shard protocol, of the retired gateway gossip protocol and of the
+// retired snapshot path fails to decode as an unknown message type, and a
+// resume whose journal holds a retired snapshot kind fails on that kind.
 func TestRetiredProtocolFramesRejected(t *testing.T) {
-	for i, fr := range append(retiredExploreFrames(), retiredGossipFrames()...) {
+	retired := append(retiredExploreFrames(), retiredGossipFrames()...)
+	for i, fr := range append(retired, retiredSnapFrames()...) {
 		if _, _, err := ReadMsgFlags(bytes.NewReader(fr)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("retired frame %d (type %#02x): got %v", i, fr[0], err)
+		}
+	}
+	for i, fr := range retiredJournalFrames() {
+		if _, _, err := ReadMsgFlags(bytes.NewReader(fr)); err == nil || !strings.Contains(err.Error(), "unknown journal entry kind") {
+			t.Fatalf("resume %d with a retired journal kind: got %v", i, err)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 //	+--------+----------+-------------+---------+
 //
 // flags must be zero in version 1 on every frame except Hello and Welcome,
-// where capability bits (FlagTraceZ, FlagSnap, FlagAuth) may be set — that
-// is how optional features are negotiated without a version bump. Handshake
+// where capability bits (FlagTraceZ, FlagAuth, FlagCluster) may be set —
+// that is how optional features are negotiated without a version bump. Handshake
 // frames pass *any* flag byte through the framing layer untouched: bits this
 // build does not know are preserved for the negotiation code to mask off
 // (KnownCaps), so a future peer advertising a new capability is silently
@@ -33,6 +33,10 @@
 // Every message's encoding is canonical: Decode(Encode(m)) == m and
 // re-encoding a decoded frame reproduces the original bytes, which
 // FuzzWireDecode enforces.
+//
+// A client answers a Prompt in one way only: a Command frame carrying the
+// next console line, time-travel's snap and restore included. Client,
+// gateway and backend each keep a session's progress in one SessResume.
 //
 // Negotiation and deadlines live here too, in one copy that every edbd
 // peer (client, backend, gateway, and a backend joining a gateway) calls.
@@ -75,8 +79,6 @@ const (
 	TypeError       byte = 0x03 // either direction: typed failure
 	TypeRun         byte = 0x10 // client → server: start a scenario session
 	TypeCommand     byte = 0x11 // client → server: one console command (answers Prompt)
-	TypeSnapSave    byte = 0x12 // client → server: arm a snapshot (answers Prompt, FlagSnap only)
-	TypeSnapRestore byte = 0x13 // client → server: revert to the snapshot (answers Prompt, FlagSnap only)
 	TypeSessResume  byte = 0x14 // client → server: resume a migrated session from its journal (FlagCluster only)
 	TypeOutput      byte = 0x20 // server → client: console/run output bytes
 	TypePrompt      byte = 0x21 // server → client: session awaits a Command
@@ -90,9 +92,11 @@ const (
 	TypeStatReply   byte = 0x33 // reply to Stat
 	TypeJoin        byte = 0x34 // backend → gateway: register an advertised backend address (FlagCluster only)
 
-	// 0x40–0x42 are retired (the removed distributed-explore shard
-	// protocol), and so is 0x50 (the removed gateway gossip stream); never
-	// reuse them. They decode as unknown types.
+	// 0x12 and 0x13 are retired (the removed snapshot-save and -restore
+	// prompt answers; snap and restore travel as Command lines), and so
+	// are 0x40–0x42 (the removed distributed-explore shard protocol) and
+	// 0x50 (the removed gateway gossip stream); never reuse them. They
+	// decode as unknown types.
 )
 
 // Capability flag bits, valid only on Hello and Welcome frames. A client
@@ -105,12 +109,6 @@ const (
 	// set it, the server streams TraceZ chunks (internal/tracecodec blobs)
 	// instead of raw Trace chunks.
 	FlagTraceZ byte = 0x01
-	// FlagSnap negotiates remote time-travel: when both sides set it, the
-	// client may answer a Prompt with SnapSave/SnapRestore frames and the
-	// server runs the console's O(dirty-page) snap/restore machinery. A
-	// client that never offers the bit sees a byte-identical baseline
-	// protocol.
-	FlagSnap byte = 0x02
 	// FlagAuth negotiates token authentication: a client that sets it
 	// appends a shared-secret token string to its Hello payload (after the
 	// baseline fields, so token-less peers never see a layout change). The
@@ -126,16 +124,16 @@ const (
 	// byte-identical baseline protocol — cluster support needs no version
 	// bump.
 	FlagCluster byte = 0x08
-	// 0x10 is retired with types 0x40–0x42, and 0x20 with type 0x50;
-	// never reuse them. A peer that still offers one is down-negotiated
-	// like any unknown bit.
+	// 0x02 is retired with types 0x12–0x13, 0x10 with types 0x40–0x42,
+	// and 0x20 with type 0x50; never reuse them. A peer that still offers
+	// one is down-negotiated like any unknown bit.
 )
 
 // KnownCaps is the set of capability bits this build understands.
 // Handshake frames may carry bits outside this mask (a future peer's
 // capabilities); the framing layer passes them through and negotiation
 // masks them off, so old corpus entries and old peers keep working.
-const KnownCaps byte = FlagTraceZ | FlagSnap | FlagAuth | FlagCluster
+const KnownCaps byte = FlagTraceZ | FlagAuth | FlagCluster
 
 // handshakeFrame reports whether frames of type t carry capability flag
 // bits; every other frame type must have a zero flags byte in version 1.
@@ -215,26 +213,16 @@ type Output struct {
 // Prompt signals that the session's console is waiting for a Command.
 type Prompt struct{}
 
-// SnapSave answers a Prompt by arming a server-side snapshot of the
-// session's target: full memory baselines plus the resume energy level,
-// with dirty-page tracking armed so the restore is O(pages written since).
-// Only valid after FlagSnap was negotiated.
-type SnapSave struct{}
-
-// SnapRestore answers a Prompt by reverting the session's target to the
-// armed snapshot. Only valid after FlagSnap was negotiated.
-type SnapRestore struct{}
-
 // Journal-entry kinds: how a session's prompt was answered. The journal is
 // the deterministic-replay half of live migration — a session is fully
 // described by its spec plus the sequence of prompt answers it consumed, so
 // replaying the journal against a fresh rig reproduces the session's state
 // (and every output byte) exactly.
 const (
-	JournalLine        byte = 0 // Line holds a console command
-	JournalEOF         byte = 1 // the client closed the console (stdin EOF)
-	JournalSnapSave    byte = 2 // a SnapSave frame answered the prompt
-	JournalSnapRestore byte = 3 // a SnapRestore frame answered the prompt
+	JournalLine byte = 0 // Line holds a console command
+	JournalEOF  byte = 1 // the client closed the console (stdin EOF)
+	// Kinds 2 and 3 are retired with types 0x12–0x13; never reuse them. A
+	// journal that holds one fails to decode.
 )
 
 // JournalEntry is one recorded prompt answer.
@@ -252,6 +240,10 @@ type JournalEntry struct {
 // its own pool or cold-boots, and the output is identical either way. The
 // payload ends in a reserved slot (see reserved). Only valid after
 // FlagCluster was negotiated.
+//
+// It is also the record each peer keeps of a session's progress: Run.Seed
+// starts one, the relay of each Output or trace chunk advances its offsets,
+// and Answered journals each prompt answer.
 type SessResume struct {
 	Spec scenario.Spec
 	// StreamTrace mirrors Run.StreamTrace.
@@ -269,6 +261,23 @@ type SessResume struct {
 	// unmigrated stream's.
 	SkipTraceSamples uint64
 	Journal          []JournalEntry
+}
+
+// Seed returns the progress record of the session r starts: its spec, an
+// empty journal and zero offsets.
+func (r *Run) Seed() SessResume {
+	return SessResume{Spec: r.Spec, StreamTrace: r.StreamTrace, SpecHash: scenario.SpecHash(r.Spec)}
+}
+
+// Answered journals c, the answer to the session's next prompt. Peers
+// journal an answer before they send it on, so a session that loses its
+// backend with the answer in flight replays it instead of asking again.
+func (r *SessResume) Answered(c *Command) {
+	e := JournalEntry{Kind: JournalLine, Line: c.Line}
+	if c.EOF {
+		e = JournalEntry{Kind: JournalEOF}
+	}
+	r.Journal = append(r.Journal, e)
 }
 
 // SessMigrate is sent by a draining backend in place of a Prompt: the
@@ -348,8 +357,6 @@ func (*Welcome) Type() byte     { return TypeWelcome }
 func (*Error) Type() byte       { return TypeError }
 func (*Run) Type() byte         { return TypeRun }
 func (*Command) Type() byte     { return TypeCommand }
-func (*SnapSave) Type() byte    { return TypeSnapSave }
-func (*SnapRestore) Type() byte { return TypeSnapRestore }
 func (*SessResume) Type() byte  { return TypeSessResume }
 func (*Output) Type() byte      { return TypeOutput }
 func (*Prompt) Type() byte      { return TypePrompt }
@@ -376,10 +383,6 @@ func newMsg(t byte) Msg {
 		return &Run{}
 	case TypeCommand:
 		return &Command{}
-	case TypeSnapSave:
-		return &SnapSave{}
-	case TypeSnapRestore:
-		return &SnapRestore{}
 	case TypeSessResume:
 		return &SessResume{}
 	case TypeOutput:
@@ -629,7 +632,7 @@ func decodeJournal(d *decoder) []JournalEntry {
 	journal := make([]JournalEntry, n)
 	for i := range journal {
 		journal[i].Kind = d.u8()
-		if journal[i].Kind > JournalSnapRestore {
+		if journal[i].Kind > JournalEOF {
 			d.fail("unknown journal entry kind %d", journal[i].Kind)
 			return nil
 		}
@@ -696,11 +699,6 @@ func (m *Output) decode(d *decoder) { m.Data = d.bytesField() }
 
 func (m *Prompt) encode(*encoder) {}
 func (m *Prompt) decode(*decoder) {}
-
-func (m *SnapSave) encode(*encoder)    {}
-func (m *SnapSave) decode(*decoder)    {}
-func (m *SnapRestore) encode(*encoder) {}
-func (m *SnapRestore) decode(*decoder) {}
 
 func (m *Trace) encode(e *encoder) {
 	e.str(m.Name)

@@ -31,8 +31,6 @@ func sampleMsgs() []Msg {
 		&Output{Data: []byte("Vcap = 2.400 V\n")},
 		&Output{},
 		&Prompt{},
-		&SnapSave{},
-		&SnapRestore{},
 		&Trace{Name: "Vcap", Unit: "V", Samples: []TracePoint{{At: 1, V: 2.5}, {At: 99, V: 1.75}}},
 		&Trace{Name: "Vcap", Unit: "V"},
 		&TraceZ{Name: "Vcap", Unit: "V", Count: 3, Data: []byte{0x03, 0x0A, 0x02, 0x02, 0x00}},
@@ -50,10 +48,9 @@ func sampleMsgs() []Msg {
 			SkipOutput:       4096,
 			SkipTraceSamples: 1024,
 			Journal: []JournalEntry{
+				{Kind: JournalLine, Line: "snap"},
 				{Kind: JournalLine, Line: "vcap"},
-				{Kind: JournalSnapSave},
-				{Kind: JournalLine, Line: "status"},
-				{Kind: JournalSnapRestore},
+				{Kind: JournalLine, Line: "restore"},
 				{Kind: JournalEOF},
 			},
 		},
@@ -246,9 +243,7 @@ func imageFrames() [][]byte {
 			e.u64(1024)
 			encodeJournal(e, []JournalEntry{
 				{Kind: JournalLine, Line: "vcap"},
-				{Kind: JournalSnapSave},
 				{Kind: JournalLine, Line: "status"},
-				{Kind: JournalSnapRestore},
 				{Kind: JournalEOF},
 			})
 			e.bytes([]byte{0x1f, 0x8b, 0x00})

@@ -139,10 +139,10 @@ echo "smoke: explore flags the unguarded bug, passes the guarded build, identica
 echo "smoke: generating an ephemeral TLS keypair"
 go run ./scripts/gencert -out "$workdir/certs" -hosts 127.0.0.1 >/dev/null
 
-echo "smoke: starting a TLS + require-auth edbd"
+echo "smoke: starting a TLS + require-auth edbd with a metrics listener"
 EDBD_AUTH_TOKEN=smoke-secret "$workdir/edbd" -addr 127.0.0.1:0 \
     -tls-cert "$workdir/certs/cert.pem" -tls-key "$workdir/certs/key.pem" \
-    -require-auth -v 2>"$workdir/edbd-tls.log" &
+    -require-auth -metrics 127.0.0.1:0 -v 2>"$workdir/edbd-tls.log" &
 tls_daemon_pid=$!
 tls_addr=$(wait_addr "$workdir/edbd-tls.log")
 if [ -z "$tls_addr" ]; then
@@ -156,6 +156,27 @@ if ! grep -q "(tls+token)" "$workdir/edbd-tls.log"; then
     exit 1
 fi
 echo "smoke: TLS daemon at $tls_addr"
+
+echo "smoke: checking that the metrics pages do not serve the token"
+# -metrics serves expvar (whose cmdline var is the command line) and the
+# pprof profiler (/debug/pprof/cmdline) without authentication, so the
+# token must never be on the command line.
+metrics_addr=$(sed -n 's/.*metrics and profiler at http:\/\/\([0-9.]*:[0-9]*\)\/.*/\1/p' "$workdir/edbd-tls.log" | head -n1)
+if [ -z "$metrics_addr" ]; then
+    echo "smoke: FAIL — TLS daemon never reported its metrics address" >&2
+    cat "$workdir/edbd-tls.log" >&2
+    exit 1
+fi
+curl -sf "http://$metrics_addr/debug/vars" >"$workdir/vars.out"
+curl -sf "http://$metrics_addr/debug/pprof/cmdline" >"$workdir/cmdline.out"
+if ! grep -q '"edbd"' "$workdir/vars.out" || ! grep -q "edbd" "$workdir/cmdline.out"; then
+    echo "smoke: FAIL — the metrics listener did not serve /debug/vars and /debug/pprof/cmdline" >&2
+    exit 1
+fi
+if grep -q "smoke-secret" "$workdir/vars.out" "$workdir/cmdline.out"; then
+    echo "smoke: FAIL — a metrics page serves the auth token" >&2
+    exit 1
+fi
 
 echo "smoke: running the scripted session over TLS with a token"
 "$workdir/edb" -connect "$tls_addr" -tls -tls-ca "$workdir/certs/cert.pem" \
