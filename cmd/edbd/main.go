@@ -381,15 +381,16 @@ func loadBackendTLS(ca, cert, key string) *tls.Config {
 // serveHTTP serves the default mux on addr, when one is given. expvar
 // registers /debug/vars there and net/http/pprof /debug/pprof/, so this
 // one listener serves both, without authentication. It logs the bound
-// address, which names the port when addr asks for any (":0").
+// address, which names the port when addr asks for any (":0"). An address
+// it cannot bind ends the start with exit 1, before the daemon listens:
+// a daemon asked for an endpoint must not run without it.
 func serveHTTP(addr string) {
 	if addr == "" {
 		return
 	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		log.Printf("edbd: metrics endpoint: %v", err)
-		return
+		log.Fatalf("edbd: metrics endpoint: %v", err)
 	}
 	log.Printf("edbd: metrics and profiler at http://%s/debug/", lis.Addr())
 	go func() {

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"time"
 
@@ -102,7 +101,7 @@ func (o Options) withDefaults() Options {
 // for concurrent use; open one Client per goroutine (the daemon hosts each
 // connection's sessions independently).
 type Client struct {
-	conn net.Conn
+	peer *wire.Peer
 	opts Options
 
 	// OnTrace, when set before Run, requests energy-trace streaming and
@@ -199,7 +198,7 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 				lastErr = err
 				continue
 			}
-			return &Client{conn: conn, opts: o, addr: a, addrs: addrs, addrIdx: i,
+			return &Client{peer: wire.NewPeer(conn, writeTimeout), opts: o, addr: a, addrs: addrs, addrIdx: i,
 				serverName: w.Server, caps: granted}, nil
 		}
 	}
@@ -221,15 +220,15 @@ func splitAddrs(addr string) []string {
 func (c *Client) ServerName() string { return c.serverName }
 
 // Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.peer.Close() }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
 	const token = 0xEDB
-	if err := c.send(&wire.Ping{Token: token}); err != nil {
+	if err := c.peer.Send(&wire.Ping{Token: token}); err != nil {
 		return err
 	}
-	m, err := c.recv()
+	m, err := c.peer.Recv(readTimeout)
 	if err != nil {
 		return err
 	}
@@ -252,15 +251,6 @@ func (c *Client) Authenticated() bool { return c.caps&wire.FlagAuth != 0 }
 // Cluster reports whether the cluster capability (migration hand-offs and
 // journal resume) was negotiated in the handshake.
 func (c *Client) Cluster() bool { return c.caps&wire.FlagCluster != 0 }
-
-func (c *Client) send(m wire.Msg) error {
-	return wire.SendMsg(c.conn, m, 0, writeTimeout)
-}
-
-func (c *Client) recv() (wire.Msg, error) {
-	m, _, err := wire.RecvMsg(c.conn, readTimeout)
-	return m, err
-}
 
 // decodeTraceZ decodes one compressed trace chunk into the client's reused
 // scratch buffer and returns a raw-chunk view over it, so OnTrace callbacks
@@ -311,13 +301,13 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 		resumes++
 		return c.resume(&rec)
 	}
-	if err := c.send(run); err != nil {
+	if err := c.peer.Send(run); err != nil {
 		if rerr := resume(); rerr != nil {
 			return Status{}, err
 		}
 	}
 	for {
-		m, err := c.recv()
+		m, err := c.peer.Recv(readTimeout)
 		if err != nil {
 			if rerr := resume(); rerr != nil {
 				return Status{}, err
@@ -342,7 +332,7 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 			// Journal before sending: if the send fails mid-flight, the
 			// resumed session replays this answer instead of re-asking.
 			rec.Answered(ans)
-			if err := c.send(ans); err != nil {
+			if err := c.peer.Send(ans); err != nil {
 				if rerr := resume(); rerr != nil {
 					return Status{}, err
 				}
@@ -405,11 +395,11 @@ func (c *Client) resume(rec *wire.SessResume) error {
 		nc.Close()
 		return errors.New("client: reconnected server does not speak the cluster capability")
 	}
-	c.conn.Close()
-	c.conn = nc.conn
+	c.peer.Close()
+	c.peer = nc.peer
 	c.addr, c.addrIdx = nc.addr, indexOf(c.addrs, nc.addr)
 	c.serverName, c.caps = nc.serverName, nc.caps
-	err = c.send(rec)
+	err = c.peer.Send(rec)
 	if err == nil && c.opts.OnResume != nil {
 		c.opts.OnResume(c.addr, time.Since(start))
 	}

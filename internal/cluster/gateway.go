@@ -367,11 +367,11 @@ func (g *Gateway) probe(b *backendState) {
 		return
 	}
 	defer conn.Close()
-	if err := g.send(conn, &wire.Stat{}); err != nil {
+	if err := wire.SendMsg(conn, &wire.Stat{}, 0, writeTimeout); err != nil {
 		b.down.Store(true)
 		return
 	}
-	m, err := g.recv(conn, readTimeout)
+	m, _, err := wire.RecvMsg(conn, readTimeout)
 	if err != nil {
 		b.down.Store(true)
 		return
@@ -386,15 +386,6 @@ func (g *Gateway) probe(b *backendState) {
 	}
 	b.maxSessions.Store(int64(st.MaxSessions))
 	b.draining.Store(st.Draining)
-}
-
-func (g *Gateway) send(conn net.Conn, m wire.Msg) error {
-	return wire.SendMsg(conn, m, 0, writeTimeout)
-}
-
-func (g *Gateway) recv(conn net.Conn, d time.Duration) (wire.Msg, error) {
-	m, _, err := wire.RecvMsg(conn, d)
-	return m, err
 }
 
 // dialBackend opens a cluster connection to a backend, negotiating
@@ -429,7 +420,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	g.c.connsTotal.Add(1)
 	if open := g.c.connsOpen.Add(1); open > int64(g.cfg.MaxConns) {
 		g.c.connsRejected.Add(1)
-		g.send(conn, &wire.Error{Code: wire.CodeBusy, Text: "connection limit reached"})
+		wire.SendMsg(conn, &wire.Error{Code: wire.CodeBusy, Text: "connection limit reached"}, 0, writeTimeout)
 		return
 	}
 
@@ -439,49 +430,50 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 	cluster := caps&wire.FlagCluster != 0
 
+	p := wire.NewPeer(conn, writeTimeout)
 	for {
-		m, err := g.recv(conn, g.cfg.IdleTimeout)
+		m, err := p.Recv(g.cfg.IdleTimeout)
 		if err != nil {
 			if wire.IsTimeout(err) {
-				g.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
+				p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
 			}
 			return
 		}
 		switch req := m.(type) {
 		case *wire.Ping:
-			if err := g.send(conn, &wire.Pong{Token: req.Token}); err != nil {
+			if err := p.Send(&wire.Pong{Token: req.Token}); err != nil {
 				return
 			}
 		case *wire.Stat:
 			if !cluster {
-				g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
 				return
 			}
 			g.c.statProbes.Add(1)
-			if err := g.send(conn, g.aggregateStat()); err != nil {
+			if err := p.Send(g.aggregateStat()); err != nil {
 				return
 			}
 		case *wire.Join:
 			if !cluster {
-				g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
 				return
 			}
 			if req.Addr == "" {
-				g.send(conn, &wire.Error{Code: wire.CodeBadRequest, Text: "join with empty address"})
+				p.Send(&wire.Error{Code: wire.CodeBadRequest, Text: "join with empty address"})
 				return
 			}
 			g.c.joins.Add(1)
 			g.AddBackend(req.Addr)
 			// Ack with the aggregate view so the joiner sees the fleet it
 			// joined.
-			if err := g.send(conn, g.aggregateStat()); err != nil {
+			if err := p.Send(g.aggregateStat()); err != nil {
 				return
 			}
 		case *wire.Run:
 			sess := &sessState{rec: req.Seed()}
-			if err := g.proxySession(conn, caps, sess); err != nil {
+			if err := g.proxySession(p, caps, sess); err != nil {
 				return
 			}
 		case *wire.SessResume:
@@ -490,21 +482,21 @@ func (g *Gateway) handle(conn net.Conn) {
 			// the same backends): seed the proxy state from the client's own
 			// journal and route it like a fresh placement.
 			if !cluster {
-				g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
 				return
 			}
 			if req.SpecHash != scenario.SpecHash(req.Spec) {
-				g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "resume spec hash does not match its spec"})
 				return
 			}
 			sess := &sessState{rec: *req, resumed: true}
-			if err := g.proxySession(conn, caps, sess); err != nil {
+			if err := g.proxySession(p, caps, sess); err != nil {
 				return
 			}
 		default:
-			g.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+			p.Send(&wire.Error{Code: wire.CodeBadRequest,
 				Text: fmt.Sprintf("unexpected message type %#02x", m.Type())})
 			return
 		}
@@ -606,7 +598,7 @@ func (g *Gateway) place(sess *sessState) (*backendState, error) {
 
 // dispatch places the session on a backend and starts (or resumes) it
 // there, returning the open backend connection.
-func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState, error) {
+func (g *Gateway) dispatch(sess *sessState, caps byte) (*wire.Peer, *backendState, error) {
 	b, err := g.place(sess)
 	if err != nil {
 		return nil, nil, err
@@ -623,7 +615,8 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 	if !sess.resumed {
 		req = &wire.Run{Spec: sess.rec.Spec, StreamTrace: sess.rec.StreamTrace}
 	}
-	if err := g.send(conn, req); err != nil {
+	bp := wire.NewPeer(conn, writeTimeout)
+	if err := bp.Send(req); err != nil {
 		conn.Close()
 		g.markFailed(sess, b.addr)
 		return nil, nil, err
@@ -634,7 +627,7 @@ func (g *Gateway) dispatch(sess *sessState, caps byte) (net.Conn, *backendState,
 	}
 	b.inflight.Add(1)
 	b.total.Add(1)
-	return conn, b, nil
+	return bp, b, nil
 }
 
 func (g *Gateway) markFailed(sess *sessState, addr string) {
@@ -653,17 +646,17 @@ func (g *Gateway) markFailed(sess *sessState, addr string) {
 // returns nil when the session concluded and the client connection may
 // serve another request, or an error when the client connection itself is
 // no longer usable.
-func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) error {
+func (g *Gateway) proxySession(cp *wire.Peer, caps byte, sess *sessState) error {
 	g.c.sessionsTotal.Add(1)
 	g.c.sessionsActive.Add(1)
 	defer g.c.sessionsActive.Add(-1)
 
 	var lastErr error
 	for attempt := 0; attempt < g.cfg.MaxDispatches; attempt++ {
-		bconn, b, err := g.dispatch(sess, caps)
+		bp, b, err := g.dispatch(sess, caps)
 		if err != nil {
 			lastErr = err
-			g.logf("session %s: dispatch failed (attempt %d): %v", clientConn.RemoteAddr(), attempt+1, err)
+			g.logf("session %s: dispatch failed (attempt %d): %v", cp.RemoteAddr(), attempt+1, err)
 			continue
 		}
 		// pump frees the leg's slot on b before it relays the backend's
@@ -678,31 +671,52 @@ func (g *Gateway) proxySession(clientConn net.Conn, caps byte, sess *sessState) 
 				b.inflight.Add(-1)
 			}
 		}
-		done, err := g.pump(clientConn, bconn, b, sess, free)
-		bconn.Close()
+		done, err := g.pump(cp, bp, b, sess, free)
+		bp.Close()
 		free()
 		if done {
 			return err
 		}
-		// The backend was lost or handed the session away; re-dispatch.
+		// The backend was lost or handed the session away. What the lost
+		// leg relayed goes to the client before the next leg starts, so the
+		// offsets the re-dispatch sends count only bytes the client holds.
+		if ferr := cp.Flush(); ferr != nil {
+			return ferr
+		}
 		lastErr = err
 		sess.resumed = true
 	}
 	err := fmt.Errorf("cluster: session failed after %d dispatch attempts: %v", g.cfg.MaxDispatches, lastErr)
-	g.logf("session %s: %v", clientConn.RemoteAddr(), err)
-	g.send(clientConn, &wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
+	g.logf("session %s: %v", cp.RemoteAddr(), err)
+	cp.Send(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 	return err
 }
 
 // pump relays frames for one backend leg of a session. It returns
 // done=true when the session is over (cleanly, or because the *client*
 // side failed — err non-nil then), and done=false when the session should
-// be re-dispatched to another backend (hand-off or backend failure). free
-// gives back the leg's slot on b; pump calls it before relaying a frame
-// with which the backend ended the session.
-func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessState, free func()) (done bool, err error) {
+// be re-dispatched to another backend (hand-off or backend failure), with
+// relayed frames possibly still queued on cp. free gives back the leg's
+// slot on b; pump calls it before relaying a frame with which the backend
+// ended the session.
+//
+// Output and trace frames are queued on cp and written once bp holds no
+// further backend bytes, so the frames one backend write carried leave in
+// one client write, and output is never held while the gateway waits on
+// the backend. A Prompt, Done or Error writes at once.
+func (g *Gateway) pump(cp, bp *wire.Peer, b *backendState, sess *sessState, free func()) (done bool, err error) {
+	relay := func(m wire.Msg) error {
+		g.c.framesRelayed.Add(1)
+		if _, err := cp.Queue(m); err != nil {
+			return err
+		}
+		if bp.Buffered() > 0 {
+			return nil // the next backend frame is already in hand
+		}
+		return cp.Flush()
+	}
 	for {
-		m, rerr := g.recv(bconn, backendReadTimeout)
+		m, rerr := bp.Recv(backendReadTimeout)
 		if rerr != nil {
 			g.noteLeave(sess, b, true, rerr.Error())
 			return false, rerr
@@ -711,57 +725,58 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 		case *wire.Output:
 			sess.rec.SkipOutput += uint64(len(t.Data))
 			g.c.bytesRelayed.Add(int64(len(t.Data)))
-			g.c.framesRelayed.Add(1)
-			if err := g.send(clientConn, t); err != nil {
+			if err := relay(t); err != nil {
 				return true, err
 			}
 		case *wire.Trace:
 			sess.rec.SkipTraceSamples += uint64(len(t.Samples))
-			g.c.framesRelayed.Add(1)
-			if err := g.send(clientConn, t); err != nil {
+			if err := relay(t); err != nil {
 				return true, err
 			}
 		case *wire.TraceZ:
 			sess.rec.SkipTraceSamples += uint64(t.Count)
-			g.c.framesRelayed.Add(1)
-			if err := g.send(clientConn, t); err != nil {
+			if err := relay(t); err != nil {
 				return true, err
 			}
 		case *wire.Prompt:
 			g.c.framesRelayed.Add(1)
-			if err := g.send(clientConn, t); err != nil {
+			if err := cp.Send(t); err != nil {
 				return true, err
 			}
-			am, aerr := g.recv(clientConn, g.cfg.IdleTimeout)
-			if aerr != nil {
+			am, aerr := cp.Recv(g.cfg.IdleTimeout)
+			if aerr != nil && !wire.IsBadFrame(aerr) {
 				if wire.IsTimeout(aerr) {
-					g.send(clientConn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
+					cp.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
 				}
 				return true, aerr
 			}
 			a, ok := am.(*wire.Command)
 			if !ok {
 				err := fmt.Errorf("cluster: unexpected prompt answer %T", am)
-				g.send(clientConn, &wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
+				if aerr != nil {
+					err = fmt.Errorf("cluster: bad prompt answer: %w", aerr)
+				}
+				free()
+				cp.Send(&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
 				return true, err
 			}
 			// Journal before forwarding: if the backend dies taking this
 			// answer, the replay serves it instead of re-asking the client.
 			sess.rec.Answered(a)
 			g.c.answersRelayed.Add(1)
-			if werr := g.send(bconn, a); werr != nil {
+			if werr := bp.Send(a); werr != nil {
 				g.noteLeave(sess, b, true, werr.Error())
 				return false, werr
 			}
 		case *wire.SessMigrate:
-			// The backend is draining: it already flushed everything the
+			// The backend is draining: it already sent everything the
 			// client is owed, so the journal + offsets resume elsewhere.
 			g.noteLeave(sess, b, false, "drain hand-off")
 			return false, nil
 		case *wire.Done:
 			g.c.framesRelayed.Add(1)
 			free()
-			if err := g.send(clientConn, t); err != nil {
+			if err := cp.Send(t); err != nil {
 				return true, err
 			}
 			return true, nil
@@ -774,11 +789,11 @@ func (g *Gateway) pump(clientConn, bconn net.Conn, b *backendState, sess *sessSt
 				return false, t
 			}
 			free()
-			g.send(clientConn, t)
+			cp.Send(t)
 			return true, t
 		default:
 			err := fmt.Errorf("cluster: unexpected backend frame %T", m)
-			g.send(clientConn, &wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
+			cp.Send(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 			return true, err
 		}
 	}

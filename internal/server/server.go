@@ -23,7 +23,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -290,20 +289,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// send writes one frame under the write deadline. Every outbound byte goes
-// through a wire.DeadlineWriter, so no server write can block forever on a
-// dead peer: a path that armed no deadline would hang its session
-// goroutine, and a drain, indefinitely.
-func (s *Server) send(conn net.Conn, m wire.Msg) error {
-	return wire.SendMsg(conn, m, 0, s.cfg.WriteTimeout)
-}
-
-// recv reads one frame under deadline d.
-func (s *Server) recv(conn net.Conn, d time.Duration) (wire.Msg, error) {
-	m, _, err := wire.RecvMsg(conn, d)
-	return m, err
-}
-
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,7 +308,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	s.c.connsTotal.Add(1)
 	if open := s.c.connsOpen.Add(1); open > int64(s.cfg.MaxConns) {
 		s.c.connsRejected.Add(1)
-		s.send(conn, &wire.Error{Code: wire.CodeBusy, Text: "connection limit reached"})
+		wire.SendMsg(conn, &wire.Error{Code: wire.CodeBusy, Text: "connection limit reached"}, 0, s.cfg.WriteTimeout)
 		return
 	}
 
@@ -334,29 +319,33 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	traceZ := caps&wire.FlagTraceZ != 0
 	cluster := caps&wire.FlagCluster != 0
 
+	// Every outbound byte goes through the peer's wire.DeadlineWriter, so
+	// no write can block forever on a dead peer: a path that armed no
+	// deadline would hang its session goroutine, and a drain, indefinitely.
+	p := wire.NewPeer(conn, s.cfg.WriteTimeout)
 	for {
-		m, err := s.recv(conn, s.cfg.IdleTimeout)
+		m, err := p.Recv(s.cfg.IdleTimeout)
 		if err != nil {
 			if wire.IsTimeout(err) {
 				s.c.idleReaped.Add(1)
-				s.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
+				p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
 				s.logf("conn %s: reaped idle", conn.RemoteAddr())
 			}
 			return
 		}
 		switch req := m.(type) {
 		case *wire.Ping:
-			if err := s.send(conn, &wire.Pong{Token: req.Token}); err != nil {
+			if err := p.Send(&wire.Pong{Token: req.Token}); err != nil {
 				return
 			}
 		case *wire.Stat:
 			if !cluster {
-				s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
 				return
 			}
 			s.c.statProbes.Add(1)
-			if err := s.send(conn, &wire.StatReply{
+			if err := p.Send(&wire.StatReply{
 				Sessions:    uint32(s.c.sessionsOpen.Load()),
 				MaxSessions: uint32(s.cfg.MaxSessions),
 				Draining:    s.isDraining(),
@@ -368,7 +357,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 				return
 			}
 			rec := req.Seed()
-			err := s.session(conn, &rec, false, traceZ, cluster)
+			err := s.session(p, &rec, false, traceZ, cluster)
 			st.exitBusy()
 			if err != nil {
 				return
@@ -380,19 +369,19 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			}
 		case *wire.SessResume:
 			if !cluster {
-				s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "cluster capability was not negotiated"})
 				return
 			}
 			if req.SpecHash != scenario.SpecHash(req.Spec) {
-				s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+				p.Send(&wire.Error{Code: wire.CodeBadRequest,
 					Text: "resume spec hash does not match its spec"})
 				return
 			}
 			if !st.enterBusy() {
 				return
 			}
-			err := s.session(conn, req, true, traceZ, cluster)
+			err := s.session(p, req, true, traceZ, cluster)
 			st.exitBusy()
 			if err != nil {
 				return
@@ -401,7 +390,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 				return
 			}
 		default:
-			s.send(conn, &wire.Error{Code: wire.CodeBadRequest,
+			p.Send(&wire.Error{Code: wire.CodeBadRequest,
 				Text: fmt.Sprintf("unexpected message type %#02x", m.Type())})
 			return
 		}
@@ -426,16 +415,17 @@ var errMigrated = errors.New("server: session migrated to a peer")
 // the original session already answered, the first SkipOutput bytes —
 // which replay reproduces exactly — are discarded, and the session goes
 // live at precisely the byte the peer was owed next.
-func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, cluster bool) error {
+func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cluster bool) error {
 	if open := s.c.sessionsOpen.Add(1); open > int64(s.cfg.MaxSessions) {
 		s.c.sessionsOpen.Add(-1)
 		s.c.sessionsRejected.Add(1)
-		return s.send(conn, &wire.Error{Code: wire.CodeBusy, Text: "session limit reached"})
+		return p.Send(&wire.Error{Code: wire.CodeBusy, Text: "session limit reached"})
 	}
 	// The slot is freed before the frame that ends the session, not after
 	// it: a client may start its next session the moment it reads Done or
 	// an Error, and must then find the slot free. end frees it and sends
-	// that frame; the deferred free covers the paths that send none.
+	// that frame, with whatever output is still queued ahead of it; the
+	// deferred free covers the paths that send none.
 	held := true
 	free := func() {
 		if held {
@@ -446,7 +436,7 @@ func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, c
 	defer free()
 	end := func(m wire.Msg) error {
 		free()
-		return s.send(conn, m)
+		return p.Send(m)
 	}
 	s.c.sessionsTotal.Add(1)
 
@@ -463,13 +453,16 @@ func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, c
 		s.c.sessionsResumed.Add(1)
 	}
 
-	sw := &streamWriter{s: s, conn: conn}
+	sw := &streamWriter{s: s, p: p}
 	var out io.Writer = sw
 	if req.SkipOutput > 0 {
 		out = &skipWriter{w: sw, n: req.SkipOutput, c: &s.c}
 	}
 
 	migrated := false
+	// rejected ends a session whose prompt was answered by anything but a
+	// Command; the rig runs out silently first.
+	var rejected *wire.Error
 	replay := req.Journal
 	var prompt scenario.PromptFunc
 	if req.Spec.Interactive && req.Spec.Script == "" {
@@ -481,39 +474,48 @@ func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, c
 				replay = replay[1:]
 				return j.Line, j.Kind == wire.JournalLine
 			}
-			if migrated {
-				// The hand-off happened at an earlier prompt; refuse to
-				// interact so the rig finishes silently.
+			if migrated || rejected != nil {
+				// The session left at an earlier prompt; refuse to interact
+				// so the rig finishes silently.
 				return "", false
 			}
 			// Drain hand-off: a cluster peer gets a SessMigrate in place of
 			// the next Prompt — always between commands, never in the middle
-			// of one, so the in-flight answer's output is already flushed.
+			// of one, so the in-flight answer's output goes out with it.
 			if cluster && s.isDraining() {
-				s.migrateOut(conn, req.SpecHash, sw)
+				s.migrateOut(p, req.SpecHash, sw)
 				migrated = true
 				return "", false
 			}
-			if sw.flush() != nil {
+			// The output owed so far goes out in the Prompt's write.
+			if sw.queue() != nil {
 				return "", false
 			}
-			if s.send(conn, &wire.Prompt{}) != nil {
+			if err := p.Send(&wire.Prompt{}); err != nil {
+				sw.fail(err)
 				return "", false
 			}
-			m, err := s.recv(conn, s.cfg.IdleTimeout)
-			if err != nil {
+			m, err := p.Recv(s.cfg.IdleTimeout)
+			if err != nil && !wire.IsBadFrame(err) {
 				if wire.IsTimeout(err) {
 					s.c.idleReaped.Add(1)
-					s.send(conn, &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
-					s.logf("conn %s: reaped idle session", conn.RemoteAddr())
+					p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
+					s.logf("conn %s: reaped idle session", p.RemoteAddr())
 				}
 				sw.fail(err)
 				return "", false
 			}
-			if cmd, ok := m.(*wire.Command); ok && !cmd.EOF {
-				return cmd.Line, true
+			cmd, ok := m.(*wire.Command)
+			if !ok {
+				text := fmt.Sprintf("unexpected prompt answer %T", m)
+				if err != nil {
+					text = "bad prompt answer: " + err.Error()
+				}
+				rejected = &wire.Error{Code: wire.CodeBadRequest, Text: text}
+				sw.fail(rejected)
+				return "", false
 			}
-			return "", false
+			return cmd.Line, !cmd.EOF
 		}
 	}
 
@@ -530,14 +532,18 @@ func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, c
 		// Done. Close the connection so the hand-off is unambiguous.
 		return errMigrated
 	}
-	if ferr := sw.flush(); ferr != nil {
-		return ferr
+	if rejected != nil {
+		end(rejected)
+		return rejected
+	}
+	if qerr := sw.queue(); qerr != nil {
+		return qerr
 	}
 	if err != nil {
 		return end(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 	}
 	if req.StreamTrace && res.Vcap != nil {
-		if err := s.streamTrace(conn, res.Vcap, traceZ, req.SkipTraceSamples); err != nil {
+		if err := s.streamTrace(p, res.Vcap, traceZ, req.SkipTraceSamples); err != nil {
 			return err
 		}
 	}
@@ -550,20 +556,20 @@ func (s *Server) session(conn net.Conn, req *wire.SessResume, resumed, traceZ, c
 	})
 }
 
-// migrateOut hands the session to a cluster peer: flush what the peer is
-// owed, send SessMigrate, and latch the output stream shut. The peer
-// re-dispatches from its own journal — this side only has to get out of
-// the way deterministically.
-func (s *Server) migrateOut(conn net.Conn, specHash uint64, sw *streamWriter) {
-	if sw.flush() != nil {
+// migrateOut hands the session to a cluster peer: send SessMigrate with
+// the output the peer is owed ahead of it, and latch the output stream
+// shut. The peer re-dispatches from its own journal — this side only has
+// to get out of the way deterministically.
+func (s *Server) migrateOut(p *wire.Peer, specHash uint64, sw *streamWriter) {
+	if sw.queue() != nil {
 		return
 	}
-	if err := s.send(conn, &wire.SessMigrate{SpecHash: specHash}); err != nil {
+	if err := p.Send(&wire.SessMigrate{SpecHash: specHash}); err != nil {
 		sw.fail(err)
 		return
 	}
 	s.c.sessionsMigrated.Add(1)
-	s.logf("conn %s: session migrated out", conn.RemoteAddr())
+	s.logf("conn %s: session migrated out", p.RemoteAddr())
 	sw.fail(errMigrated)
 }
 
@@ -601,15 +607,15 @@ func (w *skipWriter) Write(p []byte) (int, error) {
 const chunkSamples = 512
 
 // streamTrace streams a recorded trace window to the client in chunks,
-// compressed when the TraceZ capability was negotiated. All buffers — the
-// TracePoint chunk, the codec blob, and the frame itself — are reused
-// across chunks, so the hot path is allocation-free after the first chunk;
-// frames are batched through a buffered writer flushed once per chunk.
+// compressed when the TraceZ capability was negotiated. The TracePoint
+// chunk and the codec blob are reused across chunks, and each frame is
+// encoded straight into the peer's pending buffer. Chunks are queued: they
+// write themselves every 32 KiB, and the last of them goes out with Done.
 // skipSamples resumes a migrated trace stream: the first skipSamples
 // samples — which the peer already holds as complete chunks — are not
 // re-sent. Because chunk boundaries depend only on the sample index, a
 // chunk-aligned offset reproduces the remaining frames byte-identically.
-func (s *Server) streamTrace(conn net.Conn, series *trace.Series, traceZ bool, skipSamples uint64) error {
+func (s *Server) streamTrace(p *wire.Peer, series *trace.Series, traceZ bool, skipSamples uint64) error {
 	samples := series.Samples
 	start := 0
 	if skipSamples > 0 {
@@ -620,17 +626,10 @@ func (s *Server) streamTrace(conn net.Conn, series *trace.Series, traceZ bool, s
 		}
 		start = int(skipSamples)
 	}
-	// The buffered writer sits on a wire.DeadlineWriter, not the bare conn:
-	// one Flush can span several underlying writes (and under TLS, several
-	// records), and each must earn a fresh deadline. A single absolute
-	// deadline around the whole chunked send would time out a reader that
-	// drains steadily but slowly.
-	bw := bufio.NewWriterSize(&wire.DeadlineWriter{Conn: conn, Timeout: s.cfg.WriteTimeout}, 32<<10)
 	pts := make([]wire.TracePoint, 0, chunkSamples)
 	var (
-		enc   tracecodec.Encoder
-		blob  []byte
-		frame []byte
+		enc  tracecodec.Encoder
+		blob []byte
 	)
 	for i := start; i < len(samples); i += chunkSamples {
 		end := i + chunkSamples
@@ -641,50 +640,35 @@ func (s *Server) streamTrace(conn net.Conn, series *trace.Series, traceZ bool, s
 		for _, sm := range samples[i:end] {
 			pts = append(pts, wire.TracePoint{At: uint64(sm.At), V: sm.V})
 		}
-		var err error
+		var m wire.Msg
 		if traceZ {
 			blob = enc.Encode(blob[:0], pts)
-			frame, err = wire.AppendMsg(frame[:0], &wire.TraceZ{
-				Name:  series.Name,
-				Unit:  series.Unit,
-				Count: uint32(len(pts)),
-				Data:  blob,
-			}, 0)
+			m = &wire.TraceZ{Name: series.Name, Unit: series.Unit, Count: uint32(len(pts)), Data: blob}
 		} else {
-			frame, err = wire.AppendMsg(frame[:0], &wire.Trace{
-				Name:    series.Name,
-				Unit:    series.Unit,
-				Samples: pts,
-			}, 0)
+			m = &wire.Trace{Name: series.Name, Unit: series.Unit, Samples: pts}
 		}
+		n, err := p.Queue(m)
 		if err != nil {
 			return err
 		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		s.c.traceBytes.Add(int64(len(frame)))
+		s.c.traceBytes.Add(int64(n))
 		s.c.traceSamples.Add(int64(len(pts)))
 	}
-	// The chunked send is over: clear the conn's write deadline so the
-	// last chunk's absolute deadline cannot leak onto a later write path
-	// that touches the conn directly.
-	conn.SetWriteDeadline(time.Time{})
 	return nil
 }
 
 // streamWriter frames a session's output stream back to the client,
-// coalescing small writes. A peer failure latches: the simulation keeps
-// running to completion, later output is discarded, and the session ends
-// with the connection torn down instead of a Done frame.
+// coalescing small writes. Output is queued on the peer, to go out with
+// the next frame, unless it passes flushThreshold while the simulation
+// runs: then it is written at once, so long runs stream. A peer failure
+// latches: the simulation keeps running to completion, later output is
+// discarded, and the session ends with the connection torn down instead
+// of a Done frame.
 type streamWriter struct {
-	s    *Server
-	conn net.Conn
-	buf  []byte
-	err  error
+	s   *Server
+	p   *wire.Peer
+	buf []byte
+	err error
 }
 
 // flushThreshold keeps frames reasonably sized without chattering a frame
@@ -696,26 +680,26 @@ func (w *streamWriter) Write(p []byte) (int, error) {
 		return len(p), nil // discard; the sim must still finish
 	}
 	w.buf = append(w.buf, p...)
-	if len(w.buf) >= flushThreshold {
-		w.flush()
+	if len(w.buf) >= flushThreshold && w.queue() == nil {
+		w.fail(w.p.Flush())
 	}
 	return len(p), nil
 }
 
-func (w *streamWriter) flush() error {
+// queue moves the buffered output into one queued Output frame.
+func (w *streamWriter) queue() error {
 	if w.err != nil {
 		return w.err
 	}
 	if len(w.buf) == 0 {
 		return nil
 	}
-	data := w.buf
-	w.buf = nil
-	if err := w.s.send(w.conn, &wire.Output{Data: data}); err != nil {
+	if _, err := w.p.Queue(&wire.Output{Data: w.buf}); err != nil {
 		w.fail(err)
 		return err
 	}
-	w.s.c.bytesStreamed.Add(int64(len(data)))
+	w.s.c.bytesStreamed.Add(int64(len(w.buf)))
+	w.buf = w.buf[:0]
 	return nil
 }
 

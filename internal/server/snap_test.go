@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
@@ -45,35 +47,75 @@ func TestOldClientNoSnapCompat(t *testing.T) {
 	_ = srv
 }
 
-// TestRetiredSnapFrameEndsSession: a client that still answers a prompt
-// with a retired snapshot frame (type 0x12 or 0x13) gets no time-travel.
-// The frame fails to decode as an unknown type, so no command runs, and
-// the session ends with its connection.
+// TestRetiredSnapFrameEndsSession: a client that answers a prompt with
+// anything but a Command gets no time-travel and no command. A retired
+// snapshot frame (type 0x12 or 0x13) fails to decode as an unknown type; a
+// Ping decodes but is no answer. Against a backend and through a gateway,
+// each ends the session with Error{CodeBadRequest}, sent after the
+// session's slot is freed, and then the connection closes.
 func TestRetiredSnapFrameEndsSession(t *testing.T) {
-	srv, addr := startServer(t, server.Config{})
+	srv, backend := startServer(t, server.Config{})
+	gw, gateway := startGateway(t, cluster.Config{Backends: []string{backend}, HealthInterval: time.Hour})
 	spec := testSpec(42)
 	spec.Script = ""
 	spec.Interactive = true
-	for _, typ := range []byte{0x12, 0x13} {
-		conn := dialCluster(t, addr, 0)
-		if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
-			t.Fatal(err)
-		}
-		var banner bytes.Buffer
-		driveUntilPrompt(t, conn, &banner)
-		before := srv.Metrics()
-		if _, err := conn.Write([]byte{typ, 0, 0, 0, 0, 0}); err != nil {
-			t.Fatal(err)
-		}
-		if m, err := wire.ReadMsg(conn); err == nil {
-			t.Fatalf("type %#02x: session went on after the retired frame with %T", typ, m)
-		}
-		after := srv.Metrics()
-		if after.CommandsServed != before.CommandsServed {
-			t.Fatalf("type %#02x: the retired frame ran %d commands", typ, after.CommandsServed-before.CommandsServed)
-		}
-		if after.SessionsOpen != 0 {
-			t.Fatalf("type %#02x: %d sessions still open", typ, after.SessionsOpen)
+	ping, err := wire.EncodeMsg(&wire.Ping{Token: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := []struct {
+		name  string
+		frame []byte
+	}{
+		{"0x12", []byte{0x12, 0, 0, 0, 0, 0}},
+		{"0x13", []byte{0x13, 0, 0, 0, 0, 0}},
+		{"ping", ping},
+	}
+	tiers := []struct {
+		name, addr string
+		slots      func() int64 // session slots held where the frame ends the session
+		open       func() int64 // sessions still open once the connection closed
+	}{
+		{"backend", backend, func() int64 { return srv.Metrics().SessionsOpen }, func() int64 { return srv.Metrics().SessionsOpen }},
+		{"gateway", gateway, func() int64 { return gw.Metrics().Backends[0].Inflight }, func() int64 { return gw.Metrics().SessionsActive }},
+	}
+	for _, tier := range tiers {
+		for _, a := range answers {
+			t.Run(tier.name+"/"+a.name, func(t *testing.T) {
+				conn := dialCluster(t, tier.addr, 0)
+				if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
+					t.Fatal(err)
+				}
+				var banner bytes.Buffer
+				driveUntilPrompt(t, conn, &banner)
+				before := srv.Metrics()
+				if _, err := conn.Write(a.frame); err != nil {
+					t.Fatal(err)
+				}
+				m, err := wire.ReadMsg(conn)
+				if werr, ok := m.(*wire.Error); err != nil || !ok || werr.Code != wire.CodeBadRequest {
+					t.Fatalf("want Error{CodeBadRequest}, got %#v (%v)", m, err)
+				}
+				if n := tier.slots(); n != 0 {
+					t.Fatalf("%d session slots still held when the Error arrived", n)
+				}
+				if m, err := wire.ReadMsg(conn); err != io.EOF {
+					t.Fatalf("want EOF after the Error, got %T (%v)", m, err)
+				}
+				if n := tier.open(); n != 0 {
+					t.Fatalf("%d sessions still open after the close", n)
+				}
+				// Through a gateway the backend's session ends when the
+				// gateway hangs up on it.
+				for deadline := time.Now().Add(10 * time.Second); srv.Metrics().SessionsOpen != 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the backend session never ended")
+					}
+				}
+				if after := srv.Metrics(); after.CommandsServed != before.CommandsServed {
+					t.Fatalf("the answer ran %d commands", after.CommandsServed-before.CommandsServed)
+				}
+			})
 		}
 	}
 }

@@ -15,7 +15,9 @@ import "repro/internal/sim"
 // before its first append. The symbol table and the side table of wide
 // Args only grow between discards; a discard that finds either past twice
 // Limit rebuilds both from the retained events, so a log whose events
-// carry many distinct texts stays bounded by Limit too.
+// carry many distinct texts stays bounded by Limit too. The log counts its
+// retained records per symbol as it goes, so Count and Kinds cost
+// O(symbols), not O(events); a state shares the counts copy-on-write.
 type Log struct {
 	Name string
 	// Limit bounds the retained events (0 = unbounded).
@@ -34,6 +36,9 @@ type Log struct {
 	index   map[symbol]uint32 // syms' lookup; nil until needed after Restore
 	lastSym uint32            // the symbol the previous Add interned
 	wide    []int             // Args that do not fit a record
+
+	counts       []int // retained records per symbol, indexed like syms
+	countsShared bool  // a LogState holds counts too: copy it before changing it
 }
 
 // record is an Event as a Log stores it.
@@ -66,6 +71,9 @@ func (l *Log) Add(e Event) {
 
 // push appends an event without regard to Limit.
 func (l *Log) push(e Event) {
+	if l.countsShared {
+		l.ownCounts()
+	}
 	r := record{at: e.At, arg: int32(e.Arg), sym: l.intern(e.Kind, e.Text)}
 	if int(r.arg) != e.Arg {
 		r.arg = int32(len(l.wide))
@@ -84,12 +92,25 @@ func (l *Log) push(e Event) {
 	}
 	l.shared = false
 	l.chunks[last] = append(l.chunks[last], r)
+	l.counts[r.sym&^wideArg]++
 	l.n++
+}
+
+// ownCounts gives the log a copy of the counts a LogState shares.
+func (l *Log) ownCounts() {
+	l.counts = append([]int(nil), l.counts...)
+	l.countsShared = false
 }
 
 // discard drops the k oldest events, releasing chunks that empties, and
 // compacts the log once its tables have outgrown the limit.
 func (l *Log) discard(k int) {
+	if l.countsShared {
+		l.ownCounts()
+	}
+	for j := l.off; j < l.off+k; j++ {
+		l.counts[l.chunks[j>>chunkBits][j&(chunkLen-1)].sym&^wideArg]--
+	}
 	l.Dropped += uint64(k)
 	l.off += k
 	l.n -= k
@@ -109,6 +130,7 @@ func (l *Log) compact() {
 	old := *l
 	l.chunks, l.off, l.n, l.shared = nil, 0, 0, false
 	l.syms, l.index, l.lastSym, l.wide = nil, nil, 0, nil
+	l.counts, l.countsShared = nil, false
 	old.scan(func(rs []record) {
 		for _, r := range rs {
 			l.push(old.event(r))
@@ -132,6 +154,7 @@ func (l *Log) intern(kind, text string) uint32 {
 	if !ok {
 		s = uint32(len(l.syms))
 		l.syms = append(l.syms, key)
+		l.counts = append(l.counts, 0)
 		l.index[key] = s
 	}
 	l.lastSym = s
@@ -183,26 +206,18 @@ func (l *Log) Count(kind string) int {
 		return l.n
 	}
 	n := 0
-	l.scan(func(rs []record) {
-		for _, r := range rs {
-			if l.syms[r.sym&^wideArg].kind == kind {
-				n++
-			}
+	for s, c := range l.counts {
+		if l.syms[s].kind == kind {
+			n += c
 		}
-	})
+	}
 	return n
 }
 
 // Kinds returns the number of retained events of each kind.
 func (l *Log) Kinds() map[string]int {
-	per := make([]int, len(l.syms))
-	l.scan(func(rs []record) {
-		for _, r := range rs {
-			per[r.sym&^wideArg]++
-		}
-	})
 	out := make(map[string]int)
-	for s, c := range per {
+	for s, c := range l.counts {
 		if c > 0 {
 			out[l.syms[s].kind] += c
 		}
@@ -232,6 +247,7 @@ type LogState struct {
 	dropped uint64
 	syms    []symbol
 	wide    []int
+	counts  []int
 }
 
 // Snapshot captures the retained events in O(chunks), without copying them.
@@ -251,7 +267,9 @@ func (l *Log) SnapshotInto(st *LogState) {
 		dropped: l.Dropped,
 		syms:    l.syms[:len(l.syms):len(l.syms)],
 		wide:    l.wide[:len(l.wide):len(l.wide)],
+		counts:  l.counts[:len(l.counts):len(l.counts)],
 	}
+	l.countsShared = true
 }
 
 // Restore replaces the retained events and Dropped with a captured state,
@@ -262,4 +280,5 @@ func (l *Log) Restore(s LogState) {
 	l.shared = true
 	l.syms, l.wide = s.syms, s.wide
 	l.index, l.lastSym = nil, 0
+	l.counts, l.countsShared = s.counts, true
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -329,5 +330,78 @@ func TestLogSnapshotShares(t *testing.T) {
 	}
 	if n := b.Count("other"); n != 679 || b.Kinds()["other"] != n {
 		t.Fatalf("b holds %d events of its own, want 679", n)
+	}
+}
+
+// TestLogCountsMatchScan holds Kinds and Count, which read the per-symbol
+// counts, to a full scan of the retained events, over random sequences of
+// adds (which discard at Limit), compactions, snapshots into new and
+// reused states, and restores. Every state must keep reading what it was
+// taken with.
+func TestLogCountsMatchScan(t *testing.T) {
+	kinds := []string{"gpio:app-pin", "uart", "watchpoint", "energy"}
+	type taken struct {
+		st    LogState
+		kinds map[string]int
+	}
+	scan := func(l *Log) map[string]int {
+		want := make(map[string]int)
+		for _, e := range l.Events() {
+			want[e.Kind]++
+		}
+		return want
+	}
+	check := func(t *testing.T, l *Log, want map[string]int, step int) {
+		t.Helper()
+		if got := l.Kinds(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Kinds %v, a scan finds %v", step, got, want)
+		}
+		for _, k := range append(kinds, "none") {
+			if got := l.Count(k); got != want[k] {
+				t.Fatalf("step %d: Count(%q) = %d, a scan finds %d", step, k, got, want[k])
+			}
+		}
+		if l.Count("") != l.Len() {
+			t.Fatalf("step %d: Count(\"\") = %d for %d events", step, l.Count(""), l.Len())
+		}
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			l := NewLog("p")
+			l.Limit = 1 + rng.Intn(200)
+			var states []taken
+			for step := 0; step < 1500; step++ {
+				switch r := rng.Intn(100); {
+				case r < 80:
+					e := Event{At: sim.Cycles(step), Kind: kinds[rng.Intn(len(kinds))], Arg: rng.Intn(4)}
+					if rng.Intn(4) == 0 {
+						e.Text = fmt.Sprintf("t%d", rng.Intn(3*l.Limit))
+					}
+					if rng.Intn(16) == 0 {
+						e.Arg = math.MaxInt64 - step // does not fit a record
+					}
+					l.Add(e)
+				case r < 84:
+					l.compact()
+				case r < 90:
+					states = append(states, taken{l.Snapshot(), scan(l)})
+				case r < 93 && len(states) > 0:
+					i := rng.Intn(len(states))
+					l.SnapshotInto(&states[i].st)
+					states[i].kinds = scan(l)
+				case len(states) > 0:
+					s := states[rng.Intn(len(states))]
+					l.Restore(s.st)
+					check(t, l, s.kinds, step)
+				}
+				check(t, l, scan(l), step)
+			}
+			for i, s := range states {
+				var r Log
+				r.Restore(s.st)
+				check(t, &r, s.kinds, -1-i)
+			}
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"crypto/subtle"
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -21,6 +23,10 @@ const handshakeTimeout = 10 * time.Second
 // long journal); one deadline for all of it would cut off a peer that
 // drains steadily but needs longer than the timeout in aggregate.
 const writeChunk = 64 << 10
+
+// pendingLimit is the size past which a Peer's queued frames write
+// themselves.
+const pendingLimit = 32 << 10
 
 // ErrHandshake marks a dial that reached the peer but failed its TLS
 // handshake or its Hello/Welcome exchange: a retry meets the same peer.
@@ -285,16 +291,97 @@ func (w *DeadlineWriter) Write(p []byte) (int, error) {
 }
 
 // SendMsg writes one frame carrying flags to conn through a DeadlineWriter
-// with the given timeout.
+// with the given timeout. It serves the one-frame exchanges outside a
+// request loop: the handshake, a connection-limit reject, a Stat probe and
+// a Join. A request loop uses a Peer.
 func SendMsg(conn net.Conn, m Msg, flags byte, timeout time.Duration) error {
 	return WriteMsgFlags(&DeadlineWriter{Conn: conn, Timeout: timeout}, m, flags)
 }
 
 // RecvMsg reads one frame and its flags from conn under a fresh read
 // deadline of timeout, so the timeout bounds the wait for this frame alone.
+// It reads no byte past the frame, so a Peer can take the connection over.
 func RecvMsg(conn net.Conn, timeout time.Duration) (Msg, byte, error) {
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	return ReadMsgFlags(conn)
+}
+
+// Peer is one connection's frame I/O after the handshake. Reads go through
+// a buffer, so the frames one peer write carried cost one read. Writes
+// leave from a pending buffer: Queue holds a frame the peer need not act
+// on yet, and Send writes everything held together with the frame that
+// follows, in one DeadlineWriter write. Held frames write themselves once
+// they pass 32 KiB. A Peer is not safe for concurrent use.
+type Peer struct {
+	conn net.Conn
+	r    *bufio.Reader
+	w    DeadlineWriter
+	out  []byte
+}
+
+// NewPeer wraps a connection whose handshake is done; writeTimeout bounds
+// each write's stall.
+func NewPeer(conn net.Conn, writeTimeout time.Duration) *Peer {
+	return &Peer{conn: conn, r: bufio.NewReader(conn), w: DeadlineWriter{Conn: conn, Timeout: writeTimeout}}
+}
+
+// Recv reads one frame under a fresh read deadline of timeout, as RecvMsg
+// does.
+func (p *Peer) Recv(timeout time.Duration) (Msg, error) {
+	p.conn.SetReadDeadline(time.Now().Add(timeout))
+	m, _, err := ReadMsgFlags(p.r)
+	return m, err
+}
+
+// RemoteAddr returns the peer's network address.
+func (p *Peer) RemoteAddr() net.Addr { return p.conn.RemoteAddr() }
+
+// Close closes the connection; held frames are dropped.
+func (p *Peer) Close() error { return p.conn.Close() }
+
+// Buffered returns the number of bytes already read from the connection
+// that no Recv has consumed yet.
+func (p *Peer) Buffered() int { return p.r.Buffered() }
+
+// Queue appends m's frame to the pending buffer and returns the frame's
+// size. It writes the buffer once that passes 32 KiB.
+func (p *Peer) Queue(m Msg) (n int, err error) {
+	n = len(p.out)
+	if p.out, err = AppendMsg(p.out, m, 0); err != nil {
+		return 0, err
+	}
+	n = len(p.out) - n
+	if len(p.out) > pendingLimit {
+		err = p.Flush()
+	}
+	return n, err
+}
+
+// Send queues m and writes everything pending.
+func (p *Peer) Send(m Msg) error {
+	if _, err := p.Queue(m); err != nil {
+		return err
+	}
+	return p.Flush()
+}
+
+// Flush writes everything pending in one DeadlineWriter write.
+func (p *Peer) Flush() error {
+	if len(p.out) == 0 {
+		return nil
+	}
+	_, err := p.w.Write(p.out)
+	p.out = p.out[:0]
+	return err
+}
+
+// IsBadFrame reports whether a read error rejects what the peer sent (a
+// header or payload that does not decode) rather than the connection (an
+// EOF, a reset, a closed connection, an expired deadline). A peer that sent
+// a bad frame is still there to be told so.
+func IsBadFrame(err error) bool {
+	var ne net.Error
+	return err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &ne)
 }
 
 // IsTimeout reports whether err is a network timeout, such as an expired

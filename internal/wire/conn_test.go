@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -201,43 +203,128 @@ func TestAbsoluteDeadlineSpuriouslyFails(t *testing.T) {
 	}
 }
 
-// TestRecvMsgRearmsPerFrame: each RecvMsg arms a fresh read deadline, so
-// an idle gap longer than the timeout between two frames is fine; only a
-// peer silent within one wait times out.
+// TestRecvMsgRearmsPerFrame: each RecvMsg, and each Recv through a Peer's
+// buffered reader, arms a fresh read deadline, so an idle gap longer than
+// the timeout between two frames is fine; only a peer silent within one
+// wait times out.
 func TestRecvMsgRearmsPerFrame(t *testing.T) {
-	cw, cr := net.Pipe()
-	defer cw.Close()
-	defer cr.Close()
+	for _, tc := range []struct {
+		name string
+		recv func(net.Conn) func(time.Duration) (Msg, error)
+	}{
+		{"RecvMsg", func(c net.Conn) func(time.Duration) (Msg, error) {
+			return func(d time.Duration) (Msg, error) {
+				m, _, err := RecvMsg(c, d)
+				return m, err
+			}
+		}},
+		{"Peer", func(c net.Conn) func(time.Duration) (Msg, error) { return NewPeer(c, time.Second).Recv }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cw, cr := net.Pipe()
+			defer cw.Close()
+			defer cr.Close()
 
-	const deadline = 200 * time.Millisecond
-	go func() {
-		// net.Pipe is synchronous: each write parks until the reader takes
-		// it, so frame 2 waits out the reader's idle gap on the writer side.
-		WriteMsg(cw, &Stat{})
-		WriteMsg(cw, &Stat{})
-	}()
+			const deadline = 200 * time.Millisecond
+			go func() {
+				// net.Pipe is synchronous: each write parks until the reader
+				// takes it, so frame 2 waits out the reader's idle gap on the
+				// writer side.
+				WriteMsg(cw, &Stat{})
+				WriteMsg(cw, &Stat{})
+			}()
 
-	for i := 0; i < 2; i++ {
-		if i > 0 {
-			// Idle past the previous call's deadline: only a fresh re-arm
-			// lets the next frame through.
-			time.Sleep(3 * deadline / 2)
+			recv := tc.recv(cr)
+			for i := 0; i < 2; i++ {
+				if i > 0 {
+					// Idle past the previous call's deadline: only a fresh
+					// re-arm lets the next frame through.
+					time.Sleep(3 * deadline / 2)
+				}
+				m, err := recv(deadline)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if _, ok := m.(*Stat); !ok {
+					t.Fatalf("frame %d: got %T", i, m)
+				}
+			}
+
+			start := time.Now()
+			if _, err := recv(deadline); !IsTimeout(err) {
+				t.Fatalf("want a timeout from a silent peer, got %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*deadline {
+				t.Fatalf("silent-peer read took %v, want ~%v", elapsed, deadline)
+			}
+		})
+	}
+}
+
+// writeCounter is a net.Conn that records each Write as one buffer.
+type writeCounter struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (w *writeCounter) SetWriteDeadline(time.Time) error { return nil }
+
+// TestPeerWritesQueuedFramesWithTheNext: queued frames leave in the write
+// of the next Send, in order; held frames write themselves once they pass
+// 32 KiB; Flush writes what is held and nothing when nothing is.
+func TestPeerWritesQueuedFramesWithTheNext(t *testing.T) {
+	conn := &writeCounter{}
+	p := NewPeer(conn, time.Second)
+	frames := func(b []byte) []Msg {
+		t.Helper()
+		var ms []Msg
+		for r := bytes.NewReader(b); r.Len() > 0; {
+			m, err := ReadMsg(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
 		}
-		m, _, err := RecvMsg(cr, deadline)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if _, ok := m.(*Stat); !ok {
-			t.Fatalf("frame %d: got %T", i, m)
-		}
+		return ms
 	}
 
-	start := time.Now()
-	if _, _, err := RecvMsg(cr, deadline); !IsTimeout(err) {
-		t.Fatalf("want a timeout from a silent peer, got %v", err)
+	out := &Output{Data: []byte("(edb) ")}
+	n, err := p.Queue(out)
+	if err != nil || n != headerSize+4+len(out.Data) {
+		t.Fatalf("Queue = %d, %v", n, err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*deadline {
-		t.Fatalf("silent-peer RecvMsg took %v, want ~%v", elapsed, deadline)
+	if len(conn.writes) != 0 {
+		t.Fatal("Queue wrote a frame the peer need not act on yet")
+	}
+	if err := p.Send(&Prompt{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 {
+		t.Fatalf("Output then Prompt took %d writes, want 1", len(conn.writes))
+	}
+	if got := frames(conn.writes[0]); !reflect.DeepEqual(got, []Msg{out, &Prompt{}}) {
+		t.Fatalf("the write carried %#v", got)
+	}
+
+	if err := p.Flush(); err != nil || len(conn.writes) != 1 {
+		t.Fatalf("an empty Flush wrote (%d writes, %v)", len(conn.writes), err)
+	}
+	big := &Output{Data: make([]byte, 20<<10)}
+	for i := 1; i <= 2; i++ {
+		if _, err := p.Queue(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(conn.writes) != 2 || len(frames(conn.writes[1])) != 2 {
+		t.Fatalf("two 20 KiB frames held: %d writes, want the second to write both", len(conn.writes))
+	}
+	if err := p.Flush(); err != nil || len(conn.writes) != 2 {
+		t.Fatalf("Flush after a self-write wrote again (%d writes, %v)", len(conn.writes), err)
 	}
 }
 

@@ -43,9 +43,12 @@
 // Dialer runs the dialing side of the handshake: TCP connect, TLS, Hello,
 // Welcome, all under one timeout. Acceptor runs the accepting side: TLS,
 // version check, capability masking, token check, Welcome, with the
-// handshake counters and rate-limited failure logs. SendMsg and RecvMsg
-// arm a fresh deadline per frame, and DeadlineWriter re-arms per 64 KiB
-// within one, so a deadline bounds a stall, never a whole transfer.
+// handshake counters and rate-limited failure logs. After the handshake a
+// request loop does its frame I/O through a Peer: frames are read through
+// a buffer, and a frame the peer need not act on yet is queued to leave in
+// one write with the frame that follows. Every frame read arms a fresh
+// deadline, and DeadlineWriter re-arms per 64 KiB within a write, so a
+// deadline bounds a stall, never a whole transfer.
 package wire
 
 import (

@@ -7,6 +7,7 @@ set -eu
 workdir=$(mktemp -d)
 daemon_pid=""
 tls_daemon_pid=""
+held_pid=""
 backend_a_pid=""
 backend_b_pid=""
 backend_c_pid=""
@@ -16,7 +17,7 @@ gateway_pid=""
 gw1_pid=""
 gw2_pid=""
 cleanup() {
-    for pid in "$daemon_pid" "$tls_daemon_pid" "$backend_a_pid" \
+    for pid in "$daemon_pid" "$tls_daemon_pid" "$held_pid" "$backend_a_pid" \
                "$backend_b_pid" "$backend_c_pid" "$backend_d_pid" \
                "$backend_e_pid" "$gateway_pid" "$gw1_pid" "$gw2_pid"; do
         if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
@@ -175,6 +176,28 @@ if ! grep -q '"edbd"' "$workdir/vars.out" || ! grep -q "edbd" "$workdir/cmdline.
 fi
 if grep -q "smoke-secret" "$workdir/vars.out" "$workdir/cmdline.out"; then
     echo "smoke: FAIL — a metrics page serves the auth token" >&2
+    exit 1
+fi
+
+echo "smoke: checking that a daemon whose -metrics address is taken does not start"
+"$workdir/edbd" -addr 127.0.0.1:0 -metrics "$metrics_addr" 2>"$workdir/edbd-held.log" &
+held_pid=$!
+i=0
+while [ $i -lt 50 ] && kill -0 "$held_pid" 2>/dev/null; do
+    sleep 0.1
+    i=$((i + 1))
+done
+if kill -0 "$held_pid" 2>/dev/null; then
+    echo "smoke: FAIL — a daemon without its metrics endpoint still runs after 5 s" >&2
+    cat "$workdir/edbd-held.log" >&2
+    exit 1
+fi
+held_rc=0
+wait "$held_pid" || held_rc=$?
+held_pid=""
+if [ "$held_rc" -eq 0 ] || grep -q "listening on" "$workdir/edbd-held.log"; then
+    echo "smoke: FAIL — a daemon whose metrics address is taken started (rc $held_rc)" >&2
+    cat "$workdir/edbd-held.log" >&2
     exit 1
 fi
 
