@@ -17,7 +17,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# One benchmark iteration per table/figure with the headline metrics.
+# One iteration of the substrate benchmarks: watchpoint cost, simulator
+# and ISA interpreter throughput.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
@@ -27,11 +28,10 @@ BASE ?= HEAD~1
 benchcmp:
 	sh scripts/benchcmp.sh $(BASE)
 
-# Regenerate every table, figure, case study, sweep, and ablation, plus
-# the trace-codec, snapshot, fleet, kernel, cluster, gateway-failover, and
-# exhaustive-exploration benchmarks, into BENCH.json.
+# Regenerate every paper experiment (group all) and every benchmark suite
+# (group bench) into results/, with their metrics in BENCH.json.
 results:
-	$(GO) run ./cmd/edb-bench -exp all -trace -snapshot -fleet -kernel -cluster -gateway-failover -explore -csv -out results
+	$(GO) run ./cmd/edb-bench -exp all,bench -csv -out results
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,204 +1,14 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure (§5), each reporting the experiment's headline numbers as
-// custom metrics so `go test -bench=.` doubles as a reproduction report.
-// The full paper-formatted output comes from `go run ./cmd/edb-bench`.
+// Benchmarks of the simulated substrate: the target-side cost of a
+// watchpoint, and the simulator's and ISA interpreter's throughput. The
+// paper's tables and figures run from `go run ./cmd/edb-bench`, which
+// reports their headline numbers with -json.
 package repro
 
 import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/trace"
-	"repro/internal/units"
 )
-
-// BenchmarkTable2Interference characterizes the worst-case DC leakage over
-// every debugger↔target connection (Table 2). Metric: total worst-case
-// current in nA (paper: 836.51 nA) and the fraction of the MCU's active
-// current (paper: ~0.2 %).
-func BenchmarkTable2Interference(b *testing.B) {
-	var total units.Amps
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunTable2(experiments.Table2Config{
-			Trials: 25, Seed: int64(i + 1), MCUActiveCurrent: units.MilliAmps(0.5),
-		})
-		total = r.TotalWorstCase
-		frac = r.ActiveFraction
-	}
-	b.ReportMetric(float64(total)*1e9, "worst-case-nA")
-	b.ReportMetric(100*frac, "pct-of-active-current")
-}
-
-// BenchmarkTable3SaveRestore measures the energy save/restore accuracy
-// (Table 3). Metrics: mean ΔV in mV (paper: 54 mV) and mean ΔE as % of the
-// 47 µF store (paper: 4.34 %).
-func BenchmarkTable3SaveRestore(b *testing.B) {
-	var dv, de float64
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultTable3Config()
-		cfg.Trials = 25
-		cfg.Seed = int64(i + 3)
-		r, err := experiments.RunTable3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dv = trace.Summarize(r.DVScope).Mean
-		de = trace.Summarize(r.DEPctScope).Mean
-	}
-	b.ReportMetric(1e3*dv, "dV-mV")
-	b.ReportMetric(de, "dE-pct")
-}
-
-// BenchmarkTable4PrintCost measures the cost of debug output in the
-// activity-recognition app (Table 4). Metrics: iteration success rates per
-// build (paper: 87 % / 74 % / 82 %) and the marginal print energy in % of
-// the store (paper: UART 2.5 %, EDB 0.11 %).
-func BenchmarkTable4PrintCost(b *testing.B) {
-	var r experiments.Table4Result
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultPrintCostConfig()
-		cfg.Duration = 20
-		cfg.Seed = int64(i + 4)
-		var err error
-		r, err = experiments.RunPrintCost(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*r.Modes[0].SuccessRate, "success-noprint-pct")
-	b.ReportMetric(100*r.Modes[1].SuccessRate, "success-uart-pct")
-	b.ReportMetric(100*r.Modes[2].SuccessRate, "success-edb-pct")
-	b.ReportMetric(r.Modes[1].PrintEnergyPct, "uart-print-energy-pct")
-	b.ReportMetric(r.Modes[2].PrintEnergyPct, "edb-print-energy-pct")
-}
-
-// BenchmarkFig7AssertTrace runs the linked-list memory-corruption case
-// study (Figure 7), both panels. Metrics: the without-assert run's early
-// and late main-loop rates (the collapse is the bug) and the with-assert
-// run's final tethered voltage (the keep-alive).
-func BenchmarkFig7AssertTrace(b *testing.B) {
-	var noAssert, withAssert experiments.Fig7Result
-	for i := 0; i < b.N; i++ {
-		panels, err := experiments.RunFig7Panels(experiments.Fig7Config{Duration: 10, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		noAssert, withAssert = panels[0], panels[1]
-	}
-	b.ReportMetric(noAssert.EarlyRate, "early-iters-per-s")
-	b.ReportMetric(noAssert.LateRate, "late-iters-per-s")
-	b.ReportMetric(float64(withAssert.VcapAtEnd), "keepalive-vcap-V")
-}
-
-// BenchmarkFig9EnergyGuard runs the consistency-check case study
-// (Figure 9). Metrics: items appended by the unguarded and guarded debug
-// builds in the same simulated time.
-func BenchmarkFig9EnergyGuard(b *testing.B) {
-	var ung, gua experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		panels, err := experiments.RunFig9Panels(experiments.Fig9Config{Duration: 12, Seed: 7, MaxNodes: 4000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ung, gua = panels[0], panels[1]
-	}
-	b.ReportMetric(float64(ung.Count), "unguarded-items")
-	b.ReportMetric(float64(gua.Count), "guarded-items")
-}
-
-// BenchmarkFig11EnergyProfile builds the per-iteration energy CDFs
-// (Figure 11). Metrics: the median iteration energy per build in % of the
-// store — the CDF separation the figure shows.
-func BenchmarkFig11EnergyProfile(b *testing.B) {
-	var fig experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultPrintCostConfig()
-		cfg.Duration = 15
-		cfg.Seed = int64(i + 11)
-		t4, err := experiments.RunPrintCost(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig = experiments.Fig11FromTable4(t4)
-	}
-	b.ReportMetric(fig.CDFs[0].Quantile(0.5), "median-noprint-pct")
-	b.ReportMetric(fig.CDFs[1].Quantile(0.5), "median-uart-pct")
-	b.ReportMetric(fig.CDFs[2].Quantile(0.5), "median-edb-pct")
-}
-
-// BenchmarkFig12RFID runs the RFID monitoring case study (Figure 12).
-// Metrics: response rate (paper: 86 %) and replies per second (paper: ~13).
-func BenchmarkFig12RFID(b *testing.B) {
-	var r experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig12Config()
-		cfg.Duration = 10
-		cfg.Seed = int64(i + 12)
-		var err error
-		r, err = experiments.RunFig12(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*r.ResponseRate, "response-rate-pct")
-	b.ReportMetric(r.RepliesPerSecond, "replies-per-s")
-}
-
-// BenchmarkSec532HangPoint measures where the unguarded debug build stops
-// making progress (§5.3.2; paper: ~555 items).
-func BenchmarkSec532HangPoint(b *testing.B) {
-	var r experiments.Sec532Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.RunSec532(20, int64(i+7))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.HangCount), "hang-items")
-	b.ReportMetric(float64(r.PredictedHang), "model-predicted-items")
-}
-
-// BenchmarkAblateRestoreMargin sweeps the restore control loop's guard
-// band (an EDB design choice). Metrics: the measured ΔV at the default
-// band and the undershoot count across the sweep (must be zero at
-// default-class bands).
-func BenchmarkAblateRestoreMargin(b *testing.B) {
-	var r experiments.AblateRestoreMarginResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.RunAblateRestoreMargin(10, int64(i+5))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range r.Points {
-		if float64(p.Margin) >= 0.05 {
-			b.ReportMetric(1e3*float64(p.MeanDV), "default-band-dV-mV")
-			b.ReportMetric(float64(p.Undershoots), "default-band-undershoots")
-			break
-		}
-	}
-}
-
-// BenchmarkAblateSamplePeriod sweeps EDB's passive sampling period.
-// Metrics: energy-breakpoint trigger lag (mV below threshold) at the
-// fastest and slowest settings.
-func BenchmarkAblateSamplePeriod(b *testing.B) {
-	var r experiments.AblateSamplePeriodResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.RunAblateSamplePeriod(int64(i + 5))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n := len(r.Points); n > 0 {
-		b.ReportMetric(1e3*float64(r.Points[0].TriggerBelow), "fastest-lag-mV")
-		b.ReportMetric(1e3*float64(r.Points[n-1].TriggerBelow), "slowest-lag-mV")
-	}
-}
 
 // BenchmarkWatchpointCost measures the target-side cost of one code-marker
 // watchpoint in MCU cycles (§4.1.3: "practically energy-interference-

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -30,14 +29,14 @@ import (
 // Adding a backend then adds session slots, and throughput scales with the
 // fleet while the CPU stays mostly idle — the same regime as a real fleet
 // of EDB rigs, where the board, not the gateway host, is the bottleneck.
-func runClusterBench(o *jobOut, quick bool) error {
+func runClusterBench(o *jobOut, opt options) error {
 	const (
 		capPerBackend = 4                      // session slots a backend contributes
 		thinkTime     = 300 * time.Millisecond // client dwell per prompt
 	)
 	legs := []int{1, 2, 4}
 	perClient := 10 // sessions each client runs back to back
-	if quick {
+	if opt.quick {
 		legs = []int{1, 2}
 		perClient = 6
 	}
@@ -113,12 +112,6 @@ func runClusterBench(o *jobOut, quick bool) error {
 	fmt.Fprintf(&b, "  migration latency p50 %.1f ms, p99 %.1f ms\n",
 		1e3*mig.p50.Seconds(), 1e3*mig.p99.Seconds())
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_cluster.json", string(js)+"\n")
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -41,8 +40,8 @@ func exploreWorkload(quick bool) explore.Config {
 // report deep-compared across worker counts (any divergence is a
 // determinism bug, not a statistics artifact). Results land in
 // BENCH_explore.json.
-func runExploreBench(o *jobOut, quick bool) error {
-	cfg := exploreWorkload(quick)
+func runExploreBench(o *jobOut, opt options) error {
+	cfg := exploreWorkload(opt.quick)
 	workers := []int{1, 2, 4}
 
 	var base *explore.Report
@@ -95,11 +94,5 @@ func runExploreBench(o *jobOut, quick bool) error {
 		secs[0]/secs[len(secs)-1], runtime.NumCPU())
 	b.WriteString("  reports identical across worker counts\n")
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_explore.json", string(js)+"\n")
 	return nil
 }

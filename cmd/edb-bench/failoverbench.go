@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -26,9 +25,9 @@ import (
 // failure. Every surviving session's output is verified byte-for-byte
 // against a local golden run, so "survived" means "indistinguishable from
 // an unmigrated session", not merely "did not error".
-func runGatewayFailoverBench(o *jobOut, quick bool) error {
+func runGatewayFailoverBench(o *jobOut, opt options) error {
 	sessions := 16
-	if quick {
+	if opt.quick {
 		sessions = 8
 	}
 	cmds := []string{"vcap", "status", "halt"}
@@ -196,12 +195,6 @@ func runGatewayFailoverBench(o *jobOut, quick bool) error {
 	fmt.Fprintf(&b, "  client-observed hand-off latency p50 %.1f ms, p99 %.1f ms\n",
 		1e3*p50.Seconds(), 1e3*p99.Seconds())
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_gateway_failover.json", string(js)+"\n")
 
 	if handoffs == 0 {
 		return fmt.Errorf("gateway kill produced no hand-offs")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -38,14 +37,14 @@ func kernelBaseline(quick bool) (float64, error) {
 
 // runKernelBench records the sequential simulator kernel's throughput — the
 // denominator of the fleet speedup — as a "kernel" suite in BENCH.json.
-func runKernelBench(o *jobOut, quick bool) error {
-	simPerSec, err := kernelBaseline(quick)
+func runKernelBench(o *jobOut, opt options) error {
+	simPerSec, err := kernelBaseline(opt.quick)
 	if err != nil {
 		return err
 	}
 
 	isaIters := 40
-	if quick {
+	if opt.quick {
 		isaIters = 10
 	}
 	start := time.Now()
@@ -82,17 +81,18 @@ func roomHarvester(i int, seed int64) energy.Harvester {
 // of activity-recognition tags sampling at 25 Hz, swept through the
 // time-sliced kernel, against the sequential per-rig baseline. Results go to
 // BENCH_fleet.json.
-func runFleetBench(o *jobOut, quick bool, tags int) error {
-	baseline, err := kernelBaseline(quick)
+func runFleetBench(o *jobOut, opt options) error {
+	baseline, err := kernelBaseline(opt.quick)
 	if err != nil {
 		return fmt.Errorf("fleet bench baseline: %w", err)
 	}
 
+	tags := opt.fleetTags
 	if tags <= 0 {
 		tags = 10_000
 	}
 	dur := units.Seconds(10)
-	if quick {
+	if opt.quick {
 		dur = 3
 		if tags > 2000 {
 			tags = 2000
@@ -142,11 +142,5 @@ func runFleetBench(o *jobOut, quick bool, tags int) error {
 	fmt.Fprintf(&b, "  speedup          %10.1fx\n", speedup)
 	fmt.Fprintf(&b, "  fleet reboots    %10d\n", res.Reboots)
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_fleet.json", string(js)+"\n")
 	return nil
 }

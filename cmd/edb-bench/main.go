@@ -7,14 +7,15 @@
 // output is bit-for-bit identical to a sequential run — only faster. Output
 // is buffered per experiment and printed in a fixed order.
 //
+// Every row it can run is one entry of registry: a paper experiment (group
+// all) or a benchmark suite (group bench). -exp takes row ids and group
+// ids.
+//
 // Usage:
 //
 //	edb-bench -exp all
 //	edb-bench -exp table3 -out results
-//	edb-bench -json -quick
-//
-// Experiments: table2 table3 table4 fig2 fig7 fig9 fig11 fig12 sweep
-// sec531 sec532 baselines ablations explore fleet all
+//	edb-bench -exp bench -quick -json
 package main
 
 import (
@@ -44,30 +45,133 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// experimentIDs is every id -exp accepts in a comma-separated list; "all"
-// alone selects them all.
-var experimentIDs = []string{"table2", "table3", "table4", "fig2", "fig7", "fig9", "fig11", "fig12",
-	"sweep", "sec531", "sec532", "baselines", "ablations", "explore", "fleet"}
+// Group ids: -exp all selects every paper experiment and -exp bench every
+// benchmark suite.
+const (
+	groupPaper = "all"
+	groupBench = "bench"
+)
+
+// A row is one id -exp accepts: a paper experiment or a benchmark suite.
+// jobs returns what it runs, in print order.
+type row struct {
+	id, group string
+	jobs      func(options) []job
+}
+
+// registry is every row edb-bench runs, in print order. A suite's row id is
+// its key in BENCH.json; its job also writes its metrics to the named
+// BENCH_*.json file.
+var registry = []row{
+	paper("table2", table2),
+	paper("table3", table3),
+	{"table4", groupPaper, printCostJobs},
+	{"fig11", groupPaper, printCostJobs},
+	{"fig7", groupPaper, fig7Jobs},
+	{"fig9", groupPaper, fig9Jobs},
+	paper("fig12", fig12),
+	paper("fig2", fig2),
+	paper("sweep", sweep),
+	paper("sec531", sec531),
+	paper("sec532", sec532),
+	paper("baselines", baselines),
+	{"ablations", groupPaper, ablationJobs},
+	paper("explore", exploreExp),
+	{"fleet", groupPaper, one("fleet-table4", "", fleetTable4)},
+	suite("trace-codec", "BENCH_trace.json", runTraceBench),
+	suite("snapshot", "BENCH_snapshot.json", runSnapshotBench),
+	suite("fleet-bench", "BENCH_fleet.json", runFleetBench),
+	suite("kernel", "", runKernelBench),
+	suite("cluster", "BENCH_cluster.json", runClusterBench),
+	suite("gateway-failover", "BENCH_gateway_failover.json", runGatewayFailoverBench),
+	suite("explore-bench", "BENCH_explore.json", runExploreBench),
+}
+
+// options are the flags a job reads, and the row ids selected with it.
+type options struct {
+	quick, csv bool
+	fleetTags  int
+	sel        map[string]bool
+}
+
+// one returns the jobs of a row that runs fn as the single job id, which
+// also writes its metrics to record unless that is "".
+func one(id, record string, fn func(*jobOut, options) error) func(options) []job {
+	return func(opt options) []job {
+		return []job{{id: id, record: record, fn: func(o *jobOut) error { return fn(o, opt) }}}
+	}
+}
+
+func paper(id string, fn func(*jobOut, options) error) row {
+	return row{id, groupPaper, one(id, "", fn)}
+}
+
+func suite(id, record string, fn func(*jobOut, options) error) row {
+	return row{id, groupBench, one(id, record, fn)}
+}
+
+// rowIDs lists every row id for -exp's help and errors.
+func rowIDs() string {
+	ids := make([]string, len(registry))
+	for i, r := range registry {
+		ids[i] = r.id
+	}
+	return strings.Join(ids, "|")
+}
+
+// selectRows resolves an -exp list, each entry a row id or a group id, to
+// the set of row ids it selects. It also returns the entries that name
+// neither.
+func selectRows(list string) (sel map[string]bool, unknown []string) {
+	sel = map[string]bool{}
+	for _, w := range strings.Split(list, ",") {
+		if w = strings.TrimSpace(w); w == "" {
+			continue
+		}
+		known := false
+		for _, r := range registry {
+			if w == r.id || w == r.group {
+				sel[r.id] = true
+				known = true
+			}
+		}
+		if !known {
+			unknown = append(unknown, w)
+		}
+	}
+	return sel, unknown
+}
+
+// jobsOf returns the jobs of the selected rows in registry order; a job
+// that two selected rows share runs once.
+func jobsOf(sel map[string]bool, opt options) []job {
+	opt.sel = sel
+	var jobs []job
+	for _, r := range registry {
+		if !sel[r.id] {
+			continue
+		}
+		for _, j := range r.jobs(opt) {
+			if !slices.ContainsFunc(jobs, func(k job) bool { return k.id == j.id }) {
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	return jobs
+}
 
 // run is the whole command on the given arguments; it returns the exit
 // code.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	flags := flag.NewFlagSet("edb-bench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	exp := flags.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs, "|")+"), or all")
+	exp := flags.String("exp", groupPaper, "comma-separated row ids ("+rowIDs()+"), or the groups all (the paper's experiments) and bench (the benchmark suites)")
 	out := flags.String("out", "results", "output directory for result files ('' to skip writing)")
 	quick := flags.Bool("quick", false, "shorter runs (coarser statistics)")
 	csv := flags.Bool("csv", false, "also write figure data as CSV files")
 	jsonOut := flags.Bool("json", false, "print headline metrics as a single JSON object (text results still go to -out)")
 	par := flags.Int("par", 0, "worker count for the parallel runner (0 = GOMAXPROCS, 1 = sequential)")
-	traceBench := flags.Bool("trace", false, "benchmark the trace-stream codec on a Figure-7-style RF harvest trace (writes BENCH_trace.json)")
-	snapBench := flags.Bool("snapshot", false, "benchmark warm-start session forking and delta snapshots (writes BENCH_snapshot.json)")
-	fleetBench := flags.Bool("fleet", false, "benchmark the batched fleet-simulation kernel against the sequential rig (writes BENCH_fleet.json)")
-	fleetTags := flags.Int("fleet-tags", 0, "fleet size for -fleet and the fleet experiment (0 = defaults: 10000)")
-	kernelBench := flags.Bool("kernel", false, "record the sequential simulator kernel baseline as a 'kernel' suite in BENCH.json")
-	clusterBench := flags.Bool("cluster", false, "benchmark the edbd gateway tier: sessions/sec at 1/2/4 backends plus drain-migration latency (writes BENCH_cluster.json)")
-	failoverBench := flags.Bool("gateway-failover", false, "benchmark gateway hand-off: two gateways front the same backends, kill the serving one under live sessions, measure client-observed resume latency and sessions lost (writes BENCH_gateway_failover.json)")
-	exploreBench := flags.Bool("explore", false, "benchmark the exhaustive power-failure explorer: states/sec, dedup hit rate, 1/2/4-worker scaling (writes BENCH_explore.json)")
+	fleetTags := flags.Int("fleet-tags", 0, "fleet size for the fleet and fleet-bench rows (0 = defaults: 10000)")
 	cpuprofile := flags.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flags.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := flags.Parse(args); err != nil {
@@ -110,67 +214,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		parallel.SetWorkers(*par)
 	}
 
-	all := *exp == "all"
-	var wanted, unknown []string
-	if !all {
-		for _, w := range strings.Split(*exp, ",") {
-			if w = strings.TrimSpace(w); w == "" {
-				continue
-			}
-			if !slices.Contains(experimentIDs, w) {
-				unknown = append(unknown, w)
-			}
-			wanted = append(wanted, w)
-		}
-	}
+	sel, unknown := selectRows(*exp)
 	if len(unknown) > 0 {
-		fmt.Fprintf(stderr, "unknown experiment ids in -exp: %s (ids: %s, or all)\n",
-			strings.Join(unknown, ", "), strings.Join(experimentIDs, "|"))
+		fmt.Fprintf(stderr, "unknown experiment ids in -exp: %s (ids: %s; groups: %s, %s)\n",
+			strings.Join(unknown, ", "), rowIDs(), groupPaper, groupBench)
 		return 2
 	}
-	// A benchmark flag (-trace, -snapshot, -fleet, -kernel, -explore) alone
-	// runs just that benchmark; combining one with an explicit -exp adds it
-	// to that selection.
-	if *traceBench || *snapBench || *fleetBench || *kernelBench || *clusterBench || *failoverBench || *exploreBench {
-		expSet := false
-		flags.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				expSet = true
-			}
-		})
-		if !expSet {
-			all, wanted = false, nil
-		}
-	}
-	want := func(id string) bool { return all || slices.Contains(wanted, id) }
-
-	jobs := paperJobs(want, *quick, *csv, *fleetTags)
-	add := func(id string, fn func(*jobOut) error) {
-		jobs = append(jobs, job{id: id, fn: fn})
-	}
-
-	if *traceBench {
-		add("trace-codec", func(o *jobOut) error { return runTraceBench(o, *quick) })
-	}
-	if *snapBench {
-		add("snapshot", func(o *jobOut) error { return runSnapshotBench(o, *quick) })
-	}
-	if *fleetBench {
-		add("fleet-bench", func(o *jobOut) error { return runFleetBench(o, *quick, *fleetTags) })
-	}
-	if *kernelBench {
-		add("kernel", func(o *jobOut) error { return runKernelBench(o, *quick) })
-	}
-	if *clusterBench {
-		add("cluster", func(o *jobOut) error { return runClusterBench(o, *quick) })
-	}
-	if *failoverBench {
-		add("gateway-failover", func(o *jobOut) error { return runGatewayFailoverBench(o, *quick) })
-	}
-	if *exploreBench {
-		add("explore-bench", func(o *jobOut) error { return runExploreBench(o, *quick) })
-	}
-
+	jobs := jobsOf(sel, options{quick: *quick, csv: *csv, fleetTags: *fleetTags})
 	if len(jobs) == 0 {
 		fmt.Fprintf(stderr, "no experiments match -exp %q\n", *exp)
 		return 2
@@ -183,6 +233,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	results, _ := parallel.Map(len(jobs), func(i int) (jobOut, error) {
 		var o jobOut
 		o.err = jobs[i].fn(&o)
+		if rec := jobs[i].record; o.err == nil && rec != "" {
+			o.err = o.record(rec)
+		}
 		return o, nil
 	})
 	wall := time.Since(start).Seconds()
@@ -277,9 +330,9 @@ func mergeBench(dir string, run map[string]map[string]float64) error {
 // wire encoding: framed bytes per sample both ways, the compression ratio,
 // and encode/decode throughput. Decoded output is verified against the
 // ADC-quantized input before any number is reported.
-func runTraceBench(o *jobOut, quick bool) error {
+func runTraceBench(o *jobOut, opt options) error {
 	dur := units.Seconds(20)
-	if quick {
+	if opt.quick {
 		dur = 5
 	}
 	h := energy.NewRFHarvester()
@@ -375,19 +428,14 @@ func runTraceBench(o *jobOut, quick bool) error {
 	fmt.Fprintf(&b, "  compression       %.2fx\n", ratio)
 	fmt.Fprintf(&b, "  encode %.1f ns/sample, decode %.1f ns/sample\n", encNs, decNs)
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_trace.json", string(js)+"\n")
 	return nil
 }
 
-// job is one experiment to run; fn fills the jobOut it is handed.
+// job is one experiment to run; fn fills the jobOut it is handed. A job
+// with a record file also writes its metrics there, as JSON.
 type job struct {
-	id string
-	fn func(*jobOut) error
+	id, record string
+	fn         func(*jobOut) error
 }
 
 // jobOut is one experiment's buffered output: the text to print, files to
@@ -415,6 +463,16 @@ func (o *jobOut) resultFiles(id string) []resultFile {
 		return o.files
 	}
 	return append(o.files, resultFile{id + ".txt", o.text})
+}
+
+// record adds the job's metrics as the JSON file name.
+func (o *jobOut) record(name string) error {
+	js, err := json.MarshalIndent(o.metrics, "", "  ")
+	if err != nil {
+		return err
+	}
+	o.file(name, string(js)+"\n")
+	return nil
 }
 
 func (o *jobOut) metric(name string, v float64) {

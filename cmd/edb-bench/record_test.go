@@ -23,8 +23,8 @@ func readRecord(t *testing.T, dir string) map[string]map[string]float64 {
 	return rec
 }
 
-// A run rewrites only its own suites in BENCH.json: `-fleet -kernel`
-// replaces the fleet-bench, kernel and suite entries and keeps every other
+// A run rewrites only its own suites in BENCH.json: `-exp
+// fleet-bench,kernel` replaces the fleet-bench, kernel and suite entries and keeps every other
 // suite already on record.
 func TestBenchRecordKeepsOtherSuites(t *testing.T) {
 	dir := t.TempDir()
@@ -39,7 +39,7 @@ func TestBenchRecordKeepsOtherSuites(t *testing.T) {
 	}
 
 	var stderr bytes.Buffer
-	if code := run([]string{"-fleet", "-kernel", "-quick", "-out", dir}, io.Discard, &stderr); code != 0 {
+	if code := run([]string{"-exp", "fleet-bench,kernel", "-quick", "-out", dir}, io.Discard, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	rec := readRecord(t, dir)

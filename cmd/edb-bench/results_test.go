@@ -25,7 +25,9 @@ import (
 // with `go run ./cmd/edb-bench -exp all -csv` and review the diff.
 func TestResultsPinned(t *testing.T) {
 	const dir = "../../results"
-	jobs := paperJobs(func(id string) bool { return id != "fleet" }, false, true, 0)
+	sel, _ := selectRows(groupPaper)
+	delete(sel, "fleet")
+	jobs := jobsOf(sel, options{csv: true})
 	outs, _ := parallel.Map(len(jobs), func(i int) (jobOut, error) {
 		var o jobOut
 		o.err = jobs[i].fn(&o)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -27,10 +26,10 @@ import (
 // duty cycle makes every 100 ms window a representative steady-state
 // slice of intermittent execution (including the reboot, which dirties
 // all of SRAM).
-func runSnapshotBench(o *jobOut, quick bool) error {
+func runSnapshotBench(o *jobOut, opt options) error {
 	trials := 25
 	intervals := 20
-	if quick {
+	if opt.quick {
 		trials, intervals = 5, 8
 	}
 
@@ -134,12 +133,6 @@ func runSnapshotBench(o *jobOut, quick bool) error {
 	fmt.Fprintf(&b, "    full image %d B   steady-state delta %.0f B (%.1fx smaller)\n",
 		fullBytes, deltaMedian, sizeRatio)
 	o.text = b.String()
-
-	js, err := json.MarshalIndent(o.metrics, "", "  ")
-	if err != nil {
-		return err
-	}
-	o.file("BENCH_snapshot.json", string(js)+"\n")
 	return nil
 }
 

@@ -12,12 +12,10 @@
 //
 // Start with internal/core (the assembly API), examples/quickstart (a
 // runnable tour), DESIGN.md (system inventory and experiment index), and
-// EXPERIMENTS.md (paper-vs-measured for every table and figure). The
-// benchmarks in bench_test.go regenerate each evaluation result:
-//
-//	go test -bench=. -benchmem
-//
-// or, for the full paper-formatted output:
+// EXPERIMENTS.md (paper-vs-measured for every table and figure). Every
+// evaluation result regenerates in the paper's layout with
 //
 //	go run ./cmd/edb-bench -exp all
+//
+// and its headline numbers print as one JSON object with -json.
 package repro

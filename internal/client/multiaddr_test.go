@@ -9,6 +9,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/scenario"
 	"repro/internal/server"
+	"repro/internal/wiretest"
 )
 
 // deadAddr returns an address nothing listens on.
@@ -79,11 +80,11 @@ func TestRunFailsOverAcrossDialList(t *testing.T) {
 
 	srvA := startServer(t, server.Config{})
 	srvB := startServer(t, server.Config{})
-	proxy := newCuttableProxy(t, srvA)
+	proxy := wiretest.NewProxy(t, srvA)
 
 	var resumedTo string
 	var took time.Duration
-	cl, err := client.Dial(proxy.addr()+","+srvB, client.Options{
+	cl, err := client.Dial(proxy.Addr()+","+srvB, client.Options{
 		Reconnect: true,
 		Attempts:  10,
 		Backoff:   50 * time.Millisecond,
@@ -95,12 +96,12 @@ func TestRunFailsOverAcrossDialList(t *testing.T) {
 	defer cl.Close()
 
 	var out bytes.Buffer
-	j := 0
+	j, severed := 0, false
 	st, err := cl.Run(spec, &out, func() (string, bool) {
 		if j == 1 {
 			// First answer is already journaled; kill the proxied leg so
 			// the next send fails and the client rotates to srvB.
-			proxy.cut()
+			severed = proxy.Cut()
 		}
 		if j < len(cmds) {
 			j++
@@ -117,12 +118,15 @@ func TestRunFailsOverAcrossDialList(t *testing.T) {
 	if st.Exit != 0 {
 		t.Fatalf("unexpected status %+v", st)
 	}
+	if !severed {
+		t.Fatal("the cut severed no live connection")
+	}
 	// The resume must have landed on the OTHER list entry: srvA is only
 	// reachable through the proxy, which accepted exactly one connection.
 	if resumedTo != srvB {
 		t.Fatalf("resume landed on %q, want %q (OnResume took %v)", resumedTo, srvB, took)
 	}
-	if got := proxy.acceptCount(); got != 1 {
+	if got := proxy.Conns(); got != 1 {
 		t.Fatalf("proxy accepted %d connections, want 1 (resume must not revisit the cut address first)", got)
 	}
 	if took <= 0 {

@@ -3,9 +3,6 @@ package client_test
 import (
 	"bytes"
 	"errors"
-	"io"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +10,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/wiretest"
 )
 
 // TestDialFailsFastOnAuthError is the retry-classification regression test:
@@ -71,67 +69,6 @@ func TestDialRetriesBusy(t *testing.T) {
 	}
 }
 
-// cuttableProxy is a byte-level TCP proxy whose live connections can be
-// slammed shut on demand — a deterministic stand-in for a backend crash
-// between a client and the address it redials.
-type cuttableProxy struct {
-	lis     net.Listener
-	backend string
-
-	mu      sync.Mutex
-	conns   []net.Conn
-	accepts int
-}
-
-func newCuttableProxy(t *testing.T, backend string) *cuttableProxy {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &cuttableProxy{lis: lis, backend: backend}
-	t.Cleanup(func() { lis.Close(); p.cut() })
-	go p.serve()
-	return p
-}
-
-func (p *cuttableProxy) addr() string { return p.lis.Addr().String() }
-
-func (p *cuttableProxy) serve() {
-	for {
-		c, err := p.lis.Accept()
-		if err != nil {
-			return
-		}
-		b, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		p.mu.Lock()
-		p.conns = append(p.conns, c, b)
-		p.accepts++
-		p.mu.Unlock()
-		go func() { io.Copy(b, c); b.Close() }()
-		go func() { io.Copy(c, b); c.Close() }()
-	}
-}
-
-func (p *cuttableProxy) cut() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-	p.conns = nil
-}
-
-func (p *cuttableProxy) acceptCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.accepts
-}
-
 // TestRunReconnectResumesMidSession: with Options.Reconnect, a connection
 // killed mid-interactive-session is invisible to the caller — the client
 // redials, replays its journal via SessResume, and the output delivered is
@@ -150,7 +87,7 @@ func TestRunReconnectResumesMidSession(t *testing.T) {
 		{"time-travel", []string{"snap", "write 0x4400 0xBEEF", "read 0x4400", "restore", "read 0x4400", "halt"}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proxy := newCuttableProxy(t, addr)
+			proxy := wiretest.NewProxy(t, addr)
 			cmds := tc.cmds
 
 			var golden bytes.Buffer
@@ -165,7 +102,7 @@ func TestRunReconnectResumesMidSession(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cl, err := client.Dial(proxy.addr(), client.Options{
+			cl, err := client.Dial(proxy.Addr(), client.Options{
 				Reconnect: true,
 				Attempts:  10,
 				Backoff:   50 * time.Millisecond,
@@ -179,13 +116,13 @@ func TestRunReconnectResumesMidSession(t *testing.T) {
 			}
 
 			var out bytes.Buffer
-			i := 0
+			i, severed := 0, false
 			st, err := cl.Run(spec, &out, func() (string, bool) {
 				if i == tc.cut {
 					// Kill the wire right before this answer goes out: the
 					// send fails, and the journaled answer must replay
 					// instead of being re-asked.
-					proxy.cut()
+					severed = proxy.Cut()
 				}
 				if i < len(cmds) {
 					i++
@@ -203,8 +140,11 @@ func TestRunReconnectResumesMidSession(t *testing.T) {
 			if st.Exit != 0 {
 				t.Fatalf("unexpected status %+v", st)
 			}
-			if proxy.acceptCount() < 2 {
-				t.Fatalf("expected a reconnect, saw %d connections", proxy.acceptCount())
+			if !severed {
+				t.Fatal("the cut severed no live connection")
+			}
+			if proxy.Conns() < 2 {
+				t.Fatalf("expected a reconnect, saw %d connections", proxy.Conns())
 			}
 			// The prompt callback must have been consulted once per command
 			// overall: replay answered the journaled ones.
@@ -219,24 +159,33 @@ func TestRunReconnectResumesMidSession(t *testing.T) {
 // hard error — no silent retries the caller did not ask for.
 func TestRunNoReconnectFailsOnCut(t *testing.T) {
 	addr := startServer(t, server.Config{})
-	proxy := newCuttableProxy(t, addr)
+	proxy := wiretest.NewProxy(t, addr)
 
 	spec := scenario.Spec{App: "linkedlist", Assert: true, Seconds: 5, Seed: 42, Interactive: true}
-	cl, err := client.Dial(proxy.addr(), client.Options{})
+	cl, err := client.Dial(proxy.Addr(), client.Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer cl.Close()
 
-	i := 0
+	i, severed := 0, false
 	_, err = cl.Run(spec, nil, func() (string, bool) {
 		if i == 1 {
-			proxy.cut()
+			severed = proxy.Cut()
 		}
 		i++
-		return "vcap", true
+		return "vcap", i <= 2 // EOF after the cut prompt, so a cut that misses ends the run
 	})
+	if !severed {
+		t.Fatal("the cut severed no live connection")
+	}
 	if err == nil {
 		t.Fatal("run over a cut connection should fail without Reconnect")
+	}
+	if i != 2 {
+		t.Fatalf("prompt consulted %d times, want 2: the run must end at the cut", i)
+	}
+	if got := proxy.Conns(); got != 1 {
+		t.Fatalf("proxy accepted %d connections, want 1 (no redial without Reconnect)", got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/wiretest"
 )
 
 // startGatewayPair starts two gateways in front of the same backends.
@@ -96,7 +97,7 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	// The client reaches gwA only through a frame-cutting proxy: cutting
 	// the gateway→client stream mid-frame is exactly what a SIGKILLed
 	// gateway looks like from the wire.
-	proxy := newLimitProxy(t, gwAAddr)
+	proxy := wiretest.NewProxy(t, gwAAddr)
 
 	spec := scriptedSpec()
 	spec.Trace = true
@@ -139,19 +140,19 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	// Recording pass through the proxy, uncut: learn the number of the
 	// final trace frame on the gateway→client stream of a full client
 	// session.
-	recOut, recSamples, recSt := runViaClient(proxy.addr())
-	last := proxy.lastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	recOut, recSamples, recSt := runViaClient(proxy.Addr())
+	last := proxy.LastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
 	if last < 0 {
 		t.Fatal("recording pass relayed no trace frame")
 	}
 
 	// Cut the next session halfway through that frame.
-	proxy.armFrameCut(last)
+	proxy.CutInFrame(last)
 
 	// Failover pass: dial list is the (doomed) proxy first, the other
 	// gateway second. The mid-frame cut must be invisible in the byte
 	// stream.
-	out, samples, st := runViaClient(proxy.addr() + "," + gwBAddr)
+	out, samples, st := runViaClient(proxy.Addr() + "," + gwBAddr)
 	if !bytes.Equal(out, recOut) {
 		t.Fatalf("failed-over output differs from unmigrated run:\n--- unmigrated ---\n%s\n--- failover ---\n%s", recOut, out)
 	}
@@ -169,7 +170,7 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	if st != recSt {
 		t.Fatalf("status differs: %+v vs %+v", st, recSt)
 	}
-	if !proxy.cutFired(1) {
+	if !proxy.Severed(1) {
 		t.Fatal("the armed cut never fired on the failover pass")
 	}
 	if got := gwB.Metrics().SessionsTotal; got != 2 {

@@ -434,8 +434,11 @@ func (g *Gateway) handle(conn net.Conn) {
 	for {
 		m, err := p.Recv(g.cfg.IdleTimeout)
 		if err != nil {
-			if wire.IsTimeout(err) {
+			switch {
+			case wire.IsTimeout(err):
 				p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
+			case wire.IsBadFrame(err):
+				p.Send(&wire.Error{Code: wire.CodeBadRequest, Text: "bad request: " + err.Error()})
 			}
 			return
 		}
@@ -746,6 +749,7 @@ func (g *Gateway) pump(cp, bp *wire.Peer, b *backendState, sess *sessState, free
 			am, aerr := cp.Recv(g.cfg.IdleTimeout)
 			if aerr != nil && !wire.IsBadFrame(aerr) {
 				if wire.IsTimeout(aerr) {
+					free()
 					cp.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
 				}
 				return true, aerr

@@ -3,12 +3,10 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +15,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/wiretest"
 )
 
 func startBackend(t *testing.T, cfg server.Config) (*server.Server, string) {
@@ -463,123 +462,6 @@ func collectSession(t *testing.T, conn net.Conn) (output []byte, traceFrames [][
 	}
 }
 
-// limitProxy is a TCP proxy that relays the backend→client direction
-// frame by frame and can cut the *next* accepted connection halfway
-// through its n-th wire frame: a deterministic backend loss tied to a
-// protocol event.
-type limitProxy struct {
-	lis     net.Listener
-	backend string
-
-	mu        sync.Mutex
-	nextFrame int      // frame to cut inside on the next connection; -1 for none
-	types     [][]byte // per accepted connection: the type of each frame relayed
-	cuts      []bool
-}
-
-func newLimitProxy(t *testing.T, backend string) *limitProxy {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &limitProxy{lis: lis, backend: backend, nextFrame: -1}
-	t.Cleanup(func() { lis.Close() })
-	go p.serve()
-	return p
-}
-
-func (p *limitProxy) addr() string { return p.lis.Addr().String() }
-
-// armFrameCut cuts the next accepted connection's backend→client stream
-// halfway through its frame number n, counting the handshake reply as
-// frame 0.
-func (p *limitProxy) armFrameCut(n int) {
-	p.mu.Lock()
-	p.nextFrame = n
-	p.mu.Unlock()
-}
-
-// lastFrame returns the number of the last frame of one of the given
-// types relayed on accepted connection i, or -1 if there was none.
-func (p *limitProxy) lastFrame(i int, types ...byte) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for n := len(p.types[i]) - 1; n >= 0; n-- {
-		for _, typ := range types {
-			if p.types[i][n] == typ {
-				return n
-			}
-		}
-	}
-	return -1
-}
-
-// cutFired reports whether an armed cut severed accepted connection i.
-func (p *limitProxy) cutFired(i int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cuts[i]
-}
-
-func (p *limitProxy) serve() {
-	for {
-		c, err := p.lis.Accept()
-		if err != nil {
-			return
-		}
-		b, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		p.mu.Lock()
-		cut := p.nextFrame
-		p.nextFrame = -1
-		idx := len(p.types)
-		p.types = append(p.types, nil)
-		p.cuts = append(p.cuts, false)
-		p.mu.Unlock()
-		go func() { io.Copy(b, c); b.Close() }()
-		go func() {
-			defer c.Close()
-			defer b.Close()
-			p.relayFrames(idx, b, c, cut)
-		}()
-	}
-}
-
-// relayFrames forwards whole wire frames from b to c until frame number
-// cut, of which it forwards only the first half before returning (the
-// caller then closes both ends). Each frame is recorded before it is
-// written, so a reader that has seen a frame also sees its record.
-func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
-	for i := 0; ; i++ {
-		var hdr [6]byte // type, flags, big-endian payload length
-		if _, err := io.ReadFull(b, hdr[:]); err != nil {
-			return
-		}
-		f := make([]byte, len(hdr)+int(binary.BigEndian.Uint32(hdr[2:])))
-		copy(f, hdr[:])
-		if _, err := io.ReadFull(b, f[len(hdr):]); err != nil {
-			return
-		}
-		if i == cut {
-			f = f[:len(f)/2]
-		}
-		p.mu.Lock()
-		p.types[idx] = append(p.types[idx], hdr[0])
-		p.cuts[idx] = i == cut
-		p.mu.Unlock()
-		if _, err := c.Write(f); err != nil {
-			return
-		}
-		if i == cut {
-			return
-		}
-	}
-}
-
 // TestGatewayMidTraceStreamFailover: the backend connection dies partway
 // through a trace frame — after whole chunks were already relayed — and
 // the resumed stream's remaining frames are byte-identical to an
@@ -587,11 +469,11 @@ func (p *limitProxy) relayFrames(idx int, b io.Reader, c io.Writer, cut int) {
 // failure lands deterministically inside the final trace frame.
 func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	_, backendAddr := startBackend(t, server.Config{})
-	proxy := newLimitProxy(t, backendAddr)
+	proxy := wiretest.NewProxy(t, backendAddr)
 	// One backend, reached only through the proxy; health probes are
 	// parked so the session connections are the only proxied streams.
 	gw, gwAddr := startGateway(t, cluster.Config{
-		Backends:       []string{proxy.addr()},
+		Backends:       []string{proxy.Addr()},
 		HealthInterval: time.Hour,
 	})
 
@@ -617,7 +499,7 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	if len(goldenFrames) < 2 {
 		t.Fatalf("need >= 2 trace frames to cut between chunks, got %d", len(goldenFrames))
 	}
-	last := proxy.lastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	last := proxy.LastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
 	if last < 0 {
 		t.Fatal("recording pass relayed no trace frame")
 	}
@@ -625,7 +507,7 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	// Cut halfway through the final trace frame: every earlier frame is
 	// relayed whole, the last one dies mid-read, and the resume offset is
 	// a whole number of chunks.
-	proxy.armFrameCut(last)
+	proxy.CutInFrame(last)
 
 	out, frames, done := runOnce()
 	if !bytes.Equal(out, goldenOut) {
@@ -642,7 +524,7 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	if *done != *goldenDone {
 		t.Fatalf("Done differs: %+v vs %+v", done, goldenDone)
 	}
-	if !proxy.cutFired(1) {
+	if !proxy.Severed(1) {
 		t.Fatal("the armed cut never fired on the failover pass's backend leg")
 	}
 	if got := gw.Metrics().Failovers; got != 1 {

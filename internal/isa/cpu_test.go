@@ -12,7 +12,7 @@ import (
 )
 
 // cpuRig builds a powered device and a CPU with a scratch program area.
-func cpuRig(t *testing.T) (*device.Device, *device.Env, *CPU) {
+func cpuRig(t testing.TB) (*device.Device, *device.Env, *CPU) {
 	t.Helper()
 	d := device.NewWISP5(&energy.ConstantHarvester{I: units.MilliAmps(10), Voc: 3.3}, 1)
 	d.Supply.Cap.SetVoltage(2.4)

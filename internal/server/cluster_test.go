@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -237,8 +238,8 @@ func TestDrainMigratesSessionAcrossServers(t *testing.T) {
 }
 
 // TestImageCarryingResumeRefused: a SessResume whose reserved last field
-// is not empty, the slot that once carried a template image, must not run
-// a session. A backend cannot check an image without re-simulating it, and
+// is not empty, the slot that once carried a template image, does not
+// decode: it is refused with Error{CodeBadRequest} and runs no session. A backend cannot check an image without re-simulating it, and
 // an adopted image would serve every later session of its family: so after
 // the refused resume, a plain Run of the same family from a second
 // connection must still equal the local golden.
@@ -264,8 +265,12 @@ func TestImageCarryingResumeRefused(t *testing.T) {
 	if _, err := conn.Write(fr); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := wire.ReadMsg(conn); err == nil {
-		t.Errorf("image-carrying resume was answered with %T, want the connection closed", m)
+	m, err := wire.ReadMsg(conn)
+	if werr, ok := m.(*wire.Error); err != nil || !ok || werr.Code != wire.CodeBadRequest {
+		t.Errorf("image-carrying resume was answered with %#v (%v), want Error{CodeBadRequest}", m, err)
+	}
+	if m, err := wire.ReadMsg(conn); err != io.EOF {
+		t.Errorf("want the connection closed after the Error, got %T (%v)", m, err)
 	}
 	conn.Close()
 	if n := srv.Metrics().SessionsTotal; n != 0 {

@@ -326,10 +326,13 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	for {
 		m, err := p.Recv(s.cfg.IdleTimeout)
 		if err != nil {
-			if wire.IsTimeout(err) {
+			switch {
+			case wire.IsTimeout(err):
 				s.c.idleReaped.Add(1)
 				p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: connection reaped"})
 				s.logf("conn %s: reaped idle", conn.RemoteAddr())
+			case wire.IsBadFrame(err):
+				p.Send(&wire.Error{Code: wire.CodeBadRequest, Text: "bad request: " + err.Error()})
 			}
 			return
 		}
@@ -461,7 +464,8 @@ func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cl
 
 	migrated := false
 	// rejected ends a session whose prompt was answered by anything but a
-	// Command; the rig runs out silently first.
+	// Command, or not answered within the idle timeout; the rig runs out
+	// silently first, and the slot is freed before the Error goes out.
 	var rejected *wire.Error
 	replay := req.Journal
 	var prompt scenario.PromptFunc
@@ -496,12 +500,14 @@ func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cl
 				return "", false
 			}
 			m, err := p.Recv(s.cfg.IdleTimeout)
+			if wire.IsTimeout(err) {
+				s.c.idleReaped.Add(1)
+				s.logf("conn %s: reaped idle session", p.RemoteAddr())
+				rejected = &wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"}
+				sw.fail(rejected)
+				return "", false
+			}
 			if err != nil && !wire.IsBadFrame(err) {
-				if wire.IsTimeout(err) {
-					s.c.idleReaped.Add(1)
-					p.Send(&wire.Error{Code: wire.CodeIdle, Text: "idle timeout: session reaped"})
-					s.logf("conn %s: reaped idle session", p.RemoteAddr())
-				}
 				sw.fail(err)
 				return "", false
 			}

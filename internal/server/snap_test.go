@@ -47,15 +47,19 @@ func TestOldClientNoSnapCompat(t *testing.T) {
 	_ = srv
 }
 
-// TestRetiredSnapFrameEndsSession: a client that answers a prompt with
-// anything but a Command gets no time-travel and no command. A retired
-// snapshot frame (type 0x12 or 0x13) fails to decode as an unknown type; a
-// Ping decodes but is no answer. Against a backend and through a gateway,
-// each ends the session with Error{CodeBadRequest}, sent after the
-// session's slot is freed, and then the connection closes.
-func TestRetiredSnapFrameEndsSession(t *testing.T) {
-	srv, backend := startServer(t, server.Config{})
-	gw, gateway := startGateway(t, cluster.Config{Backends: []string{backend}, HealthInterval: time.Hour})
+// TestNoCommandEndsSession: a client that answers a prompt with anything
+// but a Command gets no time-travel and no command. A retired snapshot
+// frame (type 0x12 or 0x13) fails to decode as an unknown type; a Ping
+// decodes but is no answer. Against a backend and through a gateway, each
+// ends the session with Error{CodeBadRequest}, and a prompt left
+// unanswered ends it with Error{CodeIdle}. The Error is sent after the
+// session's slot is freed, so with one slot the next session is admitted,
+// and then the connection closes. A retired frame sent in place of a
+// request is refused the same way.
+func TestNoCommandEndsSession(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	srv, backend := startServer(t, server.Config{MaxSessions: 1, IdleTimeout: idle})
+	gw, gateway := startGateway(t, cluster.Config{Backends: []string{backend}, IdleTimeout: idle, HealthInterval: time.Hour})
 	spec := testSpec(42)
 	spec.Script = ""
 	spec.Interactive = true
@@ -64,12 +68,16 @@ func TestRetiredSnapFrameEndsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	answers := []struct {
-		name  string
-		frame []byte
+		name    string
+		frame   []byte // nil for no answer
+		request bool   // sent in place of the Run, not at a prompt
+		code    uint16
 	}{
-		{"0x12", []byte{0x12, 0, 0, 0, 0, 0}},
-		{"0x13", []byte{0x13, 0, 0, 0, 0, 0}},
-		{"ping", ping},
+		{"0x12", []byte{0x12, 0, 0, 0, 0, 0}, false, wire.CodeBadRequest},
+		{"0x13", []byte{0x13, 0, 0, 0, 0, 0}, false, wire.CodeBadRequest},
+		{"ping", ping, false, wire.CodeBadRequest},
+		{"request-0x12", []byte{0x12, 0, 0, 0, 0, 0}, true, wire.CodeBadRequest},
+		{"idle", nil, false, wire.CodeIdle},
 	}
 	tiers := []struct {
 		name, addr string
@@ -83,18 +91,20 @@ func TestRetiredSnapFrameEndsSession(t *testing.T) {
 		for _, a := range answers {
 			t.Run(tier.name+"/"+a.name, func(t *testing.T) {
 				conn := dialCluster(t, tier.addr, 0)
-				if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
-					t.Fatal(err)
+				if !a.request {
+					if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
+						t.Fatal(err)
+					}
+					var banner bytes.Buffer
+					driveUntilPrompt(t, conn, &banner)
 				}
-				var banner bytes.Buffer
-				driveUntilPrompt(t, conn, &banner)
 				before := srv.Metrics()
 				if _, err := conn.Write(a.frame); err != nil {
 					t.Fatal(err)
 				}
 				m, err := wire.ReadMsg(conn)
-				if werr, ok := m.(*wire.Error); err != nil || !ok || werr.Code != wire.CodeBadRequest {
-					t.Fatalf("want Error{CodeBadRequest}, got %#v (%v)", m, err)
+				if werr, ok := m.(*wire.Error); err != nil || !ok || werr.Code != a.code {
+					t.Fatalf("want Error{%d}, got %#v (%v)", a.code, m, err)
 				}
 				if n := tier.slots(); n != 0 {
 					t.Fatalf("%d session slots still held when the Error arrived", n)

@@ -36,3 +36,20 @@ func BenchmarkRNGPastPrefix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScheduleAdvance is one event through the scheduler with 64
+// others pending, as a periodic sampler or an RFID query loop uses it:
+// schedule, advance the clock past it, fire it, recycle its handle.
+func BenchmarkScheduleAdvance(b *testing.B) {
+	c := NewClock(1_000_000)
+	fn := func() { benchSink++ }
+	for k := 0; k < 64; k++ {
+		c.Schedule(Cycles(1<<62+k), fn) // never reached
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ScheduleAfter(100, fn)
+		c.Advance(100)
+	}
+}

@@ -12,7 +12,7 @@
 set -eu
 
 BASE=${1:-HEAD~1}
-ARGS=${BENCH_ARGS:--snapshot -trace -fleet -kernel -cluster -explore -gateway-failover -quick}
+ARGS=${BENCH_ARGS:--exp bench -quick}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 TMP=$(mktemp -d)
 cleanup() {
@@ -26,9 +26,9 @@ echo "benchcmp: working tree vs $BASE  (edb-bench $ARGS)"
 (cd "$ROOT" && go run ./cmd/edb-bench $ARGS -json -out '') >"$TMP/head.json"
 
 git -C "$ROOT" worktree add --quiet --detach "$TMP/base" "$BASE"
-# A benchmark that exists in the working tree but not at $BASE (new flag,
-# new suite) must not sink the whole comparison: fall back to an empty
-# metric dump so every head-side metric renders as "new".
+# A selection that $BASE does not know (a new row or group) must not sink
+# the whole comparison: fall back to an empty metric dump so every
+# head-side metric renders as "new".
 if ! (cd "$TMP/base" && go run ./cmd/edb-bench $ARGS -json -out '') >"$TMP/base.json" 2>"$TMP/base.err"; then
 	echo "benchcmp: edb-bench $ARGS failed at $BASE (benchmark missing there?); comparing against an empty base" >&2
 	sed 's/^/benchcmp:   base: /' "$TMP/base.err" >&2 || true

@@ -469,7 +469,7 @@ echo "smoke: batched-vs-sequential fleet equivalence"
 go test ./internal/fleet -run 'TestFleetMatchesSequential|TestFleetSliceInvariance' -count=1 >/dev/null
 
 echo "smoke: fleet benchmark quick pass"
-go run ./cmd/edb-bench -fleet -kernel -quick -json -out '' >"$workdir/fleet.json"
+go run ./cmd/edb-bench -exp fleet-bench,kernel -quick -json -out '' >"$workdir/fleet.json"
 if ! grep -q '"fleet_speedup_x"' "$workdir/fleet.json"; then
     echo "smoke: FAIL — fleet benchmark reported no speedup metric" >&2
     cat "$workdir/fleet.json" >&2
