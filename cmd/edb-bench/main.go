@@ -326,9 +326,9 @@ func mergeBench(dir string, run map[string]map[string]float64) error {
 }
 
 // runTraceBench records a Figure-7-style RF harvest trace (linked-list app
-// on the WISP5 rig) and measures the trace-stream codec against the raw
-// wire encoding: framed bytes per sample both ways, the compression ratio,
-// and encode/decode throughput. Decoded output is verified against the
+// on the WISP5 rig) and measures the trace-stream codec against a raw
+// encoding: framed bytes per sample both ways, the compression ratio, and
+// encode/decode throughput. Decoded output is verified against the
 // ADC-quantized input before any number is reported.
 func runTraceBench(o *jobOut, opt options) error {
 	dur := units.Seconds(20)
@@ -359,7 +359,9 @@ func runTraceBench(o *jobOut, opt options) error {
 	}
 
 	// Wire cost both ways, frame overhead included, in the server's chunk
-	// size.
+	// size. The raw baseline is the layout of the retired raw trace frame
+	// (type 0x22): a 6-byte header, the name and unit strings, a sample
+	// count, and 16 bytes (uint64 cycle, float64 volts) per sample.
 	const chunk = 512
 	var enc tracecodec.Encoder
 	var blob, frame []byte
@@ -369,15 +371,9 @@ func runTraceBench(o *jobOut, opt options) error {
 		if end > n {
 			end = n
 		}
-		var err error
-		frame, err = wire.AppendMsg(frame[:0], &wire.Trace{
-			Name: series.Name, Unit: series.Unit, Samples: pts[i:end],
-		}, 0)
-		if err != nil {
-			return err
-		}
-		rawBytes += len(frame)
+		rawBytes += 6 + 4 + len(series.Name) + 4 + len(series.Unit) + 4 + 16*(end-i)
 		blob = enc.Encode(blob[:0], pts[i:end])
+		var err error
 		frame, err = wire.AppendMsg(frame[:0], &wire.TraceZ{
 			Name: series.Name, Unit: series.Unit, Count: uint32(end - i), Data: blob,
 		}, 0)

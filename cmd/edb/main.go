@@ -67,7 +67,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "deterministic seed")
 		doTrace  = flag.Bool("trace", false, "print the final 150 ms energy trace")
 		traceOut = flag.String("trace-out", "", "write the final energy-trace window as CSV (at_cycles,v), ADC-quantized; implies -trace")
-		rawTrace = flag.Bool("raw-trace", false, "with -connect: do not negotiate compressed trace streaming")
 		script   = flag.String("script", "", "semicolon-separated console commands run in each session")
 		interact = flag.Bool("i", false, "interactive stdin console when a session opens")
 		connect  = flag.String("connect", "", "host:port of an edbd daemon (comma-separated list for a gateway pair); run the session remotely")
@@ -128,7 +127,7 @@ func main() {
 		// the surviving peer, so it switches reconnect on.
 		reconnect := *reconn || strings.Contains(*connect, ",")
 		cl, err := client.Dial(*connect, client.Options{
-			Name: "edb-cli", Attempts: 5, RawTrace: *rawTrace,
+			Name: "edb-cli", Attempts: 5,
 			TLS: tlsCfg, AuthToken: *token, Reconnect: reconnect,
 		})
 		if err != nil {
@@ -210,9 +209,9 @@ func clientTLSConfig(useTLS bool, caPath, certPath, keyPath string, insecure boo
 
 // writeTraceCSV writes the trace window as at_cycles,v rows. Voltages pass
 // through the codec's ADC quantizer, so the file is identical whether the
-// samples came from a local run, a compressed remote stream (already
-// quantized), or a raw remote stream — which scripts/smoke.sh exploits to
-// diff all three.
+// samples came from a local run or a remote stream (already quantized),
+// direct or through a gateway — which scripts/smoke.sh exploits to diff
+// them.
 func writeTraceCSV(path string, pts []wire.TracePoint) error {
 	f, err := os.Create(path)
 	if err != nil {

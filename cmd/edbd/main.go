@@ -96,7 +96,6 @@ func main() {
 		maxSimSecs  = flag.Float64("max-sim-seconds", 300, "maximum simulated duration per session")
 		idle        = flag.Duration("idle", 2*time.Minute, "idle timeout before a quiet connection or session is reaped")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM")
-		noTraceZ    = flag.Bool("no-tracez", false, "refuse the compressed-trace capability; always stream raw Trace chunks")
 		noCluster   = flag.Bool("no-cluster", false, "refuse the cluster capability; no migration, no Stat probes")
 		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots (the pool keeps every family's template until exit)")
 		verbose     = flag.Bool("v", false, "log per-connection events")
@@ -147,7 +146,6 @@ func main() {
 		MaxSessions:    *maxSessions,
 		MaxSimSeconds:  *maxSimSecs,
 		IdleTimeout:    *idle,
-		DisableTraceZ:  *noTraceZ,
 		DisableCluster: *noCluster,
 		DisablePool:    *noPool,
 		TLS:            listenTLS,

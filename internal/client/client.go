@@ -47,10 +47,6 @@ type Options struct {
 	MaxBackoff time.Duration
 	// Name identifies this client in the handshake.
 	Name string
-	// RawTrace suppresses the compressed-trace capability in the
-	// handshake, forcing the server to stream raw Trace chunks — the
-	// behavior of a client that predates the codec.
-	RawTrace bool
 	// TLS, when set, dials TLS over the TCP connection. If ServerName is
 	// empty and certificate verification is on, it is filled in from the
 	// dialed address's host. Set Certificates for mTLS.
@@ -105,10 +101,10 @@ type Client struct {
 	opts Options
 
 	// OnTrace, when set before Run, requests energy-trace streaming and
-	// receives each chunk. When the TraceZ capability was negotiated the
-	// chunk was decoded from the compressed stream and its Samples slice
-	// aliases a scratch buffer reused for the next chunk — copy samples
-	// out if they must outlive the callback.
+	// receives each chunk, decoded from its TraceZ frame: voltages sit on
+	// the ADC grid (tracecodec.Quantize). The chunk's Samples slice aliases
+	// a scratch buffer reused for the next chunk — copy samples out if
+	// they must outlive the callback.
 	OnTrace func(*wire.Trace)
 
 	addr       string   // the address this client is connected to
@@ -154,10 +150,7 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 		return nil, fmt.Errorf("client: no address to dial in %q", addr)
 	}
 	d := wire.Dialer{Timeout: o.DialTimeout, TLS: o.TLS, Name: o.Name, Token: o.AuthToken}
-	var caps byte // the dialer adds FlagAuth when there is a token
-	if !o.RawTrace {
-		caps |= wire.FlagTraceZ
-	}
+	caps := wire.FlagTraceZ // the dialer adds FlagAuth when there is a token
 	if o.Reconnect {
 		// The cluster capability tells the server this client understands
 		// SessMigrate hand-offs and SessResume replays.
@@ -253,8 +246,7 @@ func (c *Client) Authenticated() bool { return c.caps&wire.FlagAuth != 0 }
 func (c *Client) Cluster() bool { return c.caps&wire.FlagCluster != 0 }
 
 // decodeTraceZ decodes one compressed trace chunk into the client's reused
-// scratch buffer and returns a raw-chunk view over it, so OnTrace callbacks
-// observe the same shape whichever encoding the server streamed.
+// scratch buffer and returns a Trace view over it for OnTrace.
 func (c *Client) decodeTraceZ(t *wire.TraceZ) (*wire.Trace, error) {
 	if !c.TraceZ() {
 		return nil, errors.New("client: server sent TraceZ without negotiating the capability")
@@ -336,11 +328,6 @@ func (c *Client) Run(spec scenario.Spec, out io.Writer, prompt scenario.PromptFu
 				if rerr := resume(); rerr != nil {
 					return Status{}, err
 				}
-			}
-		case *wire.Trace:
-			rec.SkipTraceSamples += uint64(len(t.Samples))
-			if c.OnTrace != nil {
-				c.OnTrace(t)
 			}
 		case *wire.TraceZ:
 			tr, err := c.decodeTraceZ(t)

@@ -141,7 +141,7 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	// final trace frame on the gateway→client stream of a full client
 	// session.
 	recOut, recSamples, recSt := runViaClient(proxy.Addr())
-	last := proxy.LastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	last := proxy.LastFrame(0, wire.TypeTraceZ)
 	if last < 0 {
 		t.Fatal("recording pass relayed no trace frame")
 	}

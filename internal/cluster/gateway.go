@@ -391,8 +391,9 @@ func (g *Gateway) probe(b *backendState) {
 // dialBackend opens a cluster connection to a backend, negotiating
 // FlagCluster plus the client's FlagTraceZ from caps (a proxied session's
 // byte stream is relayed verbatim and must match what the client
-// negotiated with the gateway). A backend that refuses any required bit is
-// an error, not a downgrade.
+// negotiated with the gateway; a client without the bit gets the backend's
+// refusal of a traced session, relayed unchanged). A backend that refuses
+// any required bit is an error, not a downgrade.
 func (g *Gateway) dialBackend(addr string, caps byte) (net.Conn, error) {
 	want := caps&wire.FlagTraceZ | wire.FlagCluster
 	conn, _, granted, err := g.dialer.Dial(context.Background(), addr, want)
@@ -728,11 +729,6 @@ func (g *Gateway) pump(cp, bp *wire.Peer, b *backendState, sess *sessState, free
 		case *wire.Output:
 			sess.rec.SkipOutput += uint64(len(t.Data))
 			g.c.bytesRelayed.Add(int64(len(t.Data)))
-			if err := relay(t); err != nil {
-				return true, err
-			}
-		case *wire.Trace:
-			sess.rec.SkipTraceSamples += uint64(len(t.Samples))
 			if err := relay(t); err != nil {
 				return true, err
 			}

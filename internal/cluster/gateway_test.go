@@ -446,7 +446,7 @@ func collectSession(t *testing.T, conn net.Conn) (output []byte, traceFrames [][
 		switch f := m.(type) {
 		case *wire.Output:
 			output = append(output, f.Data...)
-		case *wire.Trace, *wire.TraceZ:
+		case *wire.TraceZ:
 			b, err := wire.EncodeMsg(m)
 			if err != nil {
 				t.Fatal(err)
@@ -499,7 +499,7 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	if len(goldenFrames) < 2 {
 		t.Fatalf("need >= 2 trace frames to cut between chunks, got %d", len(goldenFrames))
 	}
-	last := proxy.LastFrame(0, wire.TypeTrace, wire.TypeTraceZ)
+	last := proxy.LastFrame(0, wire.TypeTraceZ)
 	if last < 0 {
 		t.Fatal("recording pass relayed no trace frame")
 	}

@@ -124,9 +124,9 @@ type Result struct {
 	// 1 when a scripted command failed.
 	ExitCode int
 	// Vcap holds the final 150 ms energy-trace window when Spec.Trace was
-	// set (what RenderASCII drew). Samples carry the true capacitor
-	// voltage; consumers that stream it (edbd's trace path) quantize onto
-	// the ADC grid via internal/tracecodec when the codec is negotiated.
+	// set (what RenderASCII drew). Samples carry the exact capacitor
+	// voltage, which only a local caller sees: edbd streams the window
+	// through internal/tracecodec, which quantizes it onto the ADC grid.
 	Vcap *trace.Series
 }
 

@@ -431,7 +431,7 @@ func TestSlowReaderTraceStream(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(60 * time.Second))
-	if err := wire.WriteMsg(conn, &wire.Hello{Version: wire.Version, Client: "edb/slow"}); err != nil {
+	if err := wire.WriteMsgFlags(conn, &wire.Hello{Version: wire.Version, Client: "edb/slow"}, wire.FlagTraceZ); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	if _, err := wire.ReadMsg(conn); err != nil {
@@ -451,8 +451,8 @@ func TestSlowReaderTraceStream(t *testing.T) {
 		switch f := m.(type) {
 		case *wire.Output:
 			out.Write(f.Data)
-		case *wire.Trace:
-			samples += len(f.Samples)
+		case *wire.TraceZ:
+			samples += int(f.Count)
 			// Dawdle: with ~3 chunks this stretches the stream well past
 			// the server's 150ms WriteTimeout.
 			time.Sleep(120 * time.Millisecond)

@@ -409,6 +409,49 @@ func TestSessResumeMidTraceStream(t *testing.T) {
 	}
 }
 
+// TestSessResumeBadTraceOffset: a resume whose trace offset is neither a
+// chunk boundary nor the end of the window, or lies past the window, is a
+// bad request. The backend answers it with Error{CodeBadRequest}, behind
+// the session's output and with the session's slot already free.
+func TestSessResumeBadTraceOffset(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	spec := traceSpec(42)
+	golden, _ := localGolden(t, spec)
+	for _, row := range []struct {
+		name string
+		skip uint64
+	}{{"7", 7}, {"2^40", 1 << 40}} {
+		t.Run(row.name, func(t *testing.T) {
+			conn := dialCluster(t, addr, wire.FlagCluster|wire.FlagTraceZ)
+			if err := wire.WriteMsg(conn, &wire.SessResume{Spec: spec, StreamTrace: true,
+				SpecHash: scenario.SpecHash(spec), SkipTraceSamples: row.skip}); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			for {
+				m, err := wire.ReadMsg(conn)
+				if err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				if o, ok := m.(*wire.Output); ok {
+					out.Write(o.Data)
+					continue
+				}
+				if werr, ok := m.(*wire.Error); !ok || werr.Code != wire.CodeBadRequest {
+					t.Fatalf("want Error{%d}, got %#v", wire.CodeBadRequest, m)
+				}
+				break
+			}
+			if n := srv.Metrics().SessionsOpen; n != 0 {
+				t.Fatalf("%d session slots still held when the Error arrived", n)
+			}
+			if out.String() != golden {
+				t.Fatalf("output ahead of the Error differs from local:\n--- local ---\n%s\n--- remote ---\n%s", golden, out.String())
+			}
+		})
+	}
+}
+
 // TestDrainOrderDeterministic is the drain-order regression test: a drain
 // must cut idle connections immediately while a busy connection — even one
 // whose client is still composing the answer to an open prompt — is served

@@ -43,7 +43,7 @@ type Metrics struct {
 	SimCycles        int64 // simulated target cycles executed
 	ScriptErrors     int64 // scripted console commands that returned errors
 	IdleReaped       int64 // sessions closed by the idle timeout
-	TraceBytes       int64 // trace-stream frame bytes (raw or compressed) sent to clients
+	TraceBytes       int64 // TraceZ frame bytes sent to clients
 	TraceSamples     int64 // trace samples streamed to clients
 
 	wire.HandshakeMetrics // auth, TLS and unknown-capability handshake counters

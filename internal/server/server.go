@@ -56,10 +56,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each outbound frame write (default 10s).
 	WriteTimeout time.Duration
-	// DisableTraceZ refuses the compressed-trace capability even for
-	// clients that advertise it; every session then streams raw Trace
-	// chunks. Useful for debugging the codec path itself.
-	DisableTraceZ bool
 	// DisableCluster refuses the cluster capability: Stat probes,
 	// SessResume replays and drain-time SessMigrate hand-offs are then
 	// rejected, and a drain simply waits for busy sessions like a
@@ -162,9 +158,6 @@ func (st *connState) exitBusy() {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	var refuse byte
-	if cfg.DisableTraceZ {
-		refuse |= wire.FlagTraceZ
-	}
 	if cfg.DisableCluster {
 		refuse |= wire.FlagCluster
 	}
@@ -410,8 +403,9 @@ var errMigrated = errors.New("server: session migrated to a peer")
 // progress record: a fresh Run's seed, with an empty journal and zero
 // offsets, or the SessResume of a migrated session (resumed). The calling
 // goroutine owns the entire simulation; the client only ever observes
-// framed output. traceZ selects the negotiated trace encoding for
-// StreamTrace requests; cluster permits drain-time migration hand-offs.
+// framed output. traceZ reports that the peer decodes TraceZ, which a
+// StreamTrace request needs; cluster permits drain-time migration
+// hand-offs.
 //
 // Resume leans entirely on determinism: the scenario is re-run from this
 // server's own template (or cycle 0), journal entries answer the prompts
@@ -450,6 +444,13 @@ func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cl
 	}
 	if err := scenario.Validate(req.Spec); err != nil {
 		return end(&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()})
+	}
+	// TraceZ is the only trace encoding, so a peer that does not decode it
+	// (a client built before the codec) is refused instead of sent frames
+	// it cannot read.
+	if req.StreamTrace && !traceZ {
+		return end(&wire.Error{Code: wire.CodeBadRequest,
+			Text: "trace streaming needs the TraceZ capability"})
 	}
 
 	if resumed {
@@ -549,7 +550,13 @@ func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cl
 		return end(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})
 	}
 	if req.StreamTrace && res.Vcap != nil {
-		if err := s.streamTrace(p, res.Vcap, traceZ, req.SkipTraceSamples); err != nil {
+		// A resume continues the stream at a chunk boundary, or at its end.
+		n, skip := uint64(len(res.Vcap.Samples)), req.SkipTraceSamples
+		if skip > n || skip%chunkSamples != 0 && skip != n {
+			return end(&wire.Error{Code: wire.CodeBadRequest,
+				Text: fmt.Sprintf("trace resume offset %d is not a chunk boundary of %d samples", skip, n)})
+		}
+		if err := s.streamTrace(p, res.Vcap, int(skip)); err != nil {
 			return err
 		}
 	}
@@ -607,31 +614,23 @@ func (w *skipWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// chunkSamples is the trace-streaming chunk size: 512 samples keep a raw
-// Trace frame around 8 KiB, far below MaxFrame, while amortizing framing
-// overhead.
+// chunkSamples is the trace-streaming chunk size: 512 samples keep a
+// TraceZ frame near 1 KiB (about 1.7 bytes per sample), far below
+// MaxFrame, while amortizing framing overhead. Chunk boundaries fix the
+// frames, and so the offsets a resume may ask for.
 const chunkSamples = 512
 
-// streamTrace streams a recorded trace window to the client in chunks,
-// compressed when the TraceZ capability was negotiated. The TracePoint
-// chunk and the codec blob are reused across chunks, and each frame is
-// encoded straight into the peer's pending buffer. Chunks are queued: they
-// write themselves every 32 KiB, and the last of them goes out with Done.
-// skipSamples resumes a migrated trace stream: the first skipSamples
-// samples — which the peer already holds as complete chunks — are not
-// re-sent. Because chunk boundaries depend only on the sample index, a
-// chunk-aligned offset reproduces the remaining frames byte-identically.
-func (s *Server) streamTrace(p *wire.Peer, series *trace.Series, traceZ bool, skipSamples uint64) error {
+// streamTrace streams a recorded trace window to the client in TraceZ
+// chunks. The TracePoint chunk and the codec blob are reused across
+// chunks, and each frame is encoded straight into the peer's pending
+// buffer. Chunks are queued: they write themselves every 32 KiB, and the
+// last of them goes out with Done. start resumes a migrated trace stream:
+// the first start samples — which the peer already holds as complete
+// chunks — are not re-sent. Because chunk boundaries depend only on the
+// sample index, a chunk-aligned start reproduces the remaining frames
+// byte-identically.
+func (s *Server) streamTrace(p *wire.Peer, series *trace.Series, start int) error {
 	samples := series.Samples
-	start := 0
-	if skipSamples > 0 {
-		if skipSamples > uint64(len(samples)) ||
-			(skipSamples%chunkSamples != 0 && skipSamples != uint64(len(samples))) {
-			return fmt.Errorf("server: trace resume offset %d is not a chunk boundary of %d samples",
-				skipSamples, len(samples))
-		}
-		start = int(skipSamples)
-	}
 	pts := make([]wire.TracePoint, 0, chunkSamples)
 	var (
 		enc  tracecodec.Encoder
@@ -646,14 +645,8 @@ func (s *Server) streamTrace(p *wire.Peer, series *trace.Series, traceZ bool, sk
 		for _, sm := range samples[i:end] {
 			pts = append(pts, wire.TracePoint{At: uint64(sm.At), V: sm.V})
 		}
-		var m wire.Msg
-		if traceZ {
-			blob = enc.Encode(blob[:0], pts)
-			m = &wire.TraceZ{Name: series.Name, Unit: series.Unit, Count: uint32(len(pts)), Data: blob}
-		} else {
-			m = &wire.Trace{Name: series.Name, Unit: series.Unit, Samples: pts}
-		}
-		n, err := p.Queue(m)
+		blob = enc.Encode(blob[:0], pts)
+		n, err := p.Queue(&wire.TraceZ{Name: series.Name, Unit: series.Unit, Count: uint32(len(pts)), Data: blob})
 		if err != nil {
 			return err
 		}

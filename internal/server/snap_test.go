@@ -14,37 +14,57 @@ import (
 	"repro/internal/wire"
 )
 
-// TestOldClientNoSnapCompat is the backwards-compatibility guarantee for a
-// client built before any capability existed: it negotiates zero
-// capabilities and receives a transcript byte-identical to a local run —
-// the new server bits are invisible to it.
-func TestOldClientNoSnapCompat(t *testing.T) {
-	srv, addr := startServer(t, server.Config{})
+// TestPreCodecClient is the guarantee for a client built before any
+// capability existed: its Hello offers no bits, so it cannot decode the
+// TraceZ frames that are the only trace encoding. Against a backend and
+// through a gateway, its untraced sessions (the first cold, the second
+// forked from the pool's template) match the local transcript byte for
+// byte, and a traced Run is refused with Error{CodeBadRequest} before it
+// simulates anything, every session slot free when the Error arrives.
+func TestPreCodecClient(t *testing.T) {
 	spec := testSpec(42)
 	golden, _ := localGolden(t, spec)
+	for _, via := range []string{"backend", "gateway"} {
+		t.Run(via, func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{})
+			slots := func() int64 { return srv.Metrics().SessionsOpen }
+			if via == "gateway" {
+				gw, gwAddr := startGateway(t, cluster.Config{Backends: []string{addr}, HealthInterval: time.Hour})
+				addr = gwAddr
+				slots = func() int64 { return srv.Metrics().SessionsOpen + gw.Metrics().Backends[0].Inflight }
+			}
+			conn := dialCluster(t, addr, 0)
+			for i := 0; i < 2; i++ {
+				if err := wire.WriteMsg(conn, &wire.Run{Spec: spec}); err != nil {
+					t.Fatal(err)
+				}
+				var out bytes.Buffer
+				finishSession(t, conn, &out, nil)
+				if out.String() != golden {
+					t.Fatalf("run %d: pre-codec transcript differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+						i, golden, out.String())
+				}
+			}
+			if m := srv.Metrics(); m.ColdBoots != 1 || m.WarmForks != 1 {
+				t.Fatalf("pool metrics: cold=%d warm=%d, want 1/1", m.ColdBoots, m.WarmForks)
+			}
 
-	cl, err := client.Dial(addr, client.Options{RawTrace: true})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+			cycles := srv.Metrics().SimCycles
+			if err := wire.WriteMsg(conn, &wire.Run{Spec: traceSpec(42), StreamTrace: true}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := wire.ReadMsg(conn)
+			if werr, ok := m.(*wire.Error); err != nil || !ok || werr.Code != wire.CodeBadRequest {
+				t.Fatalf("traced run: want Error{%d}, got %#v (%v)", wire.CodeBadRequest, m, err)
+			}
+			if n := slots(); n != 0 {
+				t.Fatalf("%d session slots still held when the Error arrived", n)
+			}
+			if got := srv.Metrics().SimCycles; got != cycles {
+				t.Fatalf("the refused run simulated %d cycles", got-cycles)
+			}
+		})
 	}
-	defer cl.Close()
-	if cl.TraceZ() {
-		t.Fatalf("client advertised nothing but negotiated tracez=%v", cl.TraceZ())
-	}
-	// Two sessions: the first may cold-boot while the pool warms a
-	// template, the second may be served from a fork — both must match the
-	// local golden byte-for-byte.
-	for i := 0; i < 2; i++ {
-		var buf bytes.Buffer
-		if _, err := cl.Run(spec, &buf, nil); err != nil {
-			t.Fatalf("remote run %d: %v", i, err)
-		}
-		if buf.String() != golden {
-			t.Fatalf("run %d: old-client transcript differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
-				i, golden, buf.String())
-		}
-	}
-	_ = srv
 }
 
 // TestNoCommandEndsSession: a client that answers a prompt with anything

@@ -1,8 +1,8 @@
 // Package tracecodec compresses energy-trace sample streams for the wire
-// protocol. A raw wire.Trace sample costs 16 bytes — a full uint64
-// timestamp plus a float64 voltage — for data that is really a monotone
-// clock plus a value on EDB's 12-bit ADC grid. The codec exploits both
-// regularities:
+// protocol, whose only trace frame (wire.TraceZ) carries its blobs. A raw
+// sample would cost 16 bytes — a full uint64 timestamp plus a float64
+// voltage — for data that is really a monotone clock plus a value on
+// EDB's 12-bit ADC grid. The codec exploits both regularities:
 //
 //   - Timestamps are varint delta-of-delta encoded (the sampler fires on a
 //     fixed period, so the second difference is almost always zero — one

@@ -102,6 +102,11 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{0x12, 0x02, 0, 0, 0, 0})
 	f.Add([]byte{0x13, 0, 0, 0, 0, 1, 0xAA})
+	// …raw trace chunks (type 0x22), retired for TraceZ: one with samples,
+	// an empty one, and one whose sample count exceeds its payload…
+	for _, fr := range retiredTraceFrames() {
+		f.Add(fr)
+	}
 	for _, caps := range []byte{0x02, 0x02 | FlagTraceZ, 0x02 | FlagTraceZ | FlagCluster} {
 		if fr, err := EncodeMsgFlags(&Hello{Version: Version, Client: "edb"}, caps); err == nil {
 			f.Add(fr)
@@ -318,12 +323,33 @@ func retiredJournalFrames() [][]byte {
 	return [][]byte{resume(2), resume(3)}
 }
 
+// retiredTraceFrames returns raw trace chunks (type 0x22) as the retired
+// raw stream laid them out: name, unit, a sample count and 16 bytes
+// (uint64 cycle, float64 volts) per sample. One carries two samples, one
+// is empty, and one claims 1<<28 samples its payload does not hold.
+func retiredTraceFrames() [][]byte {
+	chunk := func(count uint32, samples ...TracePoint) []byte {
+		return rawFrame(0x22, func(e *encoder) {
+			e.str("Vcap")
+			e.str("V")
+			e.u32(count)
+			for _, s := range samples {
+				e.u64(s.At)
+				e.f64(s.V)
+			}
+		})
+	}
+	return [][]byte{chunk(2, TracePoint{At: 1, V: 2.5}, TracePoint{At: 99, V: 1.75}), chunk(0), chunk(1 << 28)}
+}
+
 // TestRetiredProtocolFramesRejected: every frame of the retired explore
-// shard protocol, of the retired gateway gossip protocol and of the
-// retired snapshot path fails to decode as an unknown message type, and a
-// resume whose journal holds a retired snapshot kind fails on that kind.
+// shard protocol, of the retired gateway gossip protocol, of the retired
+// snapshot path and of the retired raw trace stream fails to decode as an
+// unknown message type, and a resume whose journal holds a retired
+// snapshot kind fails on that kind.
 func TestRetiredProtocolFramesRejected(t *testing.T) {
 	retired := append(retiredExploreFrames(), retiredGossipFrames()...)
+	retired = append(retired, retiredTraceFrames()...)
 	for i, fr := range append(retired, retiredSnapFrames()...) {
 		if _, _, err := ReadMsgFlags(bytes.NewReader(fr)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("retired frame %d (type %#02x): got %v", i, fr[0], err)

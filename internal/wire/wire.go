@@ -85,7 +85,6 @@ const (
 	TypeSessResume  byte = 0x14 // client → server: resume a migrated session from its journal (FlagCluster only)
 	TypeOutput      byte = 0x20 // server → client: console/run output bytes
 	TypePrompt      byte = 0x21 // server → client: session awaits a Command
-	TypeTrace       byte = 0x22 // server → client: raw energy-trace samples
 	TypeDone        byte = 0x23 // server → client: session finished
 	TypeTraceZ      byte = 0x24 // server → client: codec-compressed energy-trace samples
 	TypeSessMigrate byte = 0x25 // server → client: session should move to another backend (FlagCluster only)
@@ -97,9 +96,10 @@ const (
 
 	// 0x12 and 0x13 are retired (the removed snapshot-save and -restore
 	// prompt answers; snap and restore travel as Command lines), and so
-	// are 0x40–0x42 (the removed distributed-explore shard protocol) and
-	// 0x50 (the removed gateway gossip stream); never reuse them. They
-	// decode as unknown types.
+	// are 0x22 (the removed raw trace chunk; traces travel as TraceZ),
+	// 0x40–0x42 (the removed distributed-explore shard protocol) and 0x50
+	// (the removed gateway gossip stream); never reuse them. They decode
+	// as unknown types.
 )
 
 // Capability flag bits, valid only on Hello and Welcome frames. A client
@@ -108,9 +108,12 @@ const (
 // zero flags and are served the baseline protocol — a version bump is not
 // required.
 const (
-	// FlagTraceZ negotiates compressed trace streaming: when both sides
-	// set it, the server streams TraceZ chunks (internal/tracecodec blobs)
-	// instead of raw Trace chunks.
+	// FlagTraceZ says the peer decodes TraceZ chunks (internal/tracecodec
+	// blobs), the only encoding a trace stream has. Every dialer offers it
+	// and every server grants it; a Run or SessResume that asks for a
+	// trace stream without it is refused with Error{CodeBadRequest}, so a
+	// client built before the codec never receives a frame it cannot
+	// decode.
 	FlagTraceZ byte = 0x01
 	// FlagAuth negotiates token authentication: a client that sets it
 	// appends a shared-secret token string to its Hello payload (after the
@@ -195,8 +198,9 @@ func (e *Error) Error() string { return fmt.Sprintf("edbd: %s (code %d)", e.Text
 // Run asks the server to execute a scenario session.
 type Run struct {
 	Spec scenario.Spec
-	// StreamTrace additionally streams the raw samples behind the final
-	// energy-trace window as Trace chunks before Done.
+	// StreamTrace additionally streams the samples behind the final
+	// energy-trace window as TraceZ chunks before Done. It needs
+	// FlagTraceZ.
 	StreamTrace bool
 }
 
@@ -315,24 +319,25 @@ type Join struct {
 	Addr string
 }
 
-// TracePoint is one raw trace sample.
+// TracePoint is one trace sample.
 type TracePoint struct {
 	At uint64 // target clock cycles
 	V  float64
 }
 
-// Trace streams a chunk of raw energy-trace samples.
+// Trace is one decoded chunk of energy-trace samples: what a TraceZ frame
+// decodes to, and what client.Client.OnTrace receives. It is not a frame.
 type Trace struct {
 	Name    string
 	Unit    string
 	Samples []TracePoint
 }
 
-// TraceZ streams a chunk of codec-compressed energy-trace samples; it is
-// only sent when FlagTraceZ was negotiated in the handshake. Count is the
-// number of samples Data decodes to (bounded by len(Data): the codec
-// spends at least one byte per sample) and Data is an opaque
-// internal/tracecodec blob — each chunk decodes independently.
+// TraceZ streams a chunk of codec-compressed energy-trace samples, the
+// only trace frame; it is only sent when FlagTraceZ was negotiated in the
+// handshake. Count is the number of samples Data decodes to (bounded by
+// len(Data): the codec spends at least one byte per sample) and Data is an
+// opaque internal/tracecodec blob — each chunk decodes independently.
 type TraceZ struct {
 	Name  string
 	Unit  string
@@ -363,7 +368,6 @@ func (*Command) Type() byte     { return TypeCommand }
 func (*SessResume) Type() byte  { return TypeSessResume }
 func (*Output) Type() byte      { return TypeOutput }
 func (*Prompt) Type() byte      { return TypePrompt }
-func (*Trace) Type() byte       { return TypeTrace }
 func (*TraceZ) Type() byte      { return TypeTraceZ }
 func (*Done) Type() byte        { return TypeDone }
 func (*SessMigrate) Type() byte { return TypeSessMigrate }
@@ -392,8 +396,6 @@ func newMsg(t byte) Msg {
 		return &Output{}
 	case TypePrompt:
 		return &Prompt{}
-	case TypeTrace:
-		return &Trace{}
 	case TypeTraceZ:
 		return &TraceZ{}
 	case TypeDone:
@@ -702,37 +704,6 @@ func (m *Output) decode(d *decoder) { m.Data = d.bytesField() }
 
 func (m *Prompt) encode(*encoder) {}
 func (m *Prompt) decode(*decoder) {}
-
-func (m *Trace) encode(e *encoder) {
-	e.str(m.Name)
-	e.str(m.Unit)
-	e.u32(uint32(len(m.Samples)))
-	for _, s := range m.Samples {
-		e.u64(s.At)
-		e.f64(s.V)
-	}
-}
-
-func (m *Trace) decode(d *decoder) {
-	m.Name = d.str()
-	m.Unit = d.str()
-	n := d.u32()
-	if d.err != nil {
-		return
-	}
-	const sampleSize = 16
-	if uint64(n)*sampleSize > uint64(len(d.b)-d.off) {
-		d.fail("trace sample count %d exceeds payload", n)
-		return
-	}
-	if n > 0 {
-		m.Samples = make([]TracePoint, n)
-		for i := range m.Samples {
-			m.Samples[i].At = d.u64()
-			m.Samples[i].V = d.f64()
-		}
-	}
-}
 
 func (m *TraceZ) encode(e *encoder) {
 	e.str(m.Name)

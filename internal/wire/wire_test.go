@@ -31,8 +31,6 @@ func sampleMsgs() []Msg {
 		&Output{Data: []byte("Vcap = 2.400 V\n")},
 		&Output{},
 		&Prompt{},
-		&Trace{Name: "Vcap", Unit: "V", Samples: []TracePoint{{At: 1, V: 2.5}, {At: 99, V: 1.75}}},
-		&Trace{Name: "Vcap", Unit: "V"},
 		&TraceZ{Name: "Vcap", Unit: "V", Count: 3, Data: []byte{0x03, 0x0A, 0x02, 0x02, 0x00}},
 		&TraceZ{Name: "Vcap", Unit: "V"},
 		&Done{Exit: 1, Halted: "assert 0", SimCycles: 1 << 40, Commands: 3, ScriptErrors: 1},
@@ -150,15 +148,6 @@ func TestDecodeRejects(t *testing.T) {
 	p = binary.BigEndian.AppendUint32(p, 1<<30)      // Hello.Client length
 	if _, err := DecodePayload(TypeHello, p); err == nil {
 		t.Fatal("hostile string length must fail")
-	}
-
-	// Trace sample count exceeding the payload must fail without allocating.
-	var e encoder
-	e.str("Vcap")
-	e.str("V")
-	e.u32(1 << 28)
-	if _, err := DecodePayload(TypeTrace, e.b); err == nil {
-		t.Fatal("hostile sample count must fail")
 	}
 
 	// TraceZ sample count exceeding the blob length must fail: the codec
@@ -418,52 +407,26 @@ func TestBaselineHandshakeGolden(t *testing.T) {
 	}
 }
 
-// TestFrameBoundary: chunks sized exactly at MaxFrame must round-trip, and
-// one byte (or sample) more must be rejected — mirroring the block-boundary
-// tests in internal/edb/blockio_test.go.
+// TestFrameBoundary: a chunk sized exactly at MaxFrame must round-trip, and
+// one byte more must be rejected — mirroring the block-boundary tests in
+// internal/edb/blockio_test.go.
 func TestFrameBoundary(t *testing.T) {
-	// Trace payload = 4+len(name) + 4+len(unit) + 4 + 16*n. With name
-	// "abcd" and an empty unit that is 16 + 16n, so n = 65535 lands exactly
-	// on MaxFrame (1<<20).
-	samples := make([]TracePoint, 65535)
-	for i := range samples {
-		samples[i] = TracePoint{At: uint64(i) * 160, V: 2.5}
-	}
-	tr := &Trace{Name: "abcd", Unit: "", Samples: samples}
-	f, err := EncodeMsg(tr)
-	if err != nil {
-		t.Fatalf("encode at boundary: %v", err)
-	}
-	if len(f) != headerSize+MaxFrame {
-		t.Fatalf("frame is %d bytes, want header+MaxFrame = %d", len(f), headerSize+MaxFrame)
-	}
-	got, err := ReadMsg(bytes.NewReader(f))
-	if err != nil {
-		t.Fatalf("read at boundary: %v", err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatal("boundary Trace round trip mismatch")
-	}
-	tr.Samples = append(tr.Samples, TracePoint{})
-	if _, err := EncodeMsg(tr); err != ErrFrameTooBig {
-		t.Fatalf("one sample past boundary: want ErrFrameTooBig, got %v", err)
-	}
-
-	// TraceZ payload = 16 + 4 + len(data) with the same strings, so data of
-	// MaxFrame-20 bytes is exact.
+	// TraceZ payload = 4+len(name) + 4+len(unit) + 4 + 4+len(data). With
+	// name "abcd" and an empty unit that is 20 + len(data), so data of
+	// MaxFrame-20 bytes lands exactly on MaxFrame (1<<20).
 	data := make([]byte, MaxFrame-20)
 	for i := range data {
 		data[i] = byte(i)
 	}
 	tz := &TraceZ{Name: "abcd", Unit: "", Count: 1, Data: data}
-	f, err = EncodeMsg(tz)
+	f, err := EncodeMsg(tz)
 	if err != nil {
 		t.Fatalf("encode TraceZ at boundary: %v", err)
 	}
 	if len(f) != headerSize+MaxFrame {
 		t.Fatalf("TraceZ frame is %d bytes, want %d", len(f), headerSize+MaxFrame)
 	}
-	got, err = ReadMsg(bytes.NewReader(f))
+	got, err := ReadMsg(bytes.NewReader(f))
 	if err != nil {
 		t.Fatalf("read TraceZ at boundary: %v", err)
 	}

@@ -87,16 +87,11 @@ if ! diff -u "$workdir/local.out" "$workdir/remote.out"; then
 fi
 echo "smoke: remote output is byte-identical to local ($(wc -c <"$workdir/local.out") bytes)"
 
-echo "smoke: diffing local vs compressed vs raw trace streams"
+echo "smoke: diffing local vs remote trace streams"
 "$workdir/edb" $common "$script" -trace-out "$workdir/local.csv" >/dev/null
 "$workdir/edb" -connect "$addr" $common "$script" -trace-out "$workdir/tracez.csv" >/dev/null
-"$workdir/edb" -connect "$addr" -raw-trace $common "$script" -trace-out "$workdir/raw.csv" >/dev/null
 if ! diff -u "$workdir/local.csv" "$workdir/tracez.csv"; then
     echo "smoke: FAIL — codec-decoded remote trace differs from local" >&2
-    exit 1
-fi
-if ! diff -u "$workdir/local.csv" "$workdir/raw.csv"; then
-    echo "smoke: FAIL — raw remote trace differs from local" >&2
     exit 1
 fi
 lines=$(wc -l <"$workdir/local.csv")
@@ -104,7 +99,7 @@ if [ "$lines" -le 1 ]; then
     echo "smoke: FAIL — trace CSV is empty" >&2
     exit 1
 fi
-echo "smoke: trace streams identical across local/codec/raw ($((lines - 1)) samples)"
+echo "smoke: remote trace stream identical to local ($((lines - 1)) samples)"
 
 echo "smoke: checking that a failing script exits non-zero remotely"
 if "$workdir/edb" -connect "$addr" -app linkedlist -assert -t 10 -seed 42 \
@@ -278,6 +273,14 @@ if [ -z "$gw_addr" ]; then
     exit 1
 fi
 echo "smoke: gateway at $gw_addr routing to $addr_a, $addr_b"
+
+echo "smoke: trace stream through the gateway"
+"$workdir/edb" -connect "$gw_addr" $common "$script" -trace-out "$workdir/gw.csv" >/dev/null
+if ! diff -u "$workdir/local.csv" "$workdir/gw.csv"; then
+    echo "smoke: FAIL — trace streamed through the gateway differs from local" >&2
+    exit 1
+fi
+echo "smoke: trace through the gateway identical to local"
 
 # Golden: the same interactive command sequence against a local rig.
 icommon="-app linkedlist -assert -t 10 -seed 42 -i"
