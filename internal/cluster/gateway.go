@@ -697,8 +697,9 @@ func (g *Gateway) proxySession(cp *wire.Peer, caps byte, sess *sessState) error 
 }
 
 // pump relays frames for one backend leg of a session. It returns
-// done=true when the session is over (cleanly, or because the *client*
-// side failed — err non-nil then), and done=false when the session should
+// done=true when the session is over (cleanly, with the backend's Done or
+// Error relayed, or because the *client* side failed or the gateway
+// refused it — err non-nil then), and done=false when the session should
 // be re-dispatched to another backend (hand-off or backend failure), with
 // relayed frames possibly still queued on cp. free gives back the leg's
 // slot on b; pump calls it before relaying a frame with which the backend
@@ -788,9 +789,13 @@ func (g *Gateway) pump(cp, bp *wire.Peer, b *backendState, sess *sessState, free
 				g.noteLeave(sess, b, true, "backend busy")
 				return false, t
 			}
+			// The backend ended the session with this Error and keeps its
+			// connection for the next request, so the client keeps its own.
 			free()
-			cp.Send(t)
-			return true, t
+			if err := cp.Send(t); err != nil {
+				return true, err
+			}
+			return true, nil
 		default:
 			err := fmt.Errorf("cluster: unexpected backend frame %T", m)
 			cp.Send(&wire.Error{Code: wire.CodeRunFailed, Text: err.Error()})

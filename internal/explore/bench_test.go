@@ -3,9 +3,6 @@ package explore
 import (
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/memsim"
 )
 
@@ -16,15 +13,7 @@ import (
 // on the way, so ns/op and allocs/op are the per-state cost of the single
 // pass and the hash-first capture.
 func BenchmarkExpand(b *testing.B) {
-	cfg := Config{
-		NewRig: func() (*device.Device, device.Program, error) {
-			return core.ExploreTarget(&apps.LinkedList{}, 42)
-		},
-		Mode:          ModeWrite,
-		MaxCandidates: 5,
-		MaxDepth:      32,
-		MaxStates:     8192,
-	}
+	cfg := benchConfig(false)
 	if err := cfg.applyDefaults(); err != nil {
 		b.Fatal(err)
 	}
@@ -57,6 +46,24 @@ func BenchmarkExpand(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, st := range expand {
 			if _, err := w.expand(st, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSearch times both linked-list searches, unguarded then guarded,
+// at the bounds the explore benchmark uses (cap 5, depth 32, 8,192 states,
+// one worker). One op is one whole search of each build: rig set-up, every
+// wave's expansion and dedup, and the report, so allocs/op is the
+// allocation of a search, not of one state.
+func BenchmarkSearch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, guards := range []bool{false, true} {
+			cfg := benchConfig(guards)
+			cfg.Workers = 1
+			if _, err := Run(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,12 +53,16 @@ type Expansion struct {
 // which a caller instruments the search (perfbench times every call).
 //
 // Expand is stateless with respect to the search (any executor can expand
-// any state). Dedup is stateful per partition: it answers membership
-// queries against partition part, inserting every queried hash, with
-// fresh[i] true iff hashes[i] was not already present (an earlier
-// occurrence within the same batch makes a later one a dup). Partition p
-// is always queried on executor p mod len(execs). An error from any call
-// ends the search with that error.
+// any state). Its result may be a buffer the executor reuses: it is valid
+// until the executor's next Expand, and the coordinator copies it out
+// before then and never calls one executor's Expand concurrently. The
+// children's deltas stay valid for as long as they are referenced. Dedup
+// is stateful per partition: it answers membership queries against
+// partition part, inserting every queried hash, with fresh[i] true iff
+// hashes[i] was not already present (an earlier occurrence within the same
+// batch makes a later one a dup). Partition p is always queried on
+// executor p mod len(execs). An error from any call ends the search with
+// that error.
 type Executor interface {
 	// BaseHash is the post-flash baseline FRAM hash; the coordinator
 	// cross-checks that every executor was built from an identical rig.
@@ -83,6 +88,7 @@ type DistStats struct {
 type LocalExecutor struct {
 	cfg  *Config
 	pool *rigPool
+	out  []Expansion // Expand's result, reused
 
 	mu    sync.Mutex
 	parts map[int]map[uint64]struct{}
@@ -111,6 +117,8 @@ func (x *LocalExecutor) BaseHash() uint64 { return x.pool.baseHash }
 // across a run of states instead of costing a get/put per state, while the
 // chunk surplus keeps the pool load-balanced when segments vary in length.
 // Results are positional, so chunking never affects the merged report.
+// The result is one buffer the executor reuses: it is valid until the
+// next Expand, which must not run concurrently with this one.
 func (x *LocalExecutor) Expand(states []ShardState) ([]Expansion, error) {
 	n := len(states)
 	if n == 0 {
@@ -124,7 +132,8 @@ func (x *LocalExecutor) Expand(states []ShardState) ([]Expansion, error) {
 	if chunks > n {
 		chunks = n
 	}
-	out := make([]Expansion, n)
+	x.out = resize(x.out, n)
+	out := x.out
 	_, err := parallel.MapN(chunks, w, func(ci int) (struct{}, error) {
 		lo, hi := ci*n/chunks, (ci+1)*n/chunks
 		wk, err := x.pool.get()
@@ -238,6 +247,12 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 	root := ShardState{ID: 0, Depth: 0, Hash: base, Delta: &memsim.Delta{Region: "FRAM"}}
 	nodes := []node{{parent: -1}}
 	frontier := []ShardState{root}
+	// Buffers reused across waves: the next frontier, the expansions and
+	// the per-partition hashes and verdict cursors.
+	var next []ShardState
+	var exps []Expansion
+	perPart := make([][]uint64, partitions)
+	cur := make([]int, partitions)
 	// Seed the root hash into its partition, so a branch that reverts the
 	// machine to the post-flash image is a dedup hit, not a new state.
 	if _, err := dedup(execs, partOf(root.Hash, partitions), []uint64{root.Hash}, stats); err != nil {
@@ -251,14 +266,17 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 		if stats != nil {
 			stats.Waves++
 		}
-		exps, err := expand(c, execs, frontier, stats)
+		var err error
+		exps, err = expand(c, execs, frontier, exps, stats)
 		if err != nil {
 			return nil, err
 		}
 
 		// First canonical pass: per-state bookkeeping, and every child
 		// hash grouped by partition (canonical order within each).
-		perPart := make([][]uint64, partitions)
+		for p := range perPart {
+			perPart[p] = perPart[p][:0]
+		}
 		for i := range exps {
 			e := &exps[i]
 			st := frontier[i]
@@ -308,8 +326,7 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 
 		// Second canonical pass: consume verdicts via per-partition
 		// cursors, assigning ids to fresh states in BFS order.
-		cur := make([]int, partitions)
-		var next []ShardState
+		clear(cur)
 		for i := range exps {
 			st := frontier[i]
 			for _, ch := range exps[i].Children {
@@ -335,7 +352,8 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 				next = append(next, ShardState{ID: id, Depth: st.Depth + 1, Hash: ch.Hash, Delta: ch.Delta})
 			}
 		}
-		frontier = next
+		clear(frontier) // so the reused array pins no delta of this wave
+		frontier, next = next, frontier[:0]
 	}
 	rep.States = len(nodes)
 	return rep, nil
@@ -343,14 +361,15 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 
 // expand fans the frontier out as batches of at most c.ShardStates states
 // over the executors: each executor pulls the next batch as soon as its
-// previous one returns. Results are positional, so the scheduling never
+// previous one returns, and so never runs two Expands at once. The results
+// go into out, resized, and are positional, so the scheduling never
 // reaches the report.
-func expand(c *Config, execs []Executor, frontier []ShardState, stats *DistStats) ([]Expansion, error) {
+func expand(c *Config, execs []Executor, frontier []ShardState, out []Expansion, stats *DistStats) ([]Expansion, error) {
 	batches := (len(frontier) + c.ShardStates - 1) / c.ShardStates
 	if stats != nil {
 		stats.ShardBatches += batches
 	}
-	out := make([]Expansion, len(frontier))
+	out = resize(out, len(frontier))
 	var next atomic.Int64
 	_, err := parallel.MapN(len(execs), len(execs), func(slot int) (struct{}, error) {
 		for {
@@ -374,6 +393,15 @@ func expand(c *Config, execs []Executor, frontier []ShardState, stats *DistStats
 		return nil, err
 	}
 	return out, nil
+}
+
+// resize returns buf at length n, reusing its array when it is large
+// enough and growing it as append does when not, with every entry past n
+// cleared, so that a reused buffer pins nothing an earlier call left in it.
+func resize[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf[n:cap(buf)])
+	return buf
 }
 
 // dedup runs one partition's membership queries, in order, on the

@@ -19,6 +19,13 @@
 // WAR-violation branch trace — is bit-for-bit identical at any worker
 // count, executor count, and dedup partition count.
 //
+// A search allocates per block and per wave, not per child. A worker
+// carves each captured child's delta, its pages and the expansion's child
+// list from blocks it owns and never reuses, so a delta stays valid for as
+// long as it is referenced. An executor's Expand result is a buffer it
+// reuses, valid until its next Expand: the coordinator copies each batch
+// out at once into wave buffers of its own, which it also reuses.
+//
 // The detector half flags non-idempotent re-execution the way Surbatovich
 // et al.'s formal foundation defines it: a WAR violation is a non-volatile
 // location read and then written with no commit point in between, so a

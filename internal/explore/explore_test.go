@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,6 +29,19 @@ func smallConfig(guards bool) Config {
 		MaxCandidates: 8,
 		MaxStates:     64,
 		CheckHashes:   true,
+	}
+}
+
+// benchConfig is the linked-list search at the bounds the explore
+// benchmark and `edb-bench -explore` use: cap 5, depth 32, 8,192 states.
+// Unguarded, it closes with WAR violations.
+func benchConfig(guards bool) Config {
+	return Config{
+		NewRig:        listbugRig(guards),
+		Mode:          ModeWrite,
+		MaxCandidates: 5,
+		MaxDepth:      32,
+		MaxStates:     8192,
 	}
 }
 
@@ -341,5 +355,113 @@ func TestTruncationReported(t *testing.T) {
 	}
 	if rep.States != 1 {
 		t.Fatalf("states = %d, want 1", rep.States)
+	}
+}
+
+// recordingExecutor is a LocalExecutor that keeps every child it returns.
+// The coordinator never calls one executor's Expand concurrently, so the
+// record needs no lock.
+type recordingExecutor struct {
+	*LocalExecutor
+	kids []Child
+}
+
+func (r *recordingExecutor) Expand(states []ShardState) ([]Expansion, error) {
+	exps, err := r.LocalExecutor.Expand(states)
+	for _, e := range exps {
+		r.kids = append(r.kids, e.Children...)
+	}
+	return exps, err
+}
+
+// TestCarvedDeltasOutliveTheSearch: children's deltas are carved from
+// blocks the workers own, and the Expand result is a reused buffer, so
+// every child of the unguarded search at the explore benchmark's bounds is
+// recorded as it comes back and checked only after the search has ended.
+// Each delta, applied to the post-flash image, must re-hash to its child's
+// hash, which fails if a block was reused, a page was carved twice or a
+// delta aliased live FRAM. Children with equal hashes must have
+// byte-equal deltas: dedup by hash is sound only if they do.
+func TestCarvedDeltasOutliveTheSearch(t *testing.T) {
+	cfg := benchConfig(false)
+	cfg.Workers = 2
+	ex, err := NewLocalExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingExecutor{LocalExecutor: ex}
+	rep, err := RunWithExecutors(cfg, []Executor{rec}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.kids) != rep.Branches || rep.Truncated {
+		t.Fatalf("recorded %d children for %d branches (truncated %v)", len(rec.kids), rep.Branches, rep.Truncated)
+	}
+	w, err := ex.pool.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := append([]byte(nil), w.baseFRAM...)
+	var pages []uint64
+	byHash := map[uint64]*memsim.Delta{}
+	for i, ch := range rec.kids {
+		if first, ok := byHash[ch.Hash]; ok {
+			if !reflect.DeepEqual(ch.Delta, first) {
+				t.Fatalf("child %d: hash %016x is shared by two different deltas", i, ch.Hash)
+			}
+			continue
+		}
+		byHash[ch.Hash] = ch.Delta
+		for _, pg := range ch.Delta.Pages {
+			copy(img[pg.Off:], pg.Data)
+		}
+		pages = pageHashesInto(pages, img)
+		if h := imageHash(pages); h != ch.Hash {
+			t.Fatalf("child %d: delta of %d pages re-hashes to %016x, recorded %016x",
+				i, len(ch.Delta.Pages), h, ch.Hash)
+		}
+		for _, pg := range ch.Delta.Pages {
+			copy(img[pg.Off:], w.baseFRAM[pg.Off:pg.Off+len(pg.Data)])
+		}
+	}
+	t.Logf("%d children, %d distinct hashes, %d states", len(rec.kids), len(byHash), rep.States)
+}
+
+// TestPageHashSeesEveryByte: flipping any one byte of a page, whether in
+// a whole word or in the tail of an input whose length is not a multiple
+// of 8, changes fnv64. So does flipping the top bit of two words, which a
+// word-at-a-time FNV-1a without the fold would cancel out.
+func TestPageHashSeesEveryByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lens := []int{1, 2, 3, 4, 5, 6, 7, 8, memsim.PageSize, 65, 66, 67, 68, 69, 70, 71}
+	for trial := 0; trial < 50; trial++ {
+		for _, n := range lens {
+			b := make([]byte, n)
+			rng.Read(b)
+			h := fnv64(b)
+			for i := range b {
+				for _, flip := range []byte{0x01, 0x80, byte(1 + rng.Intn(255))} {
+					b[i] ^= flip
+					if fnv64(b) == h {
+						t.Fatalf("%d bytes: flipping %#02x at byte %d leaves the hash %016x", n, flip, i, h)
+					}
+					b[i] ^= flip
+				}
+			}
+		}
+		page := make([]byte, memsim.PageSize)
+		rng.Read(page)
+		h := fnv64(page)
+		for i := 7; i < len(page); i += 8 {
+			for j := i + 8; j < len(page); j += 8 {
+				page[i] ^= 0x80
+				page[j] ^= 0x80
+				if fnv64(page) == h {
+					t.Fatalf("flipping the top bits of bytes %d and %d leaves the hash %016x", i, j, h)
+				}
+				page[i] ^= 0x80
+				page[j] ^= 0x80
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package explore
 
 import (
+	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -65,13 +65,16 @@ type worker struct {
 
 	// Per-segment counters. armed gates every hook so the explorer's own
 	// state surgery (RevertDirty/ApplyDelta fire the write hooks too) is
-	// invisible to the detector.
+	// invisible to the detector. hazard is the segment's first WAR hazard;
+	// its Cand is 0 until one is seen. env is what every segment's Main
+	// runs with.
 	armed       bool
 	candCount   int
 	guardDepth  int
 	commitDepth int
 	asserts     int
-	hazard      *Hazard
+	hazard      Hazard
+	env         device.Env
 
 	// Per-segment capture: the state being expanded, whether its children
 	// are wanted, the children captured so far and the first capture
@@ -83,10 +86,20 @@ type worker struct {
 	captureErr error
 	diff       []memsim.DeltaPage
 
-	// WAR window: epoch-stamped first-access state per FRAM byte. Bumping
-	// the epoch resets the window in O(1). protected marks bytes the
-	// firmware's runtime versions with rollback-on-recovery semantics
-	// (VersionSignaler) — they never count as hazards.
+	// Blocks the captured children and the expansions' hazards are
+	// carved from (see carve): the unused tail of each.
+	deltaBlk []memsim.Delta
+	pageBlk  []memsim.DeltaPage
+	byteBlk  []byte
+	kidBlk   []Child
+	hazBlk   []Hazard
+
+	// WAR window: epoch-stamped first-access state per FRAM byte, grown
+	// on demand (cover) up to the highest offset a hook has seen. Bumping
+	// the epoch resets the window in O(1). protected, nil unless the
+	// program is a VersionSignaler, marks bytes the firmware's runtime
+	// versions with rollback-on-recovery semantics — they never count as
+	// hazards.
 	epoch     uint32
 	readEp    []uint32
 	writeEp   []uint32
@@ -156,7 +169,7 @@ func newWorker(cfg *Config) (*worker, error) {
 	if d.Debugger() != nil {
 		return nil, fmt.Errorf("explore: rig already has a debugger attached; build it core.WithoutEDB()")
 	}
-	w := &worker{cfg: cfg, d: d, prog: prog, fram: d.FRAM}
+	w := &worker{cfg: cfg, d: d, prog: prog, fram: d.FRAM, env: device.Env{D: d}}
 	d.AttachDebugger(&probe{w})
 	d.Supply.SetTethered(true)
 
@@ -173,11 +186,9 @@ func newWorker(cfg *Config) (*worker, error) {
 	sup.Tethered = true
 	w.baseSupply = sup
 
-	w.readEp = make([]uint32, len(w.baseFRAM))
-	w.writeEp = make([]uint32, len(w.baseFRAM))
 	w.pageEp = make([]uint32, len(w.basePageHash))
-	w.protected = make([]bool, len(w.baseFRAM))
 	if vs, ok := prog.(VersionSignaler); ok {
+		w.protected = make([]bool, len(w.baseFRAM))
 		for _, rng := range vs.VersionedRanges() {
 			for a := rng[0]; a < rng[1]; a++ {
 				if o := int(a - memsim.FRAMBase); o >= 0 && o < len(w.protected) {
@@ -256,8 +267,23 @@ func (w *worker) candidate() {
 	}
 }
 
+// cover grows readEp and writeEp to hold the FRAM offsets below end,
+// page-rounded and at least doubling, up to the region's size. A new entry
+// holds epoch 0, which never matches the live epoch (resetWindow runs
+// before a segment is armed), so it needs no reset.
+func (w *worker) cover(end int) {
+	n := min(max(2*len(w.readEp), (end+memsim.PageSize-1)&^(memsim.PageSize-1)), len(w.baseFRAM))
+	if n > len(w.readEp) {
+		w.readEp = append(w.readEp, make([]uint32, n-len(w.readEp))...)
+		w.writeEp = append(w.writeEp, make([]uint32, n-len(w.writeEp))...)
+	}
+}
+
 func (w *worker) noteRead(a memsim.Addr, n int) {
 	off := int(a - memsim.FRAMBase)
+	if off+n > len(w.readEp) {
+		w.cover(off + n)
+	}
 	for i := 0; i < n; i++ {
 		o := off + i
 		if o < 0 || o >= len(w.readEp) {
@@ -271,17 +297,20 @@ func (w *worker) noteRead(a memsim.Addr, n int) {
 
 func (w *worker) noteWrite(a memsim.Addr, n int) {
 	off := int(a - memsim.FRAMBase)
+	if off+n > len(w.writeEp) {
+		w.cover(off + n)
+	}
 	for i := 0; i < n; i++ {
 		o := off + i
 		if o < 0 || o >= len(w.writeEp) {
 			continue
 		}
 		if w.readEp[o] == w.epoch && w.writeEp[o] != w.epoch &&
-			!w.protected[o] && w.hazard == nil {
+			(w.protected == nil || !w.protected[o]) && w.hazard.Cand == 0 {
 			// Read-before-write with no commit in between: any failure at
 			// or after this write (the next candidate index) re-executes
 			// the read against the written value — non-idempotent.
-			w.hazard = &Hazard{
+			w.hazard = Hazard{
 				Addr:  a + memsim.Addr(i),
 				Cand:  w.candCount + 1,
 				Cycle: w.d.Clock.Now() - w.baseCycles,
@@ -341,7 +370,7 @@ func (w *worker) expand(st ShardState, wantChildren bool) (Expansion, error) {
 	}
 	w.candCount, w.asserts = 0, 0
 	w.guardDepth, w.commitDepth = 0, 0
-	w.hazard = nil
+	w.hazard = Hazard{}
 	w.parent, w.capturing = st, wantChildren
 	w.kids, w.captureErr = w.kids[:0], nil
 	w.resetWindow()
@@ -353,7 +382,7 @@ func (w *worker) expand(st ShardState, wantChildren bool) (Expansion, error) {
 	}()
 
 	o, halt := device.Catch(func() device.Outcome {
-		w.prog.Main(&device.Env{D: w.d})
+		w.prog.Main(&w.env)
 		return device.OutReturned
 	})
 	if w.captureErr != nil {
@@ -366,12 +395,13 @@ func (w *worker) expand(st ShardState, wantChildren bool) (Expansion, error) {
 	if halt == capHalt {
 		e.Outcome = "capped"
 	}
-	if w.hazard != nil {
-		h := *w.hazard
-		e.Hazard = &h
+	if w.hazard.Cand > 0 {
+		e.Hazard = &carve(&w.hazBlk, 1, blockEntries)[0]
+		*e.Hazard = w.hazard
 	}
 	if len(w.kids) > 0 {
-		e.Children = slices.Clone(w.kids)
+		e.Children = carve(&w.kidBlk, len(w.kids), blockEntries)
+		copy(e.Children, w.kids)
 		if w.cfg.CheckHashes {
 			e.HashChecks = len(e.Children)
 		}
@@ -414,7 +444,7 @@ func (w *worker) capture() error {
 // is a dedup hit whatever else the coordinator has seen (the parent's hash
 // is already in its seen set, and the sibling's is queried first), so its
 // delta is never read and it shares theirs. Any other child copies its
-// pages into one buffer of its own.
+// pages into the worker's blocks.
 func (w *worker) deltaOf(h uint64) *memsim.Delta {
 	if h == w.parent.Hash {
 		return w.parent.Delta
@@ -424,23 +454,57 @@ func (w *worker) deltaOf(h uint64) *memsim.Delta {
 			return c.Delta
 		}
 	}
-	d := &memsim.Delta{Region: w.fram.Name}
+	d := &carve(&w.deltaBlk, 1, blockEntries)[0]
+	d.Region = w.fram.Name
 	if len(w.diff) == 0 {
 		return d
 	}
-	buf := make([]byte, 0, len(w.diff)*memsim.PageSize) // no page is longer
-	d.Pages = make([]memsim.DeltaPage, len(w.diff))
+	n := 0
+	for _, pg := range w.diff {
+		n += len(pg.Data)
+	}
+	buf := carve(&w.byteBlk, n, blockBytes)
+	d.Pages = carve(&w.pageBlk, len(w.diff), blockEntries)
 	for i, pg := range w.diff {
-		lo := len(buf)
-		buf = append(buf, pg.Data...)
-		d.Pages[i] = memsim.DeltaPage{Off: pg.Off, Data: buf[lo:len(buf):len(buf)]}
+		m := copy(buf, pg.Data)
+		d.Pages[i] = memsim.DeltaPage{Off: pg.Off, Data: buf[:m:m]}
+		buf = buf[m:]
 	}
 	return d
 }
 
-// fnv64 is FNV-1a over one page's contents.
+// Sizes of the blocks carve cuts from: entries per block of deltas, delta
+// pages, children and hazards, and bytes per block of page contents.
+const (
+	blockEntries = 256
+	blockBytes   = 16 << 10
+)
+
+// carve cuts the next n entries from *blk, the unused tail of a block, and
+// starts a new block of size entries (n, if more) when the tail is too
+// short. A block is never reused: the GC frees it once nothing points into
+// it, so a carved entry stays valid for as long as it is referenced.
+func carve[T any](blk *[]T, n, size int) []T {
+	if len(*blk) < n {
+		*blk = make([]T, max(n, size))
+	}
+	s := (*blk)[:n:n]
+	*blk = (*blk)[n:]
+	return s
+}
+
+// fnv64 is FNV-1a over one page's contents taken a little-endian 64-bit
+// word at a time, then a byte at a time for any tail: 8 dependent
+// multiplies per page instead of 64. A product carries a difference only
+// upward, so each one's high half is folded into its low half; without
+// the fold, flipping bit 63 of any two words would cancel out.
 func fnv64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
+	for ; len(b) >= 8; b = b[8:] {
+		h ^= binary.LittleEndian.Uint64(b)
+		h *= 1099511628211
+		h ^= h >> 32
+	}
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= 1099511628211

@@ -20,7 +20,9 @@ import (
 // through a gateway, its untraced sessions (the first cold, the second
 // forked from the pool's template) match the local transcript byte for
 // byte, and a traced Run is refused with Error{CodeBadRequest} before it
-// simulates anything, every session slot free when the Error arrives.
+// simulates anything, every session slot free when the Error arrives. The
+// refusal ends the request, not the connection: a Ping after it gets its
+// Pong on both tiers.
 func TestPreCodecClient(t *testing.T) {
 	spec := testSpec(42)
 	golden, _ := localGolden(t, spec)
@@ -62,6 +64,14 @@ func TestPreCodecClient(t *testing.T) {
 			}
 			if got := srv.Metrics().SimCycles; got != cycles {
 				t.Fatalf("the refused run simulated %d cycles", got-cycles)
+			}
+			if err := wire.WriteMsg(conn, &wire.Ping{Token: 99}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := wire.ReadMsg(conn); err != nil {
+				t.Fatalf("ping after the refused run: %v", err)
+			} else if pong, ok := m.(*wire.Pong); !ok || pong.Token != 99 {
+				t.Fatalf("ping after the refused run: want Pong{99}, got %#v", m)
 			}
 		})
 	}
