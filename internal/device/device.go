@@ -41,6 +41,11 @@ func (p *PowerFailure) Error() string {
 // then reboots — and if the fault's root cause persists in non-volatile
 // memory, it wedges again every charge cycle, which is precisely the
 // "main loop mysteriously stops forever" symptom of §5.3.1.
+//
+// The *MemoryFault an Env access panics with, and the memsim.Fault it
+// points to, belong to the device and are reused: they are valid only until
+// that device's next memory fault. A caller that recovers one and keeps it
+// must copy both.
 type MemoryFault struct {
 	At    sim.Cycles
 	Fault *memsim.Fault
@@ -240,6 +245,12 @@ type Device struct {
 	deadline    sim.Cycles
 	hasDeadline bool
 	lowPower    bool
+
+	// fault holds the values memoryFault panics with: allocated at the
+	// device's first memory fault and reused after, so a faulting access
+	// allocates nothing and a device that never faults (a fleet tag)
+	// carries one pointer for it.
+	fault *deviceFault
 
 	stats Stats
 }
@@ -633,6 +644,26 @@ func (d *Device) sampleMonitors() {
 	d.monitorsDue = min(d.monitorsDue, due)
 }
 
+// deviceFault is the *MemoryFault a device panics with and the
+// memsim.Fault it points to.
+type deviceFault struct {
+	panicked MemoryFault
+	access   memsim.Fault
+}
+
+// memoryFault panics with the device's *MemoryFault for an illegal access
+// at a. It overwrites the value the previous fault panicked with.
+func (d *Device) memoryFault(a memsim.Addr, write bool) {
+	f := d.fault
+	if f == nil {
+		f = new(deviceFault)
+		d.fault = f
+	}
+	f.access = memsim.Fault{Addr: a, Write: write}
+	f.panicked = MemoryFault{At: d.Clock.Now(), Fault: &f.access}
+	panic(&f.panicked)
+}
+
 func (d *Device) checkDeadline() {
 	if d.hasDeadline && d.Clock.Now() >= d.deadline {
 		panic(&DeadlineReached{At: d.Clock.Now()})
@@ -648,7 +679,7 @@ func (d *Device) Reboot() {
 	d.UART.reset()
 	d.I2C.reset()
 	d.RF.reset()
-	d.loads = nil
+	d.loads = d.loads[:0] // kept: the next boot sets its loads again
 	d.loadSum = 0
 	d.pendSupply = 0
 	d.interruptPending = false

@@ -154,6 +154,78 @@ func TestMemoryFaultWedgesUntilBrownout(t *testing.T) {
 	}
 }
 
+// TestEnvFaultsAllocateNothing drives each faulting Env accessor through
+// Catch. Each ends in OutMemoryFault, panics with the device's own
+// *MemoryFault, which points at the device's memsim.Fault holding the
+// access's address and direction, and allocates nothing. memsim's
+// error-returning accessors still return a fresh *Fault per call.
+func TestEnvFaultsAllocateNothing(t *testing.T) {
+	d := constDevice(1, units.MilliAmps(10))
+	powerOn(d)
+	env := &Env{D: d}
+	cases := []struct {
+		name  string
+		addr  memsim.Addr
+		write bool
+		fn    func(a memsim.Addr)
+	}{
+		{"LoadWord", 0x0002, false, func(a memsim.Addr) { env.LoadWord(a) }},
+		{"StoreWord", memsim.SRAMBase + memsim.SRAMSize - 1, true, func(a memsim.Addr) { env.StoreWord(a, 7) }}, // straddles SRAM's end
+		{"LoadByte", 0x3000, false, func(a memsim.Addr) { env.LoadByte(a) }},
+		{"StoreByte", 0xFF10, true, func(a memsim.Addr) { env.StoreByte(a, 7) }},
+	}
+	for _, tc := range cases {
+		var o Outcome
+		allocs := testing.AllocsPerRun(100, func() {
+			o, _ = Catch(func() Outcome { tc.fn(tc.addr); return OutReturned })
+		})
+		if o != OutMemoryFault {
+			t.Fatalf("%s: outcome %v, want OutMemoryFault", tc.name, o)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a fault allocates %.1f times, want 0", tc.name, allocs)
+		}
+		func() {
+			defer func() {
+				p := recover()
+				mf, ok := p.(*MemoryFault)
+				if !ok || mf != &d.fault.panicked || mf.Fault != &d.fault.access {
+					t.Fatalf("%s: panicked with %#v, want the device's *MemoryFault", tc.name, p)
+				}
+				if want := (memsim.Fault{Addr: tc.addr, Write: tc.write}); *mf.Fault != want || mf.At != d.Clock.Now() {
+					t.Fatalf("%s: fault %+v at cycle %d, want %+v at %d", tc.name, *mf.Fault, mf.At, want, d.Clock.Now())
+				}
+			}()
+			tc.fn(tc.addr)
+		}()
+	}
+
+	m := d.Mem
+	for _, acc := range []struct {
+		name  string
+		write bool
+		call  func() error
+	}{
+		{"ReadWord", false, func() error { _, err := m.ReadWord(0x0002); return err }},
+		{"WriteWord", true, func() error { return m.WriteWord(0x0002, 1) }},
+		{"ReadByteAt", false, func() error { _, err := m.ReadByteAt(0x0002); return err }},
+		{"WriteByteAt", true, func() error { return m.WriteByteAt(0x0002, 1) }},
+	} {
+		e0, e1 := acc.call(), acc.call()
+		f0, ok0 := e0.(*memsim.Fault)
+		f1, ok1 := e1.(*memsim.Fault)
+		if !ok0 || !ok1 {
+			t.Fatalf("memsim %s returned %v and %v, want *memsim.Fault", acc.name, e0, e1)
+		}
+		if f0 == f1 || f0 == &d.fault.access {
+			t.Errorf("memsim %s returned a shared *Fault; each call must return its own", acc.name)
+		}
+		if want := (memsim.Fault{Addr: 0x0002, Write: acc.write}); *f0 != want || *f1 != want {
+			t.Errorf("memsim %s: faults %+v, %+v, want %+v", acc.name, *f0, *f1, want)
+		}
+	}
+}
+
 func TestDeadlineStopsInfiniteProgram(t *testing.T) {
 	d := constDevice(4, units.MilliAmps(5)) // plenty of power: no reboots
 	prog := &testProg{name: "inf", main: func(env *Env) {

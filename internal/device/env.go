@@ -46,12 +46,12 @@ func (e *Env) Branch() { e.tick(CyclesBranch) }
 
 // LoadWord reads a 16-bit word from simulated memory. An illegal address
 // panics with *MemoryFault — the simulated equivalent of dereferencing a
-// wild pointer.
+// wild pointer; the value belongs to the device (see MemoryFault).
 func (e *Env) LoadWord(a memsim.Addr) uint16 {
 	e.tick(CyclesLoad)
-	v, err := e.D.Mem.ReadWord(a)
-	if err != nil {
-		panic(&MemoryFault{At: e.D.Clock.Now(), Fault: err.(*memsim.Fault)})
+	v, ok := e.D.Mem.TryReadWord(a)
+	if !ok {
+		e.D.memoryFault(a, false)
 	}
 	return v
 }
@@ -59,17 +59,17 @@ func (e *Env) LoadWord(a memsim.Addr) uint16 {
 // StoreWord writes a 16-bit word to simulated memory.
 func (e *Env) StoreWord(a memsim.Addr, v uint16) {
 	e.tick(CyclesStore)
-	if err := e.D.Mem.WriteWord(a, v); err != nil {
-		panic(&MemoryFault{At: e.D.Clock.Now(), Fault: err.(*memsim.Fault)})
+	if !e.D.Mem.TryWriteWord(a, v) {
+		e.D.memoryFault(a, true)
 	}
 }
 
 // LoadByte reads one byte from simulated memory.
 func (e *Env) LoadByte(a memsim.Addr) byte {
 	e.tick(CyclesLoad)
-	v, err := e.D.Mem.ReadByteAt(a)
-	if err != nil {
-		panic(&MemoryFault{At: e.D.Clock.Now(), Fault: err.(*memsim.Fault)})
+	v, ok := e.D.Mem.TryReadByte(a)
+	if !ok {
+		e.D.memoryFault(a, false)
 	}
 	return v
 }
@@ -77,8 +77,8 @@ func (e *Env) LoadByte(a memsim.Addr) byte {
 // StoreByte writes one byte to simulated memory.
 func (e *Env) StoreByte(a memsim.Addr, v byte) {
 	e.tick(CyclesStore)
-	if err := e.D.Mem.WriteByteAt(a, v); err != nil {
-		panic(&MemoryFault{At: e.D.Clock.Now(), Fault: err.(*memsim.Fault)})
+	if !e.D.Mem.TryWriteByte(a, v) {
+		e.D.memoryFault(a, true)
 	}
 }
 

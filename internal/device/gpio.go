@@ -47,10 +47,16 @@ type GPIOEdge struct {
 type GPIOPorts struct {
 	d     *Device
 	lines map[string]*gpioLine
+	// all is every line, the newest first, linked through next, so that
+	// reset, which runs at every reboot, walks no map. The link fits in
+	// the size class a line already takes, so a fleet tag pays nothing
+	// for it, where a slice would cost a few allocations per device.
+	all *gpioLine
 	// Well-known lines resolved once: pin writes sit on the libEDB
-	// watchpoint fast path, where a map probe per edge is measurable.
-	marker0, marker1, debugSig *gpioLine
-	subs                       []func(GPIOEdge)
+	// watchpoint fast path and the apps' per-iteration progress pin, where
+	// a map probe per edge is measurable.
+	marker0, marker1, debugSig, appPin *gpioLine
+	subs                               []func(GPIOEdge)
 
 	// version increments on every level change of a debugger wire (see
 	// debugWire) and at the silent reset at reboot. Observers (EDB's
@@ -65,6 +71,7 @@ type gpioLine struct {
 	toggles uint64
 	// debugWire marks the lines whose edges move the version counter.
 	debugWire bool
+	next      *gpioLine // the line created before this one
 }
 
 // debugWire reports whether a line is one of the wires to the debugger
@@ -100,6 +107,11 @@ func (g *GPIOPorts) line(name string) *gpioLine {
 			g.debugSig = g.lookup(name)
 		}
 		return g.debugSig
+	case LineAppPin:
+		if g.appPin == nil {
+			g.appPin = g.lookup(name)
+		}
+		return g.appPin
 	}
 	return g.lookup(name)
 }
@@ -107,8 +119,9 @@ func (g *GPIOPorts) line(name string) *gpioLine {
 func (g *GPIOPorts) lookup(name string) *gpioLine {
 	l, ok := g.lines[name]
 	if !ok {
-		l = &gpioLine{name: name, debugWire: debugWire(name)}
+		l = &gpioLine{name: name, debugWire: debugWire(name), next: g.all}
 		g.lines[name] = l
+		g.all = l
 	}
 	return l
 }
@@ -176,7 +189,7 @@ func (g *GPIOPorts) Names() []string {
 
 // reset drives all outputs low without counting toggles (power-on state).
 func (g *GPIOPorts) reset() {
-	for _, l := range g.lines {
+	for l := g.all; l != nil; l = l.next {
 		l.level = false
 	}
 	g.version++

@@ -60,9 +60,11 @@ type Expansion struct {
 // is stateful per partition: it answers membership queries against
 // partition part, inserting every queried hash, with fresh[i] true iff
 // hashes[i] was not already present (an earlier occurrence within the same
-// batch makes a later one a dup). Partition p is always queried on
-// executor p mod len(execs). An error from any call ends the search with
-// that error.
+// batch makes a later one a dup). Its result may likewise be a buffer the
+// executor reuses for that partition: it is valid until the next Dedup on
+// the same partition, and the coordinator reads it before then. Partition
+// p is always queried on executor p mod len(execs). An error from any call
+// ends the search with that error.
 type Executor interface {
 	// BaseHash is the post-flash baseline FRAM hash; the coordinator
 	// cross-checks that every executor was built from an identical rig.
@@ -91,7 +93,14 @@ type LocalExecutor struct {
 	out  []Expansion // Expand's result, reused
 
 	mu    sync.Mutex
-	parts map[int]map[uint64]struct{}
+	parts map[int]*partition
+}
+
+// partition is one dedup partition of a LocalExecutor: its hash set and
+// the verdict slice Dedup returns for it, reused.
+type partition struct {
+	seen  map[uint64]struct{}
+	fresh []bool
 }
 
 // NewLocalExecutor builds the executor's rig pool (applying config
@@ -106,7 +115,7 @@ func NewLocalExecutor(cfg Config) (*LocalExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LocalExecutor{cfg: c, pool: pool, parts: map[int]map[uint64]struct{}{}}, nil
+	return &LocalExecutor{cfg: c, pool: pool, parts: map[int]*partition{}}, nil
 }
 
 // BaseHash returns the pool's post-flash baseline hash.
@@ -156,24 +165,26 @@ func (x *LocalExecutor) Expand(states []ShardState) ([]Expansion, error) {
 	return out, nil
 }
 
-// Dedup answers membership-and-insert queries against one partition.
+// Dedup answers membership-and-insert queries against one partition. The
+// result is the partition's verdict buffer: it is valid until the next
+// Dedup on that partition.
 func (x *LocalExecutor) Dedup(part int, hashes []uint64) ([]bool, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	set := x.parts[part]
-	if set == nil {
-		set = make(map[uint64]struct{})
-		x.parts[part] = set
+	pt := x.parts[part]
+	if pt == nil {
+		pt = &partition{seen: make(map[uint64]struct{})}
+		x.parts[part] = pt
 	}
-	fresh := make([]bool, len(hashes))
+	pt.fresh = resize(pt.fresh, len(hashes))
 	for i, h := range hashes {
-		if _, dup := set[h]; dup {
-			continue
+		_, dup := pt.seen[h]
+		if !dup {
+			pt.seen[h] = struct{}{}
 		}
-		set[h] = struct{}{}
-		fresh[i] = true
+		pt.fresh[i] = !dup
 	}
-	return fresh, nil
+	return pt.fresh, nil
 }
 
 // Close releases the executor. The rigs are plain heap state; dropping the
@@ -323,6 +334,20 @@ func runWaves(c *Config, execs []Executor, partitions int, stats *DistStats) (*R
 		if err != nil {
 			return nil, err
 		}
+
+		// Every fresh verdict below the state bound becomes a node and a
+		// state of the next wave, so both grow once, by that count.
+		fresh := 0
+		for _, v := range verdicts {
+			for _, f := range v {
+				if f {
+					fresh++
+				}
+			}
+		}
+		fresh = min(fresh, c.MaxStates-len(nodes))
+		nodes = slices.Grow(nodes, fresh)
+		next = slices.Grow(next, fresh)
 
 		// Second canonical pass: consume verdicts via per-partition
 		// cursors, assigning ids to fresh states in BFS order.

@@ -427,6 +427,29 @@ func TestCarvedDeltasOutliveTheSearch(t *testing.T) {
 	t.Logf("%d children, %d distinct hashes, %d states", len(rec.kids), len(byHash), rep.States)
 }
 
+// TestSearchAllocations bounds the allocations of one unguarded and one
+// guarded search at the benchmark's bounds, with one worker, as
+// BenchmarkSearch runs them. A segment that ends in a memory fault and
+// the reboot that starts one allocate nothing, and the wave buffers grow
+// once per wave, so what is left is the carved blocks, the dedup set and
+// the rigs: about 840 allocations, and about 900 under -race.
+func TestSearchAllocations(t *testing.T) {
+	const bound = 1500
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, guards := range []bool{false, true} {
+			cfg := benchConfig(guards)
+			cfg.Workers = 1
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > bound {
+		t.Fatalf("a search pair allocates %.0f times, want at most %d", allocs, bound)
+	}
+	t.Logf("%.0f allocations per search pair", allocs)
+}
+
 // TestPageHashSeesEveryByte: flipping any one byte of a page, whether in
 // a whole word or in the tail of an input whose length is not a multiple
 // of 8, changes fnv64. So does flipping the top bit of two words, which a

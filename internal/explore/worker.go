@@ -55,13 +55,15 @@ type worker struct {
 	fram *memsim.Region
 
 	// Post-flash baseline: the root state every segment is reverted to
-	// before the state under exploration is applied on top.
-	baseFRAM     []byte
-	basePageHash []uint64
-	baseHash     uint64
-	baseRNG      sim.RNGState
-	baseSupply   energy.SupplyState
-	baseCycles   sim.Cycles
+	// before the state under exploration is applied on top. baseMix holds
+	// each baseline page's term of baseHash, mixPage(p, page hash), so a
+	// capture mixes only the new term of each page that differs.
+	baseFRAM   []byte
+	baseMix    []uint64
+	baseHash   uint64
+	baseRNG    sim.RNGState
+	baseSupply energy.SupplyState
+	baseCycles sim.Cycles
 
 	// Per-segment counters. armed gates every hook so the explorer's own
 	// state surgery (RevertDirty/ApplyDelta fire the write hooks too) is
@@ -176,8 +178,11 @@ func newWorker(cfg *Config) (*worker, error) {
 	w.fram.EnableDirtyTracking()
 	w.fram.ResetDirty() // current contents ARE the baseline
 	w.baseFRAM = w.fram.Snapshot()
-	w.basePageHash = pageHashes(w.baseFRAM)
-	w.baseHash = imageHash(w.basePageHash)
+	w.baseMix = pageHashes(w.baseFRAM)
+	for p, ph := range w.baseMix {
+		w.baseMix[p] = mixPage(p, ph)
+		w.baseHash ^= w.baseMix[p]
+	}
 	w.baseRNG = d.RNG.State()
 	w.baseCycles = d.Clock.Now()
 	sup := d.Supply.SnapshotState()
@@ -186,7 +191,7 @@ func newWorker(cfg *Config) (*worker, error) {
 	sup.Tethered = true
 	w.baseSupply = sup
 
-	w.pageEp = make([]uint32, len(w.basePageHash))
+	w.pageEp = make([]uint32, len(w.baseMix))
 	if vs, ok := prog.(VersionSignaler); ok {
 		w.protected = make([]bool, len(w.baseFRAM))
 		for _, rng := range vs.VersionedRanges() {
@@ -422,7 +427,7 @@ func (w *worker) capture() error {
 	w.diff = w.diff[:0]
 	if err := w.fram.ForEachDiff(w.baseFRAM, func(off int, page []byte) {
 		p := off / memsim.PageSize
-		h ^= mixPage(p, w.basePageHash[p]) ^ mixPage(p, fnv64(page))
+		h ^= w.baseMix[p] ^ mixPage(p, fnv64(page))
 		w.diff = append(w.diff, memsim.DeltaPage{Off: off, Data: page})
 	}); err != nil {
 		return err

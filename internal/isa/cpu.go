@@ -42,6 +42,15 @@ type CPU struct {
 	// instructions retired since the last Reset (diagnostics).
 	retired uint64
 
+	// decoded holds the instructions Step decodes, not served from the
+	// cache, while they execute: one per nesting depth, since an
+	// instruction's env call can run the ISR, which steps this CPU again
+	// before the outer instruction finishes. depth is the number of such
+	// Steps in flight. A panic that unwinds a Step leaves depth raised, so
+	// Reset clears it.
+	decoded []Inst
+	depth   int
+
 	// Predecoded-instruction cache over the flashed image, keyed by PC.
 	// Decoding is pure — the machine words fully determine the Inst — so a
 	// cached entry is valid until something writes the underlying words.
@@ -123,6 +132,7 @@ func (c *CPU) Reset(entry, stackTop uint16) {
 	c.intDepth = 0
 	c.halted = false
 	c.retired = 0
+	c.depth = 0
 }
 
 // Halted reports whether the HALT port stopped the program.
@@ -209,30 +219,31 @@ func max(a, b int) int {
 func (c *CPU) Step(env *device.Env) error {
 	c.retired++
 	pc0 := c.R[PC]
-	if c.dcValid != nil && pc0 >= c.dcOrg && pc0 < c.dcEnd && pc0&1 == 0 {
-		i := int(pc0-c.dcOrg) / 2
-		if c.dcValid[i] {
-			inst := &c.dcInst[i]
-			c.fetchTicks(env, inst.Words)
-			c.dcExec[i](c, env, inst)
-			return nil
-		}
-		inst, err := c.fetchDecode(env, pc0)
-		if err != nil {
-			return err
-		}
-		if i+inst.Words <= len(c.dcInst) {
-			c.fillEntry(i, inst)
-		}
-		inst.exec()(c, env, &inst)
+	cached := c.dcValid != nil && pc0 >= c.dcOrg && pc0 < c.dcEnd && pc0&1 == 0
+	i := int(pc0-c.dcOrg) / 2
+	if cached && c.dcValid[i] {
+		inst := &c.dcInst[i]
+		c.fetchTicks(env, inst.Words)
+		c.dcExec[i](c, env, inst)
 		return nil
 	}
-	inst, err := c.fetchDecode(env, pc0)
-	if err != nil {
-		return err
+	// Decode into the slot of this nesting depth, so the instruction does
+	// not escape to the heap. A nested Step that grows decoded leaves this
+	// slot in the old array, which stays valid: nothing writes it again.
+	if c.depth == len(c.decoded) {
+		c.decoded = append(c.decoded, Inst{})
 	}
-	inst.exec()(c, env, &inst)
-	return nil
+	inst := &c.decoded[c.depth]
+	c.depth++
+	var err error
+	if *inst, err = c.fetchDecode(env, pc0); err == nil {
+		if cached && i+inst.Words <= len(c.dcInst) {
+			c.fillEntry(i, *inst)
+		}
+		inst.exec()(c, env, inst)
+	}
+	c.depth--
+	return err
 }
 
 // RunChain executes at least one instruction and then keeps going through

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/memsim"
 	"repro/internal/sim"
 )
@@ -131,5 +132,102 @@ data2:	.word 0
 	cached := exec(true)
 	if plain != cached {
 		t.Fatalf("cached execution diverged:\nplain:  %+v\ncached: %+v", plain, cached)
+	}
+}
+
+// interruptTimer is a device monitor that raises the interrupt wire every
+// period cycles, so the ISR runs from inside whichever env call of the
+// current instruction crosses the boundary.
+type interruptTimer struct {
+	d      *device.Device
+	period sim.Cycles
+}
+
+func (m interruptTimer) Period() sim.Cycles { return m.period }
+func (m interruptTimer) Sample(sim.Cycles)  { m.d.RaiseInterrupt() }
+
+// TestInterruptDuringUncachedStep runs a program whose ISR steps the same
+// CPU, as Program's ISR does, from inside the env calls of the instruction
+// it interrupts, once with the decode cache off and once with it on.
+// Outside the cache, Step decodes into storage the CPU owns, one slot per
+// nesting depth: an ISR instruction decoded over the interrupted one would
+// make the interrupted instruction finish as something else, and the two
+// runs would part.
+func TestInterruptDuringUncachedStep(t *testing.T) {
+	src := `.org 0x4500
+main:	mov #data, r8
+loop:	add #1, r5
+	mov r5, &0x1C20
+	add &0x1C20, r7
+	mov data, r6
+	mov r6, data2
+	add @r8, r7
+	push r7
+	pop r11
+	jmp loop
+isr:	add #3, r9
+	mov r9, &0x1C40
+	add &0x1C40, r10
+	xor r5, r12
+	reti
+data:	.word 0x1234
+data2:	.word 0
+`
+	type state struct {
+		now   sim.Cycles
+		regs  [16]uint16
+		words [4]uint16
+		isrs  int
+	}
+	exec := func(cache bool) (s state, nested int) {
+		d, env, c := cpuRig(t)
+		img, err := Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range img.Words {
+			if err := d.Mem.WriteWord(memsim.Addr(img.Org)+memsim.Addr(2*i), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cache {
+			c.EnableDecodeCache(d.FRAM, img.Org, img.Size())
+		}
+		c.Reset(img.Entry, uint16(memsim.SRAMBase)+uint16(memsim.SRAMSize))
+		vec := img.Symbols["isr"]
+		d.SetISR(func(env *device.Env) {
+			s.isrs++
+			if c.depth > 0 {
+				nested++ // an uncached Step is in flight below this ISR
+			}
+			c.Interrupt(env, vec)
+			for c.InInterrupt() {
+				if err := c.Step(env); err != nil {
+					t.Fatalf("isr step: %v", err)
+				}
+			}
+		})
+		d.AddMonitor(interruptTimer{d, 97})
+		for i := 0; i < 3000; i++ {
+			if err := c.Step(env); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		s.now = d.Clock.Now()
+		s.regs = c.R
+		for i, a := range []memsim.Addr{0x1C20, 0x1C40, memsim.Addr(img.Symbols["data"]), memsim.Addr(img.Symbols["data2"])} {
+			if s.words[i], err = d.Mem.ReadWord(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, nested
+	}
+	plain, nested := exec(false)
+	cached, _ := exec(true)
+	if nested == 0 {
+		t.Fatalf("no interrupt arrived inside an uncached Step (%d ISRs)", plain.isrs)
+	}
+	if plain != cached {
+		t.Fatalf("uncached run with nested Steps diverged from the cached run:\nuncached: %+v\ncached:   %+v", plain, cached)
 	}
 }

@@ -500,27 +500,44 @@ func (m *Memory) RegionAt(a Addr) *Region {
 // Regions returns the mapped regions.
 func (m *Memory) Regions() []*Region { return m.regions }
 
-// ReadByte reads one byte, faulting on unmapped addresses.
-func (m *Memory) ReadByteAt(a Addr) (byte, error) {
+// The four accessors below come in two forms. ReadByteAt, WriteByteAt,
+// ReadWord and WriteWord return a fresh *Fault for an illegal access, which
+// the caller may keep. The Try forms report the same fault as ok == false
+// and build nothing, so a caller that only needs to know that the access
+// faulted, such as the device's firmware loads and stores, allocates
+// nothing on either path.
+
+// TryReadByte reads one byte; ok is false if a is unmapped.
+func (m *Memory) TryReadByte(a Addr) (b byte, ok bool) {
 	r := m.RegionAt(a)
 	if r == nil {
-		return 0, &Fault{Addr: a}
+		return 0, false
 	}
 	r.Reads++
 	if r.ReadHook != nil {
 		r.ReadHook(a, 1)
 	}
 	if off := int(a - r.Base); off < len(r.data) {
-		return r.data[off], nil
+		return r.data[off], true
 	}
-	return 0, nil
+	return 0, true
 }
 
-// WriteByte writes one byte, faulting on unmapped addresses.
-func (m *Memory) WriteByteAt(a Addr, b byte) error {
+// ReadByteAt reads one byte, faulting on unmapped addresses.
+func (m *Memory) ReadByteAt(a Addr) (byte, error) {
+	b, ok := m.TryReadByte(a)
+	if !ok {
+		return 0, &Fault{Addr: a}
+	}
+	return b, nil
+}
+
+// TryWriteByte writes one byte; it reports false, writing nothing, if a is
+// unmapped.
+func (m *Memory) TryWriteByte(a Addr, b byte) bool {
 	r := m.RegionAt(a)
 	if r == nil {
-		return &Fault{Addr: a, Write: true}
+		return false
 	}
 	r.Writes++
 	off := int(a - r.Base)
@@ -535,33 +552,53 @@ func (m *Memory) WriteByteAt(a Addr, b byte) error {
 	if r.WriteHook != nil {
 		r.WriteHook(a, 1)
 	}
+	return true
+}
+
+// WriteByteAt writes one byte, faulting on unmapped addresses.
+func (m *Memory) WriteByteAt(a Addr, b byte) error {
+	if !m.TryWriteByte(a, b) {
+		return &Fault{Addr: a, Write: true}
+	}
 	return nil
 }
 
-// ReadWord reads a little-endian 16-bit word. A word access that straddles a
-// region boundary faults, as it would on hardware.
-func (m *Memory) ReadWord(a Addr) (uint16, error) {
+// TryReadWord reads a little-endian 16-bit word; ok is false if a is
+// unmapped or the word straddles a region boundary, as it would fault on
+// hardware.
+func (m *Memory) TryReadWord(a Addr) (v uint16, ok bool) {
 	r := m.RegionAt(a)
 	if r == nil || !r.Contains(a+1) {
-		return 0, &Fault{Addr: a}
+		return 0, false
 	}
 	r.Reads++
 	if r.ReadHook != nil {
 		r.ReadHook(a, 2)
 	}
 	if off := int(a - r.Base); off+2 <= len(r.data) {
-		return binary.LittleEndian.Uint16(r.data[off:]), nil
+		return binary.LittleEndian.Uint16(r.data[off:]), true
 	} else if off < len(r.data) {
-		return uint16(r.data[off]), nil // the high byte lies past the written prefix
+		return uint16(r.data[off]), true // the high byte lies past the written prefix
 	}
-	return 0, nil
+	return 0, true
 }
 
-// WriteWord writes a little-endian 16-bit word.
-func (m *Memory) WriteWord(a Addr, v uint16) error {
+// ReadWord reads a little-endian 16-bit word. A word access that straddles a
+// region boundary faults, as it would on hardware.
+func (m *Memory) ReadWord(a Addr) (uint16, error) {
+	v, ok := m.TryReadWord(a)
+	if !ok {
+		return 0, &Fault{Addr: a}
+	}
+	return v, nil
+}
+
+// TryWriteWord writes a little-endian 16-bit word; it reports false,
+// writing nothing, where TryReadWord would.
+func (m *Memory) TryWriteWord(a Addr, v uint16) bool {
 	r := m.RegionAt(a)
 	if r == nil || !r.Contains(a+1) {
-		return &Fault{Addr: a, Write: true}
+		return false
 	}
 	r.Writes++
 	off := int(a - r.Base)
@@ -577,6 +614,14 @@ func (m *Memory) WriteWord(a Addr, v uint16) error {
 	}
 	if r.WriteHook != nil {
 		r.WriteHook(a, 2)
+	}
+	return true
+}
+
+// WriteWord writes a little-endian 16-bit word.
+func (m *Memory) WriteWord(a Addr, v uint16) error {
+	if !m.TryWriteWord(a, v) {
+		return &Fault{Addr: a, Write: true}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,17 +416,88 @@ func TestTLSAuthRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestSlowReaderTraceStream: a client that dawdles between frames of a
-// trace stream, against a server whose WriteTimeout is shorter than the
-// total transfer, still receives the full stream and a live connection
-// afterwards — per-write progress deadlines, with no stale deadline left
-// armed after the chunked send.
+// writeTimer is a server-side connection that records each write that
+// stayed blocked for longer than blockedWrite.
+type writeTimer struct {
+	net.Conn
+	mu      sync.Mutex
+	blocked []time.Duration
+}
+
+const blockedWrite = 10 * time.Millisecond
+
+func (c *writeTimer) Write(p []byte) (int, error) {
+	t0 := time.Now()
+	n, err := c.Conn.Write(p)
+	if d := time.Since(t0); d > blockedWrite {
+		c.mu.Lock()
+		c.blocked = append(c.blocked, d)
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+func (c *writeTimer) blockedWrites() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.blocked...)
+}
+
+// timedListener hands the server its Unix-socket connections as
+// writeTimers with an 8 KiB send buffer, so that a slow reader soon blocks
+// the server's writes.
+type timedListener struct {
+	net.Listener
+	conns chan *writeTimer
+}
+
+func (l *timedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.(*net.UnixConn).SetWriteBuffer(8 << 10); err != nil {
+		c.Close()
+		return nil, err
+	}
+	wt := &writeTimer{Conn: c}
+	select {
+	case l.conns <- wt:
+	default:
+	}
+	return wt, nil
+}
+
+// TestSlowReaderTraceStream: a client that reads a long trace stream
+// slowly from a server whose WriteTimeout is shorter than the whole
+// transfer still receives every frame, and a live connection afterwards.
+// The client asks for many traced sessions at once, so more than 32 KiB
+// of TraceZ piles up behind it, and the test requires the server's writes
+// to have blocked several times, for longer than WriteTimeout in all: it
+// passes only if each write arms a deadline of its own, and none is left
+// armed after.
+//
+// The connection is a Unix socket with a small send buffer on the
+// server's side, where a write blocks for as long as the reader takes to
+// drain it. Over loopback TCP with small buffers, writes stalled for 0.3
+// to 1.2 s whatever the reader's pace, which would time the kernel's
+// window probes instead.
 func TestSlowReaderTraceStream(t *testing.T) {
-	_, addr := startServer(t, server.Config{WriteTimeout: 150 * time.Millisecond})
+	const (
+		writeTimeout = 200 * time.Millisecond
+		sessions     = 32
+		dawdle       = 5 * time.Millisecond // per TraceZ frame read
+	)
+	lis, err := net.Listen("unix", t.TempDir()+"/edbd.sock")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	tl := &timedListener{Listener: lis, conns: make(chan *writeTimer, 1)}
+	serveOn(t, server.Config{WriteTimeout: writeTimeout}, tl)
 	spec := traceSpec(42)
 	golden, res := localGolden(t, spec)
 
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("unix", lis.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -437,48 +509,68 @@ func TestSlowReaderTraceStream(t *testing.T) {
 	if _, err := wire.ReadMsg(conn); err != nil {
 		t.Fatalf("welcome: %v", err)
 	}
-	if err := wire.WriteMsg(conn, &wire.Run{Spec: spec, StreamTrace: true}); err != nil {
-		t.Fatalf("run: %v", err)
+	srvConn := <-tl.conns
+	// Every request goes out at once, so the server runs the sessions back
+	// to back and their frames queue up behind the slow reader.
+	for i := 0; i < sessions; i++ {
+		if err := wire.WriteMsg(conn, &wire.Run{Spec: spec, StreamTrace: true}); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 
 	var out bytes.Buffer
-	var samples int
-	for {
+	var samples, traceBytes int
+	for done := 0; done < sessions; {
 		m, err := wire.ReadMsg(conn)
 		if err != nil {
-			t.Fatalf("read: %v", err)
+			t.Fatalf("session %d: read: %v", done, err)
 		}
 		switch f := m.(type) {
 		case *wire.Output:
 			out.Write(f.Data)
 		case *wire.TraceZ:
 			samples += int(f.Count)
-			// Dawdle: with ~3 chunks this stretches the stream well past
-			// the server's 150ms WriteTimeout.
-			time.Sleep(120 * time.Millisecond)
+			traceBytes += len(f.Data)
+			time.Sleep(dawdle)
 		case *wire.Done:
 			if f.Exit != 0 {
-				t.Fatalf("exit %d", f.Exit)
+				t.Fatalf("session %d: exit %d", done, f.Exit)
 			}
 			if out.String() != golden {
-				t.Fatal("slow-reader session output differs from local golden")
+				t.Fatalf("session %d: slow-reader output differs from local golden", done)
 			}
 			if samples != len(res.Vcap.Samples) {
-				t.Fatalf("slow reader got %d samples, local window %d", samples, len(res.Vcap.Samples))
+				t.Fatalf("session %d: slow reader got %d samples, local window %d", done, samples, len(res.Vcap.Samples))
 			}
-			// The connection must still be healthy: no stale write
-			// deadline from the chunked send may poison later frames.
-			if err := wire.WriteMsg(conn, &wire.Ping{Token: 9}); err != nil {
-				t.Fatalf("ping after stream: %v", err)
-			}
-			if m, err := wire.ReadMsg(conn); err != nil {
-				t.Fatalf("pong after stream: %v", err)
-			} else if pong, ok := m.(*wire.Pong); !ok || pong.Token != 9 {
-				t.Fatalf("want Pong{9}, got %#v", m)
-			}
-			return
+			out.Reset()
+			samples = 0
+			done++
 		default:
 			t.Fatalf("unexpected frame %T", m)
 		}
+	}
+	if traceBytes <= 32<<10 {
+		t.Fatalf("%d TraceZ bytes streamed; the test needs more than the peer's 32 KiB queue limit", traceBytes)
+	}
+	blocked := srvConn.blockedWrites()
+	var total time.Duration
+	for _, d := range blocked {
+		total += d
+	}
+	if len(blocked) < 3 || total <= writeTimeout {
+		t.Fatalf("the server's writes blocked %d times for %v in all; the test needs several, together longer than the %v WriteTimeout",
+			len(blocked), total, writeTimeout)
+	}
+	t.Logf("%d TraceZ bytes; %d server writes blocked for %v in all", traceBytes, len(blocked), total)
+
+	// The connection must still be healthy: no stale write deadline may
+	// poison later frames.
+	if err := wire.WriteMsg(conn, &wire.Ping{Token: 9}); err != nil {
+		t.Fatalf("ping after stream: %v", err)
+	}
+	if m, err := wire.ReadMsg(conn); err != nil {
+		t.Fatalf("pong after stream: %v", err)
+	} else if pong, ok := m.(*wire.Pong); !ok || pong.Token != 9 {
+		t.Fatalf("want Pong{9}, got %#v", m)
 	}
 }

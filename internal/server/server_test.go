@@ -39,6 +39,12 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	return serveOn(t, cfg, lis), lis.Addr().String()
+}
+
+// serveOn serves a fresh daemon on lis until the test ends.
+func serveOn(t *testing.T, cfg server.Config, lis net.Listener) *server.Server {
+	t.Helper()
 	srv := server.New(cfg)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
@@ -50,7 +56,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
-	return srv, lis.Addr().String()
+	return srv
 }
 
 // localGolden runs the spec in-process and returns its output.

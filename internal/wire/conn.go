@@ -315,6 +315,7 @@ func RecvMsg(conn net.Conn, timeout time.Duration) (Msg, byte, error) {
 type Peer struct {
 	conn net.Conn
 	r    *bufio.Reader
+	in   frameReader
 	w    DeadlineWriter
 	out  []byte
 }
@@ -326,10 +327,11 @@ func NewPeer(conn net.Conn, writeTimeout time.Duration) *Peer {
 }
 
 // Recv reads one frame under a fresh read deadline of timeout, as RecvMsg
-// does.
+// does. It reads every frame into one payload buffer with one decoder, so
+// a frame costs only the allocations of the message it returns.
 func (p *Peer) Recv(timeout time.Duration) (Msg, error) {
 	p.conn.SetReadDeadline(time.Now().Add(timeout))
-	m, _, err := ReadMsgFlags(p.r)
+	m, _, err := p.in.read(p.r)
 	return m, err
 }
 

@@ -328,6 +328,87 @@ func TestPeerWritesQueuedFramesWithTheNext(t *testing.T) {
 	}
 }
 
+// frameLoop is a net.Conn whose reads serve the same bytes over and over.
+type frameLoop struct {
+	net.Conn
+	frames []byte
+	off    int
+}
+
+func (c *frameLoop) Read(p []byte) (int, error) {
+	n := copy(p, c.frames[c.off:])
+	c.off = (c.off + n) % len(c.frames)
+	return n, nil
+}
+
+func (c *frameLoop) SetReadDeadline(time.Time) error { return nil }
+
+// TestPeerRecvAllocatesWhatTheMessageKeeps: a Peer reads every frame into
+// one payload buffer with one decoder, so receiving an Output costs the
+// message and its data, and receiving a Command the message and its line.
+func TestPeerRecvAllocatesWhatTheMessageKeeps(t *testing.T) {
+	for _, m := range []Msg{
+		&Output{Data: []byte("list: node 7 appended\n")},
+		&Command{Line: "read 0x4408"},
+	} {
+		f, err := EncodeMsg(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPeer(&frameLoop{frames: f}, time.Second)
+		var got Msg
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, err = p.Recv(time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("received %#v, sent %#v", got, m)
+		}
+		if allocs > 2 {
+			t.Errorf("%T: Recv allocates %.1f times per frame, want at most 2", m, allocs)
+		}
+	}
+}
+
+// TestDecodedMessageOwnsItsBytes: a decoded message copies every byte it
+// keeps. Overwriting the frame it was decoded from must leave it
+// re-encoding to that frame, and a Peer that reuses its payload buffer
+// must return every message of a stream intact after reading the rest.
+func TestDecodedMessageOwnsItsBytes(t *testing.T) {
+	msgs := sampleMsgs()
+	var stream []byte
+	for _, m := range msgs {
+		f, err := EncodeMsg(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, f...)
+		buf := bytes.Clone(f)
+		got, err := DecodePayload(buf[0], buf[headerSize:])
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		if re, err := EncodeMsg(got); err != nil || !bytes.Equal(re, f) {
+			t.Errorf("%T: after the frame was overwritten the message re-encodes to %x (%v), want %x", m, re, err, f)
+		}
+	}
+	p := NewPeer(&frameLoop{frames: stream}, time.Second)
+	got := make([]Msg, len(msgs))
+	for i := range got {
+		var err error
+		if got[i], err = p.Recv(time.Second); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatal("messages a Peer received changed as it read the frames after them")
+	}
+}
+
 // TestDialSilentPeerTimesOut: a peer that accepts and never answers fails
 // the dial within its timeout, over plaintext (no Welcome) and over TLS
 // (no ServerHello). An unbounded TLS handshake once left a backend's Join

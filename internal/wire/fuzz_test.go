@@ -132,9 +132,15 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{TypeTraceZ, 1, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, flags, err := ReadMsgFlags(bytes.NewReader(data))
+		var fr frameReader
+		m, flags, err := fr.read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// Overwrite the payload buffer the message was decoded from, as a
+		// Peer's next frame does: a message that aliased it would change.
+		for i := range fr.payload {
+			fr.payload[i] = ^fr.payload[i]
 		}
 		// A decoded message must re-encode canonically to the consumed
 		// prefix of the input, flag bits included.

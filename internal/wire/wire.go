@@ -488,26 +488,47 @@ func ReadMsg(r io.Reader) (Msg, error) {
 // build does not know, which the caller's negotiation masks off with
 // KnownCaps rather than the connection dying here (forward compatibility).
 func ReadMsgFlags(r io.Reader) (Msg, byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var fr frameReader
+	return fr.read(r)
+}
+
+// frameReader reads frames into one payload buffer, grown to the largest
+// frame read so far, and decodes each with one decoder, so that a
+// connection that keeps one (Peer) allocates per frame only what the
+// message keeps. The message never aliases the buffer: every field
+// decoder copies the bytes it keeps.
+type frameReader struct {
+	hdr     [headerSize]byte
+	payload []byte
+	dec     decoder
+}
+
+// read reads and decodes one frame. The length field is validated against
+// MaxFrame before the payload buffer grows.
+func (fr *frameReader) read(r io.Reader) (Msg, byte, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return nil, 0, err
 	}
-	flags := hdr[1]
-	if flags != 0 && !handshakeFrame(hdr[0]) {
+	t, flags := fr.hdr[0], fr.hdr[1]
+	if flags != 0 && !handshakeFrame(t) {
 		return nil, 0, ErrBadFlags
 	}
-	n := binary.BigEndian.Uint32(hdr[2:6])
+	n := binary.BigEndian.Uint32(fr.hdr[2:6])
 	if n > MaxFrame {
 		return nil, 0, ErrFrameTooBig
 	}
-	payload := make([]byte, n)
+	if uint32(cap(fr.payload)) < n {
+		fr.payload = make([]byte, n)
+	}
+	payload := fr.payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, 0, err
 	}
-	m, err := DecodePayloadFlags(hdr[0], flags, payload)
+	fr.dec = decoder{b: payload, flags: flags}
+	m, err := fr.dec.msg(t)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -525,19 +546,8 @@ func DecodePayload(t byte, payload []byte) (Msg, error) {
 // the frame's flag byte: capability bits can extend a handshake payload
 // (FlagAuth appends Hello's token field), so the decoder must know them.
 func DecodePayloadFlags(t, flags byte, payload []byte) (Msg, error) {
-	m := newMsg(t)
-	if m == nil {
-		return nil, fmt.Errorf("wire: unknown message type %#02x", t)
-	}
 	d := decoder{b: payload, flags: flags}
-	m.decode(&d)
-	if d.err != nil {
-		return nil, fmt.Errorf("wire: decoding %T: %w", m, d.err)
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %T", len(d.b)-d.off, m)
-	}
-	return m, nil
+	return d.msg(t)
 }
 
 // ---- per-message field layouts ----
@@ -793,6 +803,22 @@ type decoder struct {
 	off   int
 	flags byte // the frame's flag byte; capability bits gate optional fields
 	err   error
+}
+
+// msg decodes the whole payload as one message of type t.
+func (d *decoder) msg(t byte) (Msg, error) {
+	m := newMsg(t)
+	if m == nil {
+		return nil, fmt.Errorf("wire: unknown message type %#02x", t)
+	}
+	m.decode(d)
+	if d.err != nil {
+		return nil, fmt.Errorf("wire: decoding %T: %w", m, d.err)
+	}
+	if d.off != len(d.b) {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %T", len(d.b)-d.off, m)
+	}
+	return m, nil
 }
 
 func (d *decoder) fail(format string, args ...any) {
