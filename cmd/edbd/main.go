@@ -49,9 +49,13 @@
 // its backends (and a -join backend to its gateways), and -backend-tls-ca
 // (plus -backend-tls-cert/-backend-tls-key for mTLS) encrypts the hop.
 //
+// A backend forks each session from its spec family's template, recorded
+// by the family's first session, and keeps at most 64 MiB of templates,
+// least recently used out first. Output is the same as a cold run's.
+//
 // The -metrics listener serves Go's expvar page at /debug/vars — an "edbd"
 // map for a backend (sessions, commands, bytes, migration counters, pool
-// fork/boot split) or an "edbd_gateway" map for a gateway (per-backend
+// counters) or an "edbd_gateway" map for a gateway (per-backend
 // session counts, migrations and failovers, migration latency p50/p99,
 // placement misses) — and Go's net/http/pprof profiler at /debug/pprof/,
 // both without authentication, so bind it to a trusted address:
@@ -97,7 +101,6 @@ func main() {
 		idle        = flag.Duration("idle", 2*time.Minute, "idle timeout before a quiet connection or session is reaped")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM")
 		noCluster   = flag.Bool("no-cluster", false, "refuse the cluster capability; no migration, no Stat probes")
-		noPool      = flag.Bool("no-pool", false, "disable the warm-start session pool; every session cold-boots (the pool keeps every family's template until exit)")
 		verbose     = flag.Bool("v", false, "log per-connection events")
 		tlsCert     = flag.String("tls-cert", "", "PEM certificate; serve TLS (requires -tls-key)")
 		tlsKey      = flag.String("tls-key", "", "PEM private key for -tls-cert")
@@ -147,7 +150,6 @@ func main() {
 		MaxSimSeconds:  *maxSimSecs,
 		IdleTimeout:    *idle,
 		DisableCluster: *noCluster,
-		DisablePool:    *noPool,
 		TLS:            listenTLS,
 		AuthToken:      authToken,
 		RequireAuth:    *requireAuth,

@@ -219,18 +219,6 @@ func (g *Gateway) AddBackend(addr string) {
 	}
 }
 
-// RemoveBackend drops a backend from the placement ring. Sessions in
-// flight on it keep running until their leg ends; new placements skip it.
-func (g *Gateway) RemoveBackend(addr string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.backends[addr]; ok {
-		delete(g.backends, addr)
-		g.rebuildRingLocked()
-		g.logf("backend %s: left (%d backends)", addr, len(g.backends))
-	}
-}
-
 func (g *Gateway) backend(addr string) *backendState {
 	g.mu.Lock()
 	defer g.mu.Unlock()

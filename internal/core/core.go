@@ -50,7 +50,6 @@ type config struct {
 	seed      int64
 	harvester energy.Harvester
 	supply    *energy.Supply
-	edbCfg    edb.Config
 	noEDB     bool
 	reader    *rfid.ReaderConfig
 }
@@ -72,11 +71,6 @@ func WithSupply(s *energy.Supply) Option {
 	return func(c *config) { c.supply = s }
 }
 
-// WithEDBConfig overrides the debugger configuration.
-func WithEDBConfig(cfg edb.Config) Option {
-	return func(c *config) { c.edbCfg = cfg }
-}
-
 // WithoutEDB assembles the target alone — the "run without a debugger and
 // observe the failure but gain no insight" half of the paper's dilemma.
 func WithoutEDB() Option { return func(c *config) { c.noEDB = true } }
@@ -91,7 +85,7 @@ func WithReader(rc rfid.ReaderConfig) Option {
 // The EDB board (when present) attaches before flashing so the target-side
 // libEDB registers its debug service.
 func NewRig(p device.Program, opts ...Option) (*Rig, error) {
-	cfg := config{seed: 1, edbCfg: edb.DefaultConfig()}
+	cfg := config{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -118,7 +112,7 @@ func NewRig(p device.Program, opts ...Option) (*Rig, error) {
 	}
 
 	if !cfg.noEDB {
-		rig.EDB = edb.New(cfg.edbCfg)
+		rig.EDB = edb.New(edb.DefaultConfig())
 		rig.EDB.Attach(rig.Device)
 		rig.EDB.SetRFDecoder(rfid.FrameName)
 		rig.Console = console.New(rig.EDB)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/edb"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // RigSnapshot is a full machine snapshot of an assembled rig: the target
@@ -17,8 +19,18 @@ type RigSnapshot struct {
 	EDB    *edb.Snapshot // nil for rigs assembled WithoutEDB
 }
 
-// MemoryBytes returns the size of the snapshot's full memory image.
-func (s *RigSnapshot) MemoryBytes() int { return s.Device.MemoryBytes() }
+// Bytes returns most of the heap the snapshot holds: its memory images,
+// and the debugger's event log, samples and watchpoint hits, which it
+// shares with the rig it was taken from and the rigs restored from it.
+func (s *RigSnapshot) Bytes() int {
+	n := s.Device.MemoryBytes()
+	if e := s.EDB; e != nil {
+		n += e.Events.Bytes() + (len(e.Vcap)+len(e.Vreg))*int(unsafe.Sizeof(trace.Sample{})) +
+			len(e.WatchHits)*int(unsafe.Sizeof(edb.WatchpointHit{})) +
+			len(e.SaveRestores)*int(unsafe.Sizeof(edb.SaveRestoreSample{}))
+	}
+	return n
+}
 
 // Now returns the simulated cycle the snapshot was taken at.
 func (s *RigSnapshot) Now() sim.Cycles { return s.Device.Now }

@@ -175,18 +175,6 @@ func (e *EDB) RestoreState() (int, units.Volts, error) {
 	return pages, e.snapSlot.reading, nil
 }
 
-// SnapBaselineBytes returns the size of the armed console snapshot, or 0.
-func (e *EDB) SnapBaselineBytes() int {
-	if e.snapSlot == nil {
-		return 0
-	}
-	n := 0
-	for _, b := range e.snapSlot.baselines {
-		n += len(b)
-	}
-	return n
-}
-
 // SnapDelta captures the pages dirtied since the last SnapState (or the
 // last SnapDelta) as sparse per-region deltas — the O(dirty) capture path
 // the checkpoint bench measures. It errors when no snapshot is armed.

@@ -49,12 +49,6 @@ func (c *Capacitor) Energy() units.Joules {
 	return units.CapacitorEnergy(c.C, c.v)
 }
 
-// MaxEnergy returns the energy stored at VMax — the denominator the paper
-// uses when quoting costs as "% of storage capacity".
-func (c *Capacitor) MaxEnergy() units.Joules {
-	return units.CapacitorEnergy(c.C, c.VMax)
-}
-
 // ApplyCurrent integrates a net current i over dt: dV = i·dt/C. Positive i
 // charges; negative discharges. Voltage clamps to [0, VMax].
 func (c *Capacitor) ApplyCurrent(i units.Amps, dt units.Seconds) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -164,8 +165,9 @@ func (t *Template) deadline(spec Spec) sim.Cycles {
 	return t.clock.ToCycles(units.Seconds(spec.Seconds))
 }
 
-// SnapshotBytes returns the size of the template's full memory image.
-func (t *Template) SnapshotBytes() int { return t.at.snap.MemoryBytes() }
+// Bytes returns the heap the template pins: its snapshot (core.RigSnapshot
+// Bytes) and the output prefix forks write first.
+func (t *Template) Bytes() int { return t.at.snap.Bytes() + len(t.at.prefix) }
 
 // ForkPoint returns the simulated time forks start at and the reboots the
 // cold run has made by then. Only deadlines strictly past it can be served
@@ -227,37 +229,53 @@ func SpecHash(s Spec) uint64 {
 
 // templateKey collapses a spec to its simulation-shaping fields. Seconds,
 // Script and Interactive are per-session: they change what a session does
-// with the rig, not how the rig evolves from cycle 0.
+// with the rig, not how the rig evolves from cycle 0. The string fields
+// escape the separator, so two specs share a key only if every field is
+// equal.
 func templateKey(s Spec) string {
+	e := keyEscaper.Replace
 	return fmt.Sprintf("%s|%s|%s|%t|%t|%s|%g|%d|%t",
-		s.App, s.AsmName, s.AsmSource, s.Assert, s.Guards, s.Print, s.Distance, s.Seed, s.Trace)
+		e(s.App), e(s.AsmName), e(s.AsmSource), s.Assert, s.Guards, e(s.Print), s.Distance, s.Seed, s.Trace)
 }
+
+// keyEscaper leaves a string without a backslash or a '|' as it is.
+var keyEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)
+
+// poolBudget bounds the bytes the pool's templates pin (Template.Bytes).
+// A template over maxTemplateBytes is not kept: its family runs cold.
+const (
+	poolBudget       = 64 << 20
+	maxTemplateBytes = poolBudget / 4
+)
 
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
 	WarmForks      uint64 // sessions served from a template fork
 	ColdBoots      uint64 // sessions simulated from cycle 0
-	TemplatesBuilt uint64
-	Untemplatable  uint64 // specs the pool gave up templating
+	TemplatesBuilt uint64 // templates recorded during cold sessions
+	Evictions      uint64 // templates let go: evicted, or over a quarter of the budget
+	TemplateBytes  int64  // bytes the held templates pin
 }
 
-// poolEntry tracks one template key: the template once recorded, or the
-// decision that the key is untemplatable — a negative cache so reader
-// specs are not recorded again.
+// poolEntry is a family that is recording its template (tmpl is nil) or
+// holds one. A family that does neither has no entry.
 type poolEntry struct {
-	mu        sync.Mutex
-	recording bool      // a cold session is recording the template
-	tmpl      *Template // nil until recorded
-	dead      bool      // untemplatable; serve cold forever
+	tmpl  *Template
+	bytes int64  // tmpl.Bytes(), counted when it was published
+	used  uint64 // the pool's use count at the last fork or the publish
 }
 
 // Pool serves scenario sessions, warm-starting them from per-spec
-// templates. The first session for a spec runs cold and records the
-// template as it goes; later sessions fork it. A session whose deadline
-// falls before the template's point runs cold.
+// templates. A family's first session runs cold and records the template
+// as it goes; later sessions fork it. A session whose deadline falls
+// before the template's point runs cold. The templates pin at most
+// poolBudget bytes: publishing one evicts the least recently used until
+// they fit, and an evicted family's next session records again. A fork
+// that is running keeps its snapshot, evicted or not.
 type Pool struct {
 	mu      sync.Mutex
 	entries map[string]*poolEntry
+	uses    uint64 // stamps each fork and publish, for the LRU order
 	metrics PoolMetrics
 }
 
@@ -270,62 +288,77 @@ func NewPool() *Pool {
 // otherwise. Output is byte-identical either way.
 func (p *Pool) Run(spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
 	spec = spec.withDefaults()
-	e := p.entry(templateKey(spec))
+	key := templateKey(spec)
 
-	e.mu.Lock()
-	switch {
-	case e.tmpl != nil && e.tmpl.Usable(spec):
+	p.mu.Lock()
+	e := p.entries[key]
+	if e != nil && e.tmpl != nil && e.tmpl.Usable(spec) {
+		p.uses++
+		e.used = p.uses
+		p.metrics.WarmForks++
 		tmpl := e.tmpl
-		e.mu.Unlock()
-		p.count(func(m *PoolMetrics) { m.WarmForks++ })
-		rig, prog, err := tmpl.Fork()
-		if err != nil {
-			return Result{}, err
-		}
-		return execute(rig, prog, spec, out, prompt, nil)
-	case !e.dead && !e.recording && e.tmpl == nil:
-		// First sighting of this spec family: this cold session records
-		// the template.
-		e.recording = true
-		e.mu.Unlock()
-		return p.record(e, spec, out, prompt)
+		p.mu.Unlock()
+		return tmpl.Run(spec, out, prompt)
 	}
-	e.mu.Unlock()
-
-	p.count(func(m *PoolMetrics) { m.ColdBoots++ })
-	return Run(spec, out, prompt)
-}
-
-// record serves a session cold while recording its family's template. The
-// template is published as soon as the recording stops, at the session's
-// first debugger entry, so sessions arriving meanwhile can fork it.
-func (p *Pool) record(e *poolEntry, spec Spec, out io.Writer, prompt PromptFunc) (Result, error) {
-	p.count(func(m *PoolMetrics) { m.ColdBoots++ })
+	p.metrics.ColdBoots++
+	if e != nil {
+		p.mu.Unlock()
+		return Run(spec, out, prompt)
+	}
+	// No entry: this cold session records the family's template, which is
+	// published as soon as the recording stops, at the session's first
+	// debugger entry, so sessions arriving meanwhile can fork it.
+	p.entries[key] = new(poolEntry)
+	p.mu.Unlock()
 	rig, prog, err := buildRig(spec)
 	if err != nil {
-		p.publish(e, nil, true)
+		p.publish(key, nil)
 		return Result{}, err
 	}
-	rec, err := newRecorder(rig, spec, func(t *Template) { p.publish(e, t, false) })
+	rec, err := newRecorder(rig, spec, func(t *Template) { p.publish(key, t) })
 	if err != nil {
-		p.publish(e, nil, true)
+		p.publish(key, nil) // a reader-driven rig runs cold
 	}
 	return execute(rig, prog, spec, out, prompt, rec)
 }
 
-// publish ends an entry's recording with its template: nil if the session
-// never reached turn-on, which leaves the next session to record again,
-// or if the family cannot be templated (dead).
-func (p *Pool) publish(e *poolEntry, t *Template, dead bool) {
-	e.mu.Lock()
-	e.recording = false
-	e.tmpl, e.dead = t, dead
-	e.mu.Unlock()
-	switch {
-	case dead:
-		p.count(func(m *PoolMetrics) { m.Untemplatable++ })
-	case t != nil:
-		p.count(func(m *PoolMetrics) { m.TemplatesBuilt++ })
+// publish ends a family's recording with its template: nil if the session
+// never reached turn-on or the rig cannot be templated. A family left
+// without a template, nil or over maxTemplateBytes, has no entry, so its
+// next session records again. A kept template evicts the least recently
+// used ones until the held templates fit the budget.
+func (p *Pool) publish(key string, t *Template) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t == nil {
+		delete(p.entries, key)
+		return
+	}
+	p.metrics.TemplatesBuilt++
+	n := int64(t.Bytes())
+	if n > maxTemplateBytes {
+		p.metrics.Evictions++
+		delete(p.entries, key)
+		return
+	}
+	p.uses++
+	// A recording family's entry stays until this publish: no eviction
+	// takes an entry without a template.
+	e := p.entries[key]
+	e.tmpl, e.bytes, e.used = t, n, p.uses
+	p.metrics.TemplateBytes += n
+	for p.metrics.TemplateBytes > poolBudget {
+		// The new template is the most recently used, and within the
+		// budget alone, so it is never the one to go.
+		lru, oldest := "", ^uint64(0)
+		for k, o := range p.entries {
+			if o.tmpl != nil && o.used < oldest {
+				lru, oldest = k, o.used
+			}
+		}
+		p.metrics.Evictions++
+		p.metrics.TemplateBytes -= p.entries[lru].bytes
+		delete(p.entries, lru)
 	}
 }
 
@@ -334,21 +367,4 @@ func (p *Pool) Metrics() PoolMetrics {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.metrics
-}
-
-func (p *Pool) count(f func(*PoolMetrics)) {
-	p.mu.Lock()
-	f(&p.metrics)
-	p.mu.Unlock()
-}
-
-func (p *Pool) entry(key string) *poolEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[key]
-	if !ok {
-		e = &poolEntry{}
-		p.entries[key] = e
-	}
-	return e
 }

@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"bytes"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -70,8 +71,8 @@ func TestTemplateForkReuse(t *testing.T) {
 			t.Fatalf("fork %d diverged from fork 0", i+1)
 		}
 	}
-	if tmpl.SnapshotBytes() == 0 {
-		t.Fatal("template must report its memory image size")
+	if tmpl.Bytes() < 49920 {
+		t.Fatalf("template counts %d B, less than its 49,920 B memory image", tmpl.Bytes())
 	}
 }
 
@@ -132,9 +133,10 @@ func TestPoolServesWarmAfterColdFirst(t *testing.T) {
 	}
 }
 
-// TestPoolNegativeCache: untemplatable specs are served cold forever and
-// the failed warm-up is not retried.
-func TestPoolNegativeCache(t *testing.T) {
+// TestPoolReaderFamilyLeavesNoEntry: a reader-driven family cannot be
+// templated, so each of its sessions runs cold, and the pool keeps nothing
+// for it: no template, no bytes.
+func TestPoolReaderFamilyLeavesNoEntry(t *testing.T) {
 	spec := scenario.Spec{App: "rfid", Seconds: 2, Seed: 42}
 	pool := scenario.NewPool()
 	var a, b bytes.Buffer
@@ -148,7 +150,7 @@ func TestPoolNegativeCache(t *testing.T) {
 		t.Fatal("cold-served rfid sessions must still be deterministic")
 	}
 	m := pool.Metrics()
-	if m.ColdBoots != 2 || m.Untemplatable != 1 || m.WarmForks != 0 {
+	if m.ColdBoots != 2 || m.WarmForks != 0 || m.TemplatesBuilt != 0 || m.TemplateBytes != 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	if !strings.Contains(a.String(), "run summary") {
@@ -182,6 +184,50 @@ func TestSpecHashStability(t *testing.T) {
 	}
 	if scenario.TemplateKey(base) != scenario.TemplateKey(alt) {
 		t.Fatal("TemplateKey must ignore per-session fields")
+	}
+	// Ordinary specs keep the hashes they had before the key escaped its
+	// separator: the perfbench session shape and a Fig. 7 spec.
+	for _, pin := range []struct {
+		spec scenario.Spec
+		hash uint64
+	}{
+		{scenario.Spec{App: "linkedlist", Assert: true, Trace: true, Interactive: true, Seconds: 1, Seed: 14}, 0xcdd84ce42c7dbd47},
+		{scenario.Spec{App: "linkedlist", Assert: true, Seconds: 30, Seed: 42}, 0x38af5c4aea099479},
+	} {
+		if h := scenario.SpecHash(pin.spec); h != pin.hash {
+			t.Errorf("SpecHash(%+v) = %#x, want %#x", pin.spec, h, pin.hash)
+		}
+	}
+}
+
+// TestTemplateKeyEscapesSeparator: two specs whose string fields join to
+// the same text around a '|' run different programs, so they must not
+// share a key, and a pool that served one must serve the other its own
+// program.
+func TestTemplateKeyEscapesSeparator(t *testing.T) {
+	src, err := os.ReadFile("../../firmware/counter.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := scenario.Spec{AsmName: "p", AsmSource: "\tmov #5, r9 ; x|\n" + string(src), Seconds: 2, Seed: 5}
+	b := scenario.Spec{AsmName: "p|\tmov #5, r9 ; x", AsmSource: "\n" + string(src), Seconds: 2, Seed: 5}
+	if scenario.TemplateKey(a) == scenario.TemplateKey(b) || scenario.SpecHash(a) == scenario.SpecHash(b) {
+		t.Fatal("specs running different programs share a key")
+	}
+	var cold bytes.Buffer
+	if _, err := scenario.Run(b, &cold, nil); err != nil {
+		t.Fatal(err)
+	}
+	pool := scenario.NewPool()
+	var first, second bytes.Buffer
+	if _, err := pool.Run(a, &first, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Run(b, &second, nil); err != nil {
+		t.Fatal(err)
+	}
+	if second.String() != cold.String() {
+		t.Fatalf("the pool served the second spec another program\n--- cold ---\n%s\n--- pool ---\n%s", cold.String(), second.String())
 	}
 }
 

@@ -54,11 +54,12 @@ type Metrics struct {
 	ResumeSkippedBytes int64 // replayed output bytes suppressed because the peer had them
 	StatProbes         int64 // load/drain probes answered
 
-	// Warm-start pool counters (all zero when pooling is disabled).
+	// Warm-start pool counters (scenario.PoolMetrics).
 	WarmForks      int64 // sessions served by forking a pre-warmed template
 	ColdBoots      int64 // sessions simulated from cycle 0
 	TemplatesBuilt int64 // firmware templates recorded during cold sessions
-	Untemplatable  int64 // spec families the pool gave up templating
+	Evictions      int64 // templates let go: pushed out of the pool's budget, or too big to keep
+	TemplateBytes  int64 // bytes the held templates pin, at most the pool's 64 MiB budget
 	// SparePops is always zero: the pool keeps no pre-forked rigs. It
 	// stays because the benchmark harness (perfbench) still reads it.
 	SparePops int64
@@ -66,7 +67,8 @@ type Metrics struct {
 
 // Metrics returns a snapshot of the server's counters.
 func (s *Server) Metrics() Metrics {
-	m := Metrics{
+	pm := s.pool.Metrics()
+	return Metrics{
 		ConnsOpen:        s.c.connsOpen.Load(),
 		ConnsTotal:       s.c.connsTotal.Load(),
 		ConnsRejected:    s.c.connsRejected.Load(),
@@ -87,13 +89,11 @@ func (s *Server) Metrics() Metrics {
 		SessionsResumed:    s.c.sessionsResumed.Load(),
 		ResumeSkippedBytes: s.c.resumeSkippedBytes.Load(),
 		StatProbes:         s.c.statProbes.Load(),
+
+		WarmForks:      int64(pm.WarmForks),
+		ColdBoots:      int64(pm.ColdBoots),
+		TemplatesBuilt: int64(pm.TemplatesBuilt),
+		Evictions:      int64(pm.Evictions),
+		TemplateBytes:  pm.TemplateBytes,
 	}
-	if s.pool != nil {
-		pm := s.pool.Metrics()
-		m.WarmForks = int64(pm.WarmForks)
-		m.ColdBoots = int64(pm.ColdBoots)
-		m.TemplatesBuilt = int64(pm.TemplatesBuilt)
-		m.Untemplatable = int64(pm.Untemplatable)
-	}
-	return m
 }

@@ -61,12 +61,6 @@ type Config struct {
 	// rejected, and a drain simply waits for busy sessions like a
 	// single-node deployment.
 	DisableCluster bool
-	// DisablePool turns off warm-start session pooling; every session
-	// then simulates its charge phase from cycle 0. Output is identical
-	// either way — the pool is purely a latency optimization. The pool
-	// keeps every family's template for the life of the process, so this
-	// is the way to run a server in bounded memory.
-	DisablePool bool
 	// TLS, when set, wraps the listener so every connection speaks TLS.
 	// Set ClientCAs + ClientAuth: tls.RequireAndVerifyClientCert for mTLS;
 	// the TLS handshake completes within the 10 s handshake timeout,
@@ -114,7 +108,7 @@ type Server struct {
 	cfg  Config
 	c    counters
 	hs   wire.Acceptor
-	pool *scenario.Pool // nil when pooling is disabled
+	pool *scenario.Pool
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -161,16 +155,13 @@ func New(cfg Config) *Server {
 	if cfg.DisableCluster {
 		refuse |= wire.FlagCluster
 	}
-	s := &Server{
+	return &Server{
 		cfg: cfg,
 		hs: wire.Acceptor{Name: cfg.Name, Refuse: refuse, Token: cfg.AuthToken, RequireAuth: cfg.RequireAuth,
 			WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf},
+		pool:  scenario.NewPool(),
 		conns: make(map[net.Conn]*connState),
 	}
-	if !cfg.DisablePool {
-		s.pool = scenario.NewPool()
-	}
-	return s
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -526,11 +517,7 @@ func (s *Server) session(p *wire.Peer, req *wire.SessResume, resumed, traceZ, cl
 		}
 	}
 
-	run := scenario.Run
-	if s.pool != nil {
-		run = s.pool.Run
-	}
-	res, err := run(req.Spec, out, prompt)
+	res, err := s.pool.Run(req.Spec, out, prompt)
 	s.c.commandsServed.Add(int64(res.Commands))
 	s.c.simCycles.Add(int64(res.SimCycles))
 	s.c.scriptErrors.Add(int64(res.ScriptErrors))

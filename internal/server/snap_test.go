@@ -268,28 +268,3 @@ func TestPoolWarmSessionsMatchCold(t *testing.T) {
 		t.Fatalf("pool metrics: cold=%d warm=%d (want 1/1); %+v", m.ColdBoots, m.WarmForks, m)
 	}
 }
-
-// TestPoolDisabled: with pooling off every session cold-boots and output
-// is unchanged.
-func TestPoolDisabled(t *testing.T) {
-	srv, addr := startServer(t, server.Config{DisablePool: true})
-	spec := testSpec(42)
-	golden, _ := localGolden(t, spec)
-	cl, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-	for i := 0; i < 2; i++ {
-		var buf bytes.Buffer
-		if _, err := cl.Run(spec, &buf, nil); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if buf.String() != golden {
-			t.Fatalf("run %d differs from golden", i)
-		}
-	}
-	if m := srv.Metrics(); m.WarmForks != 0 || m.TemplatesBuilt != 0 {
-		t.Fatalf("pool must be inert when disabled: %+v", m)
-	}
-}

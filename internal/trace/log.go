@@ -1,6 +1,10 @@
 package trace
 
-import "repro/internal/sim"
+import (
+	"unsafe"
+
+	"repro/internal/sim"
+)
 
 // Log is an event stream. With Limit > 0 it behaves as a ring: once full,
 // the oldest quarter of the events is discarded (Dropped counts them),
@@ -270,6 +274,16 @@ func (l *Log) SnapshotInto(st *LogState) {
 		counts:  l.counts[:len(l.counts):len(l.counts)],
 	}
 	l.countsShared = true
+}
+
+// Bytes returns the heap the state holds: its chunks, whole even where
+// the state sees part of one, and its symbols with their texts.
+func (s LogState) Bytes() int {
+	n := len(s.chunks) * chunkLen * int(unsafe.Sizeof(record{}))
+	for _, sym := range s.syms {
+		n += int(unsafe.Sizeof(sym)) + len(sym.kind) + len(sym.text)
+	}
+	return n
 }
 
 // Restore replaces the retained events and Dropped with a captured state,
